@@ -47,24 +47,14 @@ from .dynamics import (
     NONLINEARITIES,
     SCHEMES,
     CoefficientSet,
-    PathRNG,
-    StepConfig,
-    advance_path,
     apply_drift,
     drift_eval,
-    noise_increment,
     psi_eval,
-    step,
 )
 from .coupling import (
-    CoupledPathState,
     CouplingSchedule,
     f_diagnostic,
-    girsanov_weight,
-    make_pair_state,
     make_schedule,
-    run_pair,
-    step_pair,
     zeta,
 )
 from .bounds import (
@@ -155,24 +145,14 @@ __all__ = [
     "SCHEMES",
     "NONLINEARITIES",
     "CoefficientSet",
-    "StepConfig",
-    "PathRNG",
     "psi_eval",
     "drift_eval",
-    "noise_increment",
     "apply_drift",
-    "step",
-    "advance_path",
     # coupling
     "CouplingSchedule",
-    "CoupledPathState",
     "make_schedule",
-    "make_pair_state",
     "zeta",
     "f_diagnostic",
-    "step_pair",
-    "run_pair",
-    "girsanov_weight",
     # bounds
     "exp_moment_weight",
     "log_moment_rate",

@@ -137,7 +137,12 @@ def harnack_rhs(model: SpectralModel, coeffs: CoefficientSet, T: float, p: float
     range; the multiplier is then reported as inf (the bound is valid
     but carries no information).
     """
-    t1, t2, t3 = harnack_exponent_terms(model, coeffs, T, p, x, y)
+    return _harnack_multiplier(harnack_exponent_terms(model, coeffs, T, p, x, y))
+
+
+def _harnack_multiplier(terms: tuple[float, float, float]) -> float:
+    """exp of the summed exponent terms, inf where that overflows a float."""
+    t1, t2, t3 = terms
     try:
         return math.exp(t1 + t2 + t3)
     except OverflowError:
@@ -299,7 +304,7 @@ def bound_report(
     rhs = None
     if p is not None:
         terms = harnack_exponent_terms(model, coeffs, T, p, x, y)
-        rhs = math.exp(sum(terms))
+        rhs = _harnack_multiplier(terms)
     return BoundReport(
         T=float(T),
         p=None if p is None else float(p),

@@ -24,8 +24,6 @@ from .conditions import (
     hs_check,
 )
 from .config import COMMANDS, ExperimentConfig, validate_config
-from .coupling import run_pair
-from .dynamics import StepConfig
 from .errors import FastDiffusionError, SchemaError
 from .montecarlo import estimate_from_values, make_test_function
 from .records import (
@@ -172,7 +170,9 @@ def _cmd_simulate(cfg: ExperimentConfig):
 def _cmd_couple(cfg: ExperimentConfig):
     x, y = cfg.state("x"), cfg.state("y")
     res = montecarlo.run_coupled_ensemble(
-        cfg.model, cfg.coeffs, cfg.run, x, y, cfg.extras.get("couple_tol")
+        cfg.model, cfg.coeffs, cfg.run, x, y, cfg.extras.get("couple_tol"),
+        trace_paths=cfg.extras.get("sample_paths", 4),
+        record_every=cfg.extras.get("record_every", 1),
     )
     a = res.alive
     coupled = res.coupled & a
@@ -202,31 +202,14 @@ def _cmd_couple(cfg: ExperimentConfig):
         },
     }
 
+    # rows are built only if a table is written
     log_weight = -res.log_stoch_int - 0.5 * res.zeta_sq_int
-    path_rows = [
-        (
-            j,
-            bool(res.coupled[j]),
-            float(res.tau[j]),
-            float(log_weight[j]),
-            float(res.zeta_sq_int[j]),
-            float(res.f_int[j]),
-            float(res.dist_final[j]),
-        )
-        for j in range(cfg.run.n_paths)
-    ]
-    trace_rows = []
-    n_sample = min(cfg.extras.get("sample_paths", 4), cfg.run.n_paths)
-    every = cfg.extras.get("record_every", 1)
-    for j in range(n_sample):
-        step_cfg = StepConfig(
-            dt=cfg.run.dt, scheme=cfg.run.scheme, rng_seed=cfg.run.seed, path_index=j
-        )
-        _, recs = run_pair(
-            cfg.model, cfg.coeffs, sched, step_cfg, x, y, cfg.run.n_steps,
-            couple_tol=res.couple_tol, record_every=every,
-        )
-        trace_rows.extend((j,) + rec for rec in recs)
+    path_rows = zip(
+        range(cfg.run.n_paths), res.coupled, res.tau, log_weight,
+        res.zeta_sq_int, res.f_int, res.dist_final,
+    )
+    trace = res.trace if res.trace is not None else np.empty((0, 0, 4))
+    trace_rows = ((j, *row) for j, rows in enumerate(trace) for row in rows)
     tables = {
         "paths": (COUPLE_CSV_COLUMNS, path_rows),
         "trace": (PLOT_CSV_COLUMNS, trace_rows),
@@ -266,7 +249,7 @@ def _cmd_invariant(cfg: ExperimentConfig):
         eps0=cfg.extras.get("eps0", 0.01),
     )
     columns = tuple(f"v{i}" for i in range(cfg.model.n))
-    tables = {"samples": (columns, [tuple(row) for row in samples])}
+    tables = {"samples": (columns, map(tuple, samples))}
     return report, tables, None
 
 

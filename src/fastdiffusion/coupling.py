@@ -8,13 +8,14 @@ attraction drift
 to the second copy until the first numerical meeting time, after which
 the second copy is forced equal to the first.  The schedule beta is
 calibrated so that the attraction alone closes the gap by time T.
-Along the way the kernel accumulates the stochastic and quadratic
-integrals of
+Along the way the ensemble kernel (montecarlo) accumulates the
+stochastic and quadratic integrals of
 
     zeta_t = beta_t Q^(-1) (X_t - Y_t) / |X_t - Y_t|_H^epsilon
 
 whose exponential supermartingale reweights expectations over the first
-copy into expectations over an uncoupled copy started at y.
+copy into expectations over an uncoupled copy started at y.  The
+point-space formulas below are the oracles that kernel is tested against.
 """
 
 from __future__ import annotations
@@ -24,21 +25,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import CoefficientSet, PathRNG, StepConfig, apply_drift, drift_eval
-from .errors import NonFiniteState, ZeroHorizon
+from .dynamics import CoefficientSet
+from .errors import ZeroHorizon
 from .schedules import PiecewiseConstant, combine, weighted_exp_integral
-from .spectral import SpectralModel, from_spectral, norm_h, to_spectral
+from .spectral import SpectralModel, norm_h, to_spectral
 
 __all__ = [
     "CouplingSchedule",
-    "CoupledPathState",
     "make_schedule",
-    "make_pair_state",
     "coupling_drift",
     "zeta",
-    "step_pair",
-    "run_pair",
-    "girsanov_weight",
     "f_diagnostic",
 ]
 
@@ -65,12 +61,6 @@ class CouplingSchedule:
     def beta(self, t: float) -> float:
         """Attraction amplitude at time t."""
         return self.c * self.amp(t) * math.exp(-(1.0 - self.epsilon) * self.gamma.integral(t))
-
-    # kept as an attribute-style alias so the schedule can be passed around
-    # as "the beta function" without the caller knowing the class
-    @property
-    def beta_fn(self):
-        return self.beta
 
     def hypothesis_integral(self) -> float:
         """Exact integral_0^T beta_t exp(-epsilon integral_0^t gamma) dt.
@@ -110,36 +100,6 @@ def make_schedule(model: SpectralModel, coeffs: CoefficientSet, T: float, x, y) 
     return CouplingSchedule(epsilon=eps, c=c, T=float(T), dist0=dist0, amp=amp, gamma=coeffs.gamma)
 
 
-@dataclass
-class CoupledPathState:
-    """Mutable state of one coupled pair plus its reweighting accumulators."""
-
-    t: float
-    x: np.ndarray
-    y: np.ndarray
-    couple_tol: float
-    coupled: bool = False
-    tau: float = math.nan
-    log_stoch_int: float = 0.0
-    zeta_sq_int: float = 0.0
-    f_int: float = 0.0
-
-
-def make_pair_state(model: SpectralModel, x, y, couple_tol: float | None = None) -> CoupledPathState:
-    """Initial pair state; the meeting tolerance defaults to 1e-6 times
-    the starting gap in the H norm."""
-    x = np.asarray(x, dtype=float).copy()
-    y = np.asarray(y, dtype=float).copy()
-    dist0 = float(norm_h(model, x - y))
-    if couple_tol is None:
-        couple_tol = DEFAULT_TOL_FACTOR * dist0
-    if dist0 == 0.0:
-        return CoupledPathState(t=0.0, x=x, y=x.copy(), couple_tol=couple_tol, coupled=True, tau=0.0)
-    if not couple_tol > 0.0:
-        raise ValueError("couple_tol must be strictly positive for distinct starting points")
-    return CoupledPathState(t=0.0, x=x, y=y, couple_tol=couple_tol)
-
-
 def coupling_drift(model: SpectralModel, sched: CouplingSchedule, x, y, t: float) -> np.ndarray:
     """Attraction drift beta_t (x - y) / |x - y|_H^epsilon; zero at x = y."""
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
@@ -161,7 +121,7 @@ def zeta(model: SpectralModel, sched: CouplingSchedule, x, y, t: float) -> np.nd
 def f_diagnostic(model: SpectralModel, coeffs: CoefficientSet, x, y):
     """Envelope moment f = m[(|x| v |y|)^(r+1)] raised to (1-r)/(1+r).
 
-    Accepts batched states; the pair kernel integrates
+    Accepts batched states; the ensemble kernel integrates
     f^(2/(sigma-2)) while the pair is uncoupled.
     """
     r = coeffs.r
@@ -171,140 +131,3 @@ def f_diagnostic(model: SpectralModel, coeffs: CoefficientSet, x, y):
     moment = (model.space.weights * env).sum(axis=-1)
     out = moment ** ((1.0 - r) / (1.0 + r))
     return float(out) if out.ndim == 0 else out
-
-
-def _norm_h_batch(model: SpectralModel, d: np.ndarray) -> np.ndarray:
-    c = to_spectral(model, d)
-    return np.sqrt((c * c / model.eigenvalues).sum(axis=-1))
-
-
-def _pair_kernel(
-    model: SpectralModel,
-    coeffs: CoefficientSet,
-    sched: CouplingSchedule,
-    dt: float,
-    scheme: str,
-    t: float,
-    X: np.ndarray,
-    Y: np.ndarray,
-    coupled: np.ndarray,
-    tau: np.ndarray,
-    log_stoch: np.ndarray,
-    zeta_sq: np.ndarray,
-    f_acc: np.ndarray,
-    tol: float,
-    xi: np.ndarray,
-):
-    """Advance a batch of pairs one step under shared noise.
-
-    All arrays are modified in place; X and Y are returned because the
-    update is not in place.  xi holds the standard-normal draws for this
-    step, one row per pair.
-    """
-    w = model.space.weights
-    q = model.q_diag
-    eps = sched.epsilon
-    sigma = coeffs.sigma
-
-    D = X - Y
-    dist = _norm_h_batch(model, D)
-    newly = ~coupled & (dist <= tol)
-    tau[newly] = t
-    coupled |= newly
-    active = ~coupled
-
-    beta = sched.beta(t)
-    safe = np.where(active, dist, 1.0) ** eps
-    act_col = active[:, None]
-    cdrift = np.where(act_col, beta * D / safe[:, None], 0.0)
-
-    zcoef = np.where(act_col, beta * to_spectral(model, D) / (q * safe[:, None]), 0.0)
-    zsq = (zcoef * zcoef).sum(axis=-1)
-    log_stoch += (zcoef * (math.sqrt(dt) * xi)).sum(axis=-1)
-    zeta_sq += zsq * dt
-    fval = f_diagnostic(model, coeffs, X, Y) ** (2.0 / (sigma - 2.0))
-    f_acc += np.where(active, fval, 0.0) * dt
-
-    dW = from_spectral(model, q * math.sqrt(dt) * xi)
-    bX = drift_eval(model, coeffs, X, t)
-    bY = drift_eval(model, coeffs, Y, t) + cdrift
-    Xn = apply_drift(X, bX, dt, scheme, w) + dW
-    Yn = apply_drift(Y, bY, dt, scheme, w) + dW
-    Yn = np.where(coupled[:, None], Xn, Yn)
-    return Xn, Yn
-
-
-def step_pair(
-    model: SpectralModel,
-    coeffs: CoefficientSet,
-    sched: CouplingSchedule,
-    cfg: StepConfig,
-    state: CoupledPathState,
-    rng: PathRNG,
-) -> CoupledPathState:
-    """Advance one coupled pair by a single step, updating state in place."""
-    xi = rng.normals()[None, :]
-    coupled = np.array([state.coupled])
-    tau = np.array([state.tau])
-    log_stoch = np.array([state.log_stoch_int])
-    zeta_sq = np.array([state.zeta_sq_int])
-    f_acc = np.array([state.f_int])
-    Xn, Yn = _pair_kernel(
-        model, coeffs, sched, cfg.dt, cfg.scheme, state.t,
-        state.x[None, :], state.y[None, :],
-        coupled, tau, log_stoch, zeta_sq, f_acc, state.couple_tol, xi,
-    )
-    if not (np.all(np.isfinite(Xn)) and np.all(np.isfinite(Yn))):
-        raise NonFiniteState(f"pair state left the finite range at t = {state.t + cfg.dt!r}")
-    state.x = Xn[0]
-    state.y = Yn[0]
-    state.t += cfg.dt
-    state.coupled = bool(coupled[0])
-    state.tau = float(tau[0])
-    state.log_stoch_int = float(log_stoch[0])
-    state.zeta_sq_int = float(zeta_sq[0])
-    state.f_int = float(f_acc[0])
-    return state
-
-
-def run_pair(
-    model: SpectralModel,
-    coeffs: CoefficientSet,
-    sched: CouplingSchedule,
-    cfg: StepConfig,
-    x,
-    y,
-    n_steps: int,
-    couple_tol: float | None = None,
-    record_every: int = 0,
-) -> tuple[CoupledPathState, list[tuple[float, float, float, float]]]:
-    """Run one coupled pair for n_steps steps.
-
-    Returns the final state and, when record_every > 0, rows
-    (t, |X-Y|_H, beta_t, |zeta_t|_2^2) taken after every record_every-th
-    step, so record_every=1 yields exactly n_steps rows per path.
-    """
-    state = make_pair_state(model, x, y, couple_tol)
-    rng = PathRNG.from_config(cfg, model.n)
-    records: list[tuple[float, float, float, float]] = []
-
-    def snapshot():
-        d = float(norm_h(model, state.x - state.y))
-        b = sched.beta(min(state.t, sched.T))
-        if state.coupled or d == 0.0:
-            zsq = 0.0
-        else:
-            zc = zeta(model, sched, state.x, state.y, state.t)
-            zsq = float((zc * zc).sum())
-        records.append((state.t, d, b, zsq))
-
-    for k in range(n_steps):
-        step_pair(model, coeffs, sched, cfg, state, rng)
-        if record_every and (k + 1) % record_every == 0:
-            snapshot()
-    return state, records
-
-
-def girsanov_weight(state: CoupledPathState) -> float:
-    """Change-of-measure weight exp(-stochastic integral - quadratic/2)."""
-    return math.exp(-state.log_stoch_int - 0.5 * state.zeta_sq_int)

@@ -1,39 +1,30 @@
-"""Coefficients, drift, noise, and one-step integrators.
+"""Coefficients and the point-space drift formulas.
 
-The state equation advanced here is
+The state equation is
 
     dX_t = (L Psi(t, X_t) + gamma_t X_t) dt + Q dW_t
 
 with Psi(t, s) = (delta_t / (2 r)) |s|^(r-1) s for r in (0, 1), diagonal
 noise Q in the eigenbasis of -L, and an optional linear mode (Psi = id)
-kept solely as a closed-form test oracle.
-
-Noise is drawn from counter-based Philox streams keyed by
-(seed, path_index), so the draw consumed at a given (step, mode) is a
-pure function of (seed, path_index, step, mode) and never depends on
-how paths are scheduled across workers.
+kept solely as a closed-form test oracle.  The ensemble kernel in
+montecarlo advances it in eigen-coordinates; drift_eval and apply_drift
+are the same step written on point values, which tests use as oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteState
 from .schedules import PiecewiseConstant, ScheduleLike, as_schedule, combine
-from .spectral import SpectralModel, from_spectral, norm_l2m, to_spectral
+from .spectral import SpectralModel, from_spectral, to_spectral
 
 __all__ = [
     "CoefficientSet",
-    "StepConfig",
-    "PathRNG",
     "psi_eval",
     "drift_eval",
-    "noise_increment",
     "apply_drift",
-    "step",
-    "advance_path",
 ]
 
 SCHEMES = ("tamed_euler", "explicit_euler")
@@ -110,51 +101,6 @@ class CoefficientSet:
         )
 
 
-@dataclass(frozen=True)
-class StepConfig:
-    """Controls for a single discrete path."""
-
-    dt: float
-    scheme: str = "tamed_euler"
-    rng_seed: int = 0
-    path_index: int = 0
-
-    def __post_init__(self):
-        if not (self.dt > 0.0 and np.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.rng_seed < 0 or self.path_index < 0:
-            raise ValueError("rng_seed and path_index must be nonnegative")
-
-
-class PathRNG:
-    """Standard-normal stream for one path from a keyed Philox generator.
-
-    Draws are consumed step-major, mode-minor: the j-th call to
-    normals() returns the draws for step j, one per mode.
-    """
-
-    def __init__(self, seed: int, path_index: int, n_modes: int):
-        key = np.array([seed, path_index], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
-        self.n_modes = int(n_modes)
-        self.steps_drawn = 0
-
-    @classmethod
-    def from_config(cls, cfg: StepConfig, n_modes: int) -> "PathRNG":
-        return cls(cfg.rng_seed, cfg.path_index, n_modes)
-
-    def normals(self) -> np.ndarray:
-        self.steps_drawn += 1
-        return self._gen.standard_normal(self.n_modes)
-
-    def normals_block(self, n_steps: int) -> np.ndarray:
-        """Draws for the next n_steps steps, shape (n_steps, n_modes)."""
-        self.steps_drawn += n_steps
-        return self._gen.standard_normal((n_steps, self.n_modes))
-
-
 def psi_eval(coeffs: CoefficientSet, s, t: float = 0.0):
     """Pointwise nonlinearity Psi(t, s); accepts scalars or arrays."""
     s = np.asarray(s, dtype=float)
@@ -174,56 +120,9 @@ def drift_eval(model: SpectralModel, coeffs: CoefficientSet, x, t: float = 0.0) 
     return lpsi + coeffs.gamma(t) * x
 
 
-def noise_increment(model: SpectralModel, dt: float, rng: PathRNG) -> np.ndarray:
-    """One noise increment sum_i q_i sqrt(dt) xi_i e_i."""
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
-    if dt == 0.0:
-        return np.zeros(model.n)
-    xi = rng.normals()
-    return from_spectral(model, model.q_diag * np.sqrt(dt) * xi)
-
-
 def apply_drift(x, b, dt: float, scheme: str, weights) -> np.ndarray:
     """Drift part of one step; taming divides by 1 + dt * |b| in L2(m)."""
     if scheme == "explicit_euler":
         return x + dt * b
     bnorm = np.sqrt((weights * b * b).sum(axis=-1, keepdims=True))
     return x + dt * b / (1.0 + dt * bnorm)
-
-
-def step(
-    model: SpectralModel,
-    coeffs: CoefficientSet,
-    cfg: StepConfig,
-    x,
-    rng: PathRNG,
-    t: float = 0.0,
-) -> np.ndarray:
-    """Advance a single state by one step of the configured scheme."""
-    x = np.asarray(x, dtype=float)
-    b = drift_eval(model, coeffs, x, t)
-    out = apply_drift(x, b, cfg.dt, cfg.scheme, model.space.weights)
-    out = out + noise_increment(model, cfg.dt, rng)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteState(f"state left the finite range at t = {t + cfg.dt!r}")
-    return out
-
-
-def advance_path(
-    model: SpectralModel,
-    coeffs: CoefficientSet,
-    cfg: StepConfig,
-    x0,
-    n_steps: int,
-    rng: PathRNG | None = None,
-) -> np.ndarray:
-    """Run one path for n_steps steps and return the final state."""
-    if rng is None:
-        rng = PathRNG.from_config(cfg, model.n)
-    x = np.asarray(x0, dtype=float)
-    t = 0.0
-    for _ in range(n_steps):
-        x = step(model, coeffs, cfg, x, rng, t)
-        t += cfg.dt
-    return x

@@ -1,13 +1,14 @@
 """Path ensembles, estimators, and inequality verdicts.
 
 Paths are independent work items: path j draws its noise from a Philox
-stream keyed by (seed, j), so an estimate is a pure function of the
-configuration no matter how paths are batched or scheduled.  Paths are
-processed in fixed chunks of CHUNK_PATHS (vectorized within a chunk,
-chunks optionally spread over a thread pool), per-path outputs land in
-preallocated arrays indexed by path, and every reduction is a numpy
-pairwise sum over that fixed ordering.  Reruns are bit-identical for
-any worker count.
+stream keyed by (seed, j), step-major and mode-minor, so an estimate is a
+pure function of the configuration no matter how paths are batched or
+scheduled.  One kernel, _simulate, advances plain and coupled paths in
+fixed chunks of CHUNK_PATHS (vectorized within a chunk, chunks optionally
+spread over a thread pool).  Within a path every sum runs in a fixed
+order, per-path outputs land in preallocated arrays indexed by path, and
+every reduction over paths is a numpy pairwise sum over that fixed
+ordering.  Results are bit-identical for any chunk size and worker count.
 
 A path whose state leaves the finite range is aborted and counted; a
 run fails when more than 0.1 percent of its paths blow up.
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .coupling import CouplingSchedule, _pair_kernel, make_schedule
-from .dynamics import CoefficientSet, apply_drift, drift_eval
+from .coupling import DEFAULT_TOL_FACTOR, CouplingSchedule, make_schedule
+from .dynamics import SCHEMES, CoefficientSet
 from .errors import InvalidSampleCount, NonFiniteState, NotTimeHomogeneous, PositiveGamma
-from .spectral import SpectralModel, from_spectral, norm_h
+from .spectral import SpectralModel, from_spectral, norm_h, to_spectral
 
 __all__ = [
     "EnsembleConfig",
@@ -69,6 +70,8 @@ class EnsembleConfig:
             raise ValueError(f"T must be positive and finite, got {self.T!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.burn_in < 0.0 or self.burn_in >= self.T:
             raise ValueError("burn_in must lie in [0, T)")
         if self.n_workers < 1:
@@ -171,94 +174,240 @@ def _check_blowups(alive: np.ndarray, what: str):
 
 
 # ---------------------------------------------------------------------------
-# plain ensembles
+# the ensemble kernel
 # ---------------------------------------------------------------------------
 
-def _run_plain(
+def _row_sum(A: np.ndarray) -> np.ndarray:
+    """Sum of the rows of A, added one row at a time in order.
+
+    numpy's own reductions choose their summation order from the array's
+    width, which would make a path's bits depend on how many paths share
+    its chunk.
+    """
+    out = A[0].copy()
+    for row in A[1:]:
+        out += row
+    return out
+
+
+@dataclass
+class _Paths:
+    """Per-path output of one kernel run; arrays indexed by path.
+
+    final holds the point values at T of each of the k copies, shape
+    (k, n_paths, n).  lp_int is the trapezoid integral of |.|_{r+1}^{r+1}
+    per copy, kept the thinned snapshots of a plain run, trace the
+    rows (t, |X-Y|_H, beta_t, |zeta_t|^2) of the traced pairs.
+    """
+
+    final: np.ndarray
+    alive: np.ndarray
+    lp_int: np.ndarray | None = None
+    kept: np.ndarray | None = None
+    coupled: np.ndarray | None = None
+    tau: np.ndarray | None = None
+    log_stoch_int: np.ndarray | None = None
+    zeta_sq_int: np.ndarray | None = None
+    f_int: np.ndarray | None = None
+    trace: np.ndarray | None = None
+
+
+def _simulate(
     model: SpectralModel,
     coeffs: CoefficientSet,
     cfg: EnsembleConfig,
-    x0: np.ndarray,
-    want_lp_integral: bool = False,
-    collect_thin: int = 0,
-):
-    """Advance cfg.n_paths independent paths from x0.
+    starts,
+    sched: CouplingSchedule | None = None,
+    couple_tol: float = 0.0,
+    want_lp: bool = False,
+    thin: int = 0,
+    trace_paths: int = 0,
+    record_every: int = 1,
+) -> _Paths:
+    """Advance cfg.n_paths paths, each k = len(starts) copies under shared noise.
 
-    Returns (XT, alive, lp_integral, kept) where kept stacks thinned
-    post-burn-in snapshots with shape (n_kept, n_paths, n).
+    k = 1 is a plain run.  k = 2 is a coupled run: the second copy is
+    attracted to the first by sched until their H distance first drops to
+    couple_tol, and is equal to it from then on.
+
+    A chunk of P paths is carried as eigen-coefficients in a mode-major
+    block of shape (n, k, P).  Each step makes one transform to point
+    values, where |x|^r serves Psi, the moments and the f envelope, and
+    one transform of Psi back.  Everything else is diagonal in the
+    eigenbasis: the drift, the H norms, zeta, the noise q sqrt(dt) xi and,
+    because the eigenfunctions are m-orthonormal, the taming norm.
+    Every per-path number is a function of its own column only, so
+    results do not depend on the chunk or on the worker count.
     """
     n = model.n
+    k = len(starts)
     N = cfg.n_paths
     n_steps = cfg.n_steps
-    burn = cfg.burn_steps
-    w = model.space.weights
-    q = model.q_diag
-    rp1 = coeffs.r + 1.0
-    sqdt = math.sqrt(cfg.dt)
+    dt = cfg.dt
+    coupled_run = sched is not None
+    want_lp = want_lp or coupled_run  # the f envelope needs the moments anyway
+    r = coeffs.r
+    identity = coeffs.nonlinearity == "identity"
+    tamed = cfg.scheme != "explicit_euler"
+    w = model.space.weights[:, None]
+    inv_lam = (1.0 / model.eigenvalues)[:, None]
+    inv_q = (1.0 / model.q_diag)[:, None]
+    q_sqdt = (model.q_diag * math.sqrt(dt))[:, None]
+    c0 = to_spectral(model, np.asarray(starts, dtype=float)).T[:, :, None]
 
-    XT = np.empty((N, n))
-    alive = np.ones(N, dtype=bool)
-    lp_int = np.zeros(N) if want_lp_integral else None
-    kept_idx = (
-        [s for s in range(burn + 1, n_steps + 1) if (s - burn) % collect_thin == 0]
-        if collect_thin
-        else []
+    # time-dependent coefficients, evaluated once per step of the run
+    ts = [0.0]
+    for _ in range(n_steps):
+        ts.append(ts[-1] + dt)
+    scales = [1.0 if identity else coeffs.delta(t) / (2.0 * r) for t in ts[:-1]]
+    neg_lam = {v: -v * model.eigenvalues[:, None] for v in set(scales)}
+    gammas = [coeffs.gamma(t) for t in ts[:-1]]
+    if coupled_run:
+        eps = sched.epsilon
+        betas = [sched.beta(t) for t in ts[:-1]]
+        f_expo = ((1.0 - r) / (1.0 + r), 2.0 / (coeffs.sigma - 2.0))
+
+    kept_steps = (
+        [s for s in range(cfg.burn_steps + 1, n_steps + 1) if (s - cfg.burn_steps) % thin == 0]
+        if thin else []
     )
-    kept = np.empty((len(kept_idx), N, n)) if kept_idx else None
+    n_rec = n_steps // record_every if trace_paths else 0
+
+    out = _Paths(final=np.empty((k, N, n)), alive=np.ones(N, dtype=bool))
+    if want_lp:
+        out.lp_int = np.zeros((k, N))
+    if kept_steps:
+        out.kept = np.empty((len(kept_steps), N, n))
+    if coupled_run:
+        out.coupled = np.zeros(N, dtype=bool)
+        out.tau = np.full(N, math.nan)
+        out.log_stoch_int = np.zeros(N)
+        out.zeta_sq_int = np.zeros(N)
+        out.f_int = np.zeros(N)
+    if n_rec:
+        out.trace = np.empty((trace_paths, n_rec, 4))
 
     def run_chunk(lo: int, hi: int):
         P = hi - lo
-        X = np.tile(np.asarray(x0, dtype=float), (P, 1))
+        C = np.empty((n, k, P))
+        C[...] = c0
+        C2 = C.reshape(n, k * P)
         ok = np.ones(P, dtype=bool)
-        acc = np.zeros(P)
-        v_prev = _lp_power(model, X, rp1)
         gens = _path_generators(cfg.seed, lo, hi)
-        t = 0.0
-        s = 0
+        noise = np.empty((P, min(TIME_BLOCK, n_steps), n))
+        dW = np.empty((n, P))
+        if want_lp:
+            lp = np.zeros((k, P))
+        if coupled_run:
+            coupled = np.zeros(P, dtype=bool)
+            tau = np.full(P, math.nan)
+            log_s = np.zeros(P)
+            zsq = np.zeros(P)
+            f_acc = np.zeros(P)
+        n_tr = max(0, min(hi, trace_paths) - lo)
         ki = 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            while s < n_steps:
-                B = min(TIME_BLOCK, n_steps - s)
-                noise = np.stack([g.standard_normal((B, n)) for g in gens], axis=0)
-                for b in range(B):
-                    bdrift = drift_eval(model, coeffs, X, t)
-                    X = apply_drift(X, bdrift, cfg.dt, cfg.scheme, w)
-                    X = X + from_spectral(model, q * sqdt * noise[:, b, :])
-                    t += cfg.dt
-                    s += 1
-                    if want_lp_integral:
-                        v_new = _lp_power(model, X, rp1)
-                        acc += 0.5 * (v_prev + v_new) * cfg.dt
-                        v_prev = v_new
-                    if ki < len(kept_idx) and s == kept_idx[ki]:
-                        kept[ki, lo:hi] = X
-                        ki += 1
-                finite = np.isfinite(X).all(axis=1)
-                if not finite.all():
-                    X = np.where(finite[:, None], X, 0.0)
-                    if want_lp_integral:
-                        v_prev = np.where(finite, v_prev, 0.0)
-                        acc = np.where(finite, acc, np.nan)
-                    ok &= finite
-        XT[lo:hi] = X
-        alive[lo:hi] = ok
-        if want_lp_integral:
-            lp_int[lo:hi] = acc
+            for s in range(n_steps + 1):
+                # the state after s steps, in point values
+                Xp = from_spectral(model, C2, mode_major=True)
+                if want_lp or not identity:
+                    A = np.abs(Xp)
+                    Ar = A**r
+                if want_lp:
+                    V = A * Ar
+                    v = _row_sum(V * w).reshape(k, P)
+                    if s:
+                        lp += 0.5 * (v_prev + v) * dt
+                    v_prev = v
+                if ki < len(kept_steps) and s == kept_steps[ki]:
+                    out.kept[ki, lo:hi] = Xp.T
+                    ki += 1
+                if n_tr and s and s % record_every == 0:
+                    D = C[:, 0, :n_tr] - C[:, 1, :n_tr]
+                    dist = np.sqrt(_row_sum(D * D * inv_lam))
+                    beta = sched.beta(min(ts[s], sched.T))
+                    zc = D * (beta / dist**eps) * inv_q
+                    zeta_sq = np.where(coupled[:n_tr] | (dist == 0.0), 0.0, _row_sum(zc * zc))
+                    out.trace[lo:lo + n_tr, s // record_every - 1] = np.stack(
+                        np.broadcast_arrays(ts[s], dist, beta, zeta_sq), axis=-1
+                    )
+                if s == n_steps:
+                    break
+
+                b = s % TIME_BLOCK
+                if b == 0:
+                    B = min(TIME_BLOCK, n_steps - s)
+                    for p, g in enumerate(gens):
+                        g.standard_normal(out=noise[p, :B])
+                np.multiply(noise[:, b].T, q_sqdt, out=dW)
+
+                T = C2 if identity else to_spectral(model, np.copysign(Ar, Xp), mode_major=True)
+                drift = T * neg_lam[scales[s]]
+                if gammas[s]:
+                    drift += gammas[s] * C2
+                if coupled_run:
+                    D = C[:, 0] - C[:, 1]
+                    dist = np.sqrt(_row_sum(D * D * inv_lam))
+                    newly = ~coupled & (dist <= couple_tol)
+                    tau[newly] = ts[s]
+                    coupled |= newly
+                    active = ~coupled
+                    ratio = np.where(active, betas[s] / np.where(active, dist, 1.0) ** eps, 0.0)
+                    attraction = D * ratio
+                    drift.reshape(n, k, P)[:, 1] += attraction
+                    zc = attraction * inv_q
+                    zsq += _row_sum(zc * zc) * dt
+                    log_s += _row_sum(zc * (dW * inv_q))
+                    env = np.maximum(V[:, :P], V[:, P:])
+                    fval = (_row_sum(env * w) ** f_expo[0]) ** f_expo[1]
+                    f_acc += np.where(active, fval, 0.0) * dt
+
+                if tamed:
+                    drift *= dt / (1.0 + dt * np.sqrt(_row_sum(drift * drift)))
+                else:
+                    drift *= dt
+                C2 += drift
+                C += dW[:, None, :]
+                if coupled_run:
+                    np.copyto(C[:, 1], C[:, 0], where=coupled)
+
+                if (s + 1) % TIME_BLOCK == 0 or s + 1 == n_steps:
+                    finite = np.isfinite(C).all(axis=(0, 1))
+                    if not finite.all():
+                        C[:, :, ~finite] = 0.0
+                        ok &= finite
+                        if want_lp:
+                            lp[:, ~finite] = math.nan
+
+        out.final[:, lo:hi] = Xp.reshape(n, k, P).transpose(1, 2, 0)
+        out.alive[lo:hi] = ok
+        if want_lp:
+            out.lp_int[:, lo:hi] = lp
+        if coupled_run:
+            out.coupled[lo:hi] = coupled
+            out.tau[lo:hi] = tau
+            out.log_stoch_int[lo:hi] = log_s
+            out.zeta_sq_int[lo:hi] = zsq
+            out.f_int[lo:hi] = f_acc
 
     _dispatch(
         [lambda lo=lo, hi=hi: run_chunk(lo, hi) for lo, hi in _chunk_ranges(N)],
         cfg.n_workers,
     )
-    return XT, alive, lp_int, kept
+    return out
 
+
+# ---------------------------------------------------------------------------
+# plain ensembles
+# ---------------------------------------------------------------------------
 
 def estimate_ptf(model: SpectralModel, coeffs: CoefficientSet, cfg: EnsembleConfig, x, F=None) -> Estimate:
     """Monte Carlo estimate of E F(X_T) for paths started at x."""
     if F is None:
         F = make_test_function(model, cfg.test_function)
-    XT, alive, _, _ = _run_plain(model, coeffs, cfg, np.asarray(x, dtype=float))
-    _check_blowups(alive, "plain")
-    return estimate_from_values(np.asarray(F(XT[alive]), dtype=float))
+    run = _simulate(model, coeffs, cfg, [x])
+    _check_blowups(run.alive, "plain")
+    return estimate_from_values(np.asarray(F(run.final[0][run.alive]), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +416,12 @@ def estimate_ptf(model: SpectralModel, coeffs: CoefficientSet, cfg: EnsembleConf
 
 @dataclass(frozen=True)
 class CoupledEnsembleResult:
-    """Raw per-path output of a coupled run; arrays indexed by path."""
+    """Raw per-path output of a coupled run; arrays indexed by path.
+
+    lp_int_x and lp_int_y are the path integrals of |.|_{r+1}^{r+1} of
+    the two copies.  trace, when requested, has shape (paths, rows, 4)
+    with rows (t, |X-Y|_H, beta_t, |zeta_t|^2).
+    """
 
     schedule: CouplingSchedule
     XT: np.ndarray
@@ -277,11 +431,13 @@ class CoupledEnsembleResult:
     log_stoch_int: np.ndarray
     zeta_sq_int: np.ndarray
     f_int: np.ndarray
+    lp_int_x: np.ndarray
     lp_int_y: np.ndarray
     dist_final: np.ndarray
     alive: np.ndarray
     n_blowups: int
     couple_tol: float
+    trace: np.ndarray | None = None
 
     @property
     def weights(self) -> np.ndarray:
@@ -301,86 +457,37 @@ def run_coupled_ensemble(
     x,
     y,
     couple_tol: float | None = None,
+    *,
+    trace_paths: int = 0,
+    record_every: int = 1,
 ) -> CoupledEnsembleResult:
-    """Advance cfg.n_paths coupled pairs from (x, y) under shared noise."""
-    n = model.n
-    N = cfg.n_paths
-    n_steps = cfg.n_steps
-    w = model.space.weights
-    rp1 = coeffs.r + 1.0
+    """Advance cfg.n_paths coupled pairs from (x, y) under shared noise.
+
+    The meeting tolerance defaults to 1e-6 times the starting gap in the
+    H norm.  Paths with index below trace_paths record a trace row after
+    every record_every-th step.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     sched = make_schedule(model, coeffs, cfg.realized_T, x, y)
     if couple_tol is None:
-        couple_tol = 1e-6 * sched.dist0 if sched.dist0 > 0.0 else 1.0
-
-    XT = np.empty((N, n))
-    YT = np.empty((N, n))
-    coupled_all = np.zeros(N, dtype=bool)
-    tau_all = np.full(N, math.nan)
-    log_all = np.zeros(N)
-    zsq_all = np.zeros(N)
-    f_all = np.zeros(N)
-    lp_y_all = np.zeros(N)
-    alive = np.ones(N, dtype=bool)
-
-    def run_chunk(lo: int, hi: int):
-        P = hi - lo
-        X = np.tile(x, (P, 1))
-        Y = np.tile(y, (P, 1))
-        coupled = np.zeros(P, dtype=bool)
-        tau = np.full(P, math.nan)
-        log_s = np.zeros(P)
-        zsq = np.zeros(P)
-        f_acc = np.zeros(P)
-        lp_y = np.zeros(P)
-        vy_prev = _lp_power(model, Y, rp1)
-        ok = np.ones(P, dtype=bool)
-        gens = _path_generators(cfg.seed, lo, hi)
-        t = 0.0
-        s = 0
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            while s < n_steps:
-                B = min(TIME_BLOCK, n_steps - s)
-                noise = np.stack([g.standard_normal((B, n)) for g in gens], axis=0)
-                for b in range(B):
-                    X, Y = _pair_kernel(
-                        model, coeffs, sched, cfg.dt, cfg.scheme, t,
-                        X, Y, coupled, tau, log_s, zsq, f_acc,
-                        couple_tol, noise[:, b, :],
-                    )
-                    t += cfg.dt
-                    s += 1
-                    vy_new = _lp_power(model, Y, rp1)
-                    lp_y += 0.5 * (vy_prev + vy_new) * cfg.dt
-                    vy_prev = vy_new
-                finite = np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1)
-                if not finite.all():
-                    X = np.where(finite[:, None], X, 0.0)
-                    Y = np.where(finite[:, None], Y, 0.0)
-                    vy_prev = np.where(finite, vy_prev, 0.0)
-                    ok &= finite
-        XT[lo:hi] = X
-        YT[lo:hi] = Y
-        coupled_all[lo:hi] = coupled
-        tau_all[lo:hi] = tau
-        log_all[lo:hi] = log_s
-        zsq_all[lo:hi] = zsq
-        f_all[lo:hi] = f_acc
-        lp_y_all[lo:hi] = lp_y
-        alive[lo:hi] = ok
-
-    _dispatch(
-        [lambda lo=lo, hi=hi: run_chunk(lo, hi) for lo, hi in _chunk_ranges(N)],
-        cfg.n_workers,
+        couple_tol = DEFAULT_TOL_FACTOR * sched.dist0 if sched.dist0 > 0.0 else 1.0
+    elif sched.dist0 > 0.0 and not couple_tol > 0.0:
+        raise ValueError("couple_tol must be strictly positive for distinct starting points")
+    if trace_paths and record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every!r}")
+    run = _simulate(
+        model, coeffs, cfg, [x, y], sched, couple_tol,
+        trace_paths=min(trace_paths, cfg.n_paths), record_every=record_every,
     )
-    n_blow = _check_blowups(alive, "coupled")
-    dist_final = norm_h(model, XT - YT)
+    n_blow = _check_blowups(run.alive, "coupled")
+    XT, YT = run.final
     return CoupledEnsembleResult(
-        schedule=sched, XT=XT, YT=YT, coupled=coupled_all, tau=tau_all,
-        log_stoch_int=log_all, zeta_sq_int=zsq_all, f_int=f_all,
-        lp_int_y=lp_y_all, dist_final=np.asarray(dist_final), alive=alive,
-        n_blowups=n_blow, couple_tol=couple_tol,
+        schedule=sched, XT=XT, YT=YT, coupled=run.coupled, tau=run.tau,
+        log_stoch_int=run.log_stoch_int, zeta_sq_int=run.zeta_sq_int, f_int=run.f_int,
+        lp_int_x=run.lp_int[0], lp_int_y=run.lp_int[1],
+        dist_final=np.asarray(norm_h(model, XT - YT)), alive=run.alive,
+        n_blowups=n_blow, couple_tol=couple_tol, trace=run.trace,
     )
 
 
@@ -502,18 +609,17 @@ def verify_exp_moment_bound(
 
     out = {"exp_moment_weight": lam, "log_moment_rate_int": th, "T": T}
     if y is None:
-        _, alive, lp_int, _ = _run_plain(model, coeffs, cfg, np.asarray(x, dtype=float), want_lp_integral=True)
-        _check_blowups(alive, "plain")
-        out["x_side"] = side(lam * lp_int[alive], math.exp(th + nx**2))
+        run = _simulate(model, coeffs, cfg, [x], want_lp=True)
+        _check_blowups(run.alive, "plain")
+        out["x_side"] = side(lam * run.lp_int[0][run.alive], math.exp(th + nx**2))
         out["holds"] = out["x_side"]["holds"]
         return out
 
     res = run_coupled_ensemble(model, coeffs, cfg, x, y, couple_tol)
     a = res.alive
-    # the first copy of the pair is statistically a plain run from x
-    _, alive, lp_int, _ = _run_plain(model, coeffs, cfg, np.asarray(x, dtype=float), want_lp_integral=True)
-    _check_blowups(alive, "plain")
-    out["x_side"] = side(lam * lp_int[alive], math.exp(th + nx**2))
+    # the first copy of each pair goes through exactly the arithmetic of a
+    # plain run from x with the same seed
+    out["x_side"] = side(lam * res.lp_int_x[a], math.exp(th + nx**2))
 
     ny = float(norm_h(model, y))
     sched = res.schedule
@@ -552,11 +658,11 @@ def estimate_invariant(
         raise ValueError("estimate_invariant needs a positive burn_in")
 
     x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
-    XT, alive, _, kept = _run_plain(model, coeffs, cfg, x0, collect_thin=thin)
-    _check_blowups(alive, "plain")
-    if kept is None or kept.shape[0] < 2:
+    run = _simulate(model, coeffs, cfg, [x0], thin=thin)
+    _check_blowups(run.alive, "plain")
+    if run.kept is None or run.kept.shape[0] < 2:
         raise InvalidSampleCount("sampling window too short; increase T or decrease thin")
-    kept = kept[:, alive, :]
+    kept = run.kept[:, run.alive, :]
     n_kept, n_paths = kept.shape[0], kept.shape[1]
 
     rp1 = coeffs.r + 1.0

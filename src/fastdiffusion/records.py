@@ -146,7 +146,8 @@ def emit_report(record: ResultRecord, out_dir, tables: dict | None = None) -> li
     """Write <command>.json plus any named CSV tables; return the paths.
 
     tables maps a short name to (columns, rows); the file is named
-    <command>_<name>.csv.  Table rows are written in the given order.
+    <command>_<name>.csv.  rows is any iterable, consumed once, and its
+    rows are written in the order it yields them.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -85,6 +85,9 @@ class SpectralModel:
     eigenfunctions: np.ndarray
     q_diag: np.ndarray
     hs_norm_sq: float = field(default=0.0)
+    # m-weighted eigenfunctions stored point-major, the matrix to_spectral
+    # applies to mode-major batches
+    _analysis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("operator", "eigenvalues", "eigenfunctions", "q_diag"):
@@ -96,6 +99,9 @@ class SpectralModel:
             "hs_norm_sq",
             float(np.sum(self.q_diag**2 / self.eigenvalues)),
         )
+        analysis = np.ascontiguousarray((self.eigenfunctions * self.space.weights).T)
+        analysis.setflags(write=False)
+        object.__setattr__(self, "_analysis", analysis)
 
     @property
     def n(self) -> int:
@@ -160,9 +166,9 @@ def build_model(weights, operator, q_diag) -> SpectralModel:
     return SpectralModel(space, L, lam, E, q)
 
 
-def dirichlet1d_model(n: int, q_diag) -> SpectralModel:
-    """Uniform-weight model whose operator is the n-point grid Laplacian
-    on (0, 1) with zero boundary values, scaled by (n+1)^2."""
+def _dirichlet_operator(n: int) -> np.ndarray:
+    """The n-point grid Laplacian on (0, 1) with zero boundary values,
+    scaled by (n+1)^2."""
     if n < 1:
         raise ValueError("n must be at least 1")
     L = np.zeros((n, n))
@@ -170,9 +176,13 @@ def dirichlet1d_model(n: int, q_diag) -> SpectralModel:
     idx = np.arange(n - 1)
     L[idx, idx + 1] = 1.0
     L[idx + 1, idx] = 1.0
-    L *= (n + 1) ** 2
-    weights = np.full(n, 1.0 / n)
-    return build_model(weights, L, q_diag)
+    return L * (n + 1) ** 2
+
+
+def dirichlet1d_model(n: int, q_diag) -> SpectralModel:
+    """Uniform-weight model whose operator is the n-point grid Laplacian
+    on (0, 1) with zero boundary values, scaled by (n+1)^2."""
+    return build_model(np.full(n, 1.0 / n), _dirichlet_operator(n), q_diag)
 
 
 def fractional_power(model: SpectralModel, alpha: float) -> SpectralModel:
@@ -209,13 +219,8 @@ def model_from_spec(spec: dict) -> SpectralModel:
         q = np.asarray(q_spec, dtype=float)
 
     op = spec.get("operator", "dirichlet1d")
-    if op == "dirichlet1d":
-        if measure != "uniform":
-            model = build_model(weights, _dirichlet_matrix(n), q)
-        else:
-            model = dirichlet1d_model(n, q)
-    else:
-        model = build_model(weights, np.asarray(op["matrix"], dtype=float), q)
+    matrix = _dirichlet_operator(n) if op == "dirichlet1d" else np.asarray(op["matrix"], dtype=float)
+    model = build_model(weights, matrix, q)
 
     alpha = spec.get("alpha")
     if alpha is not None:
@@ -223,31 +228,31 @@ def model_from_spec(spec: dict) -> SpectralModel:
     return model
 
 
-def _dirichlet_matrix(n: int) -> np.ndarray:
-    L = np.zeros((n, n))
-    np.fill_diagonal(L, -2.0)
-    idx = np.arange(n - 1)
-    L[idx, idx + 1] = 1.0
-    L[idx + 1, idx] = 1.0
-    return L * (n + 1) ** 2
-
-
 # ---------------------------------------------------------------------------
 # transforms and norms; all accept batched states with shape (..., n)
 # ---------------------------------------------------------------------------
 
-def to_spectral(model: SpectralModel, x) -> np.ndarray:
+# The mode-major transforms take a batch of shape (n, P), one state per
+# column.  einsum's fixed contraction order keeps each column's bits
+# independent of P, which a BLAS matmul does not (its blocking depends on
+# the shape).  The summed index must not be the matrix's contiguous axis:
+# on a one-column batch einsum would then switch to a vectorized dot
+# product, which adds in another order.
+
+def to_spectral(model: SpectralModel, x, *, mode_major: bool = False) -> np.ndarray:
     """Coefficients <x, e_i>_m of a state (or batch of states)."""
     x = np.asarray(x, dtype=float)
+    if mode_major:
+        return np.einsum("ji,jp->ip", model._analysis, x)
     xm = x * model.space.weights
-    # einsum's fixed contraction order keeps per-row bit determinism for any
-    # batch shape (a BLAS matmul may not: its blocking depends on the shape)
     return np.einsum("...j,ij->...i", xm, model.eigenfunctions)
 
 
-def from_spectral(model: SpectralModel, coeffs) -> np.ndarray:
+def from_spectral(model: SpectralModel, coeffs, *, mode_major: bool = False) -> np.ndarray:
     """State vector sum_i c_i e_i from spectral coefficients."""
     c = np.asarray(coeffs, dtype=float)
+    if mode_major:
+        return np.einsum("ij,ip->jp", model.eigenfunctions, c)
     return np.einsum("...i,ik->...k", c, model.eigenfunctions)
 
 

@@ -44,6 +44,20 @@ class TestExitCodes:
         assert rec["command"] == "bounds"
         assert rec["outputs"]["harnack_rhs"] > 1.0
 
+    def test_bounds_distant_y_reports_null_multiplier(self, tmp_path, capsys):
+        # the Harnack exponent overflows a float: the record says null
+        payload = bounds_config()
+        payload["x"] = {"spectral": [0.35, -0.2, 0.1, -0.05]}
+        payload["y"] = {"spectral": [20.0, 0.0, 0.0, 0.0]}
+        payload["run"] = {"dt": 1e-4, "T": 0.01, "seed": 7}
+        cfg = write_config(tmp_path, "b.json", payload)
+        assert main(["bounds", "--config", cfg]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        rec = json.loads(out.out)
+        assert rec["command"] == "bounds"
+        assert rec["outputs"]["harnack_rhs"] is None
+
     def test_unknown_subcommand(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "b.json", bounds_config())
         assert main(["optimize", "--config", cfg]) == 1

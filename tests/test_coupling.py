@@ -1,4 +1,4 @@
-"""Pair coupling: schedule calibration, drifts, reweighting accumulators."""
+"""Pair coupling: schedule calibration, drifts, reweighting accumulators, traces."""
 
 import math
 
@@ -12,25 +12,24 @@ from scipy.integrate import quad
 from fastdiffusion import (
     CoefficientSet,
     CouplingSchedule,
+    EnsembleConfig,
     PiecewiseConstant,
-    StepConfig,
     ZeroHorizon,
+    apply_drift,
     build_model,
     coupling_gain,
     dirichlet1d_model,
+    drift_eval,
     f_diagnostic,
     from_spectral,
-    girsanov_weight,
-    make_pair_state,
     make_schedule,
     norm_h,
     norm_q,
-    run_pair,
-    step_pair,
+    run_coupled_ensemble,
     zeta,
 )
 from fastdiffusion.coupling import coupling_drift
-from fastdiffusion.dynamics import PathRNG
+from fastdiffusion.montecarlo import _simulate
 
 
 def four_mode_model():
@@ -209,23 +208,34 @@ class TestFDiagnostic:
         assert lhs <= rhs + 1e-12
 
 
+def pair_run(model, coeffs, x, y, n_steps, dt=1e-3, seed=0, n_paths=2, **kw):
+    cfg = EnsembleConfig(n_paths=n_paths, dt=dt, T=n_steps * dt, seed=seed)
+    return run_coupled_ensemble(model, coeffs, cfg, x, y, **kw)
+
+
+def flat_run(model, coeffs, sched, x, y, n_steps, dt=1e-3, seed=0, n_paths=2, **kw):
+    """A coupled kernel run under a hand-built schedule."""
+    cfg = EnsembleConfig(n_paths=n_paths, dt=dt, T=n_steps * dt, seed=seed)
+    return _simulate(model, coeffs, cfg, [x, y], sched, **kw)
+
+
 class TestPairState:
     def test_equal_starts_already_coupled(self):
         m = four_mode_model()
         x = np.array([0.1, 0.2, 0.0, 0.0])
-        st_ = make_pair_state(m, x, x)
-        assert st_.coupled and st_.tau == 0.0
+        res = pair_run(m, CoefficientSet(r=0.5), x, x, 1)
+        assert res.coupled.all() and np.all(res.tau == 0.0)
 
     def test_default_tolerance(self):
         m = four_mode_model()
         x, y = np.array([0.5, 0, 0, 0.0]), np.zeros(4)
-        st_ = make_pair_state(m, x, y)
-        assert st_.couple_tol == pytest.approx(1e-6 * float(norm_h(m, x - y)), rel=1e-12)
+        res = pair_run(m, CoefficientSet(r=0.5), x, y, 1)
+        assert res.couple_tol == pytest.approx(1e-6 * float(norm_h(m, x - y)), rel=1e-12)
 
     def test_bad_tolerance_rejected(self):
         m = four_mode_model()
         with pytest.raises(ValueError):
-            make_pair_state(m, np.ones(4), np.zeros(4), couple_tol=0.0)
+            pair_run(m, CoefficientSet(r=0.5), np.ones(4), np.zeros(4), 1, couple_tol=0.0)
 
 
 class TestStepPair:
@@ -233,56 +243,53 @@ class TestStepPair:
         m = four_mode_model()
         c = CoefficientSet(r=0.5, gamma=-0.2)
         x = np.array([0.3, -0.1, 0.2, 0.0])
-        sched = make_schedule(m, c, 1.0, x, x)
-        state = make_pair_state(m, x, x)
-        rng = PathRNG(0, 0, 4)
-        cfg = StepConfig(dt=1e-3)
-        for _ in range(50):
-            step_pair(m, c, sched, cfg, state, rng)
-        assert np.array_equal(state.x, state.y)
-        assert state.log_stoch_int == 0.0
-        assert state.zeta_sq_int == 0.0
+        res = pair_run(m, c, x, x, 50)
+        assert np.array_equal(res.XT, res.YT)
+        assert np.all(res.log_stoch_int == 0.0)
+        assert np.all(res.zeta_sq_int == 0.0)
 
     def test_forced_identity_after_coupling(self):
         m = four_mode_model()
         c = CoefficientSet(r=0.5)
         x = np.array([0.2, 0.0, 0.0, 0.0])
         y = np.array([0.19999, 0.0, 0.0, 0.0])
-        sched = make_schedule(m, c, 1.0, x, y)
-        state = make_pair_state(m, x, y, couple_tol=1.0)  # tol larger than gap
-        rng = PathRNG(1, 0, 4)
-        step_pair(m, c, sched, StepConfig(dt=1e-3), state, rng)
-        assert state.coupled and state.tau == 0.0
-        assert np.array_equal(state.x, state.y)
+        res = pair_run(m, c, x, y, 1, seed=1, couple_tol=1.0)  # tol larger than gap
+        assert res.coupled.all() and np.all(res.tau == 0.0)
+        assert np.array_equal(res.XT, res.YT)
 
     def test_girsanov_weight_formula(self):
         m = four_mode_model()
         c = CoefficientSet(r=0.5)
         x, y = np.array([0.4, 0.1, 0.0, 0.0]), np.zeros(4)
-        sched = make_schedule(m, c, 1.0, x, y)
-        state = make_pair_state(m, x, y)
-        rng = PathRNG(2, 0, 4)
-        for _ in range(20):
-            step_pair(m, c, sched, StepConfig(dt=1e-3), state, rng)
-        want = math.exp(-state.log_stoch_int - 0.5 * state.zeta_sq_int)
-        assert girsanov_weight(state) == pytest.approx(want, rel=1e-15)
-        assert girsanov_weight(state) > 0.0
+        res = pair_run(m, c, x, y, 20, seed=2)
+        for j in range(2):
+            want = math.exp(-res.log_stoch_int[j] - 0.5 * res.zeta_sq_int[j])
+            assert res.weights[j] == pytest.approx(want, rel=1e-15)
+        assert np.all(res.weights > 0.0)
 
     def test_zeta_sq_accumulator_nondecreasing(self):
+        # under one fixed schedule a run of k steps is the first k steps of
+        # a longer run, so the accumulator can be read after every step
         m = four_mode_model()
         c = CoefficientSet(r=0.5)
         x, y = np.array([0.4, 0.1, 0.0, 0.0]), np.zeros(4)
         sched = make_schedule(m, c, 1.0, x, y)
-        state = make_pair_state(m, x, y)
-        rng = PathRNG(3, 0, 4)
-        prev = 0.0
-        for _ in range(100):
-            step_pair(m, c, sched, StepConfig(dt=1e-3), state, rng)
-            assert state.zeta_sq_int >= prev
-            prev = state.zeta_sq_int
+        prev = np.zeros(2)
+        for k in range(1, 101):
+            cur = flat_run(m, c, sched, x, y, k, seed=3, couple_tol=1e-6 * sched.dist0).zeta_sq_int
+            assert np.all(cur >= prev)
+            prev = cur
 
 
 class TestContraction:
+    @staticmethod
+    def no_attraction(m, x, y, gamma):
+        return CouplingSchedule(
+            epsilon=0.5, c=0.0, T=1.0, dist0=float(norm_h(m, x - y)),
+            amp=PiecewiseConstant.constant(1.0),
+            gamma=PiecewiseConstant.constant(gamma),
+        )
+
     def test_discrete_contraction_without_attraction(self):
         # beta = 0 and shared noise: exp(-2 gamma t) |X - Y|_H^2 cannot
         # increase along the discrete path (modulo a tiny step tolerance).
@@ -291,20 +298,14 @@ class TestContraction:
         c = CoefficientSet(r=0.5, gamma=gamma)
         x = np.array([0.5, -0.2, 0.1, 0.3])
         y = np.array([-0.1, 0.1, 0.0, -0.2])
-        sched = CouplingSchedule(
-            epsilon=0.5, c=0.0, T=1.0, dist0=float(norm_h(m, x - y)),
-            amp=PiecewiseConstant.constant(1.0),
-            gamma=PiecewiseConstant.constant(gamma),
-        )
-        state = make_pair_state(m, x, y, couple_tol=1e-300)
-        rng = PathRNG(5, 0, 4)
-        dt = 1e-3
-        prev = float(norm_h(m, x - y)) ** 2
-        for k in range(300):
-            step_pair(m, c, sched, StepConfig(dt=dt), state, rng)
-            cur = math.exp(-2 * gamma * state.t) * float(norm_h(m, state.x - state.y)) ** 2
-            assert cur <= prev * (1.0 + 1e-6)
-            prev = cur
+        run = flat_run(m, c, self.no_attraction(m, x, y, gamma), x, y, 300, seed=5,
+                       couple_tol=1e-300, trace_paths=2)
+        for rows in run.trace:
+            prev = float(norm_h(m, x - y)) ** 2
+            for t, dist, _, _ in rows:
+                cur = math.exp(-2 * gamma * t) * dist**2
+                assert cur <= prev * (1.0 + 1e-6)
+                prev = cur
 
     def test_endpoint_contraction_bound(self):
         # |X_t - Y_t|_H^2 <= e^{2 gamma t} |x - y|_H^2 (1 + 1e-3)
@@ -313,19 +314,46 @@ class TestContraction:
         c = CoefficientSet(r=0.5, gamma=gamma)
         x = np.array([0.5, -0.2, 0.1, 0.3])
         y = np.array([-0.1, 0.1, 0.0, -0.2])
-        sched = CouplingSchedule(
-            epsilon=0.5, c=0.0, T=1.0, dist0=float(norm_h(m, x - y)),
-            amp=PiecewiseConstant.constant(1.0),
-            gamma=PiecewiseConstant.constant(gamma),
-        )
-        state = make_pair_state(m, x, y, couple_tol=1e-300)
-        rng = PathRNG(6, 0, 4)
         n_steps = 500
-        for _ in range(n_steps):
-            step_pair(m, c, sched, StepConfig(dt=1e-3), state, rng)
-        lhs = float(norm_h(m, state.x - state.y)) ** 2
-        rhs = math.exp(2 * gamma * state.t) * float(norm_h(m, x - y)) ** 2
-        assert lhs <= rhs * (1.0 + 1e-3)
+        run = flat_run(m, c, self.no_attraction(m, x, y, gamma), x, y, n_steps, seed=6,
+                       couple_tol=1e-300)
+        lhs = norm_h(m, run.final[0] - run.final[1]) ** 2
+        rhs = math.exp(2 * gamma * n_steps * 1e-3) * float(norm_h(m, x - y)) ** 2
+        assert np.all(lhs <= rhs * (1.0 + 1e-3))
+
+
+class TestKernelStep:
+    def test_one_step_matches_point_space_formulas(self):
+        # one step of the spectral-state kernel against the point-space
+        # oracles: drift_eval/apply_drift plus the Q dW increment for both
+        # copies, coupling_drift on the second, zeta and f_diagnostic for
+        # the accumulators.  No start has a zero entry: the kernel's point
+        # values carry transform roundoff (~1e-17), which |s|^r would lift
+        # to ~1e-9 there.
+        m = four_mode_model()
+        c = CoefficientSet(r=0.5, delta=1.3, gamma=-0.4)
+        x = np.array([0.4, -0.3, 0.2, 0.1])
+        y = np.array([-0.2, 0.1, 0.3, 0.05])
+        dt, seed = 1e-3, 7
+        w = m.space.weights
+        for scheme in ("tamed_euler", "explicit_euler"):
+            cfg = EnsembleConfig(n_paths=2, dt=dt, T=dt, seed=seed, scheme=scheme)
+            res = run_coupled_ensemble(m, c, cfg, x, y)
+            sched = res.schedule
+            fexp = 2.0 / (c.sigma - 2.0)
+            for p in range(2):
+                key = np.array([seed, p], dtype=np.uint64)
+                xi = np.random.Generator(np.random.Philox(key=key)).standard_normal(4)
+                dW = from_spectral(m, m.q_diag * math.sqrt(dt) * xi)
+                bx = drift_eval(m, c, x)
+                by = drift_eval(m, c, y) + coupling_drift(m, sched, x, y, 0.0)
+                z = zeta(m, sched, x, y, 0.0)
+                close = dict(rtol=1e-13, atol=1e-13)
+                assert np.allclose(res.XT[p], apply_drift(x, bx, dt, scheme, w) + dW, **close)
+                assert np.allclose(res.YT[p], apply_drift(y, by, dt, scheme, w) + dW, **close)
+                assert np.isclose(res.log_stoch_int[p], np.sum(z * math.sqrt(dt) * xi), **close)
+                assert np.isclose(res.zeta_sq_int[p], np.sum(z * z) * dt, **close)
+                assert np.isclose(res.f_int[p], f_diagnostic(m, c, x, y) ** fexp * dt, **close)
 
 
 class TestRunPair:
@@ -333,25 +361,24 @@ class TestRunPair:
         m = four_mode_model()
         c = CoefficientSet(r=0.5)
         x, y = np.array([0.4, 0.1, 0.0, 0.0]), np.zeros(4)
-        sched = make_schedule(m, c, 0.1, x, y)
-        cfg = StepConfig(dt=1e-3, rng_seed=4, path_index=0)
-        state, recs = run_pair(m, c, sched, cfg, x, y, 100, record_every=1)
-        assert len(recs) == 100
-        state2, recs2 = run_pair(m, c, sched, cfg, x, y, 100, record_every=25)
-        assert len(recs2) == 4
-        assert np.array_equal(state.x, state2.x)
+        every = pair_run(m, c, x, y, 100, seed=4, trace_paths=1, record_every=1)
+        assert every.trace.shape == (1, 100, 4)
+        sparse = pair_run(m, c, x, y, 100, seed=4, trace_paths=1, record_every=25)
+        assert sparse.trace.shape == (1, 4, 4)
+        assert np.array_equal(sparse.trace[0], every.trace[0, 24::25])
+        assert np.array_equal(every.XT, sparse.XT)
+        with pytest.raises(ValueError):
+            pair_run(m, c, x, y, 100, seed=4, trace_paths=1, record_every=0)
 
     def test_records_mirror_state(self):
         m = four_mode_model()
         c = CoefficientSet(r=0.5)
         x, y = np.array([0.4, 0.1, 0.0, 0.0]), np.zeros(4)
-        sched = make_schedule(m, c, 0.05, x, y)
-        cfg = StepConfig(dt=1e-3, rng_seed=4, path_index=3)
-        state, recs = run_pair(m, c, sched, cfg, x, y, 50, record_every=1)
-        t_last, dist_last, beta_last, _ = recs[-1]
-        assert t_last == pytest.approx(state.t, rel=1e-12)
-        assert dist_last == pytest.approx(float(norm_h(m, state.x - state.y)), rel=1e-12)
-        assert beta_last == pytest.approx(sched.beta(sched.T), rel=1e-9)
+        res = pair_run(m, c, x, y, 50, seed=4, n_paths=4, trace_paths=4)
+        t_last, dist_last, beta_last, _ = res.trace[3, -1]
+        assert t_last == pytest.approx(0.05, rel=1e-12)
+        assert dist_last == pytest.approx(float(norm_h(m, res.XT[3] - res.YT[3])), rel=1e-12)
+        assert beta_last == pytest.approx(res.schedule.beta(res.schedule.T), rel=1e-9)
 
 
 class TestHolderChain:
@@ -367,11 +394,8 @@ class TestHolderChain:
         c = CoefficientSet(r=0.5, xi=0.5 * xi_hat)
         x = np.array([0.4, 0.1, -0.1, 0.0])
         y = np.array([-0.2, 0.05, 0.1, 0.0])
-        T, dt = 0.25, 1e-3
-        sched = make_schedule(m, c, T, x, y)
+        res = pair_run(m, c, x, y, 250, seed=17, n_paths=20)
+        sched = res.schedule
         target = (sched.c**c.sigma * sched.dist0 ** (2 * sched.epsilon)) ** (2.0 / c.sigma)
-        for j in range(20):
-            cfg = StepConfig(dt=dt, rng_seed=17, path_index=j)
-            state, _ = run_pair(m, c, sched, cfg, x, y, int(T / dt))
-            bound = state.f_int ** ((c.sigma - 2.0) / c.sigma) * target
-            assert state.zeta_sq_int <= bound * (1.0 + 1e-6)
+        bound = res.f_int ** ((c.sigma - 2.0) / c.sigma) * target
+        assert np.all(res.zeta_sq_int <= bound * (1.0 + 1e-6))

@@ -1,4 +1,4 @@
-"""Nonlinearity, drift, noise, and single-path stepping."""
+"""Nonlinearity, drift, noise streams, and single steps of the ensemble kernel."""
 
 import math
 
@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 
 from fastdiffusion import (
     CoefficientSet,
+    EnsembleConfig,
     NonFiniteState,
-    PathRNG,
     PiecewiseConstant,
-    StepConfig,
-    advance_path,
     build_model,
     dirichlet1d_model,
     drift_eval,
+    estimate_ptf,
     psi_eval,
-    step,
+    to_spectral,
 )
+from fastdiffusion import montecarlo
+from fastdiffusion.montecarlo import _simulate
 
 
 def one_mode_model(lam=5.0, q=1.0):
@@ -129,32 +130,62 @@ class TestDrift:
             assert np.allclose(row, drift_eval(m, c, xrow), atol=1e-14)
 
 
+def philox_normals(seed, path, shape):
+    """The draws of path `path`: a Philox stream keyed by (seed, path)."""
+    key = np.array([seed, path], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
+
+
+def final_states(model, coeffs, x0, n_steps, dt, seed=0, n_paths=2, scheme="tamed_euler"):
+    cfg = EnsembleConfig(n_paths=n_paths, dt=dt, T=n_steps * dt, seed=seed, scheme=scheme)
+    return _simulate(model, coeffs, cfg, [x0]).final[0]
+
+
+def three_mode_model():
+    return dirichlet1d_model(3, [1.0, 0.7, 0.4])
+
+
 class TestRNG:
     def test_keyed_streams_are_reproducible(self):
-        a = PathRNG(seed=3, path_index=7, n_modes=4)
-        b = PathRNG(seed=3, path_index=7, n_modes=4)
-        assert np.array_equal(a.normals(), b.normals())
-        assert np.array_equal(a.normals(), b.normals())
+        m = three_mode_model()
+        c = CoefficientSet(r=0.5)
+        x0 = np.array([0.2, -0.1, 0.3])
+        a = final_states(m, c, x0, 10, 1e-3, seed=3, n_paths=8)
+        b = final_states(m, c, x0, 10, 1e-3, seed=3, n_paths=8)
+        assert np.array_equal(a, b)
 
     def test_distinct_paths_distinct_draws(self):
-        a = PathRNG(seed=3, path_index=0, n_modes=4)
-        b = PathRNG(seed=3, path_index=1, n_modes=4)
-        assert not np.array_equal(a.normals(), b.normals())
+        m = three_mode_model()
+        c = CoefficientSet(r=0.5)
+        a = final_states(m, c, np.zeros(3), 1, 1e-3, seed=3, n_paths=2)
+        assert not np.array_equal(a[0], a[1])
 
-    def test_block_draws_equal_sequential_draws(self):
-        # partition invariance: one block of 10 steps == 10 single steps
-        a = PathRNG(seed=11, path_index=2, n_modes=3)
-        b = PathRNG(seed=11, path_index=2, n_modes=3)
-        block = a.normals_block(10)
-        seq = np.stack([b.normals() for _ in range(10)])
+    def test_block_draws_equal_sequential_draws(self, monkeypatch):
+        # partition invariance: one block of 10 steps == 10 blocks of one step
+        m = three_mode_model()
+        c = CoefficientSet(r=0.5, gamma=-0.3)
+        x0 = np.array([0.2, -0.1, 0.3])
+        block = final_states(m, c, x0, 10, 1e-3, seed=11, n_paths=3)
+        monkeypatch.setattr(montecarlo, "TIME_BLOCK", 1)
+        seq = final_states(m, c, x0, 10, 1e-3, seed=11, n_paths=3)
         assert np.array_equal(block, seq)
 
-    def test_split_blocks_equal_one_block(self):
-        a = PathRNG(seed=11, path_index=2, n_modes=3)
-        b = PathRNG(seed=11, path_index=2, n_modes=3)
-        whole = a.normals_block(12)
-        parts = np.vstack([b.normals_block(5), b.normals_block(7)])
-        assert np.array_equal(whole, parts)
+    def test_split_blocks_equal_one_block(self, monkeypatch):
+        # blocks of 5, 5 and 2 steps consume path p's stream (seed, p) step
+        # by step, one draw per mode: the linear explicit recursion in
+        # eigen-coordinates, fed one (12, n) draw, gives the same states
+        monkeypatch.setattr(montecarlo, "TIME_BLOCK", 5)
+        m = three_mode_model()
+        c = CoefficientSet(r=0.5, gamma=-0.3, nonlinearity="identity")
+        x0 = np.array([0.2, -0.1, 0.3])
+        dt, n_steps = 1e-2, 12
+        got = final_states(m, c, x0, n_steps, dt, seed=11, n_paths=3, scheme="explicit_euler")
+        for p in range(3):
+            xi = philox_normals(11, p, (n_steps, 3))
+            coef = to_spectral(m, x0)
+            for s in range(n_steps):
+                coef = coef + dt * (-m.eigenvalues * coef - 0.3 * coef) + m.q_diag * math.sqrt(dt) * xi[s]
+            assert np.allclose(to_spectral(m, got[p]), coef, rtol=1e-12, atol=1e-14)
 
 
 class TestStepping:
@@ -170,42 +201,40 @@ class TestStepping:
         # x - dt x / (1 + dt |x|) + noise
         m = one_mode_model(lam=1.0)
         c = CoefficientSet(r=0.5, nonlinearity="identity")
-        cfg = StepConfig(dt=0.01, rng_seed=5, path_index=0)
-        x = np.array([2.0])
-        got = step(m, c, cfg, x, PathRNG(5, 0, 1))
-        noise = 1.0 * math.sqrt(0.01) * PathRNG(5, 0, 1).normals()[0]
-        want = 2.0 - 0.01 * 2.0 / (1.0 + 0.01 * 2.0) + noise
-        assert got[0] == pytest.approx(want, rel=1e-14)
+        got = final_states(m, c, np.array([2.0]), 1, 0.01, seed=5)
+        for p in range(2):
+            noise = 1.0 * math.sqrt(0.01) * philox_normals(5, p, (1, 1))[0, 0]
+            want = 2.0 - 0.01 * 2.0 / (1.0 + 0.01 * 2.0) + noise
+            assert got[p, 0] == pytest.approx(want, rel=1e-14)
 
     def test_explicit_euler_step_formula(self):
         m = one_mode_model(lam=1.0)
         c = CoefficientSet(r=0.5, nonlinearity="identity")
-        cfg = StepConfig(dt=0.01, scheme="explicit_euler", rng_seed=5, path_index=0)
-        got = step(m, c, cfg, np.array([2.0]), PathRNG(5, 0, 1))
-        noise = math.sqrt(0.01) * PathRNG(5, 0, 1).normals()[0]
-        assert got[0] == pytest.approx(2.0 - 0.02 + noise, rel=1e-14)
+        got = final_states(m, c, np.array([2.0]), 1, 0.01, seed=5, scheme="explicit_euler")
+        for p in range(2):
+            noise = math.sqrt(0.01) * philox_normals(5, p, (1, 1))[0, 0]
+            assert got[p, 0] == pytest.approx(2.0 - 0.02 + noise, rel=1e-14)
 
     def test_determinism_of_full_paths(self):
         m = dirichlet1d_model(4, [1.0, 0.8, 0.6, 0.5])
         c = CoefficientSet(r=0.5, gamma=-0.2)
-        cfg = StepConfig(dt=1e-3, rng_seed=9, path_index=4)
         x0 = np.array([0.3, -0.1, 0.2, 0.05])
-        a = advance_path(m, c, cfg, x0, 100)
-        b = advance_path(m, c, cfg, x0, 100)
+        a = final_states(m, c, x0, 100, 1e-3, seed=9, n_paths=5)
+        b = final_states(m, c, x0, 100, 1e-3, seed=9, n_paths=5)
         assert np.array_equal(a, b)
 
     def test_blowup_raises(self):
         # explicit Euler with a huge dt on a stiff linear mode diverges
         m = one_mode_model(lam=50.0)
         c = CoefficientSet(r=0.5, nonlinearity="identity")
-        cfg = StepConfig(dt=10.0, scheme="explicit_euler", rng_seed=0, path_index=0)
+        cfg = EnsembleConfig(n_paths=2, dt=10.0, T=4000.0, scheme="explicit_euler")
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
-            advance_path(m, c, cfg, np.array([1.0]), 400)
+            estimate_ptf(m, c, cfg, np.array([1.0]))
 
     def test_step_config_validation(self):
         with pytest.raises(ValueError):
-            StepConfig(dt=0.0)
+            EnsembleConfig(n_paths=2, dt=0.0, T=1.0)
         with pytest.raises(ValueError):
-            StepConfig(dt=1e-3, scheme="milstein")
+            EnsembleConfig(n_paths=2, dt=1e-3, T=1.0, scheme="milstein")
         with pytest.raises(ValueError):
-            StepConfig(dt=1e-3, rng_seed=-1)
+            EnsembleConfig(n_paths=2, dt=1e-3, T=1.0, seed=-1)

@@ -13,21 +13,21 @@ from fastdiffusion import (
     NotTimeHomogeneous,
     PiecewiseConstant,
     PositiveGamma,
-    StepConfig,
     dirichlet1d_model,
     estimate_from_values,
     estimate_invariant,
     estimate_ptf,
     estimate_weighted,
+    from_spectral,
     make_schedule,
     make_test_function,
     norm_h,
     run_coupled_ensemble,
-    run_pair,
     strong_feller_probe,
     verify_exp_moment_bound,
     verify_harnack,
 )
+from fastdiffusion import montecarlo
 
 
 def small_model():
@@ -157,20 +157,33 @@ class TestEstimatePtf:
 
 
 class TestCoupledEnsemble:
-    def test_matches_single_pair_runs(self):
-        m, c = small_model(), small_coeffs()
-        cfg = EnsembleConfig(n_paths=3, dt=0.005, T=0.1, seed=21)
-        res = run_coupled_ensemble(m, c, cfg, START, OTHER)
-        sched = make_schedule(m, c, cfg.realized_T, START, OTHER)
-        for j in range(3):
-            sc = StepConfig(dt=0.005, rng_seed=21, path_index=j)
-            state, _ = run_pair(m, c, sched, sc, START, OTHER, cfg.n_steps, couple_tol=res.couple_tol)
-            assert np.array_equal(res.XT[j], state.x)
-            assert np.array_equal(res.YT[j], state.y)
-            assert res.coupled[j] == state.coupled
-            assert res.log_stoch_int[j] == state.log_stoch_int
-            assert res.zeta_sq_int[j] == state.zeta_sq_int
-            assert res.f_int[j] == state.f_int
+    def test_paths_independent_of_chunking(self, monkeypatch):
+        # a path's outputs are bit-identical whatever the chunk and time-block
+        # sizes and however many paths run beside it.  A one-path chunk is
+        # where numpy's own reductions would add in another order (n >= 8).
+        fields = ("XT", "YT", "tau", "coupled", "log_stoch_int", "zeta_sq_int",
+                  "f_int", "lp_int_x", "lp_int_y")
+        c = small_coeffs()
+        for n in (4, 9):
+            m = dirichlet1d_model(n, [i**-0.5 for i in range(1, n + 1)])
+            x = from_spectral(m, 0.4 / np.arange(1, n + 1))
+            y = from_spectral(m, -0.3 / np.arange(1, n + 1) ** 2)
+
+            def run(n_paths):
+                # a loose meeting tolerance, so that some pairs couple
+                cfg = EnsembleConfig(n_paths=n_paths, dt=1e-3, T=0.1, seed=21)
+                plain = montecarlo._simulate(m, c, cfg, [x]).final[0]
+                return run_coupled_ensemble(m, c, cfg, x, y, couple_tol=0.02), plain
+
+            base, base_plain = run(3)
+            for chunk, block, n_paths in ((1, 7, 3), (2, 1, 5), (1, 256, 8), (1024, 3, 11)):
+                monkeypatch.setattr(montecarlo, "CHUNK_PATHS", chunk)
+                monkeypatch.setattr(montecarlo, "TIME_BLOCK", block)
+                res, plain = run(n_paths)
+                for name in fields:
+                    assert np.array_equal(getattr(res, name)[:3], getattr(base, name), equal_nan=True), (n, name)
+                assert np.array_equal(plain[:3], base_plain), n
+            assert base.coupled.any()
 
     def test_weights_formula(self):
         m, c = small_model(), small_coeffs()
@@ -257,6 +270,15 @@ class TestVerifyExpMoment:
         assert out["holds"]
         assert out["x_side"]["mean"] <= out["x_side"]["rhs"]
         assert "y_side" not in out
+
+    def test_two_sided_x_side_equals_one_sided(self):
+        # the first copies of the coupled run go through the plain run's
+        # arithmetic, so the two-sided report needs no second plain run
+        m, c = small_model(), small_coeffs()
+        cfg = EnsembleConfig(n_paths=400, dt=0.01, T=0.2, seed=10)
+        one = verify_exp_moment_bound(m, c, cfg, START)
+        two = verify_exp_moment_bound(m, c, cfg, START, OTHER)
+        assert two["x_side"] == one["x_side"]
 
     def test_two_sided(self):
         m, c = small_model(), small_coeffs()
