@@ -49,32 +49,38 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_COMMAND_HELP = {
+    "bounds": "evaluate the closed-form constants and the Harnack bound",
+    "conditions": "run the sufficient-condition checks",
+    "simulate": "Monte Carlo estimate of the semigroup at a point",
+    "couple": "run the coupled ensemble and report coupling statistics",
+    "harnack-check": "Monte Carlo verdict on the power-Harnack inequality",
+    "moments": "Monte Carlo estimate of a weight-moment over coupled pairs",
+    "invariant": "long-run sampling of the invariant law with moment report",
+    "probe-feller": "sensitivity of the semigroup to the starting point",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", required=True, metavar="PATH", help="JSON config file")
-    common.add_argument("--seed", type=int, default=None, help="override run.seed")
-    common.add_argument("--paths", type=int, default=None, help="override run.n_paths")
-    common.add_argument("--dt", type=float, default=None, help="override run.dt")
-    common.add_argument("--workers", type=int, default=None, help="override run.n_workers")
-    common.add_argument("--out", default=None, metavar="DIR", help="directory for report files")
-    common.add_argument(
+    """One flat parser: a command name and the options every command takes."""
+    epilog = "commands:\n" + "\n".join(
+        f"  {name:<15}{_COMMAND_HELP[name]}" for name in COMMANDS
+    )
+    parser = _Parser(
+        prog="fastdiffusion", description=__doc__, epilog=epilog,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=COMMANDS, metavar="COMMAND", help="one of the commands below")
+    parser.add_argument("--config", required=True, metavar="PATH", help="JSON config file")
+    parser.add_argument("--seed", type=int, default=None, help="override run.seed")
+    parser.add_argument("--paths", type=int, default=None, help="override run.n_paths")
+    parser.add_argument("--dt", type=float, default=None, help="override run.dt")
+    parser.add_argument("--workers", type=int, default=None, help="override run.n_workers")
+    parser.add_argument("--out", default=None, metavar="DIR", help="directory for report files")
+    parser.add_argument(
         "--format", choices=("json", "csv"), default="json",
         help="csv additionally writes the bulk per-path tables",
     )
-    parser = _Parser(prog="fastdiffusion", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    helps = {
-        "bounds": "evaluate the closed-form constants and the Harnack bound",
-        "conditions": "run the sufficient-condition checks",
-        "simulate": "Monte Carlo estimate of the semigroup at a point",
-        "couple": "run the coupled ensemble and report coupling statistics",
-        "harnack-check": "Monte Carlo verdict on the power-Harnack inequality",
-        "moments": "Monte Carlo estimate of a weight-moment over coupled pairs",
-        "invariant": "long-run sampling of the invariant law with moment report",
-        "probe-feller": "sensitivity of the semigroup to the starting point",
-    }
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common], help=helps[name])
     return parser
 
 
@@ -317,7 +323,7 @@ def main(argv=None) -> int:
     try:
         cfg = validate_config(raw, args.command)
         record, tables, holds = run_command(cfg)
-    except (FastDiffusionError, ValueError) as exc:
+    except (FastDiffusionError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -535,6 +535,10 @@ def verify_harnack(
     right side reuses the same paths' first copies, so the empirical
     inequality inherits the pathwise Hoelder structure.  The verdict
     compares 95 percent confidence extremes with multiplicative slack.
+
+    When the multiplier overflows to inf the bound carries no information:
+    the verdict holds with informative False, and rhs and its interval
+    are null.
     """
     if F is None:
         F = make_test_function(model, cfg.test_function)
@@ -550,13 +554,19 @@ def verify_harnack(
     lhs = max(west.mean, 0.0) ** p
     lhs_hi = max(west.mean + 1.96 * west.stderr, 0.0) ** p
     lhs_lo = max(west.mean - 1.96 * west.stderr, 0.0) ** p
-    rhs = factor * xest.mean
-    rhs_lo = factor * (xest.mean - 1.96 * xest.stderr)
-    rhs_hi = factor * (xest.mean + 1.96 * xest.stderr)
-    holds = lhs_hi <= rhs_lo * (1.0 + slack)
+    informative = math.isfinite(factor)
+    if informative:
+        rhs = factor * xest.mean
+        rhs_lo = factor * (xest.mean - 1.96 * xest.stderr)
+        rhs_hi = factor * (xest.mean + 1.96 * xest.stderr)
+        holds = lhs_hi <= rhs_lo * (1.0 + slack)
+    else:
+        rhs = rhs_lo = rhs_hi = None
+        holds = True
 
     return {
         "holds": bool(holds),
+        "informative": informative,
         "p": p,
         "slack": slack,
         "lhs": lhs,
@@ -666,21 +676,22 @@ def estimate_invariant(
     n_kept, n_paths = kept.shape[0], kept.shape[1]
 
     rp1 = coeffs.r + 1.0
+    flat = kept.reshape(-1, model.n)
+    split = (n_kept // 2) * n_paths
+    windows = (slice(None, split), slice(split, None), slice(None))
 
-    def averages(block: np.ndarray) -> dict:
-        flat = block.reshape(-1, model.n)
-        m_rp1 = float(np.sum(_lp_power(model, flat, rp1)) / flat.shape[0])
-        nh = norm_h(model, flat)
-        exp_h = float(np.sum(np.exp(eps0 * nh**rp1)) / flat.shape[0])
-        out = {"moment_rp1": m_rp1, "exp_h_rp1": exp_h}
-        if gamma < 0.0:
-            out["exp_h_sq"] = float(np.sum(np.exp(eps0 * nh**2)) / flat.shape[0])
-        return out
+    def window_means(values: np.ndarray) -> list:
+        """Means of per-sample values over the first half, the second half
+        and the whole sampling window (rows are time-major)."""
+        return [float(np.sum(values[w]) / values[w].shape[0]) for w in windows]
 
-    half = n_kept // 2
-    first = averages(kept[:half])
-    second = averages(kept[half:])
-    overall = averages(kept)
+    # each per-sample quantity is computed once, over all samples
+    means = {"moment_rp1": window_means(_lp_power(model, flat, rp1))}
+    nh = norm_h(model, flat)
+    means["exp_h_rp1"] = window_means(np.exp(eps0 * nh**rp1))
+    if gamma < 0.0:
+        means["exp_h_sq"] = window_means(np.exp(eps0 * nh**2))
+    first, second, overall = ({k: v[i] for k, v in means.items()} for i in range(3))
     rel = {
         k: abs(first[k] - second[k]) / ((first[k] + second[k]) / 2.0)
         for k in first
@@ -696,7 +707,7 @@ def estimate_invariant(
         "averages": overall,
         "split_half": {"first": first, "second": second, "rel_diff": rel},
     }
-    return kept.reshape(-1, model.n), report
+    return flat, report
 
 
 def strong_feller_probe(

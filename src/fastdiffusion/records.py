@@ -66,14 +66,24 @@ def _plain(obj):
     return obj
 
 
+def _dumps(plain) -> str:
+    """Canonical text of a value that is already plain."""
+    return json.dumps(plain, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def canonical_json(payload) -> str:
     """Sorted-key, indent-2 JSON with lossless float text."""
-    return json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _dumps(_plain(payload))
 
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One command's verdict: inputs echo, outputs, and audit fields."""
+    """One command's verdict: inputs echo, outputs, and audit fields.
+
+    inputs and outputs hold plain JSON values (dicts, lists, str, int,
+    finite float, bool, None), as make_record and load_record build them;
+    to_json writes them as they are.
+    """
 
     command: str
     inputs: dict
@@ -84,7 +94,7 @@ class ResultRecord:
     timestamp: float | None = None
 
     def to_json(self) -> str:
-        return canonical_json({
+        return _dumps({
             "command": self.command,
             "inputs": self.inputs,
             "outputs": self.outputs,
@@ -98,7 +108,7 @@ class ResultRecord:
 def make_record(command: str, inputs: dict, outputs: dict, seed: int | None) -> ResultRecord:
     """Build a record; the timestamp stays None so output is reproducible."""
     inputs = _plain(inputs)
-    digest = hashlib.sha1(canonical_json(inputs).encode("utf-8")).hexdigest()
+    digest = hashlib.sha1(_dumps(inputs).encode("utf-8")).hexdigest()
     return ResultRecord(
         command=command,
         inputs=inputs,

@@ -28,6 +28,7 @@ from fastdiffusion import (
     log_moment_rate,
     log_moment_rate_int,
 )
+from fastdiffusion.bounds import _density_exponents
 
 
 def unit_noise_model():
@@ -241,14 +242,27 @@ class TestDensityBound:
         vals = [density_lp_bound(m, c, 1.0, 2.0, x, [x + s * h]) for s in (0.0, 1.0, 2.0)]
         assert vals[0] < vals[1] < vals[2]
 
-    def test_dual_routes_agree(self):
+    def test_matches_direct_mean_at_moderate_exponents(self):
         m = dirichlet1d_model(4, [1.0, 0.8, 0.6, 0.5])
         c = CoefficientSet(r=0.5, gamma=-0.3)
         rng = np.random.default_rng(1)
         samples = 0.3 * rng.standard_normal((20, 4))
         x = np.array([0.2, 0.0, 0.1, 0.0])
-        a, b = density_lp_bound(m, c, 1.0, 2.0, x, samples, return_routes=True)
-        assert a == pytest.approx(b, rel=1e-12)
+        p = 2.0
+        e = _density_exponents(m, c, 1.0, p, x, samples)
+        want = float(np.mean(np.exp(e))) ** (-(p - 1.0) / p)
+        assert density_lp_bound(m, c, 1.0, p, x, samples) == pytest.approx(want, rel=1e-12)
+
+    def test_distant_samples_give_finite_value_or_inf(self):
+        # exp(e) underflows to 0 at both distances, so a direct mean would
+        # divide by zero; the bound is finite at 30 and past float range at 100
+        m = dirichlet1d_model(4, [1.0, 0.8, 0.6, 0.5])
+        c = CoefficientSet(r=0.5, gamma=-0.3)
+        x = np.array([0.2, 0.0, 0.1, 0.0])
+        near = density_lp_bound(m, c, 1.0, 2.0, x, [x + np.array([30.0, 0.0, 0.0, 0.0])])
+        far = density_lp_bound(m, c, 1.0, 2.0, x, [x + np.array([100.0, 0.0, 0.0, 0.0])])
+        assert math.isfinite(near) and near > 1e100
+        assert far == math.inf
 
     def test_empty_samples_rejected(self):
         m = unit_noise_model()

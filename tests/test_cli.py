@@ -1,10 +1,17 @@
 """End-to-end CLI behavior: exit codes, stdout JSON, file emission."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
+from fastdiffusion import conditions
 from fastdiffusion.cli import main
 
 
@@ -57,6 +64,17 @@ class TestExitCodes:
         rec = json.loads(out.out)
         assert rec["command"] == "bounds"
         assert rec["outputs"]["harnack_rhs"] is None
+
+    def test_bounds_overflow_is_one_line_error(self, tmp_path, capsys):
+        # exp_moment_weight overflows math.exp at gamma = -400, T = 5
+        payload = bounds_config()
+        payload["coeffs"]["gamma"] = -400
+        payload["run"].update(T=5, dt=0.01)
+        cfg = write_config(tmp_path, "b.json", payload)
+        assert main(["bounds", "--config", cfg]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
     def test_unknown_subcommand(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "b.json", bounds_config())
@@ -210,4 +228,141 @@ class TestCommandOutputs:
         code = main(["harnack-check", "--config", cfg])
         rec = json.loads(capsys.readouterr().out)
         assert code in (0, 2)
-        assert set(rec["outputs"]) >= {"holds", "lhs", "rhs", "rhs_factor"}
+        assert set(rec["outputs"]) >= {"holds", "informative", "lhs", "rhs", "rhs_factor"}
+
+
+class TestConditionSample:
+    def test_one_sample_per_command_none_carried_over(self, tmp_path, capsys, monkeypatch):
+        # both sampled checks of one command read one sample; the next
+        # command builds its own model and so draws its own sample
+        draws = []
+        real = conditions.from_spectral
+
+        def counting(model, coeffs, **kw):
+            draws.append(model)
+            return real(model, coeffs, **kw)
+
+        monkeypatch.setattr(conditions, "from_spectral", counting)
+        cfg = write_config(tmp_path, "c.json", {
+            "model": {"n": 4, "q_diag": {"power": -0.5}},
+            "coeffs": {"r": 0.5, "xi": 0.01},
+            "conditions": [
+                {"check": "noise_domination", "n_samples": 300, "seed": 4},
+                {"check": "embedding", "n_samples": 300, "seed": 4},
+            ],
+        })
+        assert main(["conditions", "--config", cfg]) == 0
+        first = capsys.readouterr().out
+        assert len(draws) == 1
+        assert main(["conditions", "--config", cfg]) == 0
+        assert capsys.readouterr().out == first
+        assert len(draws) == 2 and draws[1] is not draws[0]
+
+
+# --- any schema-valid small bounds or conditions config -----------------
+
+_num = st.floats(-50.0, 50.0, allow_nan=False)
+_pos = st.floats(1e-3, 100.0)
+
+
+@st.composite
+def _model(draw):
+    n = draw(st.integers(1, 5))
+    model = {"n": n, "q_diag": draw(st.one_of(
+        st.builds(lambda p: {"power": p}, st.floats(-3.0, 3.0)),
+        st.lists(st.floats(0.05, 20.0), min_size=n, max_size=n),
+    ))}
+    if draw(st.booleans()):
+        model["alpha"] = draw(st.floats(0.25, 3.0))
+    return n, model
+
+
+def _coeffs(draw):
+    coeffs = {"r": draw(st.floats(0.05, 0.95))}
+    for key, values in (("gamma", st.floats(-500.0, 5.0)), ("delta", _pos), ("eta", _pos), ("xi", _pos)):
+        if draw(st.booleans()):
+            coeffs[key] = draw(values)
+    return coeffs
+
+
+def _state(draw, n):
+    coords = draw(st.lists(_num, min_size=n, max_size=n))
+    return {"spectral": coords} if draw(st.booleans()) else coords
+
+
+@st.composite
+def bounds_docs(draw):
+    n, model = draw(_model())
+    dt = draw(st.sampled_from([0.1, 0.01, 0.001]))
+    doc = {
+        "model": model,
+        "coeffs": _coeffs(draw),
+        "run": {"dt": dt, "T": dt * draw(st.integers(1, 500)), "seed": draw(st.integers(0, 99))},
+        "x": _state(draw, n),
+        "y": _state(draw, n),
+    }
+    if draw(st.booleans()):
+        doc["p"] = draw(st.floats(1.01, 10.0))
+    return doc
+
+
+_closed_form_checks = st.one_of(
+    st.fixed_dictionaries({"check": st.just("hs"), "theta": st.floats(-3.0, 3.0),
+                           "rho": st.floats(0.5, 4.0), "alpha": st.floats(0.25, 3.0)}),
+    st.fixed_dictionaries({"check": st.just("spectral_growth"), "theta": st.floats(-3.0, 3.0),
+                           "d": st.floats(-1.0, 4.0), "eps": st.floats(-1.0, 2.0)}),
+    st.fixed_dictionaries({"check": st.just("noise_sandwich"), "eps": st.floats(-1.0, 2.0),
+                           "alpha_decay": st.floats(-1.0, 2.0), "use_model": st.booleans()}),
+    st.fixed_dictionaries({"check": st.just("power_spectrum_window"), "theta": st.floats(-3.0, 3.0),
+                           "d": st.floats(-1.0, 4.0), "eps": st.floats(-1.0, 2.0)}),
+    st.fixed_dictionaries({"check": st.just("fractional_power"), "theta": st.floats(-3.0, 3.0),
+                           "alpha": st.floats(0.25, 3.0), "d": st.floats(-1.0, 4.0),
+                           "eps": st.floats(-1.0, 2.0)}),
+)
+
+
+@st.composite
+def conditions_docs(draw):
+    _, model = draw(_model())
+    sampled = st.fixed_dictionaries({
+        "check": st.sampled_from(["noise_domination", "embedding"]),
+        "n_samples": st.integers(1, 40),
+        "seed": st.integers(0, 3),
+    })
+    checks = draw(st.lists(st.one_of(sampled, _closed_form_checks, st.just({"check": "hs"})),
+                           min_size=1, max_size=5))
+    return {"model": model, "coeffs": _coeffs(draw), "conditions": checks}
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestAnyValidConfig:
+    """On any schema-valid config a command emits one record or exits 1
+    with one error line, and the same argv gives the same bytes again."""
+
+    @given(st.one_of(
+        st.tuples(st.just("bounds"), bounds_docs()),
+        st.tuples(st.just("conditions"), conditions_docs()),
+    ))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_record_or_one_line_error(self, case):
+        command, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(doc), encoding="utf-8")
+            argv = [command, "--config", str(cfg)]
+            first = _run(argv)
+            assert _run(argv) == first
+        code, out, err = first
+        event(f"{command} exit {code}")
+        if code == 1:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert code in (0, 2) and err == ""
+            assert json.loads(out)["command"] == command

@@ -16,15 +16,65 @@ from fastdiffusion import (
     check_power_spectrum_window,
     check_spectral_growth,
     dirichlet1d_model,
+    from_spectral,
     hs_check,
     norm_h,
     norm_lp,
 )
-from fastdiffusion.conditions import _domination_ratio
+from fastdiffusion import conditions
+from fastdiffusion.conditions import _domination_ratio, _mixture_samples
 
 
 def two_mode_model():
     return build_model([0.5, 0.5], [[-2.0, 1.0], [1.0, -2.0]], [1.0, 2.0])
+
+
+def loop_mixture_samples(model, n_samples, seed):
+    """Reference sampler: one state at a time, transformed and normalized
+    on its own."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    n = model.n
+    out = np.empty((n_samples, n))
+    for j in range(n_samples):
+        kind = j % 3
+        if kind == 0:
+            x = model.eigenfunctions[j // 3 % n]
+        elif kind == 1:
+            x = from_spectral(model, rng.standard_normal(n))
+        else:
+            x = np.zeros(n)
+            x[rng.integers(n)] = rng.choice([-1.0, 1.0]) * (0.5 + rng.random())
+        out[j] = x / norm_h(model, x)
+    return out
+
+
+class TestMixtureSamples:
+    @pytest.mark.parametrize("n", [1, 2, 4, 9, 16])
+    def test_bit_identical_to_loop_sampler(self, n):
+        m = dirichlet1d_model(n, np.arange(1, n + 1, dtype=float) ** -0.5)
+        for seed in (0, 3, 11):
+            for n_samples in (1, 2, 3, 7, 2000):
+                got = _mixture_samples(m, n_samples, seed)
+                want = loop_mixture_samples(m, n_samples, seed)
+                assert np.array_equal(got, want), (n, seed, n_samples)
+
+    def test_sample_is_read_only(self):
+        xs = _mixture_samples(two_mode_model(), 10, 0)
+        assert not xs.flags.writeable
+        with pytest.raises(ValueError):
+            xs[0, 0] = 1.0
+
+    def test_same_arguments_share_one_sample(self):
+        m = two_mode_model()
+        assert _mixture_samples(m, 10, 0) is _mixture_samples(m, 10, 0)
+
+    def test_other_seed_size_or_model_draws_anew(self):
+        m = two_mode_model()
+        for args in ((m, 10, 1), (m, 11, 0), (two_mode_model(), 10, 0)):
+            first = _mixture_samples(m, 10, 0)
+            other = _mixture_samples(*args)
+            assert other is not first
+            assert np.array_equal(other, loop_mixture_samples(*args))
 
 
 class TestHsCheck:
@@ -239,6 +289,7 @@ class TestNoiseDomination:
         m = dirichlet1d_model(4, [1.0, 0.8, 0.6, 0.5])
         c = CoefficientSet(r=0.5)
         a = check_noise_domination(m, c, n_samples=500, seed=11)
+        conditions._last_sample = None  # draw the second sample afresh
         b = check_noise_domination(m, c, n_samples=500, seed=11)
         assert a.xi_estimate == b.xi_estimate
         assert np.array_equal(a.witness, b.witness)
@@ -270,5 +321,6 @@ class TestEmbeddingConstant:
         m = two_mode_model()
         c = CoefficientSet(r=0.5)
         a = check_embedding_constant(m, c, n_samples=400, seed=2)
+        conditions._last_sample = None  # draw the second sample afresh
         b = check_embedding_constant(m, c, n_samples=400, seed=2)
         assert a.numbers == b.numbers

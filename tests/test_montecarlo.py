@@ -22,6 +22,7 @@ from fastdiffusion import (
     make_schedule,
     make_test_function,
     norm_h,
+    norm_lp,
     run_coupled_ensemble,
     strong_feller_probe,
     verify_exp_moment_bound,
@@ -241,6 +242,20 @@ class TestVerifyHarnack:
         assert out["coupled_fraction"] == 1.0
         assert out["mean_weight"]["mean"] == 1.0
         assert out["rhs_factor"] > 1.0
+        assert out["informative"] is True
+
+    def test_infinite_factor_holds_uninformatively(self):
+        # the multiplier overflows; a zero test function makes the old
+        # product inf * (mean - 1.96 se) NaN, which failed the verdict
+        m, c = small_model(), small_coeffs()
+        cfg = EnsembleConfig(n_paths=64, dt=1e-4, T=0.01, seed=5)
+        y = from_spectral(m, [20.0, 0.0, 0.0, 0.0])
+        for F in (None, lambda X: np.zeros(X.shape[0])):
+            out = verify_harnack(m, c, cfg, START, y, p=2.0, F=F)
+            assert out["rhs_factor"] == math.inf
+            assert out["holds"] is True and out["informative"] is False
+            assert out["rhs"] is None and out["rhs_ci95"] == [None, None]
+            assert all(math.isfinite(v) for v in out["lhs_ci95"])
 
     def test_report_shape(self):
         m, c = small_model(), small_coeffs()
@@ -248,6 +263,7 @@ class TestVerifyHarnack:
         out = verify_harnack(m, c, cfg, START, OTHER, p=2.0)
         for key in (
             "holds",
+            "informative",
             "lhs",
             "rhs",
             "lhs_ci95",
@@ -324,6 +340,24 @@ class TestEstimateInvariant:
         rel = report["split_half"]["rel_diff"]
         assert set(rel) == set(report["averages"])
         assert all(v >= 0.0 for v in rel.values())
+
+    def test_window_averages_match_direct_means(self):
+        # each window's averages are means over its own samples; the first
+        # half is the first n_kept // 2 kept times of every path
+        m, c = small_model(), small_coeffs()
+        samples, report = estimate_invariant(m, c, self.base_cfg(), thin=10)
+        half = report["n_kept_times"] // 2 * report["n_paths"]
+        rp1, eps0 = c.r + 1.0, report["eps0"]
+        for block, got in (
+            (samples[:half], report["split_half"]["first"]),
+            (samples[half:], report["split_half"]["second"]),
+            (samples, report["averages"]),
+        ):
+            nh = np.array([norm_h(m, s) for s in block])
+            lp = np.array([float(norm_lp(m, s, rp1)) ** rp1 for s in block])
+            assert got["moment_rp1"] == pytest.approx(lp.mean(), rel=1e-12)
+            assert got["exp_h_rp1"] == pytest.approx(np.exp(eps0 * nh**rp1).mean(), rel=1e-12)
+            assert got["exp_h_sq"] == pytest.approx(np.exp(eps0 * nh**2).mean(), rel=1e-12)
 
     def test_zero_gamma_drops_square_moment(self):
         m = small_model()
