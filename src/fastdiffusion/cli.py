@@ -84,8 +84,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tf(cfg: ExperimentConfig) -> dict:
-    return cfg.extras.get("test_function", _DEFAULT_TEST_FUNCTION)
+def _tf(cfg: ExperimentConfig):
+    """The configured test function's description and the function itself."""
+    spec = cfg.extras.get("test_function", _DEFAULT_TEST_FUNCTION)
+    return spec, make_test_function(cfg.model, spec)
+
+
+def _coupled(cfg: ExperimentConfig, **trace):
+    return montecarlo.run_coupled_ensemble(
+        cfg.model, cfg.coeffs, cfg.run, cfg.state("x"), cfg.state("y"),
+        cfg.extras.get("couple_tol"), **trace,
+    )
 
 
 def _cmd_bounds(cfg: ExperimentConfig):
@@ -168,16 +177,14 @@ def _cmd_conditions(cfg: ExperimentConfig):
 
 
 def _cmd_simulate(cfg: ExperimentConfig):
-    F = make_test_function(cfg.model, _tf(cfg))
+    spec, F = _tf(cfg)
     est = montecarlo.estimate_ptf(cfg.model, cfg.coeffs, cfg.run, cfg.state("x"), F)
-    return {"estimate": est.as_dict(), "test_function": _tf(cfg)}, None, None
+    return {"estimate": est.as_dict(), "test_function": spec}, None, None
 
 
 def _cmd_couple(cfg: ExperimentConfig):
-    x, y = cfg.state("x"), cfg.state("y")
-    res = montecarlo.run_coupled_ensemble(
-        cfg.model, cfg.coeffs, cfg.run, x, y, cfg.extras.get("couple_tol"),
-        trace_paths=cfg.extras.get("sample_paths", 4),
+    res = _coupled(
+        cfg, trace_paths=cfg.extras.get("sample_paths", 4),
         record_every=cfg.extras.get("record_every", 1),
     )
     a = res.alive
@@ -224,12 +231,11 @@ def _cmd_couple(cfg: ExperimentConfig):
 
 
 def _cmd_harnack(cfg: ExperimentConfig):
-    F = make_test_function(cfg.model, _tf(cfg))
+    spec, F = _tf(cfg)
     verdict = montecarlo.verify_harnack(
-        cfg.model, cfg.coeffs, cfg.run, cfg.state("x"), cfg.state("y"),
-        cfg.extras["p"], F, cfg.extras.get("slack", 0.05), cfg.extras.get("couple_tol"),
+        cfg.model, cfg.coeffs, _coupled(cfg), cfg.extras["p"], F, cfg.extras.get("slack", 0.05),
     )
-    verdict["test_function"] = _tf(cfg)
+    verdict["test_function"] = spec
     return verdict, None, verdict["holds"]
 
 
@@ -240,10 +246,7 @@ def _cmd_moments(cfg: ExperimentConfig):
         F = lambda X: np.ones(np.asarray(X).shape[0])  # noqa: E731
     else:
         F = make_test_function(cfg.model, tf)
-    est = montecarlo.estimate_weighted(
-        cfg.model, cfg.coeffs, cfg.run, cfg.state("x"), cfg.state("y"),
-        F, exponent, cfg.extras.get("couple_tol"),
-    )
+    est = montecarlo.estimate_weighted(_coupled(cfg), F, exponent)
     return {"estimate": est.as_dict(), "exponent": exponent, "test_function": tf}, None, None
 
 
@@ -260,12 +263,12 @@ def _cmd_invariant(cfg: ExperimentConfig):
 
 
 def _cmd_probe(cfg: ExperimentConfig):
-    F = make_test_function(cfg.model, _tf(cfg))
+    spec, F = _tf(cfg)
     radii = cfg.extras.get("radii", [0.1, 0.05, 0.025, 0.0125])
     report = montecarlo.strong_feller_probe(
         cfg.model, cfg.coeffs, cfg.run, cfg.state("x"), F, radii
     )
-    report["test_function"] = _tf(cfg)
+    report["test_function"] = spec
     return report, None, None
 
 

@@ -77,6 +77,16 @@ def _finish(clauses: dict, numbers: dict, label: str, **extra) -> ConditionRepor
     return ConditionReport(holds=holds, detail=detail, clauses=dict(clauses), numbers=dict(numbers), **extra)
 
 
+def _ratio(num: float, den: float) -> float | None:
+    """num / den, or None where den is zero: a threshold that does not exist."""
+    return None if den == 0.0 else num / den
+
+
+def _below(lo: float | None, hi: float | None) -> bool:
+    """lo < hi; false where either threshold does not exist."""
+    return lo is not None and hi is not None and lo < hi
+
+
 def hs_check(target) -> ConditionReport:
     """Finiteness of sum_i q_i^2 / lambda_i.
 
@@ -264,19 +274,25 @@ def check_power_spectrum_window(spec: AsymptoticSpec) -> ConditionReport:
     (sigma+2eps-2)(1-r)/(2 sigma eps (1+r)); the admissible fractional
     powers form the half-open window
     (max((2 theta + 1) d / 2, (1-r) d / (2 eps (1+r))), sigma theta d / (sigma+2eps-2)].
+    A threshold with a zero denominator (eps = 0 or 1, sigma + 2 eps = 2)
+    is reported as None and the clauses that need it fail.
     """
     r, sigma, eps, d, theta = spec.r, spec.sigma, spec.eps, spec.d, spec.theta
     s = sigma + 2.0 * eps - 2.0
-    theta_min = max(s / (4.0 * (1.0 - eps)), s * (1.0 - r) / (2.0 * sigma * eps * (1.0 + r)))
-    alpha_lo = max((2.0 * theta + 1.0) * d / 2.0, (1.0 - r) * d / (2.0 * eps * (1.0 + r)))
-    alpha_hi = sigma * theta * d / s
+    thresholds = (_ratio(s, 4.0 * (1.0 - eps)), _ratio(s * (1.0 - r), 2.0 * sigma * eps * (1.0 + r)))
+    theta_min = None if None in thresholds else max(thresholds)
+    dim_bound = _ratio((1.0 - r) * d, 2.0 * eps * (1.0 + r))
+    alpha_lo = None if dim_bound is None else max((2.0 * theta + 1.0) * d / 2.0, dim_bound)
+    alpha_hi = _ratio(sigma * theta * d, s)
     clauses = {
-        "theta_above_threshold": theta > theta_min,
-        "alpha_window_nonempty": alpha_lo < alpha_hi,
+        "theta_above_threshold": _below(theta_min, theta),
+        "alpha_window_nonempty": _below(alpha_lo, alpha_hi),
     }
     numbers = {"theta_min": theta_min, "alpha_lo": alpha_lo, "alpha_hi": alpha_hi}
     if spec.alpha is not None:
-        clauses["alpha_in_window"] = alpha_lo < spec.alpha <= alpha_hi
+        clauses["alpha_in_window"] = (
+            _below(alpha_lo, spec.alpha) and alpha_hi is not None and spec.alpha <= alpha_hi
+        )
         numbers["alpha"] = spec.alpha
     return _finish(clauses, numbers, "power-noise fractional regime")
 
@@ -286,14 +302,15 @@ def check_fractional_power(spec: AsymptoticSpec) -> ConditionReport:
 
     Requires alpha > d (1-r) / (2 eps (1+r)), a convergent noise-size
     series (2 theta - alpha rho < -1), and noise growth
-    theta >= alpha rho (sigma + 2 eps - 2) / (2 sigma).
+    theta >= alpha rho (sigma + 2 eps - 2) / (2 sigma).  At eps = 0 the
+    dimension threshold is reported as None and its clause fails.
     """
     r, sigma, eps, d = spec.r, spec.sigma, spec.eps, spec.d
-    alpha_min = d * (1.0 - r) / (2.0 * eps * (1.0 + r))
+    alpha_min = _ratio(d * (1.0 - r), 2.0 * eps * (1.0 + r))
     hs_exponent = 2.0 * spec.theta - spec.alpha * spec.rho
     growth_exponent = spec.alpha * spec.rho * (sigma + 2.0 * eps - 2.0) / (2.0 * sigma)
     clauses = {
-        "alpha_above_dimension": spec.alpha > alpha_min,
+        "alpha_above_dimension": _below(alpha_min, spec.alpha),
         "hs_finite": hs_exponent < -1.0,
         "noise_growth": spec.theta >= growth_exponent,
     }

@@ -458,7 +458,6 @@ def _build(ck: _Collector, raw: dict, command: str) -> ExperimentConfig:
                 burn_in=float(rn.get("burn_in", 0.0)),
                 scheme=rn.get("scheme", "tamed_euler"),
                 n_workers=rn.get("n_workers", 1),
-                test_function=raw.get("test_function"),
             )
         except (FastDiffusionError, ValueError) as exc:
             ck.fail("run", str(exc))

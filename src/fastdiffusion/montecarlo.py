@@ -59,7 +59,6 @@ class EnsembleConfig:
     burn_in: float = 0.0
     scheme: str = "tamed_euler"
     n_workers: int = 1
-    test_function: dict | None = None
 
     def __post_init__(self):
         if self.n_paths < 2:
@@ -118,18 +117,18 @@ def estimate_from_values(vals: np.ndarray) -> Estimate:
     return Estimate(mean=mean, stderr=math.sqrt(var / n), n=n)
 
 
-def make_test_function(model: SpectralModel, spec: dict | None):
-    """Bounded test function on states from its config description.
-
-    None falls back to exp(-|x|_H^2), a strictly positive bounded default.
-    """
-    kind = "exp_neg_h_sq" if spec is None else spec["kind"]
+def make_test_function(model: SpectralModel, spec: dict):
+    """Bounded test function on states from its config description."""
+    kind = spec["kind"]
     if kind == "exp_neg_h_sq":
         return lambda X: np.exp(-(norm_h(model, X) ** 2))
     if kind == "rational_h":
         return lambda X: 1.0 / (1.0 + norm_h(model, X) ** 2)
     if kind == "indicator_ball":
-        center = np.asarray(spec["center"], dtype=float)
+        center = spec["center"]
+        if isinstance(center, dict):  # given by its eigen-coefficients
+            center = from_spectral(model, center["spectral"])
+        center = np.asarray(center, dtype=float)
         radius = float(spec["radius"])
         return lambda X: (
             np.asarray(norm_h(model, np.asarray(X, float) - center)) <= radius
@@ -196,8 +195,8 @@ class _Paths:
 
     final holds the point values at T of each of the k copies, shape
     (k, n_paths, n).  lp_int is the trapezoid integral of |.|_{r+1}^{r+1}
-    per copy, kept the thinned snapshots of a plain run, trace the
-    rows (t, |X-Y|_H, beta_t, |zeta_t|^2) of the traced pairs.
+    per copy of a coupled run, kept the thinned snapshots of a plain run,
+    trace the rows (t, |X-Y|_H, beta_t, |zeta_t|^2) of the traced pairs.
     """
 
     final: np.ndarray
@@ -219,7 +218,6 @@ def _simulate(
     starts,
     sched: CouplingSchedule | None = None,
     couple_tol: float = 0.0,
-    want_lp: bool = False,
     thin: int = 0,
     trace_paths: int = 0,
     record_every: int = 1,
@@ -245,7 +243,6 @@ def _simulate(
     n_steps = cfg.n_steps
     dt = cfg.dt
     coupled_run = sched is not None
-    want_lp = want_lp or coupled_run  # the f envelope needs the moments anyway
     r = coeffs.r
     identity = coeffs.nonlinearity == "identity"
     tamed = cfg.scheme != "explicit_euler"
@@ -274,11 +271,10 @@ def _simulate(
     n_rec = n_steps // record_every if trace_paths else 0
 
     out = _Paths(final=np.empty((k, N, n)), alive=np.ones(N, dtype=bool))
-    if want_lp:
-        out.lp_int = np.zeros((k, N))
     if kept_steps:
         out.kept = np.empty((len(kept_steps), N, n))
     if coupled_run:
+        out.lp_int = np.zeros((k, N))
         out.coupled = np.zeros(N, dtype=bool)
         out.tau = np.full(N, math.nan)
         out.log_stoch_int = np.zeros(N)
@@ -296,9 +292,8 @@ def _simulate(
         gens = _path_generators(cfg.seed, lo, hi)
         noise = np.empty((P, min(TIME_BLOCK, n_steps), n))
         dW = np.empty((n, P))
-        if want_lp:
-            lp = np.zeros((k, P))
         if coupled_run:
+            lp = np.zeros((k, P))
             coupled = np.zeros(P, dtype=bool)
             tau = np.full(P, math.nan)
             log_s = np.zeros(P)
@@ -310,10 +305,10 @@ def _simulate(
             for s in range(n_steps + 1):
                 # the state after s steps, in point values
                 Xp = from_spectral(model, C2, mode_major=True)
-                if want_lp or not identity:
+                if coupled_run or not identity:
                     A = np.abs(Xp)
                     Ar = A**r
-                if want_lp:
+                if coupled_run:
                     V = A * Ar
                     v = _row_sum(V * w).reshape(k, P)
                     if s:
@@ -376,14 +371,13 @@ def _simulate(
                     if not finite.all():
                         C[:, :, ~finite] = 0.0
                         ok &= finite
-                        if want_lp:
+                        if coupled_run:
                             lp[:, ~finite] = math.nan
 
         out.final[:, lo:hi] = Xp.reshape(n, k, P).transpose(1, 2, 0)
         out.alive[lo:hi] = ok
-        if want_lp:
-            out.lp_int[:, lo:hi] = lp
         if coupled_run:
+            out.lp_int[:, lo:hi] = lp
             out.coupled[lo:hi] = coupled
             out.tau[lo:hi] = tau
             out.log_stoch_int[lo:hi] = log_s
@@ -401,13 +395,47 @@ def _simulate(
 # plain ensembles
 # ---------------------------------------------------------------------------
 
-def estimate_ptf(model: SpectralModel, coeffs: CoefficientSet, cfg: EnsembleConfig, x, F=None) -> Estimate:
-    """Monte Carlo estimate of E F(X_T) for paths started at x."""
-    if F is None:
-        F = make_test_function(model, cfg.test_function)
-    run = _simulate(model, coeffs, cfg, [x])
+def _plain_estimates(run: _Paths, F) -> list:
+    """Estimate of E F(X_T) for each copy of a plain run, over the paths
+    that stayed finite in every copy."""
     _check_blowups(run.alive, "plain")
-    return estimate_from_values(np.asarray(F(run.final[0][run.alive]), dtype=float))
+    return [estimate_from_values(np.asarray(F(XT[run.alive]), dtype=float)) for XT in run.final]
+
+
+def estimate_ptf(model: SpectralModel, coeffs: CoefficientSet, cfg: EnsembleConfig, x, F) -> Estimate:
+    """Monte Carlo estimate of E F(X_T) for paths started at x."""
+    return _plain_estimates(_simulate(model, coeffs, cfg, [x]), F)[0]
+
+
+def strong_feller_probe(
+    model: SpectralModel,
+    coeffs: CoefficientSet,
+    cfg: EnsembleConfig,
+    x,
+    F,
+    radii=(0.1, 0.05, 0.025, 0.0125),
+) -> dict:
+    """Sensitivity of the estimated semigroup to the starting point.
+
+    Estimates P_T F at x and at x + h e_1 for shrinking h from one run in
+    which every path carries 1 + len(radii) copies under the same noise
+    (common random numbers).  A path that blows up in any copy is dropped
+    from every estimate; without blow-ups each estimate equals a plain run
+    from its own start.  Reports the differences; draws no verdict.
+    """
+    x = np.asarray(x, dtype=float)
+    e1 = model.eigenfunctions[0]
+    run = _simulate(model, coeffs, cfg, [x] + [x + h * e1 for h in radii])
+    base, *ests = _plain_estimates(run, F)
+    rows = [
+        {"h": float(h), "ptf": est.mean, "stderr": est.stderr, "abs_diff": abs(est.mean - base.mean)}
+        for h, est in zip(radii, ests)
+    ]
+    return {
+        "base": base.as_dict(),
+        "rows": rows,
+        "note": "common random numbers: all estimates share one noise stream per path",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +444,16 @@ def estimate_ptf(model: SpectralModel, coeffs: CoefficientSet, cfg: EnsembleConf
 
 @dataclass(frozen=True)
 class CoupledEnsembleResult:
-    """Raw per-path output of a coupled run; arrays indexed by path.
+    """Raw per-path output of a coupled run from x and y; arrays indexed by path.
 
     lp_int_x and lp_int_y are the path integrals of |.|_{r+1}^{r+1} of
     the two copies.  trace, when requested, has shape (paths, rows, 4)
-    with rows (t, |X-Y|_H, beta_t, |zeta_t|^2).
+    with rows (t, |X-Y|_H, beta_t, |zeta_t|^2).  The horizon is
+    schedule.T.
     """
 
+    x: np.ndarray
+    y: np.ndarray
     schedule: CouplingSchedule
     XT: np.ndarray
     YT: np.ndarray
@@ -465,7 +496,8 @@ def run_coupled_ensemble(
 
     The meeting tolerance defaults to 1e-6 times the starting gap in the
     H norm.  Paths with index below trace_paths record a trace row after
-    every record_every-th step.
+    every record_every-th step.  The estimators and verdicts below read
+    the result; none of them runs an ensemble of its own.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -483,7 +515,7 @@ def run_coupled_ensemble(
     n_blow = _check_blowups(run.alive, "coupled")
     XT, YT = run.final
     return CoupledEnsembleResult(
-        schedule=sched, XT=XT, YT=YT, coupled=run.coupled, tau=run.tau,
+        x=x, y=y, schedule=sched, XT=XT, YT=YT, coupled=run.coupled, tau=run.tau,
         log_stoch_int=run.log_stoch_int, zeta_sq_int=run.zeta_sq_int, f_int=run.f_int,
         lp_int_x=run.lp_int[0], lp_int_y=run.lp_int[1],
         dist_final=np.asarray(norm_h(model, XT - YT)), alive=run.alive,
@@ -491,24 +523,12 @@ def run_coupled_ensemble(
     )
 
 
-def estimate_weighted(
-    model: SpectralModel,
-    coeffs: CoefficientSet,
-    cfg: EnsembleConfig,
-    x,
-    y,
-    F=None,
-    exponent: float = 1.0,
-    couple_tol: float | None = None,
-) -> Estimate:
-    """Monte Carlo estimate of E R^exponent F(X_T) over coupled pairs.
+def estimate_weighted(res: CoupledEnsembleResult, F, exponent: float = 1.0) -> Estimate:
+    """Monte Carlo estimate of E R^exponent F(X_T) over the pairs of res.
 
-    With exponent 1 this estimates the semigroup at y by reweighting
-    paths started at x.
+    With exponent 1 this estimates the semigroup at res.y by reweighting
+    paths started at res.x.
     """
-    if F is None:
-        F = make_test_function(model, cfg.test_function)
-    res = run_coupled_ensemble(model, coeffs, cfg, x, y, couple_tol)
     a = res.alive
     vals = res.weights[a] ** exponent * np.asarray(F(res.XT[a]), dtype=float)
     return estimate_from_values(vals)
@@ -521,36 +541,30 @@ def estimate_weighted(
 def verify_harnack(
     model: SpectralModel,
     coeffs: CoefficientSet,
-    cfg: EnsembleConfig,
-    x,
-    y,
+    res: CoupledEnsembleResult,
     p: float,
-    F=None,
+    F,
     slack: float = 0.05,
-    couple_tol: float | None = None,
 ) -> dict:
-    """Check (estimated P_T F(y))^p <= bound * estimated P_T F^p(x).
+    """Check (estimated P_T F(y))^p <= bound * estimated P_T F^p(x) on res.
 
-    The left side uses the reweighted estimator over coupled pairs; the
-    right side reuses the same paths' first copies, so the empirical
+    The left side uses the reweighted estimator over the coupled pairs;
+    the right side reuses the same paths' first copies, so the empirical
     inequality inherits the pathwise Hoelder structure.  The verdict
     compares 95 percent confidence extremes with multiplicative slack.
+    The run does not depend on p or F, so one run serves every pair.
 
     When the multiplier overflows to inf the bound carries no information:
     the verdict holds with informative False, and rhs and its interval
     are null.
     """
-    if F is None:
-        F = make_test_function(model, cfg.test_function)
-    T = cfg.realized_T
-    res = run_coupled_ensemble(model, coeffs, cfg, x, y, couple_tol)
     a = res.alive
     FX = np.asarray(F(res.XT[a]), dtype=float)
     west = estimate_from_values(res.weights[a] * FX)
     xest = estimate_from_values(FX**p)
     rest = estimate_from_values(res.weights[a])
 
-    factor = bounds.harnack_rhs(model, coeffs, T, p, x, y)
+    factor = bounds.harnack_rhs(model, coeffs, res.schedule.T, p, res.x, res.y)
     lhs = max(west.mean, 0.0) ** p
     lhs_hi = max(west.mean + 1.96 * west.stderr, 0.0) ** p
     lhs_lo = max(west.mean - 1.96 * west.stderr, 0.0) ** p
@@ -582,25 +596,22 @@ def verify_harnack(
     }
 
 
-def verify_exp_moment_bound(
-    model: SpectralModel,
-    coeffs: CoefficientSet,
-    cfg: EnsembleConfig,
-    x,
-    y=None,
-    couple_tol: float | None = None,
-) -> dict:
-    """Check the exponential moment bounds for the path integral of
-    |X_t|_{r+1}^{r+1} (and of the attracted copy when y is given).
+def verify_exp_moment_bound(model: SpectralModel, coeffs: CoefficientSet, res: CoupledEnsembleResult) -> dict:
+    """Check the exponential moment bounds for the path integrals of
+    |X_t|_{r+1}^{r+1} and |Y_t|_{r+1}^{r+1} over the pairs of res.
+
+    The first copy goes through exactly the arithmetic of a plain run
+    from x, so its side is the one-sided bound for x.  A run from (x, x)
+    has Y = X and no attraction, and both sides give that bound.
 
     The comparison is CI-aware: holds reflects the point estimate; a
     marginal flag is raised when the bound lies inside the 3-sigma
     confidence interval inflated by 5 percent.
     """
-    T = cfg.realized_T
-    lam = bounds.exp_moment_weight(model, coeffs, T)
-    th = bounds.log_moment_rate_int(model, coeffs, T)
-    nx = float(norm_h(model, x))
+    sched = res.schedule
+    lam = bounds.exp_moment_weight(model, coeffs, sched.T)
+    th = bounds.log_moment_rate_int(model, coeffs, sched.T)
+    a = res.alive
 
     def side(vals: np.ndarray, rhs: float) -> dict:
         shift = float(np.max(vals))
@@ -617,27 +628,21 @@ def verify_exp_moment_bound(
             "marginal": bool(lo * 0.95 <= rhs <= hi * 1.05),
         }
 
-    out = {"exp_moment_weight": lam, "log_moment_rate_int": th, "T": T}
-    if y is None:
-        run = _simulate(model, coeffs, cfg, [x], want_lp=True)
-        _check_blowups(run.alive, "plain")
-        out["x_side"] = side(lam * run.lp_int[0][run.alive], math.exp(th + nx**2))
-        out["holds"] = out["x_side"]["holds"]
-        return out
-
-    res = run_coupled_ensemble(model, coeffs, cfg, x, y, couple_tol)
-    a = res.alive
-    # the first copy of each pair goes through exactly the arithmetic of a
-    # plain run from x with the same seed
-    out["x_side"] = side(lam * res.lp_int_x[a], math.exp(th + nx**2))
-
-    ny = float(norm_h(model, y))
-    sched = res.schedule
-    extra = sched.dist0 ** (2.0 * (1.0 - sched.epsilon)) * sched.beta_sq_exp_integral()
-    out["y_side"] = side(lam * res.lp_int_y[a], math.exp(th + ny**2 + extra))
-    out["y_side"]["beta_sq_exp_integral"] = sched.beta_sq_exp_integral()
-    out["holds"] = bool(out["x_side"]["holds"] and out["y_side"]["holds"])
-    return out
+    nx = float(norm_h(model, res.x))
+    ny = float(norm_h(model, res.y))
+    beta_sq = sched.beta_sq_exp_integral()
+    extra = sched.dist0 ** (2.0 * (1.0 - sched.epsilon)) * beta_sq
+    x_side = side(lam * res.lp_int_x[a], math.exp(th + nx**2))
+    y_side = side(lam * res.lp_int_y[a], math.exp(th + ny**2 + extra))
+    y_side["beta_sq_exp_integral"] = beta_sq
+    return {
+        "exp_moment_weight": lam,
+        "log_moment_rate_int": th,
+        "T": sched.T,
+        "x_side": x_side,
+        "y_side": y_side,
+        "holds": bool(x_side["holds"] and y_side["holds"]),
+    }
 
 
 def estimate_invariant(
@@ -672,7 +677,8 @@ def estimate_invariant(
     _check_blowups(run.alive, "plain")
     if run.kept is None or run.kept.shape[0] < 2:
         raise InvalidSampleCount("sampling window too short; increase T or decrease thin")
-    kept = run.kept[:, run.alive, :]
+    # all paths alive is the common case: keep the block, copy nothing
+    kept = run.kept if run.alive.all() else run.kept[:, run.alive, :]
     n_kept, n_paths = kept.shape[0], kept.shape[1]
 
     rp1 = coeffs.r + 1.0
@@ -708,38 +714,3 @@ def estimate_invariant(
         "split_half": {"first": first, "second": second, "rel_diff": rel},
     }
     return flat, report
-
-
-def strong_feller_probe(
-    model: SpectralModel,
-    coeffs: CoefficientSet,
-    cfg: EnsembleConfig,
-    x,
-    F=None,
-    radii=(0.1, 0.05, 0.025, 0.0125),
-) -> dict:
-    """Sensitivity of the estimated semigroup to the starting point.
-
-    Estimates P_T F at x and at x + h e_1 for shrinking h, reusing the
-    same seed so every estimate sees identical noise (common random
-    numbers).  Reports the differences; draws no verdict.
-    """
-    if F is None:
-        F = make_test_function(model, cfg.test_function)
-    x = np.asarray(x, dtype=float)
-    base = estimate_ptf(model, coeffs, cfg, x, F)
-    e1 = model.eigenfunctions[0]
-    rows = []
-    for h in radii:
-        est = estimate_ptf(model, coeffs, cfg, x + h * e1, F)
-        rows.append({
-            "h": float(h),
-            "ptf": est.mean,
-            "stderr": est.stderr,
-            "abs_diff": abs(est.mean - base.mean),
-        })
-    return {
-        "base": base.as_dict(),
-        "rows": rows,
-        "note": "common random numbers: all estimates share one noise stream per path",
-    }

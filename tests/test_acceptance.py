@@ -36,6 +36,7 @@ from fastdiffusion import (
     harnack_rhs,
     hs_check,
     log_moment_rate,
+    make_test_function,
     norm_h,
     norm_l2m,
     psi_eval,
@@ -186,7 +187,8 @@ def test_07_exponential_moment_bound():
     oks, details = [], []
     for name, m, xs in (("n=2", M2, np.array([0.3, -0.1])), ("n=4", M4, START4)):
         cfg = EnsembleConfig(T=0.25, n_paths=4000, dt=1e-3, seed=9)
-        rep = verify_exp_moment_bound(m, COEFFS, cfg, from_spectral(m, xs))
+        x = from_spectral(m, xs)
+        rep = verify_exp_moment_bound(m, COEFFS, run_coupled_ensemble(m, COEFFS, cfg, x, x))
         s = rep["x_side"]
         oks.append(rep["holds"])
         details.append(f"{name}: mean {s['mean']:.3f} <= rhs {s['rhs']:.1f}, marginal={s['marginal']}")
@@ -197,16 +199,18 @@ def test_07_exponential_moment_bound():
 
 
 def test_08_harnack_verdicts():
+    # the ensemble depends on the starts only: one run per distance serves
+    # every (p, F)
     x = from_spectral(M4, START4)
+    cfg = EnsembleConfig(T=0.25, n_paths=10_000, dt=1e-4, seed=21)
+    e1 = M4.eigenfunctions[0] / norm_h(M4, M4.eigenfunctions[0])
+    runs = {dist: run_coupled_ensemble(M4, COEFFS, cfg, x, x + dist * e1) for dist in (0.05, 0.1)}
     oks, details = [], []
     for p in (2.0, 4.0):
         for dist in (0.05, 0.1):
-            y = x + dist * M4.eigenfunctions[0] / norm_h(M4, M4.eigenfunctions[0])
             for kind in ("exp_neg_h_sq", "rational_h"):
-                cfg = EnsembleConfig(
-                    T=0.25, n_paths=10_000, dt=1e-4, seed=21, test_function={"kind": kind},
-                )
-                rep = verify_harnack(M4, COEFFS, cfg, x, y, p)
+                F = make_test_function(M4, {"kind": kind})
+                rep = verify_harnack(M4, COEFFS, runs[dist], p, F)
                 oks.append(rep["holds"] and rep["coupled_fraction"] > 0.99)
                 details.append(f"p={p:g} dist={dist:g} {kind}: holds={rep['holds']}")
     assert verdict(

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from fastdiffusion import conditions
+from fastdiffusion import conditions, montecarlo
 from fastdiffusion.cli import main
+from fastdiffusion.config import TEST_FUNCTION_KINDS
 
 
 def write_config(tmp_path, name, payload):
@@ -97,6 +98,16 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "b.json", payload)
         assert main(["bounds", "--config", cfg]) == 1
         assert "coeffs.r" in capsys.readouterr().err
+
+    def test_degenerate_eps_fails_a_clause(self, tmp_path, capsys):
+        # a zero denominator in a threshold is a failing clause, not an error
+        check = {"check": "fractional_power", "theta": 1.4, "alpha": 2.0, "d": 2.0, "eps": 0.0}
+        cfg = write_config(tmp_path, "c.json", {"coeffs": {"r": 0.5}, "conditions": [check]})
+        assert main(["conditions", "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert out.err == ""
+        rep = json.loads(out.out)["outputs"]["reports"][0]
+        assert rep["holds"] is False and None in rep["numbers"].values()
 
     def test_failing_verdict_exits_two(self, tmp_path, capsys):
         payload = {"conditions": [{"check": "hs", "theta": 1.0, "rho": 2.0, "alpha": 1.0}]}
@@ -221,6 +232,18 @@ class TestCommandOutputs:
         rec = json.loads(capsys.readouterr().out)
         assert "averages" in rec["outputs"]
 
+    def test_default_test_function_is_exp_neg_h_sq(self, tmp_path, capsys):
+        # one default both builds F and is echoed in the record
+        payload = couple_config()
+        del payload["y"], payload["sample_paths"]
+        records = []
+        for extra in ({}, {"test_function": {"kind": "exp_neg_h_sq"}}):
+            cfg = write_config(tmp_path, "s.json", {**payload, **extra})
+            assert main(["simulate", "--config", cfg]) == 0
+            records.append(json.loads(capsys.readouterr().out)["outputs"])
+        assert records[0] == records[1]
+        assert records[0]["test_function"] == {"kind": "exp_neg_h_sq"}
+
     def test_harnack_check_verdict_fields(self, tmp_path, capsys):
         payload = bounds_config()
         payload["run"]["n_paths"] = 200
@@ -259,7 +282,45 @@ class TestConditionSample:
         assert len(draws) == 2 and draws[1] is not draws[0]
 
 
-# --- any schema-valid small bounds or conditions config -----------------
+def ensemble_command_configs():
+    """A small valid config for each command that runs an ensemble."""
+    base = couple_config()
+    del base["sample_paths"]
+    x_only = {k: v for k, v in base.items() if k != "y"}
+    invariant = {
+        "model": base["model"], "coeffs": {"r": 0.5, "gamma": -0.4}, "thin": 2,
+        "run": {"n_paths": 8, "dt": 0.01, "T": 0.2, "seed": 3, "burn_in": 0.1},
+    }
+    return {
+        "simulate": x_only,
+        "couple": base,
+        "harnack-check": {**base, "p": 2.0},
+        "moments": {**base, "test_function": {"kind": "rational_h"}},
+        "invariant": invariant,
+        "probe-feller": x_only,
+    }
+
+
+class TestOneEnsemblePerCommand:
+    @pytest.mark.parametrize("command", sorted(ensemble_command_configs()))
+    def test_one_kernel_run(self, tmp_path, capsys, monkeypatch, command):
+        # a command runs one ensemble; its verdicts and estimates read it
+        copies = []
+        real = montecarlo._simulate
+
+        def counting(model, coeffs, cfg, starts, *args, **kw):
+            copies.append(len(starts))
+            return real(model, coeffs, cfg, starts, *args, **kw)
+
+        monkeypatch.setattr(montecarlo, "_simulate", counting)
+        cfg = write_config(tmp_path, "e.json", ensemble_command_configs()[command])
+        assert main([command, "--config", cfg]) in (0, 2)
+        assert capsys.readouterr().err == ""
+        # probe-feller carries the base start and its four default radii
+        assert copies == [{"simulate": 1, "invariant": 1, "probe-feller": 5}.get(command, 2)]
+
+
+# --- any schema-valid small config --------------------------------------
 
 _num = st.floats(-50.0, 50.0, allow_nan=False)
 _pos = st.floats(1e-3, 100.0)
@@ -334,6 +395,57 @@ def conditions_docs(draw):
     return {"model": model, "coeffs": _coeffs(draw), "conditions": checks}
 
 
+def _test_function(draw, n):
+    kind = draw(st.sampled_from(TEST_FUNCTION_KINDS))
+    if kind == "indicator_ball":
+        return {"kind": kind, "center": _state(draw, n), "radius": draw(_pos)}
+    return {"kind": kind}
+
+
+# optional keys per ensemble command, beyond the starts
+_ENSEMBLE_OPTIONS = {
+    "simulate": {"test_function": None},
+    "couple": {
+        "couple_tol": _pos, "sample_paths": st.integers(0, 10), "record_every": st.integers(1, 5),
+    },
+    "harnack-check": {"slack": st.floats(0.0, 1.0), "test_function": None, "couple_tol": _pos},
+    "moments": {"exponent": st.floats(-3.0, 3.0), "test_function": None, "couple_tol": _pos},
+    "invariant": {"thin": st.integers(1, 5), "eps0": st.floats(1e-3, 1.0)},
+    "probe-feller": {
+        "test_function": None, "radii": st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4),
+    },
+}
+
+
+@st.composite
+def ensemble_docs(draw, command):
+    """At most 8 paths and 20 steps."""
+    n, model = draw(_model())
+    dt = draw(st.sampled_from([0.1, 0.01, 0.001]))
+    run = {
+        "n_paths": draw(st.integers(2, 8)),
+        "dt": dt,
+        "T": dt * draw(st.integers(1, 20)),
+        "seed": draw(st.integers(0, 99)),
+        "scheme": draw(st.sampled_from(["tamed_euler", "explicit_euler"])),
+    }
+    doc = {"model": model, "coeffs": _coeffs(draw), "run": run}
+    if command == "invariant":
+        run["burn_in"] = run["T"] * draw(st.floats(0.01, 0.99))
+        if draw(st.booleans()):
+            doc["x"] = _state(draw, n)
+    else:
+        doc["x"] = _state(draw, n)
+    if command in ("couple", "harnack-check", "moments"):
+        doc["y"] = _state(draw, n)
+    if command == "harnack-check":
+        doc["p"] = draw(st.floats(1.01, 10.0))
+    for key, values in _ENSEMBLE_OPTIONS[command].items():
+        if draw(st.booleans()):
+            doc[key] = _test_function(draw, n) if key == "test_function" else draw(values)
+    return doc
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -348,8 +460,9 @@ class TestAnyValidConfig:
     @given(st.one_of(
         st.tuples(st.just("bounds"), bounds_docs()),
         st.tuples(st.just("conditions"), conditions_docs()),
+        *(st.tuples(st.just(c), ensemble_docs(c)) for c in _ENSEMBLE_OPTIONS),
     ))
-    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_record_or_one_line_error(self, case):
         command, doc = case
         with tempfile.TemporaryDirectory() as tmp:

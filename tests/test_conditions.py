@@ -240,6 +240,28 @@ class TestFractionalPower:
         assert rep.clauses["hs_finite"] == hs_check(spec).holds
 
 
+class TestDegenerateEps:
+    """A threshold whose denominator vanishes is null and its clauses fail,
+    as spectral_growth's eps_in_0_1 fails at eps = 0."""
+
+    @pytest.mark.parametrize("check, eps, sigma, null, failing", [
+        (check_fractional_power, 0.0, 8.0 / 3.0, ["alpha_min"], ["alpha_above_dimension"]),
+        (check_power_spectrum_window, 0.0, 8.0 / 3.0, ["theta_min", "alpha_lo"],
+         ["theta_above_threshold", "alpha_window_nonempty", "alpha_in_window"]),
+        (check_power_spectrum_window, 1.0, 8.0 / 3.0, ["theta_min"], ["theta_above_threshold"]),
+        # sigma + 2 eps - 2 = 0
+        (check_power_spectrum_window, 0.5, 1.0, ["alpha_hi"],
+         ["alpha_window_nonempty", "alpha_in_window"]),
+    ])
+    def test_null_threshold_fails_its_clauses(self, check, eps, sigma, null, failing):
+        spec = AsymptoticSpec(theta=1.4, alpha=2.0, d=2.0, eps=eps, r=0.5, sigma=sigma)
+        rep = check(spec)
+        assert not rep.holds
+        assert [k for k, v in rep.numbers.items() if v is None] == null
+        for name in failing:
+            assert rep.clauses[name] is False and name in rep.detail
+
+
 class TestNoiseDomination:
     @given(
         st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2).filter(

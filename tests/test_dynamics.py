@@ -229,7 +229,7 @@ class TestStepping:
         c = CoefficientSet(r=0.5, nonlinearity="identity")
         cfg = EnsembleConfig(n_paths=2, dt=10.0, T=4000.0, scheme="explicit_euler")
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
-            estimate_ptf(m, c, cfg, np.array([1.0]))
+            estimate_ptf(m, c, cfg, np.array([1.0]), lambda X: X[:, 0])
 
     def test_step_config_validation(self):
         with pytest.raises(ValueError):

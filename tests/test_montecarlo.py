@@ -41,6 +41,15 @@ def small_coeffs():
 
 START = np.array([0.4, -0.2, 0.1, 0.0])
 OTHER = np.array([0.1, 0.1, -0.1, 0.05])
+EXP = {"kind": "exp_neg_h_sq"}
+
+
+def exp_f(m):
+    return make_test_function(m, EXP)
+
+
+def ones(X):
+    return np.ones(X.shape[0])
 
 
 class TestEnsembleConfig:
@@ -100,15 +109,10 @@ class TestMakeTestFunction:
         assert f_ind(zero) == 1.0
         assert f_ind(np.array([10.0, 0.0, 0.0, 0.0])) == 0.0
 
-    def test_none_defaults_to_exp(self):
-        m = small_model()
-        x = np.array([0.3, 0.1, 0.0, -0.2])
-        assert make_test_function(m, None)(x) == make_test_function(m, {"kind": "exp_neg_h_sq"})(x)
-
     def test_batched_evaluation(self):
         m = small_model()
         X = np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]])
-        out = make_test_function(m, None)(X)
+        out = make_test_function(m, EXP)(X)
         assert out.shape == (2,)
         assert out[0] == pytest.approx(1.0)
 
@@ -122,28 +126,28 @@ class TestEstimatePtf:
         m, c = small_model(), small_coeffs()
         base = EnsembleConfig(n_paths=300, dt=0.01, T=0.2, seed=5)
         more = EnsembleConfig(n_paths=300, dt=0.01, T=0.2, seed=5, n_workers=3)
-        a = estimate_ptf(m, c, base, START)
-        b = estimate_ptf(m, c, more, START)
+        a = estimate_ptf(m, c, base, START, exp_f(m))
+        b = estimate_ptf(m, c, more, START, exp_f(m))
         assert a.mean == b.mean
         assert a.stderr == b.stderr
 
     def test_seed_changes_result(self):
         m, c = small_model(), small_coeffs()
-        a = estimate_ptf(m, c, EnsembleConfig(n_paths=100, dt=0.01, T=0.1, seed=0), START)
-        b = estimate_ptf(m, c, EnsembleConfig(n_paths=100, dt=0.01, T=0.1, seed=1), START)
+        a = estimate_ptf(m, c, EnsembleConfig(n_paths=100, dt=0.01, T=0.1, seed=0), START, exp_f(m))
+        b = estimate_ptf(m, c, EnsembleConfig(n_paths=100, dt=0.01, T=0.1, seed=1), START, exp_f(m))
         assert a.mean != b.mean
 
     def test_constant_function_is_exact(self):
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=50, dt=0.01, T=0.1, seed=2)
-        est = estimate_ptf(m, c, cfg, START, F=lambda X: np.ones(X.shape[0]))
+        est = estimate_ptf(m, c, cfg, START, ones)
         assert est.mean == 1.0
         assert est.stderr == 0.0
 
     def test_stderr_shrinks_with_paths(self):
         m, c = small_model(), small_coeffs()
-        small = estimate_ptf(m, c, EnsembleConfig(n_paths=500, dt=0.02, T=0.2, seed=9), START)
-        big = estimate_ptf(m, c, EnsembleConfig(n_paths=8000, dt=0.02, T=0.2, seed=9), START)
+        small = estimate_ptf(m, c, EnsembleConfig(n_paths=500, dt=0.02, T=0.2, seed=9), START, exp_f(m))
+        big = estimate_ptf(m, c, EnsembleConfig(n_paths=8000, dt=0.02, T=0.2, seed=9), START, exp_f(m))
         # 16x the paths should cut the standard error about 4x
         assert big.stderr == pytest.approx(small.stderr / 4.0, rel=0.35)
 
@@ -154,7 +158,7 @@ class TestEstimatePtf:
         cfg = EnsembleConfig(n_paths=50, dt=0.5, T=100.0, seed=0, scheme="explicit_euler")
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteState):
-                estimate_ptf(m, c, cfg, 5.0 * np.ones(4))
+                estimate_ptf(m, c, cfg, 5.0 * np.ones(4), exp_f(m))
 
 
 class TestCoupledEnsemble:
@@ -197,6 +201,7 @@ class TestCoupledEnsemble:
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=4, dt=0.01, T=0.1, seed=3)
         res = run_coupled_ensemble(m, c, cfg, START, START)
+        assert np.array_equal(res.x, START) and np.array_equal(res.y, START)
         assert res.coupled_fraction == 1.0
         assert np.all(res.tau == 0.0)
         assert np.all(res.weights == 1.0)
@@ -215,9 +220,7 @@ class TestEstimateWeighted:
     def test_zero_exponent_drops_reweighting(self):
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=20, dt=0.01, T=0.1, seed=4)
-        est = estimate_weighted(
-            m, c, cfg, START, OTHER, F=lambda X: np.ones(X.shape[0]), exponent=0.0
-        )
+        est = estimate_weighted(run_coupled_ensemble(m, c, cfg, START, OTHER), ones, exponent=0.0)
         assert est.mean == 1.0
         assert est.stderr == 0.0
 
@@ -227,8 +230,8 @@ class TestEstimateWeighted:
         m = small_model()
         c = CoefficientSet(r=0.5, gamma=-0.4)
         cfg = EnsembleConfig(n_paths=4000, dt=0.002, T=0.1, seed=17)
-        wa = estimate_weighted(m, c, cfg, START, OTHER)
-        direct = estimate_ptf(m, c, EnsembleConfig(n_paths=4000, dt=0.002, T=0.1, seed=99), OTHER)
+        wa = estimate_weighted(run_coupled_ensemble(m, c, cfg, START, OTHER), exp_f(m))
+        direct = estimate_ptf(m, c, EnsembleConfig(n_paths=4000, dt=0.002, T=0.1, seed=99), OTHER, exp_f(m))
         joint = math.hypot(wa.stderr, direct.stderr)
         assert abs(wa.mean - direct.mean) <= 3.0 * joint
 
@@ -237,7 +240,7 @@ class TestVerifyHarnack:
     def test_equal_points_reduce_to_jensen(self):
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=400, dt=0.01, T=0.2, seed=6)
-        out = verify_harnack(m, c, cfg, START, START, p=2.0)
+        out = verify_harnack(m, c, run_coupled_ensemble(m, c, cfg, START, START), 2.0, exp_f(m))
         assert out["holds"]
         assert out["coupled_fraction"] == 1.0
         assert out["mean_weight"]["mean"] == 1.0
@@ -250,8 +253,9 @@ class TestVerifyHarnack:
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=64, dt=1e-4, T=0.01, seed=5)
         y = from_spectral(m, [20.0, 0.0, 0.0, 0.0])
-        for F in (None, lambda X: np.zeros(X.shape[0])):
-            out = verify_harnack(m, c, cfg, START, y, p=2.0, F=F)
+        res = run_coupled_ensemble(m, c, cfg, START, y)
+        for F in (exp_f(m), lambda X: np.zeros(X.shape[0])):
+            out = verify_harnack(m, c, res, 2.0, F)
             assert out["rhs_factor"] == math.inf
             assert out["holds"] is True and out["informative"] is False
             assert out["rhs"] is None and out["rhs_ci95"] == [None, None]
@@ -260,7 +264,7 @@ class TestVerifyHarnack:
     def test_report_shape(self):
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=200, dt=0.005, T=0.1, seed=8)
-        out = verify_harnack(m, c, cfg, START, OTHER, p=2.0)
+        out = verify_harnack(m, c, run_coupled_ensemble(m, c, cfg, START, OTHER), 2.0, exp_f(m))
         for key in (
             "holds",
             "informative",
@@ -280,26 +284,31 @@ class TestVerifyHarnack:
 
 class TestVerifyExpMoment:
     def test_one_sided(self):
+        # a run from (x, x) has Y = X: both sides are the bound for x
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=400, dt=0.01, T=0.2, seed=10)
-        out = verify_exp_moment_bound(m, c, cfg, START)
+        out = verify_exp_moment_bound(m, c, run_coupled_ensemble(m, c, cfg, START, START))
         assert out["holds"]
         assert out["x_side"]["mean"] <= out["x_side"]["rhs"]
-        assert "y_side" not in out
+        assert out["y_side"]["beta_sq_exp_integral"] == 0.0
+        assert {k: v for k, v in out["y_side"].items() if k != "beta_sq_exp_integral"} == out["x_side"]
 
     def test_two_sided_x_side_equals_one_sided(self):
-        # the first copies of the coupled run go through the plain run's
-        # arithmetic, so the two-sided report needs no second plain run
+        # the first copies of a coupled run go through the plain run's
+        # arithmetic, so the x side does not depend on y
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=400, dt=0.01, T=0.2, seed=10)
-        one = verify_exp_moment_bound(m, c, cfg, START)
-        two = verify_exp_moment_bound(m, c, cfg, START, OTHER)
+        one_res = run_coupled_ensemble(m, c, cfg, START, START)
+        two_res = run_coupled_ensemble(m, c, cfg, START, OTHER)
+        assert np.array_equal(two_res.lp_int_x, one_res.lp_int_x)
+        one = verify_exp_moment_bound(m, c, one_res)
+        two = verify_exp_moment_bound(m, c, two_res)
         assert two["x_side"] == one["x_side"]
 
     def test_two_sided(self):
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=400, dt=0.01, T=0.2, seed=10)
-        out = verify_exp_moment_bound(m, c, cfg, START, OTHER)
+        out = verify_exp_moment_bound(m, c, run_coupled_ensemble(m, c, cfg, START, OTHER))
         assert "y_side" in out
         assert out["holds"] == (out["x_side"]["holds"] and out["y_side"]["holds"])
         # the attracted copy pays an additive distance toll in the exponent
@@ -359,6 +368,27 @@ class TestEstimateInvariant:
             assert got["exp_h_rp1"] == pytest.approx(np.exp(eps0 * nh**rp1).mean(), rel=1e-12)
             assert got["exp_h_sq"] == pytest.approx(np.exp(eps0 * nh**2).mean(), rel=1e-12)
 
+    def test_samples_view_the_kept_block_unless_a_path_is_lost(self, monkeypatch):
+        m, c = small_model(), small_coeffs()
+        # 1000 paths: one lost path is inside the 0.1 % budget
+        cfg = EnsembleConfig(n_paths=1000, dt=0.01, T=0.2, seed=13, burn_in=0.1)
+        real, runs, dead = montecarlo._simulate, [], []
+
+        def spy(*args, **kw):
+            run = real(*args, **kw)
+            run.alive[dead] = False
+            runs.append(run)
+            return run
+
+        monkeypatch.setattr(montecarlo, "_simulate", spy)
+        whole, _ = estimate_invariant(m, c, cfg, thin=2)
+        assert np.shares_memory(whole, runs[0].kept)
+        dead.append(3)
+        samples, report = estimate_invariant(m, c, cfg, thin=2)
+        assert report["n_paths"] == 999
+        by_path = whole.reshape(report["n_kept_times"], 1000, m.n)
+        assert np.array_equal(samples, np.delete(by_path, 3, axis=1).reshape(-1, m.n))
+
     def test_zero_gamma_drops_square_moment(self):
         m = small_model()
         c = CoefficientSet(r=0.5, gamma=0.0)
@@ -370,7 +400,7 @@ class TestStrongFellerProbe:
     def test_probe_shape(self):
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=100, dt=0.01, T=0.1, seed=14)
-        out = strong_feller_probe(m, c, cfg, START, radii=(0.2, 0.1))
+        out = strong_feller_probe(m, c, cfg, START, exp_f(m), radii=(0.2, 0.1))
         assert len(out["rows"]) == 2
         assert out["rows"][0]["h"] == 0.2
         assert all(math.isfinite(row["abs_diff"]) for row in out["rows"])
@@ -378,5 +408,41 @@ class TestStrongFellerProbe:
     def test_constant_function_sees_no_difference(self):
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=50, dt=0.01, T=0.1, seed=14)
-        out = strong_feller_probe(m, c, cfg, START, F=lambda X: np.ones(X.shape[0]))
+        out = strong_feller_probe(m, c, cfg, START, ones)
         assert all(row["abs_diff"] == 0.0 for row in out["rows"])
+
+    def test_one_run_equals_one_run_per_start(self):
+        # the copies share each path's noise, so every estimate is
+        # bit-identical to a plain run from its own start
+        m, c = small_model(), small_coeffs()
+        F = exp_f(m)
+        radii = (0.3, 0.1, 0.05)
+        for n_paths in (7, 1030):
+            cfg = EnsembleConfig(n_paths=n_paths, dt=0.01, T=0.2, seed=15)
+            out = strong_feller_probe(m, c, cfg, START, F, radii=radii)
+            assert out["base"] == estimate_ptf(m, c, cfg, START, F).as_dict()
+            for h, row in zip(radii, out["rows"]):
+                est = estimate_ptf(m, c, cfg, START + h * m.eigenfunctions[0], F)
+                assert (row["ptf"], row["stderr"]) == (est.mean, est.stderr)
+
+    def test_blowup_in_any_copy_drops_the_path(self, monkeypatch):
+        # one alive flag per path: a path lost in any copy leaves every estimate
+        m, c = small_model(), small_coeffs()
+        F = exp_f(m)
+        # 1000 paths: one lost path is inside the 0.1 % budget
+        cfg = EnsembleConfig(n_paths=1000, dt=0.05, T=0.1, seed=14)
+        real, runs = montecarlo._simulate, []
+
+        def path_3_dead(*args, **kw):
+            run = real(*args, **kw)
+            run.alive[3] = False
+            runs.append(run)
+            return run
+
+        monkeypatch.setattr(montecarlo, "_simulate", path_3_dead)
+        out = strong_feller_probe(m, c, cfg, START, F, radii=(0.2, 0.1))
+        (run,) = runs
+        assert out["base"]["n"] == 999
+        means = [out["base"]["mean"]] + [row["ptf"] for row in out["rows"]]
+        for XT, mean in zip(run.final, means, strict=True):
+            assert mean == estimate_from_values(F(np.delete(XT, 3, axis=0))).mean
