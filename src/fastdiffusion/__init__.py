@@ -96,7 +96,7 @@ from .montecarlo import (
     verify_exp_moment_bound,
     verify_harnack,
 )
-from .config import COMMANDS, ExperimentConfig, parse_config, validate_config
+from .config import COMMANDS, ExperimentConfig, validate_config
 from .records import (
     COUPLE_CSV_COLUMNS,
     PLOT_CSV_COLUMNS,
@@ -192,7 +192,6 @@ __all__ = [
     # config
     "ExperimentConfig",
     "validate_config",
-    "parse_config",
     "COMMANDS",
     # records
     "ResultRecord",

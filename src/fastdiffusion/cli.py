@@ -24,7 +24,7 @@ from .conditions import (
     hs_check,
 )
 from .config import COMMANDS, ExperimentConfig, validate_config
-from .errors import FastDiffusionError, SchemaError
+from .errors import FastDiffusionError
 from .montecarlo import estimate_from_values, make_test_function
 from .records import (
     COUPLE_CSV_COLUMNS,
@@ -34,9 +34,6 @@ from .records import (
 )
 
 __all__ = ["main", "build_parser", "run_command"]
-
-_DEFAULT_TEST_FUNCTION = {"kind": "exp_neg_h_sq"}
-
 
 class _UsageError(Exception):
     pass
@@ -86,77 +83,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _tf(cfg: ExperimentConfig):
     """The configured test function's description and the function itself."""
-    spec = cfg.extras.get("test_function", _DEFAULT_TEST_FUNCTION)
+    spec = cfg.extras["test_function"]
     return spec, make_test_function(cfg.model, spec)
 
 
 def _coupled(cfg: ExperimentConfig, **trace):
     return montecarlo.run_coupled_ensemble(
         cfg.model, cfg.coeffs, cfg.run, cfg.state("x"), cfg.state("y"),
-        cfg.extras.get("couple_tol"), **trace,
+        cfg.extras["couple_tol"], **trace,
     )
 
 
 def _cmd_bounds(cfg: ExperimentConfig):
     rep = bounds.bound_report(
         cfg.model, cfg.coeffs, cfg.run.realized_T,
-        cfg.state("x"), cfg.state("y"), cfg.extras.get("p"),
+        cfg.state("x"), cfg.state("y"), cfg.extras["p"],
     )
     return rep.as_dict(), None, None
 
 
-def _asym_from(entry: dict, cfg: ExperimentConfig, alpha_default) -> AsymptoticSpec:
-    coeffs = cfg.coeffs
-    r = entry.get("r", coeffs.r if coeffs is not None else None)
-    sigma = entry.get("sigma")
-    if sigma is None and coeffs is not None:
-        sigma = coeffs.sigma
-    elif sigma is None and r is not None:
-        sigma = 4.0 / (1.0 + r)
-    return AsymptoticSpec(
-        theta=float(entry.get("theta", 0.0)),
-        rho=float(entry.get("rho", 2.0)),
-        eig_c=float(entry.get("eig_c", 1.0)),
-        alpha=entry.get("alpha", alpha_default),
-        d=float(entry.get("d", 1.0)),
-        eps=entry.get("eps"),
-        r=r,
-        sigma=sigma,
-    )
-
-
 def _run_condition(entry: dict, cfg: ExperimentConfig):
+    """One check.  The entry carries every parameter the check takes, with
+    the schema's defaults filled in, under the library's parameter names."""
     name = entry["check"]
-    if name == "hs":
-        if "theta" in entry:
-            return hs_check(_asym_from(entry, cfg, alpha_default=1.0))
-        return hs_check(cfg.model)
     if name == "noise_domination":
-        return check_noise_domination(
-            cfg.model, cfg.coeffs, entry.get("n_samples", 2000), entry.get("seed", 0)
-        )
+        return check_noise_domination(cfg.model, cfg.coeffs, entry["n_samples"], entry["seed"])
     if name == "embedding":
-        return check_embedding_constant(
-            cfg.model, cfg.coeffs, entry.get("n_samples", 2000), entry.get("seed", 0)
-        )
-    if name == "spectral_growth":
-        return check_spectral_growth(_asym_from(entry, cfg, alpha_default=1.0))
+        return check_embedding_constant(cfg.model, cfg.coeffs, entry["n_samples"], entry["seed"])
     if name == "noise_sandwich":
-        coeffs = cfg.coeffs
-        return check_noise_sandwich(
-            r=float(entry.get("r", coeffs.r if coeffs is not None else 0.5)),
-            eps=float(entry["eps"]),
-            alpha_decay=float(entry["alpha_decay"]),
-            theta=entry.get("theta"),
-            c1=float(entry.get("c1", 1.0)),
-            c2=float(entry.get("c2", 1.0)),
-            model=cfg.model if entry.get("use_model") else None,
-        )
+        params = {k: v for k, v in entry.items() if k not in ("check", "use_model")}
+        return check_noise_sandwich(**params, model=cfg.model if entry["use_model"] else None)
+    if name == "hs" and entry["theta"] is None:
+        return hs_check(cfg.model)
+    spec = AsymptoticSpec(**{k: v for k, v in entry.items() if k != "check"})
+    if name == "hs":
+        return hs_check(spec)
+    if name == "spectral_growth":
+        return check_spectral_growth(spec)
     if name == "power_spectrum_window":
-        return check_power_spectrum_window(_asym_from(entry, cfg, alpha_default=None))
-    if name == "fractional_power":
-        return check_fractional_power(_asym_from(entry, cfg, alpha_default=1.0))
-    raise SchemaError(f"unknown condition check {name!r}")
+        return check_power_spectrum_window(spec)
+    return check_fractional_power(spec)
 
 
 def _cmd_conditions(cfg: ExperimentConfig):
@@ -184,8 +150,7 @@ def _cmd_simulate(cfg: ExperimentConfig):
 
 def _cmd_couple(cfg: ExperimentConfig):
     res = _coupled(
-        cfg, trace_paths=cfg.extras.get("sample_paths", 4),
-        record_every=cfg.extras.get("record_every", 1),
+        cfg, trace_paths=cfg.extras["sample_paths"], record_every=cfg.extras["record_every"],
     )
     a = res.alive
     coupled = res.coupled & a
@@ -233,15 +198,15 @@ def _cmd_couple(cfg: ExperimentConfig):
 def _cmd_harnack(cfg: ExperimentConfig):
     spec, F = _tf(cfg)
     verdict = montecarlo.verify_harnack(
-        cfg.model, cfg.coeffs, _coupled(cfg), cfg.extras["p"], F, cfg.extras.get("slack", 0.05),
+        cfg.model, cfg.coeffs, _coupled(cfg), cfg.extras["p"], F, cfg.extras["slack"],
     )
     verdict["test_function"] = spec
     return verdict, None, verdict["holds"]
 
 
 def _cmd_moments(cfg: ExperimentConfig):
-    exponent = cfg.extras.get("exponent", 1.0)
-    tf = cfg.extras.get("test_function")
+    exponent = cfg.extras["exponent"]
+    tf = cfg.extras["test_function"]
     if tf is None:
         F = lambda X: np.ones(np.asarray(X).shape[0])  # noqa: E731
     else:
@@ -253,9 +218,7 @@ def _cmd_moments(cfg: ExperimentConfig):
 def _cmd_invariant(cfg: ExperimentConfig):
     samples, report = montecarlo.estimate_invariant(
         cfg.model, cfg.coeffs, cfg.run,
-        x0=cfg.extras.get("x"),
-        thin=cfg.extras.get("thin", 10),
-        eps0=cfg.extras.get("eps0", 0.01),
+        x0=cfg.extras["x"], thin=cfg.extras["thin"], eps0=cfg.extras["eps0"],
     )
     columns = tuple(f"v{i}" for i in range(cfg.model.n))
     tables = {"samples": (columns, map(tuple, samples))}
@@ -264,9 +227,8 @@ def _cmd_invariant(cfg: ExperimentConfig):
 
 def _cmd_probe(cfg: ExperimentConfig):
     spec, F = _tf(cfg)
-    radii = cfg.extras.get("radii", [0.1, 0.05, 0.025, 0.0125])
     report = montecarlo.strong_feller_probe(
-        cfg.model, cfg.coeffs, cfg.run, cfg.state("x"), F, radii
+        cfg.model, cfg.coeffs, cfg.run, cfg.state("x"), F, cfg.extras["radii"]
     )
     report["test_function"] = spec
     return report, None, None

@@ -109,11 +109,17 @@ class Estimate:
 
 
 def estimate_from_values(vals: np.ndarray) -> Estimate:
+    """Mean and standard error of vals.
+
+    Values past float range give a mean of inf (or nan) and a stderr of
+    inf or nan, which the record prints as null; numpy stays quiet.
+    """
     n = int(vals.size)
     if n < 2:
         raise InvalidSampleCount("an estimate needs at least 2 surviving paths")
-    mean = float(np.sum(vals) / n)
-    var = float(np.sum((vals - mean) ** 2) / (n - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.sum(vals) / n)
+        var = float(np.sum((vals - mean) ** 2) / (n - 1))
     return Estimate(mean=mean, stderr=math.sqrt(var / n), n=n)
 
 
@@ -527,10 +533,13 @@ def estimate_weighted(res: CoupledEnsembleResult, F, exponent: float = 1.0) -> E
     """Monte Carlo estimate of E R^exponent F(X_T) over the pairs of res.
 
     With exponent 1 this estimates the semigroup at res.y by reweighting
-    paths started at res.x.
+    paths started at res.x.  A weight that underflowed to 0 gives inf
+    under a negative exponent (numpy stays quiet), so the estimate reads
+    inf and the record null.
     """
     a = res.alive
-    vals = res.weights[a] ** exponent * np.asarray(F(res.XT[a]), dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vals = res.weights[a] ** exponent * np.asarray(F(res.XT[a]), dtype=float)
     return estimate_from_values(vals)
 
 
@@ -660,7 +669,9 @@ def estimate_invariant(
     chain is sampled every thin steps.  The report carries ergodic
     averages of |.|_{r+1}^{r+1} and exp(eps0 |.|_H^{r+1}) (plus
     exp(eps0 |.|_H^2) when gamma < 0) and a split-half agreement
-    diagnostic over the two halves of the sampling window.
+    diagnostic over the two halves of the sampling window.  Where
+    exp(eps0 ...) passes float range, numpy stays quiet: the average is
+    inf and its rel_diff nan, both printed as null.
     """
     if not coeffs.is_time_homogeneous:
         raise NotTimeHomogeneous("invariant-measure estimation requires constant coefficients")
@@ -694,9 +705,10 @@ def estimate_invariant(
     # each per-sample quantity is computed once, over all samples
     means = {"moment_rp1": window_means(_lp_power(model, flat, rp1))}
     nh = norm_h(model, flat)
-    means["exp_h_rp1"] = window_means(np.exp(eps0 * nh**rp1))
-    if gamma < 0.0:
-        means["exp_h_sq"] = window_means(np.exp(eps0 * nh**2))
+    with np.errstate(over="ignore"):
+        means["exp_h_rp1"] = window_means(np.exp(eps0 * nh**rp1))
+        if gamma < 0.0:
+            means["exp_h_sq"] = window_means(np.exp(eps0 * nh**2))
     first, second, overall = ({k: v[i] for k, v in means.items()} for i in range(3))
     rel = {
         k: abs(first[k] - second[k]) / ((first[k] + second[k]) / 2.0)

@@ -31,11 +31,11 @@ class PiecewiseConstant:
         breaks = tuple(float(b) for b in breaks)
         values = tuple(float(v) for v in values)
         if len(breaks) != len(values):
-            raise ValueError("breaks and values must have equal length")
+            raise ValueError("schedule needs one value per break")
         if not breaks or breaks[0] != 0.0:
-            raise ValueError("first breakpoint must be 0.0")
+            raise ValueError("breaks must start at 0.0")
         if any(b >= c for b, c in zip(breaks, breaks[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise ValueError("breaks must be strictly increasing")
         if any(not math.isfinite(v) for v in values):
             raise ValueError("schedule values must be finite")
         self.breaks = breaks

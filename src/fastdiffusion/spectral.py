@@ -151,7 +151,7 @@ def build_model(weights, operator, q_diag) -> SpectralModel:
     lam, U = np.linalg.eigh(-sym)
     if lam[0] <= DEFINITE_TOL:
         raise NotNegativeDefinite(
-            f"smallest eigenvalue of -L is {lam[0]!r}; operator must be strictly negative definite"
+            f"smallest eigenvalue of -L is {float(lam[0])!r}; operator must be strictly negative definite"
         )
     E = _fix_signs((U / d[:, None]).T)
 
@@ -186,10 +186,17 @@ def dirichlet1d_model(n: int, q_diag) -> SpectralModel:
 
 
 def fractional_power(model: SpectralModel, alpha: float) -> SpectralModel:
-    """Replace -L by (-L)^alpha, keeping eigenfunctions and noise."""
+    """Replace -L by (-L)^alpha, keeping eigenfunctions and noise.
+
+    Raises InvalidExponent when an eigenvalue of (-L)^alpha overflows or
+    underflows to 0.
+    """
     if alpha <= 0.0:
         raise InvalidExponent("alpha must be strictly positive")
-    lam = model.eigenvalues**alpha
+    with np.errstate(over="ignore"):
+        lam = model.eigenvalues**alpha
+    if not np.all((lam > 0.0) & np.isfinite(lam)):
+        raise InvalidExponent(f"the eigenvalues of (-L)^alpha leave float range at alpha = {alpha!r}")
     E = model.eigenfunctions
     m = model.space.weights
     # L_alpha x = -sum_i lam_i <x, e_i>_m e_i, assembled as a matrix
@@ -202,10 +209,12 @@ def model_from_spec(spec: dict) -> SpectralModel:
 
     Keys: n (int), measure ("uniform" or weight list), operator
     ("dirichlet1d" or {"matrix": [[...]]}), optional alpha (fractional
-    power of -L), q_diag ({"power": p} for q_i = i^p, or a list).
+    power of -L), q_diag ({"power": p} for q_i = i^p, or a list).  The
+    config schema fills in the defaults of measure and operator.  A
+    power that overflows gives infinite amplitudes, which are rejected.
     """
     n = spec["n"]
-    measure = spec.get("measure", "uniform")
+    measure = spec["measure"]
     if measure == "uniform":
         weights = np.full(n, 1.0 / n)
     else:
@@ -213,12 +222,12 @@ def model_from_spec(spec: dict) -> SpectralModel:
 
     q_spec = spec["q_diag"]
     if isinstance(q_spec, dict):
-        power = float(q_spec["power"])
-        q = np.arange(1, n + 1, dtype=float) ** power
+        with np.errstate(over="ignore"):
+            q = np.arange(1, n + 1, dtype=float) ** float(q_spec["power"])
     else:
         q = np.asarray(q_spec, dtype=float)
 
-    op = spec.get("operator", "dirichlet1d")
+    op = spec["operator"]
     matrix = _dirichlet_operator(n) if op == "dirichlet1d" else np.asarray(op["matrix"], dtype=float)
     model = build_model(weights, matrix, q)
 

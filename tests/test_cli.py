@@ -11,9 +11,9 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from fastdiffusion import conditions, montecarlo
+from fastdiffusion import conditions, config, montecarlo
 from fastdiffusion.cli import main
-from fastdiffusion.config import TEST_FUNCTION_KINDS
+from fastdiffusion.config import COMMANDS, CONDITION_CHECKS, TEST_FUNCTION_KINDS
 
 
 def write_config(tmp_path, name, payload):
@@ -108,6 +108,42 @@ class TestExitCodes:
         assert out.err == ""
         rep = json.loads(out.out)["outputs"]["reports"][0]
         assert rep["holds"] is False and None in rep["numbers"].values()
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"check": "noise_sandwich", "eps": 0.3, "alpha_decay": 0.5, "r": -1}, "r"),
+        ({"check": "spectral_growth", "theta": 1.4, "d": 2.0, "eps": 0.3, "r": 1}, "r"),
+        ({"check": "spectral_growth", "theta": 1.4, "d": 2.0, "eps": 0.3, "r": 0.5, "sigma": 0}, "sigma"),
+        ({"check": "fractional_power", "theta": 1.4, "alpha": 2.0, "d": 2.0, "eps": 0.3,
+          "r": 0.5, "sigma": 0}, "sigma"),
+    ])
+    def test_entry_range_names_the_key(self, tmp_path, capsys, entry, key):
+        # r outside (0, 1) or sigma <= 0 would divide by zero in a threshold
+        cfg = write_config(tmp_path, "c.json", {"conditions": [entry]})
+        assert main(["conditions", "--config", cfg]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1
+        assert out.err.startswith(f"error: configuration invalid: conditions[0].{key}: must be ")
+
+    def test_integer_past_float_range_names_the_key(self, tmp_path, capsys):
+        payload = bounds_config()
+        payload["p"] = 10**400
+        cfg = write_config(tmp_path, "b.json", payload)
+        assert main(["bounds", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: configuration invalid: p: must be a finite number\n"
+
+    def test_model_build_error_is_one_line(self, tmp_path, capsys):
+        # the leaves pass; the identity operator is not negative definite
+        payload = bounds_config()
+        payload["model"]["operator"] = {"matrix": [[1.0 if i == j else 0.0 for j in range(4)]
+                                                   for i in range(4)]}
+        cfg = write_config(tmp_path, "b.json", payload)
+        assert main(["bounds", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: configuration invalid: model: smallest eigenvalue of -L is -1.0; "
+            "operator must be strictly negative definite\n"
+        )
 
     def test_failing_verdict_exits_two(self, tmp_path, capsys):
         payload = {"conditions": [{"check": "hs", "theta": 1.0, "rho": 2.0, "alpha": 1.0}]}
@@ -322,128 +358,213 @@ class TestOneEnsemblePerCommand:
 
 # --- any schema-valid small config --------------------------------------
 
-_num = st.floats(-50.0, 50.0, allow_nan=False)
-_pos = st.floats(1e-3, 100.0)
+# test-size caps and value spans by key path; a drawn number lies in the
+# intersection of its row's range with these, so a closed endpoint of the
+# row inside the caps (slack 0, thin 1, sample_paths 0) is drawn too
+_CAPS = {
+    "model.n": (1, 5),
+    "model.measure": (0.05, 1.0),
+    "model.alpha": (0.25, 3.0),
+    "coeffs.r": (0.05, 0.95),
+    "coeffs.delta": (1e-3, 100.0),
+    "coeffs.eta": (1e-3, 100.0),
+    "coeffs.xi": (1e-3, 100.0),
+    "coeffs.gamma": (-500.0, 5.0),
+    "run.n_paths": (2, 8),
+    "run.seed": (0, 99),
+    "run.n_workers": (1, 2),
+    "p": (1.01, 10.0),
+    "slack": (0.0, 1.0),
+    "exponent": (-3.0, 3.0),
+    "couple_tol": (1e-3, 100.0),
+    "sample_paths": (0, 10),
+    "record_every": (1, 5),
+    "thin": (1, 5),
+    "eps0": (1e-3, 1.0),
+    "radii": (1e-3, 1.0),
+    "test_function.radius": (1e-3, 100.0),
+    "conditions[].theta": (-3.0, 3.0),
+    "conditions[].rho": (0.5, 4.0),
+    "conditions[].alpha": (0.25, 3.0),
+    "conditions[].d": (-1.0, 4.0),
+    "conditions[].eps": (-1.0, 2.0),
+    "conditions[].alpha_decay": (-1.0, 2.0),
+    "conditions[].n_samples": (1, 40),
+    "conditions[].seed": (0, 3),
+}
+_SPAN = (-50.0, 50.0)  # any other number, and state coordinates
 
 
-@st.composite
-def _model(draw):
-    n = draw(st.integers(1, 5))
-    model = {"n": n, "q_diag": draw(st.one_of(
-        st.builds(lambda p: {"power": p}, st.floats(-3.0, 3.0)),
-        st.lists(st.floats(0.05, 20.0), min_size=n, max_size=n),
-    ))}
-    if draw(st.booleans()):
-        model["alpha"] = draw(st.floats(0.25, 3.0))
-    return n, model
+def _number(key):
+    lo, hi = _CAPS.get(key.path, _SPAN)
+    lo_open = hi_open = False
+    if key.lo is not None and key.lo >= lo:
+        lo, lo_open = key.lo, key.lo_open
+    if key.hi is not None and key.hi <= hi:
+        hi, hi_open = key.hi, key.hi_open
+    if key.kind == "int":
+        return st.integers(lo + lo_open, hi - hi_open)
+    return st.floats(lo, hi, exclude_min=lo_open, exclude_max=hi_open)
 
 
-def _coeffs(draw):
-    coeffs = {"r": draw(st.floats(0.05, 0.95))}
-    for key, values in (("gamma", st.floats(-500.0, 5.0)), ("delta", _pos), ("eta", _pos), ("xi", _pos)):
-        if draw(st.booleans()):
-            coeffs[key] = draw(values)
-    return coeffs
+def _row(parent, selector, name):
+    return next(k for k in config._rows(parent, selector) if k.name == name)
 
 
 def _state(draw, n):
-    coords = draw(st.lists(_num, min_size=n, max_size=n))
+    coords = draw(st.lists(st.floats(*_SPAN), min_size=n, max_size=n))
     return {"spectral": coords} if draw(st.booleans()) else coords
 
 
-@st.composite
-def bounds_docs(draw):
-    n, model = draw(_model())
-    dt = draw(st.sampled_from([0.1, 0.01, 0.001]))
-    doc = {
-        "model": model,
-        "coeffs": _coeffs(draw),
-        "run": {"dt": dt, "T": dt * draw(st.integers(1, 500)), "seed": draw(st.integers(0, 99))},
-        "x": _state(draw, n),
-        "y": _state(draw, n),
-    }
+def _schedule(draw, key):
     if draw(st.booleans()):
-        doc["p"] = draw(st.floats(1.01, 10.0))
-    return doc
+        return draw(_number(key))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=0, max_size=3))
+    breaks = [0.0]
+    for step in steps:
+        breaks.append(breaks[-1] + step)
+    return {"breaks": breaks, "values": draw(st.lists(_number(key), min_size=len(breaks),
+                                                      max_size=len(breaks)))}
 
 
-_closed_form_checks = st.one_of(
-    st.fixed_dictionaries({"check": st.just("hs"), "theta": st.floats(-3.0, 3.0),
-                           "rho": st.floats(0.5, 4.0), "alpha": st.floats(0.25, 3.0)}),
-    st.fixed_dictionaries({"check": st.just("spectral_growth"), "theta": st.floats(-3.0, 3.0),
-                           "d": st.floats(-1.0, 4.0), "eps": st.floats(-1.0, 2.0)}),
-    st.fixed_dictionaries({"check": st.just("noise_sandwich"), "eps": st.floats(-1.0, 2.0),
-                           "alpha_decay": st.floats(-1.0, 2.0), "use_model": st.booleans()}),
-    st.fixed_dictionaries({"check": st.just("power_spectrum_window"), "theta": st.floats(-3.0, 3.0),
-                           "d": st.floats(-1.0, 4.0), "eps": st.floats(-1.0, 2.0)}),
-    st.fixed_dictionaries({"check": st.just("fractional_power"), "theta": st.floats(-3.0, 3.0),
-                           "alpha": st.floats(0.25, 3.0), "d": st.floats(-1.0, 4.0),
-                           "eps": st.floats(-1.0, 2.0)}),
-)
+def _measure(draw, key, n):
+    if draw(st.booleans()):
+        return "uniform"
+    w = draw(st.lists(_number(key), min_size=n, max_size=n))
+    return [v / sum(w) for v in w]
 
 
-@st.composite
-def conditions_docs(draw):
-    _, model = draw(_model())
-    sampled = st.fixed_dictionaries({
-        "check": st.sampled_from(["noise_domination", "embedding"]),
-        "n_samples": st.integers(1, 40),
-        "seed": st.integers(0, 3),
-    })
-    checks = draw(st.lists(st.one_of(sampled, _closed_form_checks, st.just({"check": "hs"})),
-                           min_size=1, max_size=5))
-    return {"model": model, "coeffs": _coeffs(draw), "conditions": checks}
+def _operator(draw, ctx):
+    if draw(st.booleans()):
+        return "dirichlet1d"
+    # diag(m)^-1 S with S symmetric is self-adjoint in L2(m); definite or not
+    n, m = ctx["model.n"], ctx.get("model.measure", "uniform")
+    m = [1.0 / n] * n if m == "uniform" else m
+    diag = draw(st.lists(st.floats(-50.0, 1.0), min_size=n, max_size=n))
+    off = draw(st.floats(-2.0, 2.0))
+    S = [[diag[i] if i == j else off if abs(i - j) == 1 else 0.0 for j in range(n)] for i in range(n)]
+    return {"matrix": [[S[i][j] / m[i] for j in range(n)] for i in range(n)]}
 
 
-def _test_function(draw, n):
-    kind = draw(st.sampled_from(TEST_FUNCTION_KINDS))
-    if kind == "indicator_ball":
-        return {"kind": kind, "center": _state(draw, n), "radius": draw(_pos)}
-    return {"kind": kind}
+def _q_diag(draw, n):
+    if draw(st.booleans()):
+        return {"power": draw(st.floats(-3.0, 3.0))}
+    return draw(st.lists(st.floats(0.05, 20.0), min_size=n, max_size=n))
 
 
-# optional keys per ensemble command, beyond the starts
-_ENSEMBLE_OPTIONS = {
-    "simulate": {"test_function": None},
-    "couple": {
-        "couple_tol": _pos, "sample_paths": st.integers(0, 10), "record_every": st.integers(1, 5),
-    },
-    "harnack-check": {"slack": st.floats(0.0, 1.0), "test_function": None, "couple_tol": _pos},
-    "moments": {"exponent": st.floats(-3.0, 3.0), "test_function": None, "couple_tol": _pos},
-    "invariant": {"thin": st.integers(1, 5), "eps0": st.floats(1e-3, 1.0)},
-    "probe-feller": {
-        "test_function": None, "radii": st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4),
-    },
+def _entry(draw, ctx):
+    """A condition check that the rest of the document can run."""
+    have_model, have_coeffs = "model" in ctx, "coeffs" in ctx
+    name = draw(st.sampled_from([
+        c for c in CONDITION_CHECKS
+        if c not in ("noise_domination", "embedding") or (have_model and have_coeffs)
+    ]))
+    fixed = {"check": name}
+    if not have_coeffs and name in ("spectral_growth", "noise_sandwich",
+                                    "power_spectrum_window", "fractional_power"):
+        fixed["r"] = draw(_number(_row("conditions[]", name, "r")))
+    if not have_model and name == "hs":
+        fixed["theta"] = draw(_number(_row("conditions[]", name, "theta")))
+    if not have_model and name == "noise_sandwich":
+        fixed["use_model"] = False
+    return _draw_object(draw, "conditions[]", name, ctx, fixed)
+
+
+# the cross-key rules: T an integer number of dt steps (at most 20),
+# burn_in below T, sigma at least 4/(1+r)
+_CROSS = {
+    "run.dt": lambda draw, key, ctx: draw(st.sampled_from([0.1, 0.01, 0.001])),
+    "run.T": lambda draw, key, ctx: (
+        ctx.get("run.dt", _row("run", ctx["command"], "dt").default) * draw(st.integers(1, 20))
+    ),
+    "run.burn_in": lambda draw, key, ctx: (
+        ctx["run.T"] * draw(st.floats(0.01 if key.lo_open else 0.0, 0.99))
+    ),
+    "coeffs.sigma": lambda draw, key, ctx: 4.0 / (1.0 + ctx["coeffs.r"]) + draw(st.floats(0.0, 10.0)),
 }
 
 
-@st.composite
-def ensemble_docs(draw, command):
-    """At most 8 paths and 20 steps."""
-    n, model = draw(_model())
-    dt = draw(st.sampled_from([0.1, 0.01, 0.001]))
-    run = {
-        "n_paths": draw(st.integers(2, 8)),
-        "dt": dt,
-        "T": dt * draw(st.integers(1, 20)),
-        "seed": draw(st.integers(0, 99)),
-        "scheme": draw(st.sampled_from(["tamed_euler", "explicit_euler"])),
-    }
-    doc = {"model": model, "coeffs": _coeffs(draw), "run": run}
-    if command == "invariant":
-        run["burn_in"] = run["T"] * draw(st.floats(0.01, 0.99))
-        if draw(st.booleans()):
-            doc["x"] = _state(draw, n)
-    else:
-        doc["x"] = _state(draw, n)
-    if command in ("couple", "harnack-check", "moments"):
-        doc["y"] = _state(draw, n)
-    if command == "harnack-check":
-        doc["p"] = draw(st.floats(1.01, 10.0))
-    for key, values in _ENSEMBLE_OPTIONS[command].items():
-        if draw(st.booleans()):
-            doc[key] = _test_function(draw, n) if key == "test_function" else draw(values)
-    return doc
+def _draw_value(draw, key, ctx):
+    if key.path in _CROSS:
+        return _CROSS[key.path](draw, key, ctx)
+    kind = key.kind
+    if kind in ("num", "int"):
+        return draw(_number(key))
+    if kind == "bool":
+        return draw(st.booleans())
+    if kind == "choice":
+        return draw(st.sampled_from(key.choices))
+    if kind == "nums":
+        return draw(st.lists(_number(key), min_size=1, max_size=4))
+    if kind == "state":
+        return _state(draw, ctx["model.n"])
+    if kind == "schedule":
+        return _schedule(draw, key)
+    if kind == "measure":
+        return _measure(draw, key, ctx["model.n"])
+    if kind == "operator":
+        return _operator(draw, ctx)
+    if kind == "q_diag":
+        return _q_diag(draw, ctx["model.n"])
+    if kind == "test_function":
+        tf_kind = draw(st.sampled_from(TEST_FUNCTION_KINDS))
+        return _draw_object(draw, "test_function", tf_kind, ctx, {"kind": tf_kind})
+    if kind == "checks":
+        return [_entry(draw, ctx) for _ in range(draw(st.integers(1, 5)))]
+    assert kind == "block", kind
+    return _draw_object(draw, key.path, ctx["command"], ctx)
+
+
+def _draw_object(draw, parent, selector, ctx, fixed=()):
+    """Each key the table accepts here: required ones always, optional
+    ones present or absent."""
+    out = dict(fixed)
+    for key in config._rows(parent, selector):
+        if key.name not in out and (selector in key.required or draw(st.booleans())):
+            out[key.name] = _draw_value(draw, key, ctx)
+        if key.name in out:
+            ctx[key.path] = out[key.name]
+    return out
+
+
+def strategies_from_schema(command):
+    """Schema-valid documents for command, drawn from the schema table."""
+
+    @st.composite
+    def docs(draw):
+        return _draw_object(draw, "", command, {"command": command})
+
+    return docs()
+
+
+def _schema_paths(command):
+    """Every key path the table accepts for command."""
+    top = {k.path for k in config._SCHEMA if k.parent == "" and command in k.commands}
+    return top | {k.path for k in config._SCHEMA if k.parent.removesuffix("[]") in top}
+
+
+def _doc_paths(doc):
+    parents = {k.parent for k in config._SCHEMA}
+    for key, v in doc.items():
+        yield key
+        if key in parents:
+            yield from (f"{key}.{sub}" for sub in v)
+        if f"{key}[]" in parents:
+            yield from (f"{key}[].{sub}" for entry in v for sub in entry)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_strategies_draw_every_schema_key(command):
+    seen = set()
+
+    @given(strategies_from_schema(command))
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None,
+              suppress_health_check=list(HealthCheck))
+    def collect(doc):
+        seen.update(_doc_paths(doc))
+
+    collect()
+    assert seen == _schema_paths(command)
 
 
 def _run(argv):
@@ -457,11 +578,7 @@ class TestAnyValidConfig:
     """On any schema-valid config a command emits one record or exits 1
     with one error line, and the same argv gives the same bytes again."""
 
-    @given(st.one_of(
-        st.tuples(st.just("bounds"), bounds_docs()),
-        st.tuples(st.just("conditions"), conditions_docs()),
-        *(st.tuples(st.just(c), ensemble_docs(c)) for c in _ENSEMBLE_OPTIONS),
-    ))
+    @given(st.one_of(*(st.tuples(st.just(c), strategies_from_schema(c)) for c in COMMANDS)))
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_record_or_one_line_error(self, case):
         command, doc = case

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fastdiffusion import (
+    InvalidExponent,
     MeasureSpace,
     NotNegativeDefinite,
     NotSelfAdjoint,
@@ -113,6 +114,13 @@ class TestFractionalPower:
         f = fractional_power(m, 1.0)
         assert np.allclose(f.eigenvalues, m.eigenvalues)
         assert np.allclose(f.operator, m.operator, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1])
+    def test_eigenvalues_past_float_range_rejected(self, scale):
+        # 3^1000 overflows; 0.1^1000 underflows to 0, which is not definite
+        m = build_model([0.5, 0.5], [[-2.0 * scale, scale], [scale, -2.0 * scale]], [1.0, 2.0])
+        with pytest.raises(InvalidExponent):
+            fractional_power(m, 1000.0)
 
 
 class TestModelFromSpec:
