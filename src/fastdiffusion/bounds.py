@@ -19,6 +19,7 @@ The three derived quantities, named by their role:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +56,36 @@ def _check_p(p: float):
         raise InvalidP(f"integrability exponent must satisfy p > 1, got {p!r}")
 
 
+def _named_overflow(fn):
+    """Report a float overflow inside fn under fn's name."""
+    @functools.wraps(fn)
+    def wrapped(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError:
+            raise OverflowError(f"{fn.__name__} leaves float range") from None
+    return wrapped
+
+
+def _exp(x: float) -> float:
+    """math.exp, inf where it overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _term(fn) -> float:
+    """An exponent term; inf where a factor leaves float range or is 0 to
+    a negative power, which keeps the bound valid and uninformative."""
+    try:
+        v = fn()
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+    return math.inf if math.isnan(v) else v
+
+
+@_named_overflow
 def exp_moment_weight(model: SpectralModel, coeffs: CoefficientSet, T: float) -> float:
     """(1/2) exp(-integral_0^T (2 gamma_t + 2 q + 1) dt) * inf_[0,T] delta."""
     _check_horizon(T)
@@ -68,6 +99,7 @@ def log_moment_rate(model: SpectralModel, coeffs: CoefficientSet, t: float = 0.0
     return coeffs.log_moment_rate_schedule(model.hs_norm_sq)(t)
 
 
+@_named_overflow
 def log_moment_rate_int(model: SpectralModel, coeffs: CoefficientSet, T: float) -> float:
     """Exact integral_0^T of the log-moment rate."""
     _check_horizon(T)
@@ -84,12 +116,14 @@ def coupling_gain(coeffs: CoefficientSet, t: float) -> float:
     return _gain_amp(coeffs)(t) * math.exp(-coeffs.gamma.integral(t))
 
 
+@_named_overflow
 def coupling_gain_int(coeffs: CoefficientSet, T: float) -> float:
     """Exact integral_0^T of the coupling gain."""
     _check_horizon(T)
     return weighted_exp_integral(_gain_amp(coeffs), coeffs.gamma, 1.0, T)
 
 
+@_named_overflow
 def coupling_gain_sq_int(coeffs: CoefficientSet, T: float) -> float:
     """Exact integral_0^T of the squared gain (bound formulas scale it
     by (sigma+2)^2 where needed)."""
@@ -119,34 +153,26 @@ def harnack_exponent_terms(
     dist = float(norm_h(model, np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
 
     term1 = (p - 1.0) / 4.0 * (2.0 * th + lam * T + nx**2 + ny**2)
-    term2 = (p - 1.0) * (sigma + 2.0) ** 2 * gsq / (4.0 * (sigma * gi) ** 2) * dist**2
-    term3 = (
+    term2 = _term(lambda: (p - 1.0) * (sigma + 2.0) ** 2 * gsq / (4.0 * (sigma * gi) ** 2) * dist**2)
+    term3 = _term(lambda: (
         lam ** ((2.0 - sigma) / 2.0)
         * ((sigma + 2.0) / sigma) ** (sigma + 1.0)
         * (2.0 * p * (p + 1.0)) ** (sigma / 2.0)
         / (4.0 * (p - 1.0) ** (sigma - 1.0) * gi**sigma)
         * dist**sigma
-    )
+    ))
     return term1, term2, term3
 
 
 def harnack_rhs(model: SpectralModel, coeffs: CoefficientSet, T: float, p: float, x, y) -> float:
     """Multiplier bounding (P_T F)^p(y) by P_T F^p(x) for F >= 0.
 
-    Short horizons or distant starts can push the exponent past float
-    range; the multiplier is then reported as inf (the bound is valid
-    but carries no information).
+    Short horizons or distant starts can push the exponent, or a term of
+    it, past float range; the multiplier is then inf (the bound is valid
+    but carries no information).  A constant past float range raises.
     """
-    return _harnack_multiplier(harnack_exponent_terms(model, coeffs, T, p, x, y))
-
-
-def _harnack_multiplier(terms: tuple[float, float, float]) -> float:
-    """exp of the summed exponent terms, inf where that overflows a float."""
-    t1, t2, t3 = terms
-    try:
-        return math.exp(t1 + t2 + t3)
-    except OverflowError:
-        return math.inf
+    t1, t2, t3 = harnack_exponent_terms(model, coeffs, T, p, x, y)
+    return _exp(t1 + t2 + t3)
 
 
 def density_constants(model: SpectralModel, coeffs: CoefficientSet, T: float) -> dict:
@@ -236,10 +262,7 @@ def density_lp_bound(
         raise EmptySample("mu_samples must be nonempty")
     shift = float(np.max(e))
     log_mean = shift + math.log(float(np.mean(np.exp(e - shift))))
-    try:
-        return math.exp(-(p - 1.0) / p * log_mean)
-    except OverflowError:
-        return math.inf
+    return _exp(-(p - 1.0) / p * log_mean)
 
 
 @dataclass(frozen=True)
@@ -261,22 +284,12 @@ class BoundReport:
     harnack_rhs: float | None
 
     def as_dict(self) -> dict:
-        out = {
-            "T": self.T,
-            "p": self.p,
-            "sigma": self.sigma,
-            "epsilon": self.epsilon,
-            "exp_moment_weight": self.exp_moment_weight,
-            "log_moment_rate_int": self.log_moment_rate_int,
-            "coupling_gain_int": self.coupling_gain_int,
-            "coupling_gain_sq_int": self.coupling_gain_sq_int,
-            "norm_x_h": self.norm_x_h,
-            "norm_y_h": self.norm_y_h,
-            "dist_h": self.dist_h,
-        }
-        if self.p is not None:
+        """Every field; the Harnack fields only when p is given."""
+        out = dict(vars(self))
+        if self.p is None:
+            del out["harnack_terms"], out["harnack_rhs"]
+        else:
             out["harnack_terms"] = list(self.harnack_terms)
-            out["harnack_rhs"] = self.harnack_rhs
         return out
 
 
@@ -297,7 +310,7 @@ def bound_report(
     rhs = None
     if p is not None:
         terms = harnack_exponent_terms(model, coeffs, T, p, x, y)
-        rhs = _harnack_multiplier(terms)
+        rhs = _exp(sum(terms))
     return BoundReport(
         T=float(T),
         p=None if p is None else float(p),

@@ -126,18 +126,8 @@ def _run_condition(entry: dict, cfg: ExperimentConfig):
 
 
 def _cmd_conditions(cfg: ExperimentConfig):
-    reports = []
-    for entry in cfg.extras["conditions"]:
-        rep = _run_condition(entry, cfg)
-        reports.append({
-            "check": entry["check"],
-            "holds": rep.holds,
-            "detail": rep.detail,
-            "xi_estimate": rep.xi_estimate,
-            "witness": rep.witness,
-            "clauses": rep.clauses,
-            "numbers": rep.numbers,
-        })
+    # each report carries every ConditionReport field
+    reports = [{"check": e["check"], **vars(_run_condition(e, cfg))} for e in cfg.extras["conditions"]]
     all_hold = all(r["holds"] for r in reports)
     return {"reports": reports, "all_hold": all_hold}, None, all_hold
 

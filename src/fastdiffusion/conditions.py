@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import CoefficientSet
+from .dynamics import CoefficientSet, _sigma_floor
 from .errors import EmptySample
 from .spectral import SpectralModel, from_spectral, norm_h, norm_lp, norm_q
 
@@ -213,7 +213,7 @@ def check_spectral_growth(spec: AsymptoticSpec) -> ConditionReport:
         "eps_in_0_1": 0.0 < eps < 1.0,
         "dimension_window": 0.0 < d < d_max,
         "noise_growth": spec.theta >= growth_exponent,
-        "sigma_admissible": sigma >= 4.0 / (1.0 + r),
+        "sigma_admissible": sigma >= _sigma_floor(r),
     }
     numbers = {
         "hs_exponent": hs_exponent,

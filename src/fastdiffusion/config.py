@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .conditions import AsymptoticSpec, check_noise_domination, check_noise_sandwich
-from .dynamics import SCHEMES, CoefficientSet
+from .dynamics import SCHEMES, CoefficientSet, _sigma_floor
 from .errors import FastDiffusionError, SchemaError
 from .montecarlo import (
     EnsembleConfig,
@@ -32,7 +32,7 @@ from .montecarlo import (
     verify_harnack,
 )
 from .schedules import PiecewiseConstant
-from .spectral import SpectralModel, from_spectral, model_from_spec
+from .spectral import _MODEL_DEFAULTS, SpectralModel, from_spectral, model_from_spec
 
 __all__ = [
     "ExperimentConfig",
@@ -76,7 +76,8 @@ class _Key:
     (for an entry parameter the checks, for a test-function key the
     kinds), required those of them that need it.  Numbers, list entries
     and schedule values must lie in [lo, hi]; lo_open and hi_open make a
-    bound strict.  note describes a default derived from other keys.
+    bound strict.  note describes a default derived from other keys.  A
+    number becomes a float unless verbatim (the record echoes it as written).
     """
 
     path: str
@@ -90,6 +91,7 @@ class _Key:
     default: object = None
     note: str = ""
     choices: tuple = ()
+    verbatim: bool = False
 
     @cached_property
     def parent(self) -> str:
@@ -154,8 +156,8 @@ _SCHEMA = (
     _Key("test_function.center", "state", ("indicator_ball",), ("indicator_ball",)),
     _Key("test_function.radius", "num", ("indicator_ball",), ("indicator_ball",), **_POSITIVE),
     _Key("model.n", "int", COMMANDS, COMMANDS, lo=1),
-    _Key("model.measure", "measure", COMMANDS, **_POSITIVE, default="uniform"),
-    _Key("model.operator", "operator", COMMANDS, default="dirichlet1d"),
+    _Key("model.measure", "measure", COMMANDS, **_POSITIVE, default=_MODEL_DEFAULTS["measure"]),
+    _Key("model.operator", "operator", COMMANDS, default=_MODEL_DEFAULTS["operator"]),
     _Key("model.alpha", "num", COMMANDS, **_POSITIVE, note="none: -L itself"),
     _Key("model.q_diag", "q_diag", COMMANDS, COMMANDS),
     _Key("coeffs.r", "num", COMMANDS, COMMANDS, lo=0.0, hi=1.0, lo_open=True, hi_open=True),
@@ -182,13 +184,14 @@ _SCHEMA = (
     _Key("conditions[].eig_c", "num", ("spectral_growth",), default=_default(AsymptoticSpec, "eig_c")),
     _Key("conditions[].alpha", "num", ("hs", "fractional_power"), ("fractional_power",),
          default=_default(AsymptoticSpec, "alpha")),
-    _Key("conditions[].alpha", "num", ("power_spectrum_window",), note="none: no alpha clause"),
+    _Key("conditions[].alpha", "num", ("power_spectrum_window",), note="none: no alpha clause",
+         verbatim=True),
     _Key("conditions[].d", "num", _CLOSED_FORM, _CLOSED_FORM),
     _Key("conditions[].eps", "num", _R_CHECKS, _R_CHECKS),
     _Key("conditions[].r", "num", _R_CHECKS, lo=0.0, hi=1.0, lo_open=True, hi_open=True,
          note="coeffs.r"),
     _Key("conditions[].sigma", "num", _CLOSED_FORM, **_POSITIVE,
-         note="coeffs.sigma, else 4/(1+r)"),
+         note="coeffs.sigma, else its default at r"),
     _Key("conditions[].alpha_decay", "num", ("noise_sandwich",), ("noise_sandwich",)),
     _Key("conditions[].c1", "num", ("noise_sandwich",), default=_default(check_noise_sandwich, "c1")),
     _Key("conditions[].c2", "num", ("noise_sandwich",), default=_default(check_noise_sandwich, "c2")),
@@ -284,7 +287,7 @@ def _check_num(ck, path, v, k):
         ck.fail(path, "must be a finite number")
     elif not k.admits(v):
         ck.fail(path, f"must be {k.bounds()}")
-    return float(v) if _is_num(v) else None
+    return v if k.verbatim or not _is_num(v) else float(v)
 
 
 def _check_int(ck, path, v, k):
@@ -508,7 +511,7 @@ def validate_config(raw: dict, command: str) -> ExperimentConfig:
         if "r" in entry and entry["r"] is None:
             entry["r"] = coeffs.r
         if "sigma" in entry and entry["sigma"] is None:
-            entry["sigma"] = coeffs.sigma if coeffs is not None else 4.0 / (1.0 + entry["r"])
+            entry["sigma"] = coeffs.sigma if coeffs is not None else _sigma_floor(entry["r"])
 
     document = dict(raw)
     if run is not None:

@@ -31,6 +31,11 @@ SCHEMES = ("tamed_euler", "explicit_euler")
 NONLINEARITIES = ("power", "identity")
 
 
+def _sigma_floor(r: float) -> float:
+    """The smallest admissible coupling exponent, 4/(1+r); also sigma's default."""
+    return 4.0 / (1.0 + r)
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Problem coefficients, each either a number or a step schedule.
@@ -70,13 +75,10 @@ class CoefficientSet:
         xi = as_schedule(self.xi)
         if min(xi.values) <= 0.0:
             raise ValueError("xi must be strictly positive")
-        sigma = self.sigma
-        if sigma is None:
-            sigma = 4.0 / (1.0 + self.r)
-        if sigma < 4.0 / (1.0 + self.r):
-            raise ValueError(
-                f"sigma must be at least 4/(1+r) = {4.0 / (1.0 + self.r)!r}, got {sigma!r}"
-            )
+        floor = _sigma_floor(self.r)
+        sigma = floor if self.sigma is None else self.sigma
+        if sigma < floor:
+            raise ValueError(f"sigma must be at least 4/(1+r) = {floor!r}, got {sigma!r}")
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}")
         object.__setattr__(self, "delta", delta)

@@ -94,15 +94,7 @@ class ResultRecord:
     timestamp: float | None = None
 
     def to_json(self) -> str:
-        return _dumps({
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "seed": self.seed,
-            "version": self.version,
-            "inputs_hash": self.inputs_hash,
-            "timestamp": self.timestamp,
-        })
+        return _dumps(vars(self))
 
 
 def make_record(command: str, inputs: dict, outputs: dict, seed: int | None) -> ResultRecord:

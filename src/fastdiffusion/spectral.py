@@ -204,17 +204,21 @@ def fractional_power(model: SpectralModel, alpha: float) -> SpectralModel:
     return SpectralModel(model.space, L, lam, E, model.q_diag)
 
 
+_MODEL_DEFAULTS = {"measure": "uniform", "operator": "dirichlet1d"}
+
+
 def model_from_spec(spec: dict) -> SpectralModel:
     """Build a model from a plain-dict description (the JSON model block).
 
     Keys: n (int), measure ("uniform" or weight list), operator
     ("dirichlet1d" or {"matrix": [[...]]}), optional alpha (fractional
-    power of -L), q_diag ({"power": p} for q_i = i^p, or a list).  The
-    config schema fills in the defaults of measure and operator.  A
-    power that overflows gives infinite amplitudes, which are rejected.
+    power of -L), q_diag ({"power": p} for q_i = i^p, or a list);
+    _MODEL_DEFAULTS holds the measure and operator of a block that names
+    neither.  A power that overflows gives infinite amplitudes, which
+    are rejected.
     """
     n = spec["n"]
-    measure = spec["measure"]
+    measure = spec.get("measure", _MODEL_DEFAULTS["measure"])
     if measure == "uniform":
         weights = np.full(n, 1.0 / n)
     else:
@@ -227,7 +231,7 @@ def model_from_spec(spec: dict) -> SpectralModel:
     else:
         q = np.asarray(q_spec, dtype=float)
 
-    op = spec["operator"]
+    op = spec.get("operator", _MODEL_DEFAULTS["operator"])
     matrix = _dirichlet_operator(n) if op == "dirichlet1d" else np.asarray(op["matrix"], dtype=float)
     model = build_model(weights, matrix, q)
 

@@ -92,6 +92,32 @@ class TestExitCodes:
         assert main(["bounds", "--config", str(bad)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q_diag, gamma, name", [
+        ({"power": -0.5}, -400.0, "exp_moment_weight"),
+        ([20.0] * 4, -200.0, "coupling_gain_sq_int"),
+    ])
+    def test_bounds_constant_past_float_range_is_named(self, tmp_path, capsys, q_diag, gamma, name):
+        payload = bounds_config()
+        payload["model"]["q_diag"] = q_diag
+        payload["coeffs"]["gamma"] = gamma
+        payload["run"] = {"dt": 0.1, "T": 2.0}
+        cfg = write_config(tmp_path, "b.json", payload)
+        assert main(["bounds", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {name} leaves float range\n"
+
+    def test_bounds_exponent_term_past_float_range_reports_null(self, tmp_path, capsys):
+        # exp_moment_weight underflows to 0, which term3 raises to a negative power
+        payload = bounds_config()
+        payload["model"]["q_diag"] = [20.0] * 4
+        payload["run"] = {"dt": 0.1, "T": 10.0}
+        cfg = write_config(tmp_path, "b.json", payload)
+        assert main(["bounds", "--config", cfg]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        rec = json.loads(out.out)["outputs"]
+        assert rec["exp_moment_weight"] == 0.0
+        assert rec["harnack_rhs"] is None and rec["harnack_terms"][2] is None
+
     def test_schema_violation(self, tmp_path, capsys):
         payload = bounds_config()
         payload["coeffs"]["r"] = 2.0
@@ -108,6 +134,14 @@ class TestExitCodes:
         assert out.err == ""
         rep = json.loads(out.out)["outputs"]["reports"][0]
         assert rep["holds"] is False and None in rep["numbers"].values()
+
+    def test_integer_alpha_echoed_as_written(self, tmp_path, capsys):
+        check = {"check": "power_spectrum_window", "theta": 1.0, "d": 1.0, "eps": 0.3, "alpha": 2}
+        cfg = write_config(tmp_path, "c.json", {"coeffs": {"r": 0.5}, "conditions": [check]})
+        assert main(["conditions", "--config", cfg]) in (0, 2)
+        out = capsys.readouterr().out
+        assert json.loads(out)["outputs"]["reports"][0]["numbers"]["alpha"] == 2
+        assert '"alpha": 2,' in out
 
     @pytest.mark.parametrize("entry, key", [
         ({"check": "noise_sandwich", "eps": 0.3, "alpha_decay": 0.5, "r": -1}, "r"),
@@ -470,12 +504,15 @@ def _entry(draw, ctx):
     return _draw_object(draw, "conditions[]", name, ctx, fixed)
 
 
-# the cross-key rules: T an integer number of dt steps (at most 20),
-# burn_in below T, sigma at least 4/(1+r)
+# the cross-key rules: T an integer number of dt steps, burn_in below T,
+# sigma at least 4/(1+r).  A command that simulates takes at most 20
+# steps; bounds is closed-form, and its terms grow with the horizon, so
+# it draws up to 500.
 _CROSS = {
     "run.dt": lambda draw, key, ctx: draw(st.sampled_from([0.1, 0.01, 0.001])),
     "run.T": lambda draw, key, ctx: (
-        ctx.get("run.dt", _row("run", ctx["command"], "dt").default) * draw(st.integers(1, 20))
+        ctx.get("run.dt", _row("run", ctx["command"], "dt").default)
+        * draw(st.integers(1, 500 if ctx["command"] == "bounds" else 20))
     ),
     "run.burn_in": lambda draw, key, ctx: (
         ctx["run.T"] * draw(st.floats(0.01 if key.lo_open else 0.0, 0.99))

@@ -132,6 +132,13 @@ class TestModelFromSpec:
         assert m.n == 4
         assert np.allclose(m.q_diag, np.arange(1, 5) ** -0.5)
 
+    def test_minimal_spec_is_uniform_dirichlet(self):
+        spec = {"n": 4, "q_diag": {"power": -0.5}}
+        m = model_from_spec(spec)
+        full = model_from_spec({**spec, "measure": "uniform", "operator": "dirichlet1d"})
+        assert np.array_equal(m.eigenvalues, full.eigenvalues)
+        assert np.array_equal(m.space.weights, full.space.weights)
+
     def test_matrix_spec_with_alpha(self):
         m = model_from_spec(
             {"n": 2, "measure": [0.5, 0.5],
