@@ -94,7 +94,7 @@ def _coupled(cfg: ExperimentConfig, **trace):
     )
 
 
-def _cmd_bounds(cfg: ExperimentConfig):
+def _cmd_bounds(cfg: ExperimentConfig, with_tables: bool):
     rep = bounds.bound_report(
         cfg.model, cfg.coeffs, cfg.run.realized_T,
         cfg.state("x"), cfg.state("y"), cfg.extras["p"],
@@ -125,20 +125,22 @@ def _run_condition(entry: dict, cfg: ExperimentConfig):
     return check_fractional_power(spec)
 
 
-def _cmd_conditions(cfg: ExperimentConfig):
+def _cmd_conditions(cfg: ExperimentConfig, with_tables: bool):
     # each report carries every ConditionReport field
     reports = [{"check": e["check"], **vars(_run_condition(e, cfg))} for e in cfg.extras["conditions"]]
     all_hold = all(r["holds"] for r in reports)
     return {"reports": reports, "all_hold": all_hold}, None, all_hold
 
 
-def _cmd_simulate(cfg: ExperimentConfig):
+def _cmd_simulate(cfg: ExperimentConfig, with_tables: bool):
     spec, F = _tf(cfg)
     est = montecarlo.estimate_ptf(cfg.model, cfg.coeffs, cfg.run, cfg.state("x"), F)
-    return {"estimate": est.as_dict(), "test_function": spec}, None, None
+    # the estimate leaves out exactly the paths that blew up
+    outputs = {"estimate": est.as_dict(), "n_blowups": cfg.run.n_paths - est.n, "test_function": spec}
+    return outputs, None, None
 
 
-def _cmd_couple(cfg: ExperimentConfig):
+def _cmd_couple(cfg: ExperimentConfig, with_tables: bool):
     res = _coupled(
         cfg, trace_paths=cfg.extras["sample_paths"], record_every=cfg.extras["record_every"],
     )
@@ -170,7 +172,8 @@ def _cmd_couple(cfg: ExperimentConfig):
         },
     }
 
-    # rows are built only if a table is written
+    if not with_tables:
+        return outputs, None, None
     log_weight = -res.log_stoch_int - 0.5 * res.zeta_sq_int
     path_rows = zip(
         range(cfg.run.n_paths), res.coupled, res.tau, log_weight,
@@ -178,14 +181,13 @@ def _cmd_couple(cfg: ExperimentConfig):
     )
     trace = res.trace if res.trace is not None else np.empty((0, 0, 4))
     trace_rows = ((j, *row) for j, rows in enumerate(trace) for row in rows)
-    tables = {
+    return outputs, {
         "paths": (COUPLE_CSV_COLUMNS, path_rows),
         "trace": (PLOT_CSV_COLUMNS, trace_rows),
-    }
-    return outputs, tables, None
+    }, None
 
 
-def _cmd_harnack(cfg: ExperimentConfig):
+def _cmd_harnack(cfg: ExperimentConfig, with_tables: bool):
     spec, F = _tf(cfg)
     verdict = montecarlo.verify_harnack(
         cfg.model, cfg.coeffs, _coupled(cfg), cfg.extras["p"], F, cfg.extras["slack"],
@@ -194,28 +196,33 @@ def _cmd_harnack(cfg: ExperimentConfig):
     return verdict, None, verdict["holds"]
 
 
-def _cmd_moments(cfg: ExperimentConfig):
+def _cmd_moments(cfg: ExperimentConfig, with_tables: bool):
     exponent = cfg.extras["exponent"]
     tf = cfg.extras["test_function"]
     if tf is None:
         F = lambda X: np.ones(np.asarray(X).shape[0])  # noqa: E731
     else:
         F = make_test_function(cfg.model, tf)
-    est = montecarlo.estimate_weighted(_coupled(cfg), F, exponent)
-    return {"estimate": est.as_dict(), "exponent": exponent, "test_function": tf}, None, None
+    res = _coupled(cfg)
+    est = montecarlo.estimate_weighted(res, F, exponent)
+    outputs = {"estimate": est.as_dict(), "exponent": exponent, "n_blowups": res.n_blowups,
+               "test_function": tf}
+    return outputs, None, None
 
 
-def _cmd_invariant(cfg: ExperimentConfig):
+def _cmd_invariant(cfg: ExperimentConfig, with_tables: bool):
+    # the kernel keeps its snapshots only for the sample table
     samples, report = montecarlo.estimate_invariant(
         cfg.model, cfg.coeffs, cfg.run,
-        x0=cfg.extras["x"], thin=cfg.extras["thin"], eps0=cfg.extras["eps0"],
+        x0=cfg.extras["x"], thin=cfg.extras["thin"], eps0=cfg.extras["eps0"], samples=with_tables,
     )
+    if not with_tables:
+        return report, None, None
     columns = tuple(f"v{i}" for i in range(cfg.model.n))
-    tables = {"samples": (columns, map(tuple, samples))}
-    return report, tables, None
+    return report, {"samples": (columns, map(tuple, samples))}, None
 
 
-def _cmd_probe(cfg: ExperimentConfig):
+def _cmd_probe(cfg: ExperimentConfig, with_tables: bool):
     spec, F = _tf(cfg)
     report = montecarlo.strong_feller_probe(
         cfg.model, cfg.coeffs, cfg.run, cfg.state("x"), F, cfg.extras["radii"]
@@ -236,9 +243,13 @@ _DISPATCH = {
 }
 
 
-def run_command(cfg: ExperimentConfig):
-    """Dispatch a validated config; returns (record, tables, holds)."""
-    outputs, tables, holds = _DISPATCH[cfg.command](cfg)
+def run_command(cfg: ExperimentConfig, with_tables: bool = False):
+    """Dispatch a validated config; returns (record, tables, holds).
+
+    A command builds its CSV tables only when with_tables is true;
+    tables is None otherwise.
+    """
+    outputs, tables, holds = _DISPATCH[cfg.command](cfg, with_tables)
     seed = cfg.run.seed if cfg.run is not None else None
     record = make_record(cfg.command, cfg.document, outputs, seed)
     return record, tables, holds
@@ -277,14 +288,14 @@ def main(argv=None) -> int:
 
     try:
         cfg = validate_config(raw, args.command)
-        record, tables, holds = run_command(cfg)
+        record, tables, holds = run_command(cfg, args.out is not None and args.format == "csv")
     except (FastDiffusionError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     sys.stdout.write(record.to_json())
     if args.out is not None:
-        written = emit_report(record, args.out, tables if args.format == "csv" else None)
+        written = emit_report(record, args.out, tables)
         for path in written:
             print(f"wrote {path}", file=sys.stderr)
     return 2 if holds is False else 0

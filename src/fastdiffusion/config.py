@@ -22,7 +22,7 @@ import numpy as np
 
 from .conditions import AsymptoticSpec, check_noise_domination, check_noise_sandwich
 from .dynamics import SCHEMES, CoefficientSet, _sigma_floor
-from .errors import FastDiffusionError, SchemaError
+from .errors import FastDiffusionError, NotSelfAdjoint, SchemaError
 from .montecarlo import (
     EnsembleConfig,
     estimate_invariant,
@@ -452,6 +452,15 @@ def _check_block(ck, path, v, k):
         return None
     try:
         return _BUILD[path](values)
+    except NotSelfAdjoint as exc:
+        if path == "model" and values["operator"] == "dirichlet1d":
+            # the grid Laplacian is self-adjoint under the uniform measure only
+            ck.fail("model.measure", 'is not uniform, and model.operator "dirichlet1d" is self-adjoint '
+                    'only under the uniform measure; a non-uniform measure needs an explicit '
+                    'operator.matrix')
+        else:
+            ck.fail(path, str(exc))
+        return None
     except (FastDiffusionError, ValueError) as exc:
         ck.fail(path, str(exc))
         return None

@@ -164,10 +164,6 @@ def _path_generators(seed: int, lo: int, hi: int):
     ]
 
 
-def _lp_power(model: SpectralModel, X: np.ndarray, expo: float) -> np.ndarray:
-    return (model.space.weights * np.abs(X) ** expo).sum(axis=-1)
-
-
 def _check_blowups(alive: np.ndarray, what: str):
     dead = int(alive.size - np.count_nonzero(alive))
     if dead > BLOWUP_BUDGET * alive.size:
@@ -195,19 +191,42 @@ def _row_sum(A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sample_stats(X: np.ndarray, C: np.ndarray, w: np.ndarray, inv_lam: np.ndarray,
+                  rp1: float, eps0: float) -> np.ndarray:
+    """The per-sample values |x|_{r+1}^{r+1}, exp(eps0 |x|_H^{r+1}) and
+    exp(eps0 |x|_H^2) of m states given mode-major by their point values
+    X and their eigen-coefficients C, both of shape (n, m); the result
+    has shape (3, m).  |x|_H is (sum_i c_i^2 / lambda_i)^(1/2), read off C."""
+    nh = np.sqrt(_row_sum(C * C * inv_lam))
+    return np.stack([
+        _row_sum(w * np.abs(X) ** rp1),
+        np.exp(eps0 * nh**rp1),
+        np.exp(eps0 * nh**2),
+    ])
+
+
 @dataclass
 class _Paths:
     """Per-path output of one kernel run; arrays indexed by path.
 
     final holds the point values at T of each of the k copies, shape
     (k, n_paths, n).  lp_int is the trapezoid integral of |.|_{r+1}^{r+1}
-    per copy of a coupled run, kept the thinned snapshots of a plain run,
-    trace the rows (t, |X-Y|_H, beta_t, |zeta_t|^2) of the traced pairs.
+    per copy of a coupled run, trace the rows (t, |X-Y|_H, beta_t,
+    |zeta_t|^2) of the traced pairs.
+
+    A plain run sampled every thin steps carries window_sums[h, q, j]:
+    the sum of _sample_stats value q of path j over the kept times in
+    half h of the sampling window (the first n_kept // 2 kept times, then
+    the rest), added one kept time at a time in time order, so a path's
+    sums do not depend on the chunk, TIME_BLOCK or the worker count.
+    kept holds the thinned snapshots themselves, shape (n_kept, n_paths,
+    n), only when the run was asked to keep them.
     """
 
     final: np.ndarray
     alive: np.ndarray
     lp_int: np.ndarray | None = None
+    window_sums: np.ndarray | None = None
     kept: np.ndarray | None = None
     coupled: np.ndarray | None = None
     tau: np.ndarray | None = None
@@ -225,6 +244,8 @@ def _simulate(
     sched: CouplingSchedule | None = None,
     couple_tol: float = 0.0,
     thin: int = 0,
+    eps0: float = 0.0,
+    keep: bool = False,
     trace_paths: int = 0,
     record_every: int = 1,
 ) -> _Paths:
@@ -233,6 +254,11 @@ def _simulate(
     k = 1 is a plain run.  k = 2 is a coupled run: the second copy is
     attracted to the first by sched until their H distance first drops to
     couple_tol, and is equal to it from then on.
+
+    With thin > 0 a one-copy run samples its state every thin steps after
+    burn-in and streams the samples' statistics (at eps0) into
+    window_sums; keep also stores the samples.  The kept states of up to
+    one noise block are buffered and reduced in one pass.
 
     A chunk of P paths is carried as eigen-coefficients in a mode-major
     block of shape (n, k, P).  Each step makes one transform to point
@@ -270,15 +296,18 @@ def _simulate(
         betas = [sched.beta(t) for t in ts[:-1]]
         f_expo = ((1.0 - r) / (1.0 + r), 2.0 / (coeffs.sigma - 2.0))
 
-    kept_steps = (
-        [s for s in range(cfg.burn_steps + 1, n_steps + 1) if (s - cfg.burn_steps) % thin == 0]
-        if thin else []
-    )
+    burn = cfg.burn_steps
+    n_kept = (n_steps - burn) // thin if thin else 0
+    half = n_kept // 2
+    batch = min(n_kept, max(1, TIME_BLOCK // thin)) if n_kept else 0
+    rp1 = r + 1.0
     n_rec = n_steps // record_every if trace_paths else 0
 
     out = _Paths(final=np.empty((k, N, n)), alive=np.ones(N, dtype=bool))
-    if kept_steps:
-        out.kept = np.empty((len(kept_steps), N, n))
+    if n_kept:
+        out.window_sums = np.empty((2, 3, N))
+        if keep:
+            out.kept = np.empty((n_kept, N, n))
     if coupled_run:
         out.lp_int = np.zeros((k, N))
         out.coupled = np.zeros(N, dtype=bool)
@@ -306,7 +335,12 @@ def _simulate(
             zsq = np.zeros(P)
             f_acc = np.zeros(P)
         n_tr = max(0, min(hi, trace_paths) - lo)
-        ki = 0
+        if n_kept:
+            sums = np.zeros((2, 3, P))
+            # kept j of the current batch sits in columns j*P:(j+1)*P
+            buf_X = np.empty((n, batch * P))
+            buf_C = np.empty((n, batch * P))
+        ki = nb = 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for s in range(n_steps + 1):
                 # the state after s steps, in point values
@@ -320,9 +354,20 @@ def _simulate(
                     if s:
                         lp += 0.5 * (v_prev + v) * dt
                     v_prev = v
-                if ki < len(kept_steps) and s == kept_steps[ki]:
-                    out.kept[ki, lo:hi] = Xp.T
+                if n_kept and s > burn and (s - burn) % thin == 0:
+                    if keep:
+                        out.kept[ki, lo:hi] = Xp.T
+                    buf_X[:, nb * P:(nb + 1) * P] = Xp
+                    buf_C[:, nb * P:(nb + 1) * P] = C2
                     ki += 1
+                    nb += 1
+                    if nb == batch or ki == n_kept:
+                        vals = _sample_stats(
+                            buf_X[:, :nb * P], buf_C[:, :nb * P], w, inv_lam, rp1, eps0,
+                        ).reshape(3, nb, P)
+                        for j in range(nb):
+                            sums[int(ki - nb + j >= half)] += vals[:, j]
+                        nb = 0
                 if n_tr and s and s % record_every == 0:
                     D = C[:, 0, :n_tr] - C[:, 1, :n_tr]
                     dist = np.sqrt(_row_sum(D * D * inv_lam))
@@ -382,6 +427,8 @@ def _simulate(
 
         out.final[:, lo:hi] = Xp.reshape(n, k, P).transpose(1, 2, 0)
         out.alive[lo:hi] = ok
+        if n_kept:
+            out.window_sums[:, :, lo:hi] = sums
         if coupled_run:
             out.lp_int[:, lo:hi] = lp
             out.coupled[lo:hi] = coupled
@@ -401,16 +448,18 @@ def _simulate(
 # plain ensembles
 # ---------------------------------------------------------------------------
 
-def _plain_estimates(run: _Paths, F) -> list:
+def _plain_estimates(run: _Paths, F) -> tuple[list, int]:
     """Estimate of E F(X_T) for each copy of a plain run, over the paths
-    that stayed finite in every copy."""
-    _check_blowups(run.alive, "plain")
-    return [estimate_from_values(np.asarray(F(XT[run.alive]), dtype=float)) for XT in run.final]
+    that stayed finite in every copy, and the number of paths that blew up."""
+    n_blow = _check_blowups(run.alive, "plain")
+    ests = [estimate_from_values(np.asarray(F(XT[run.alive]), dtype=float)) for XT in run.final]
+    return ests, n_blow
 
 
 def estimate_ptf(model: SpectralModel, coeffs: CoefficientSet, cfg: EnsembleConfig, x, F) -> Estimate:
-    """Monte Carlo estimate of E F(X_T) for paths started at x."""
-    return _plain_estimates(_simulate(model, coeffs, cfg, [x]), F)[0]
+    """Monte Carlo estimate of E F(X_T) for paths started at x, over the
+    est.n paths that stayed finite."""
+    return _plain_estimates(_simulate(model, coeffs, cfg, [x]), F)[0][0]
 
 
 def strong_feller_probe(
@@ -432,7 +481,7 @@ def strong_feller_probe(
     x = np.asarray(x, dtype=float)
     e1 = model.eigenfunctions[0]
     run = _simulate(model, coeffs, cfg, [x] + [x + h * e1 for h in radii])
-    base, *ests = _plain_estimates(run, F)
+    (base, *ests), n_blow = _plain_estimates(run, F)
     rows = [
         {"h": float(h), "ptf": est.mean, "stderr": est.stderr, "abs_diff": abs(est.mean - base.mean)}
         for h, est in zip(radii, ests)
@@ -440,6 +489,7 @@ def strong_feller_probe(
     return {
         "base": base.as_dict(),
         "rows": rows,
+        "n_blowups": n_blow,
         "note": "common random numbers: all estimates share one noise stream per path",
     }
 
@@ -661,8 +711,9 @@ def estimate_invariant(
     x0=None,
     thin: int = 10,
     eps0: float = 0.01,
+    samples: bool = False,
 ):
-    """Empirical long-run sample and its moment report.
+    """Moment report of the empirical long-run law, and its sample if asked.
 
     Requires constant coefficients with gamma <= 0.  Paths start at x0
     (zero by default), the first burn_in of time is discarded, and the
@@ -672,6 +723,14 @@ def estimate_invariant(
     diagnostic over the two halves of the sampling window.  Where
     exp(eps0 ...) passes float range, numpy stays quiet: the average is
     inf and its rel_diff nan, both printed as null.
+
+    The kernel streams each path's sums over the two halves (in time
+    order); a window's average is the pairwise np.sum of the surviving
+    paths' sums, in path order, over its sample count.  That differs
+    from a mean over a time-major sample table by roundoff only (about
+    1e-15 relative).  Returns (sample, report): sample is None unless
+    samples is true, else the kept states of the surviving paths, one
+    row per sample, time-major.
     """
     if not coeffs.is_time_homogeneous:
         raise NotTimeHomogeneous("invariant-measure estimation requires constant coefficients")
@@ -682,34 +741,22 @@ def estimate_invariant(
         raise ValueError("thin must be at least 1")
     if cfg.burn_in <= 0.0:
         raise ValueError("estimate_invariant needs a positive burn_in")
+    n_kept = (cfg.n_steps - cfg.burn_steps) // thin
+    if n_kept < 2:
+        raise InvalidSampleCount("sampling window too short; increase T or decrease thin")
 
     x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
-    run = _simulate(model, coeffs, cfg, [x0], thin=thin)
-    _check_blowups(run.alive, "plain")
-    if run.kept is None or run.kept.shape[0] < 2:
-        raise InvalidSampleCount("sampling window too short; increase T or decrease thin")
-    # all paths alive is the common case: keep the block, copy nothing
-    kept = run.kept if run.alive.all() else run.kept[:, run.alive, :]
-    n_kept, n_paths = kept.shape[0], kept.shape[1]
-
-    rp1 = coeffs.r + 1.0
-    flat = kept.reshape(-1, model.n)
-    split = (n_kept // 2) * n_paths
-    windows = (slice(None, split), slice(split, None), slice(None))
-
-    def window_means(values: np.ndarray) -> list:
-        """Means of per-sample values over the first half, the second half
-        and the whole sampling window (rows are time-major)."""
-        return [float(np.sum(values[w]) / values[w].shape[0]) for w in windows]
-
-    # each per-sample quantity is computed once, over all samples
-    means = {"moment_rp1": window_means(_lp_power(model, flat, rp1))}
-    nh = norm_h(model, flat)
-    with np.errstate(over="ignore"):
-        means["exp_h_rp1"] = window_means(np.exp(eps0 * nh**rp1))
-        if gamma < 0.0:
-            means["exp_h_sq"] = window_means(np.exp(eps0 * nh**2))
-    first, second, overall = ({k: v[i] for k, v in means.items()} for i in range(3))
+    run = _simulate(model, coeffs, cfg, [x0], thin=thin, eps0=eps0, keep=samples)
+    n_blow = _check_blowups(run.alive, "plain")
+    sums = run.window_sums[:, :, run.alive]
+    n_paths = sums.shape[-1]
+    half = n_kept // 2
+    # first half, second half, whole window; rows are the three statistics
+    windows = np.stack([sums[0], sums[1], sums[0] + sums[1]])
+    counts = np.array([half, n_kept - half, n_kept])[:, None] * n_paths
+    means = np.sum(windows, axis=-1) / counts
+    names = ["moment_rp1", "exp_h_rp1", "exp_h_sq"] if gamma < 0.0 else ["moment_rp1", "exp_h_rp1"]
+    first, second, overall = ({k: float(v) for k, v in zip(names, row)} for row in means)
     rel = {
         k: abs(first[k] - second[k]) / ((first[k] + second[k]) / 2.0)
         for k in first
@@ -720,9 +767,14 @@ def estimate_invariant(
         "n_samples": n_kept * n_paths,
         "n_kept_times": n_kept,
         "n_paths": n_paths,
+        "n_blowups": n_blow,
         "thin": thin,
         "burn_in": cfg.burn_in,
         "averages": overall,
         "split_half": {"first": first, "second": second, "rel_diff": rel},
     }
-    return flat, report
+    if not samples:
+        return None, report
+    # all paths alive is the common case: view the block, copy nothing
+    kept = run.kept if n_blow == 0 else run.kept[:, run.alive, :]
+    return kept.reshape(-1, model.n), report

@@ -395,6 +395,8 @@ def test_13_worker_reproducibility(tmp_path, capsys):
         "couple": dict(base, y={"spectral": [0.29, -0.16, 0.13, -0.02]},
                        run={"n_paths": 2304, "dt": 1e-3, "T": 0.1, "seed": 41}),
         "simulate": dict(base, run={"n_paths": 1280, "dt": 1e-3, "T": 0.1, "seed": 42}),
+        "invariant": dict(base, coeffs={"r": 0.5, "gamma": -0.4}, thin=2,
+                          run={"n_paths": 1100, "dt": 1e-3, "T": 0.1, "burn_in": 0.02, "seed": 43}),
     }
     oks, details = [], []
     for cmd, payload in jobs.items():

@@ -390,6 +390,64 @@ class TestOneEnsemblePerCommand:
         assert copies == [{"simulate": 1, "invariant": 1, "probe-feller": 5}.get(command, 2)]
 
 
+class TestBlowupCount:
+    @pytest.mark.parametrize("command", sorted(ensemble_command_configs()))
+    def test_every_ensemble_record_counts_blowups(self, tmp_path, capsys, monkeypatch, command):
+        # the record reports the paths the run lost; 1000 paths keep one
+        # lost path inside the 0.1 % budget
+        real = montecarlo._simulate
+
+        def path_0_dead(*args, **kw):
+            run = real(*args, **kw)
+            run.alive[0] = False
+            return run
+
+        cfg = write_config(tmp_path, "e.json", ensemble_command_configs()[command])
+        argv = [command, "--config", cfg, "--paths", "1000"]
+        for lost, kernel in ((0, real), (1, path_0_dead)):
+            monkeypatch.setattr(montecarlo, "_simulate", kernel)
+            assert main(argv) in (0, 2)
+            assert json.loads(capsys.readouterr().out)["outputs"]["n_blowups"] == lost
+
+
+class TestInvariantSampleTable:
+    def run(self, tmp_path, capsys, monkeypatch, fmt):
+        runs = []
+        real = montecarlo._simulate
+
+        def spy(*args, **kw):
+            runs.append(real(*args, **kw))
+            return runs[-1]
+
+        monkeypatch.setattr(montecarlo, "_simulate", spy)
+        cfg = write_config(tmp_path, "i.json", ensemble_command_configs()["invariant"])
+        out = tmp_path / fmt
+        assert main(["invariant", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+        record = json.loads(capsys.readouterr().out)["outputs"]
+        return out, record, runs
+
+    def test_csv_table_is_the_kept_block(self, tmp_path, capsys, monkeypatch):
+        out, record, runs = self.run(tmp_path, capsys, monkeypatch, "csv")
+        (run,) = runs  # the record and the table come from one kernel run
+        n_kept, n_paths, n = run.kept.shape
+        assert record["n_samples"] == n_kept * n_paths
+        text = (out / "invariant_samples.csv").read_text(encoding="utf-8")
+        lines = text.splitlines()
+        assert lines[0] == ",".join(f"v{i}" for i in range(n))
+        # time-major rows, each float written in its shortest round-trip form
+        want = [",".join(repr(float(v)) for v in row) for row in run.kept.reshape(-1, n)]
+        assert lines[1:] == want and len(want) == record["n_samples"]
+
+    def test_json_run_keeps_no_snapshots(self, tmp_path, capsys, monkeypatch):
+        out, record, runs = self.run(tmp_path, capsys, monkeypatch, "json")
+        (run,) = runs
+        assert run.kept is None
+        assert run.window_sums.shape == (2, 3, record["n_paths"])
+        assert not (out / "invariant_samples.csv").exists()
+        _, csv_record, _ = self.run(tmp_path, capsys, monkeypatch, "csv")
+        assert csv_record == record
+
+
 # --- any schema-valid small config --------------------------------------
 
 # test-size caps and value spans by key path; a drawn number lies in the

@@ -129,6 +129,40 @@ class TestCoeffsRules:
         assert "coeffs.delta" in str(exc.value)
 
 
+class TestModelRules:
+    def test_non_uniform_measure_needs_an_operator_matrix(self):
+        # the grid Laplacian is self-adjoint under the uniform measure only
+        for operator in ({}, {"operator": "dirichlet1d"}):
+            raw = good_config()
+            raw["model"].update(measure=[0.1, 0.2, 0.3, 0.4], **operator)
+            with pytest.raises(SchemaError) as exc:
+                validate_config(raw, "bounds")
+            msg = str(exc.value)
+            assert "\n" not in msg
+            assert msg.startswith("configuration invalid: model.measure: ")
+            assert "model.operator" in msg and "operator.matrix" in msg
+
+    def test_uniform_weight_list_accepted(self):
+        for n in (3, 4):
+            raw = good_config()
+            raw["model"]["n"] = n
+            raw["model"]["measure"] = [1.0 / n] * (n - 1) + [1.0 - (n - 1) / n]
+            raw["x"] = raw["y"] = [0.0] * n
+            cfg = validate_config(raw, "bounds")
+            assert cfg.model.n == n
+
+    def test_non_uniform_measure_with_its_own_matrix(self):
+        # diag(m)^-1 S with S symmetric is self-adjoint in L^2(m)
+        m = [0.1, 0.2, 0.3, 0.4]
+        S = -2.0 * np.eye(4) + 0.5 * (np.eye(4, k=1) + np.eye(4, k=-1))
+        raw = good_config()
+        raw["model"].update(measure=m, operator={"matrix": (S / np.array(m)[:, None]).tolist()})
+        assert validate_config(raw, "bounds").model.n == 4
+        raw["model"]["operator"] = {"matrix": S.tolist()}  # not self-adjoint for this m
+        with pytest.raises(SchemaError, match="^configuration invalid: model: diag\\(m\\) L deviates"):
+            validate_config(raw, "bounds")
+
+
 class TestScheduleSchema:
     def bad(self, sched):
         raw = good_config()

@@ -1,5 +1,6 @@
 """Ensemble estimators: determinism, reweighting, and the verdict helpers."""
 
+import json
 import math
 
 import numpy as np
@@ -341,9 +342,12 @@ class TestEstimateInvariant:
 
     def test_report_structure(self):
         m, c = small_model(), small_coeffs()
-        samples, report = estimate_invariant(m, c, self.base_cfg(), thin=10)
+        none, plain = estimate_invariant(m, c, self.base_cfg(), thin=10)
+        samples, report = estimate_invariant(m, c, self.base_cfg(), thin=10, samples=True)
+        assert none is None and plain == report  # the sample is returned only when asked
         assert samples.shape == (report["n_samples"], m.n)
         assert report["n_samples"] == report["n_kept_times"] * report["n_paths"]
+        assert report["n_blowups"] == 0
         assert report["averages"]["moment_rp1"] > 0.0
         assert "exp_h_sq" in report["averages"]  # gamma < 0 adds the square moment
         rel = report["split_half"]["rel_diff"]
@@ -354,7 +358,7 @@ class TestEstimateInvariant:
         # each window's averages are means over its own samples; the first
         # half is the first n_kept // 2 kept times of every path
         m, c = small_model(), small_coeffs()
-        samples, report = estimate_invariant(m, c, self.base_cfg(), thin=10)
+        samples, report = estimate_invariant(m, c, self.base_cfg(), thin=10, samples=True)
         half = report["n_kept_times"] // 2 * report["n_paths"]
         rp1, eps0 = c.r + 1.0, report["eps0"]
         for block, got in (
@@ -381,13 +385,31 @@ class TestEstimateInvariant:
             return run
 
         monkeypatch.setattr(montecarlo, "_simulate", spy)
-        whole, _ = estimate_invariant(m, c, cfg, thin=2)
+        whole, _ = estimate_invariant(m, c, cfg, thin=2, samples=True)
         assert np.shares_memory(whole, runs[0].kept)
         dead.append(3)
-        samples, report = estimate_invariant(m, c, cfg, thin=2)
-        assert report["n_paths"] == 999
+        samples, report = estimate_invariant(m, c, cfg, thin=2, samples=True)
+        assert (report["n_paths"], report["n_blowups"]) == (999, 1)
         by_path = whole.reshape(report["n_kept_times"], 1000, m.n)
         assert np.array_equal(samples, np.delete(by_path, 3, axis=1).reshape(-1, m.n))
+
+    def test_report_independent_of_chunking(self, monkeypatch):
+        # each path's window sums are added one kept time at a time in time
+        # order, so the report is byte-identical for any chunk size and any
+        # batching of the kept times (thin 2 in time blocks of 1 to 256 steps)
+        c = small_coeffs()
+        for n in (4, 9):
+            m = dirichlet1d_model(n, [i**-0.5 for i in range(1, n + 1)])
+            x0 = from_spectral(m, 0.4 / np.arange(1, n + 1))
+            cfg = EnsembleConfig(n_paths=20, dt=0.01, T=0.6, seed=23, burn_in=0.1)
+            reports = set()
+            for chunk in (1, 7, 1024):
+                for block in (1, 3, 16, 256):
+                    monkeypatch.setattr(montecarlo, "CHUNK_PATHS", chunk)
+                    monkeypatch.setattr(montecarlo, "TIME_BLOCK", block)
+                    _, report = estimate_invariant(m, c, cfg, x0=x0, thin=2, eps0=0.5)
+                    reports.add(json.dumps(report, sort_keys=True))
+            assert len(reports) == 1, n
 
     def test_zero_gamma_drops_square_moment(self):
         m = small_model()
