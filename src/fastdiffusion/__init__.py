@@ -2,8 +2,8 @@
 
 The package represents the equation in the eigenbasis of its linear part,
 simulates coupled pairs of solutions under shared noise, and checks the
-closed-form bounds (exponential moments, power-Harnack, density integrability)
-and noise-spectrum sufficient conditions against Monte Carlo evidence.
+closed-form bounds (exponential moments, power-Harnack) and noise-spectrum
+sufficient conditions against Monte Carlo evidence.
 """
 
 from importlib.metadata import PackageNotFoundError, version
@@ -63,10 +63,7 @@ from .bounds import (
     coupling_gain,
     coupling_gain_int,
     coupling_gain_sq_int,
-    density_constants,
-    density_lp_bound,
     exp_moment_weight,
-    harnack_exponent_terms,
     harnack_rhs,
     log_moment_rate,
     log_moment_rate_int,
@@ -160,10 +157,7 @@ __all__ = [
     "coupling_gain",
     "coupling_gain_int",
     "coupling_gain_sq_int",
-    "harnack_exponent_terms",
     "harnack_rhs",
-    "density_constants",
-    "density_lp_bound",
     "BoundReport",
     "bound_report",
     # conditions

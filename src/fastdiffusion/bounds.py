@@ -13,8 +13,7 @@ The three derived quantities, named by their role:
   squared H norm of the start) bounds the log of that moment.
 * coupling_gain(t): the dissipativity-vs-noise amplitude whose time
   integral sets how much attraction budget a horizon carries; it
-  enters the Harnack and density bounds through its integral and
-  squared integral.
+  enters the Harnack bound through its integral and squared integral.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import CoefficientSet
-from .errors import EmptySample, InvalidP, NotTimeHomogeneous, PositiveGamma, ZeroHorizon
+from .errors import InvalidP, ZeroHorizon
 from .schedules import combine, weighted_exp_integral
 from .spectral import SpectralModel, norm_h
 
@@ -38,10 +37,7 @@ __all__ = [
     "coupling_gain",
     "coupling_gain_int",
     "coupling_gain_sq_int",
-    "harnack_exponent_terms",
     "harnack_rhs",
-    "density_lp_bound",
-    "density_constants",
     "bound_report",
 ]
 
@@ -132,26 +128,8 @@ def coupling_gain_sq_int(coeffs: CoefficientSet, T: float) -> float:
     return weighted_exp_integral(amp_sq, coeffs.gamma, 2.0, T)
 
 
-def harnack_exponent_terms(
-    model: SpectralModel,
-    coeffs: CoefficientSet,
-    T: float,
-    p: float,
-    x,
-    y,
-) -> tuple[float, float, float]:
+def _harnack_terms(sigma, p, T, lam, th, gi, gsq, nx, ny, dist) -> tuple[float, float, float]:
     """The three exponent terms of the power-Harnack right-hand side."""
-    _check_horizon(T)
-    _check_p(p)
-    sigma = coeffs.sigma
-    lam = exp_moment_weight(model, coeffs, T)
-    th = log_moment_rate_int(model, coeffs, T)
-    gi = coupling_gain_int(coeffs, T)
-    gsq = coupling_gain_sq_int(coeffs, T)
-    nx = float(norm_h(model, x))
-    ny = float(norm_h(model, y))
-    dist = float(norm_h(model, np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
-
     term1 = (p - 1.0) / 4.0 * (2.0 * th + lam * T + nx**2 + ny**2)
     term2 = _term(lambda: (p - 1.0) * (sigma + 2.0) ** 2 * gsq / (4.0 * (sigma * gi) ** 2) * dist**2)
     term3 = _term(lambda: (
@@ -171,98 +149,7 @@ def harnack_rhs(model: SpectralModel, coeffs: CoefficientSet, T: float, p: float
     it, past float range; the multiplier is then inf (the bound is valid
     but carries no information).  A constant past float range raises.
     """
-    t1, t2, t3 = harnack_exponent_terms(model, coeffs, T, p, x, y)
-    return _exp(t1 + t2 + t3)
-
-
-def density_constants(model: SpectralModel, coeffs: CoefficientSet, T: float) -> dict:
-    """Constant-coefficient closed forms used by the kernel-density bound.
-
-    Written out directly (no schedule machinery) so they double as an
-    independent route for cross-checking exp_moment_weight,
-    log_moment_rate, and coupling_gain_int in the time-homogeneous case.
-    """
-    _check_horizon(T)
-    if not coeffs.is_time_homogeneous:
-        raise NotTimeHomogeneous("kernel-density bound requires constant coefficients")
-    gamma = coeffs.gamma(0.0)
-    if gamma > 0.0:
-        raise PositiveGamma(f"kernel-density bound requires gamma <= 0, got {gamma!r}")
-    delta = coeffs.delta(0.0)
-    eta = coeffs.eta(0.0)
-    xi_v = coeffs.xi(0.0)
-    r = coeffs.r
-    sigma = coeffs.sigma
-    q = model.hs_norm_sq
-
-    lam = 0.5 * delta * math.exp(-(2.0 * gamma + 2.0 * q + 1.0) * T)
-    rate = q + 2.0 ** ((r + 2.0) / r) * eta ** ((r + 1.0) / r) * delta ** (-1.0 / r)
-    g0 = (delta * xi_v) ** (1.0 / sigma)
-    if gamma == 0.0:
-        gi = g0 * T
-        gsq = g0**2 * T
-    else:
-        gi = g0 * -math.expm1(-gamma * T) / gamma
-        gsq = g0**2 * -math.expm1(-2.0 * gamma * T) / (2.0 * gamma)
-    return {
-        "exp_moment_weight": lam,
-        "log_moment_rate": rate,
-        "coupling_gain_int": gi,
-        "coupling_gain_sq_int": gsq,
-    }
-
-
-def _density_exponents(model, coeffs, T, p, x, mu_samples) -> np.ndarray:
-    consts = density_constants(model, coeffs, T)
-    sigma = coeffs.sigma
-    lam = consts["exp_moment_weight"]
-    rate = consts["log_moment_rate"]
-    gi = consts["coupling_gain_int"]
-    gsq = consts["coupling_gain_sq_int"]
-
-    x = np.asarray(x, dtype=float)
-    ys = np.asarray(mu_samples, dtype=float)
-    if ys.ndim == 1:
-        ys = ys[None, :]
-    nx = float(norm_h(model, x))
-    ny = norm_h(model, ys)
-    dist = norm_h(model, ys - x)
-
-    a = -(1.0 / (4.0 * (p - 1.0))) * (2.0 * rate * T + lam * T + nx**2 + ny**2)
-    b = -((sigma + 2.0) ** 2 * gsq / (4.0 * (p - 1.0) * (sigma * gi) ** 2)) * dist**2
-    c = -(
-        lam ** ((2.0 - sigma) / 2.0)
-        * ((sigma + 2.0) / sigma) ** (sigma + 1.0)
-        * 2.0 ** (sigma / 2.0 - 2.0)
-        * (p * (2.0 * p - 1.0)) ** (sigma / 2.0)
-        / ((p - 1.0) * gi**sigma)
-    ) * dist**sigma
-    return a + b + c
-
-
-def density_lp_bound(
-    model: SpectralModel,
-    coeffs: CoefficientSet,
-    T: float,
-    p: float,
-    x,
-    mu_samples,
-) -> float:
-    """Upper bound on the L^p(mu) norm of the transition density at x.
-
-    mu_samples is an empirical sample of the invariant measure; the
-    reciprocal-integral bound mean(exp(e))^(-(p-1)/p) is evaluated
-    against it through a shifted log-mean-exp.  Samples far from x make
-    the exponents e very negative and the bound large; it is inf where
-    it overflows a float.
-    """
-    _check_p(p)
-    e = _density_exponents(model, coeffs, T, p, x, mu_samples)
-    if e.size == 0:
-        raise EmptySample("mu_samples must be nonempty")
-    shift = float(np.max(e))
-    log_mean = shift + math.log(float(np.mean(np.exp(e - shift))))
-    return _exp(-(p - 1.0) / p * log_mean)
+    return bound_report(model, coeffs, T, x, y, p).harnack_rhs
 
 
 @dataclass(frozen=True)
@@ -301,28 +188,41 @@ def bound_report(
     y,
     p: float | None = None,
 ) -> BoundReport:
-    """Assemble the closed-form constants, plus the Harnack bound when p is given."""
+    """Assemble the closed-form constants, plus the Harnack bound when p is given.
+
+    Each constant and H norm is evaluated once; the Harnack terms are
+    built from those values.
+    """
     _check_horizon(T)
+    if p is not None:
+        _check_p(p)
     sigma = coeffs.sigma
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    lam = exp_moment_weight(model, coeffs, T)
+    th = log_moment_rate_int(model, coeffs, T)
+    gi = coupling_gain_int(coeffs, T)
+    gsq = coupling_gain_sq_int(coeffs, T)
+    nx = float(norm_h(model, x))
+    ny = float(norm_h(model, y))
+    dist = float(norm_h(model, x - y))
     terms = None
     rhs = None
     if p is not None:
-        terms = harnack_exponent_terms(model, coeffs, T, p, x, y)
+        terms = _harnack_terms(sigma, p, T, lam, th, gi, gsq, nx, ny, dist)
         rhs = _exp(sum(terms))
     return BoundReport(
         T=float(T),
         p=None if p is None else float(p),
         sigma=sigma,
         epsilon=sigma / (sigma + 2.0),
-        exp_moment_weight=exp_moment_weight(model, coeffs, T),
-        log_moment_rate_int=log_moment_rate_int(model, coeffs, T),
-        coupling_gain_int=coupling_gain_int(coeffs, T),
-        coupling_gain_sq_int=coupling_gain_sq_int(coeffs, T),
-        norm_x_h=float(norm_h(model, x)),
-        norm_y_h=float(norm_h(model, y)),
-        dist_h=float(norm_h(model, x - y)),
+        exp_moment_weight=lam,
+        log_moment_rate_int=th,
+        coupling_gain_int=gi,
+        coupling_gain_sq_int=gsq,
+        norm_x_h=nx,
+        norm_y_h=ny,
+        dist_h=dist,
         harnack_terms=terms,
         harnack_rhs=rhs,
     )

@@ -89,7 +89,7 @@ def _tf(cfg: ExperimentConfig):
 
 def _coupled(cfg: ExperimentConfig, **trace):
     return montecarlo.run_coupled_ensemble(
-        cfg.model, cfg.coeffs, cfg.run, cfg.state("x"), cfg.state("y"),
+        cfg.model, cfg.coeffs, cfg.run, cfg.extras["x"], cfg.extras["y"],
         cfg.extras["couple_tol"], **trace,
     )
 
@@ -97,7 +97,7 @@ def _coupled(cfg: ExperimentConfig, **trace):
 def _cmd_bounds(cfg: ExperimentConfig, with_tables: bool):
     rep = bounds.bound_report(
         cfg.model, cfg.coeffs, cfg.run.realized_T,
-        cfg.state("x"), cfg.state("y"), cfg.extras["p"],
+        cfg.extras["x"], cfg.extras["y"], cfg.extras["p"],
     )
     return rep.as_dict(), None, None
 
@@ -134,7 +134,7 @@ def _cmd_conditions(cfg: ExperimentConfig, with_tables: bool):
 
 def _cmd_simulate(cfg: ExperimentConfig, with_tables: bool):
     spec, F = _tf(cfg)
-    est = montecarlo.estimate_ptf(cfg.model, cfg.coeffs, cfg.run, cfg.state("x"), F)
+    est = montecarlo.estimate_ptf(cfg.model, cfg.coeffs, cfg.run, cfg.extras["x"], F)
     # the estimate leaves out exactly the paths that blew up
     outputs = {"estimate": est.as_dict(), "n_blowups": cfg.run.n_paths - est.n, "test_function": spec}
     return outputs, None, None
@@ -225,7 +225,7 @@ def _cmd_invariant(cfg: ExperimentConfig, with_tables: bool):
 def _cmd_probe(cfg: ExperimentConfig, with_tables: bool):
     spec, F = _tf(cfg)
     report = montecarlo.strong_feller_probe(
-        cfg.model, cfg.coeffs, cfg.run, cfg.state("x"), F, cfg.extras["radii"]
+        cfg.model, cfg.coeffs, cfg.run, cfg.extras["x"], F, cfg.extras["radii"]
     )
     report["test_function"] = spec
     return report, None, None

@@ -494,9 +494,6 @@ class ExperimentConfig:
     extras: dict
     document: dict
 
-    def state(self, key: str) -> np.ndarray:
-        return self.extras[key]
-
 
 def validate_config(raw: dict, command: str) -> ExperimentConfig:
     """Validate a config document for one command and build its objects.

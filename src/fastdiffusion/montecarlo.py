@@ -282,18 +282,10 @@ def _simulate(
     inv_lam = (1.0 / model.eigenvalues)[:, None]
     inv_q = (1.0 / model.q_diag)[:, None]
     q_sqdt = (model.q_diag * math.sqrt(dt))[:, None]
+    lam = model.eigenvalues[:, None]
     c0 = to_spectral(model, np.asarray(starts, dtype=float)).T[:, :, None]
-
-    # time-dependent coefficients, evaluated once per step of the run
-    ts = [0.0]
-    for _ in range(n_steps):
-        ts.append(ts[-1] + dt)
-    scales = [1.0 if identity else coeffs.delta(t) / (2.0 * r) for t in ts[:-1]]
-    neg_lam = {v: -v * model.eigenvalues[:, None] for v in set(scales)}
-    gammas = [coeffs.gamma(t) for t in ts[:-1]]
     if coupled_run:
         eps = sched.epsilon
-        betas = [sched.beta(t) for t in ts[:-1]]
         f_expo = ((1.0 - r) / (1.0 + r), 2.0 / (coeffs.sigma - 2.0))
 
     burn = cfg.burn_steps
@@ -341,6 +333,7 @@ def _simulate(
             buf_X = np.empty((n, batch * P))
             buf_C = np.empty((n, batch * P))
         ki = nb = 0
+        t = 0.0  # time after s steps, summed step by step
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for s in range(n_steps + 1):
                 # the state after s steps, in point values
@@ -371,11 +364,11 @@ def _simulate(
                 if n_tr and s and s % record_every == 0:
                     D = C[:, 0, :n_tr] - C[:, 1, :n_tr]
                     dist = np.sqrt(_row_sum(D * D * inv_lam))
-                    beta = sched.beta(min(ts[s], sched.T))
+                    beta = sched.beta(min(t, sched.T))
                     zc = D * (beta / dist**eps) * inv_q
                     zeta_sq = np.where(coupled[:n_tr] | (dist == 0.0), 0.0, _row_sum(zc * zc))
                     out.trace[lo:lo + n_tr, s // record_every - 1] = np.stack(
-                        np.broadcast_arrays(ts[s], dist, beta, zeta_sq), axis=-1
+                        np.broadcast_arrays(t, dist, beta, zeta_sq), axis=-1
                     )
                 if s == n_steps:
                     break
@@ -388,17 +381,19 @@ def _simulate(
                 np.multiply(noise[:, b].T, q_sqdt, out=dW)
 
                 T = C2 if identity else to_spectral(model, np.copysign(Ar, Xp), mode_major=True)
-                drift = T * neg_lam[scales[s]]
-                if gammas[s]:
-                    drift += gammas[s] * C2
+                scale = 1.0 if identity else coeffs.delta(t) / (2.0 * r)
+                drift = T * (-scale * lam)
+                gamma = coeffs.gamma(t)
+                if gamma:
+                    drift += gamma * C2
                 if coupled_run:
                     D = C[:, 0] - C[:, 1]
                     dist = np.sqrt(_row_sum(D * D * inv_lam))
                     newly = ~coupled & (dist <= couple_tol)
-                    tau[newly] = ts[s]
+                    tau[newly] = t
                     coupled |= newly
                     active = ~coupled
-                    ratio = np.where(active, betas[s] / np.where(active, dist, 1.0) ** eps, 0.0)
+                    ratio = np.where(active, sched.beta(t) / np.where(active, dist, 1.0) ** eps, 0.0)
                     attraction = D * ratio
                     drift.reshape(n, k, P)[:, 1] += attraction
                     zc = attraction * inv_q
@@ -416,6 +411,7 @@ def _simulate(
                 C += dW[:, None, :]
                 if coupled_run:
                     np.copyto(C[:, 1], C[:, 0], where=coupled)
+                t += dt
 
                 if (s + 1) % TIME_BLOCK == 0 or s + 1 == n_steps:
                     finite = np.isfinite(C).all(axis=(0, 1))

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from constant_route import constant_coefficient_constants
 from fastdiffusion import (
     AsymptoticSpec,
     CoefficientSet,
@@ -26,7 +27,6 @@ from fastdiffusion import (
     coupling_gain,
     coupling_gain_int,
     coupling_gain_sq_int,
-    density_constants,
     dirichlet1d_model,
     drift_eval,
     estimate_invariant,
@@ -244,7 +244,7 @@ def test_09_closed_form_constants():
     )
     for gamma in (0.0, -0.7):
         c = CoefficientSet(r=0.5, gamma=gamma)
-        consts = density_constants(M4, c, 0.8)
+        consts = constant_coefficient_constants(M4, c, 0.8)
         close(consts["exp_moment_weight"], exp_moment_weight(M4, c, 0.8))
         close(consts["log_moment_rate"], log_moment_rate(M4, c))
         close(consts["coupling_gain_int"], coupling_gain_int(c, 0.8))

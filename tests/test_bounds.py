@@ -1,4 +1,4 @@
-"""Closed-form constants, the Harnack multiplier, and the density bound."""
+"""Closed-form constants and the Harnack multiplier."""
 
 import math
 
@@ -6,29 +6,24 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from constant_route import constant_coefficient_constants
 from fastdiffusion import (
     CoefficientSet,
-    EmptySample,
     InvalidP,
-    NotTimeHomogeneous,
     PiecewiseConstant,
-    PositiveGamma,
     ZeroHorizon,
     bound_report,
     build_model,
     coupling_gain,
     coupling_gain_int,
     coupling_gain_sq_int,
-    density_constants,
-    density_lp_bound,
     dirichlet1d_model,
     exp_moment_weight,
-    harnack_exponent_terms,
     harnack_rhs,
     log_moment_rate,
     log_moment_rate_int,
 )
-from fastdiffusion.bounds import _density_exponents
+from fastdiffusion import bounds
 
 
 def unit_noise_model():
@@ -137,7 +132,7 @@ class TestHarnackRhs:
         m = dirichlet1d_model(4, [1.0, 0.8, 0.6, 0.5])
         c = CoefficientSet(r=0.5, gamma=-0.2)
         x = np.array([0.3, -0.1, 0.2, 0.0])
-        t1, t2, t3 = harnack_exponent_terms(m, c, 1.0, 3.0, x, x)
+        t1, t2, t3 = bound_report(m, c, 1.0, x, x, 3.0).harnack_terms
         assert t2 == 0.0 and t3 == 0.0
         lam = exp_moment_weight(m, c, 1.0)
         th = log_moment_rate_int(m, c, 1.0)
@@ -172,7 +167,7 @@ class TestHarnackRhs:
         y = np.zeros(4)
         t_at = {}
         for p in (1.5, 1.1, 1.01):
-            t1, t2, t3 = harnack_exponent_terms(m, c, 1.0, p, x, y)
+            t1, t2, t3 = bound_report(m, c, 1.0, x, y, p).harnack_terms
             t_at[p] = (t1, t2, t3)
         assert t_at[1.01][0] < t_at[1.1][0] < t_at[1.5][0]  # first terms shrink
         assert t_at[1.01][2] > t_at[1.1][2] > t_at[1.5][2]  # power term diverges
@@ -186,7 +181,7 @@ class TestHarnackRhs:
             harnack_rhs(m, c, 0.0, 2.0, np.zeros(1), np.zeros(1))
 
 
-class TestDensityConstants:
+class TestConstantCoefficientRoute:
     def test_agreement_with_schedule_route(self):
         # the direct time-homogeneous closed forms must match the general
         # schedule-integral route exactly
@@ -194,7 +189,7 @@ class TestDensityConstants:
         for gamma in (0.0, -0.7):
             c = CoefficientSet(r=0.5, delta=1.3, xi=0.9, gamma=gamma)
             T = 0.8
-            d = density_constants(m, c, T)
+            d = constant_coefficient_constants(m, c, T)
             assert d["exp_moment_weight"] == pytest.approx(
                 exp_moment_weight(m, c, T), rel=1e-12
             )
@@ -207,70 +202,6 @@ class TestDensityConstants:
             assert d["coupling_gain_sq_int"] == pytest.approx(
                 coupling_gain_sq_int(c, T), rel=1e-12
             )
-
-    def test_hypothesis_guards(self):
-        m = unit_noise_model()
-        with pytest.raises(PositiveGamma):
-            density_constants(m, CoefficientSet(r=0.5, gamma=0.1), 1.0)
-        sched = PiecewiseConstant([0.0, 0.5], [1.0, 2.0])
-        with pytest.raises(NotTimeHomogeneous):
-            density_constants(m, CoefficientSet(r=0.5, delta=sched), 1.0)
-
-
-class TestDensityBound:
-    def test_single_sample_at_start(self):
-        m = unit_noise_model()
-        c = CoefficientSet(r=0.5, gamma=0.0)
-        T, p = 1.0, 2.0
-        x = np.array([0.5])
-        d = density_constants(m, c, T)
-        from fastdiffusion import norm_h
-
-        nx = float(norm_h(m, x))
-        inner = math.exp(
-            -(1.0 / (4.0 * (p - 1.0)))
-            * (2 * d["log_moment_rate"] * T + d["exp_moment_weight"] * T + 2 * nx**2)
-        )
-        want = inner ** (-(p - 1.0) / p)
-        assert density_lp_bound(m, c, T, p, x, [x]) == pytest.approx(want, rel=1e-12)
-
-    def test_anti_monotone_in_distance(self):
-        m = dirichlet1d_model(4, [1.0, 0.8, 0.6, 0.5])
-        c = CoefficientSet(r=0.5, gamma=-0.1)
-        x = np.array([0.2, 0.0, 0.1, 0.0])
-        h = np.array([0.3, -0.1, 0.0, 0.05])
-        vals = [density_lp_bound(m, c, 1.0, 2.0, x, [x + s * h]) for s in (0.0, 1.0, 2.0)]
-        assert vals[0] < vals[1] < vals[2]
-
-    def test_matches_direct_mean_at_moderate_exponents(self):
-        m = dirichlet1d_model(4, [1.0, 0.8, 0.6, 0.5])
-        c = CoefficientSet(r=0.5, gamma=-0.3)
-        rng = np.random.default_rng(1)
-        samples = 0.3 * rng.standard_normal((20, 4))
-        x = np.array([0.2, 0.0, 0.1, 0.0])
-        p = 2.0
-        e = _density_exponents(m, c, 1.0, p, x, samples)
-        want = float(np.mean(np.exp(e))) ** (-(p - 1.0) / p)
-        assert density_lp_bound(m, c, 1.0, p, x, samples) == pytest.approx(want, rel=1e-12)
-
-    def test_distant_samples_give_finite_value_or_inf(self):
-        # exp(e) underflows to 0 at both distances, so a direct mean would
-        # divide by zero; the bound is finite at 30 and past float range at 100
-        m = dirichlet1d_model(4, [1.0, 0.8, 0.6, 0.5])
-        c = CoefficientSet(r=0.5, gamma=-0.3)
-        x = np.array([0.2, 0.0, 0.1, 0.0])
-        near = density_lp_bound(m, c, 1.0, 2.0, x, [x + np.array([30.0, 0.0, 0.0, 0.0])])
-        far = density_lp_bound(m, c, 1.0, 2.0, x, [x + np.array([100.0, 0.0, 0.0, 0.0])])
-        assert math.isfinite(near) and near > 1e100
-        assert far == math.inf
-
-    def test_empty_samples_rejected(self):
-        m = unit_noise_model()
-        c = CoefficientSet(r=0.5)
-        with pytest.raises(EmptySample):
-            density_lp_bound(m, c, 1.0, 2.0, np.zeros(1), np.zeros((0, 1)))
-        with pytest.raises(InvalidP):
-            density_lp_bound(m, c, 1.0, 0.5, np.zeros(1), [np.zeros(1)])
 
 
 class TestBoundReport:
@@ -291,3 +222,25 @@ class TestBoundReport:
         rep = bound_report(m, CoefficientSet(r=0.5), 1.0, np.zeros(1), np.zeros(1))
         assert rep.p is None and rep.harnack_rhs is None
         assert "harnack_rhs" not in rep.as_dict()
+
+    def test_each_constant_once(self, monkeypatch):
+        # one query evaluates each constant once and each H norm once
+        calls = {}
+
+        def spy(name):
+            fn = getattr(bounds, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(bounds, name, counted)
+
+        names = ("exp_moment_weight", "log_moment_rate_int", "coupling_gain_int",
+                 "coupling_gain_sq_int", "norm_h")
+        for name in names:
+            spy(name)
+        m = dirichlet1d_model(4, [1.0, 0.8, 0.6, 0.5])
+        x = np.array([0.3, -0.1, 0.2, 0.0])
+        rep = bound_report(m, CoefficientSet(r=0.5, gamma=-0.2), 1.0, x, np.zeros(4), p=2.0)
+        assert rep.harnack_rhs > 1.0
+        assert calls == {name: 1 for name in names[:4]} | {"norm_h": 3}

@@ -35,8 +35,8 @@ class TestHappyPath:
     def test_spectral_state_resolved(self):
         cfg = validate_config(good_config(), "bounds")
         want = from_spectral(cfg.model, np.array([1.0, 0.5, 0.0, 0.0]))
-        assert np.allclose(cfg.state("x"), want, atol=1e-14)
-        assert np.array_equal(cfg.state("y"), np.zeros(4))
+        assert np.allclose(cfg.extras["x"], want, atol=1e-14)
+        assert np.array_equal(cfg.extras["y"], np.zeros(4))
 
     def test_document_excludes_worker_count(self):
         cfg = validate_config(good_config(), "bounds")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,31 @@ class TestCoupledEnsemble:
         res = run_coupled_ensemble(m, c, cfg, START, OTHER)
         assert res.coupled_fraction >= 0.9
         assert np.all(res.dist_final[res.coupled & res.alive] <= res.couple_tol)
+
+
+    def test_kernel_memory_independent_of_step_count(self):
+        # the kernel holds no per-step table: its traced peak for a plain
+        # and a coupled run is the same at 500 and at 5000 steps, where a
+        # table of floats would add about 100 bytes a step
+        m = small_model()
+        c = CoefficientSet(r=0.5, gamma=PiecewiseConstant([0.0, 0.05], [-0.4, -0.2]))
+
+        def peak(n_steps, coupled):
+            cfg = EnsembleConfig(n_paths=2, dt=0.1 / n_steps, T=0.1, seed=3)
+            sched = make_schedule(m, c, cfg.realized_T, START, OTHER) if coupled else None
+            starts = [START, OTHER] if coupled else [START]
+            args = (m, c, cfg, starts, sched, 1e-6 if coupled else 0.0)
+            montecarlo._simulate(*args)  # first calls fill lazy caches
+            tracemalloc.start()
+            try:
+                montecarlo._simulate(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for coupled in (False, True):
+            short, long = peak(500, coupled), peak(5000, coupled)
+            assert abs(long - short) < 100_000, (coupled, short, long)
 
 
 class TestEstimateWeighted:
