@@ -148,12 +148,17 @@ def _cmd_couple(cfg: ExperimentConfig, with_tables: bool):
     coupled = res.coupled & a
     sched = res.schedule
     tau_vals = res.tau[coupled]
+    # an alive pair is advanced in two copies for the steps before it meets
+    run = cfg.run
+    two_copy_steps = np.where(coupled, np.rint(res.tau / run.dt), run.n_steps)[a]
     outputs = {
         "n_paths": cfg.run.n_paths,
         "n_blowups": res.n_blowups,
         "couple_tol": res.couple_tol,
         "coupled_fraction": res.coupled_fraction,
         "mean_weight": estimate_from_values(res.weights[a]).as_dict(),
+        **res.weight_health(),
+        "two_copy_step_fraction": float(np.mean(two_copy_steps) / run.n_steps),
         "schedule": {
             "epsilon": sched.epsilon,
             "c": sched.c,
@@ -165,6 +170,7 @@ def _cmd_couple(cfg: ExperimentConfig, with_tables: bool):
             "mean": float(np.sum(tau_vals) / tau_vals.size),
             "min": float(np.min(tau_vals)),
             "max": float(np.max(tau_vals)),
+            **{f"q{q}": float(v) for q, v in zip((10, 50, 90), np.quantile(tau_vals, (0.1, 0.5, 0.9)))},
         },
         "final_dist_h": {
             "max_coupled": float(np.max(res.dist_final[coupled])) if coupled.any() else None,
@@ -206,7 +212,7 @@ def _cmd_moments(cfg: ExperimentConfig, with_tables: bool):
     res = _coupled(cfg)
     est = montecarlo.estimate_weighted(res, F, exponent)
     outputs = {"estimate": est.as_dict(), "exponent": exponent, "n_blowups": res.n_blowups,
-               "test_function": tf}
+               "test_function": tf, **res.weight_health()}
     return outputs, None, None
 
 

@@ -10,12 +10,20 @@ order, per-path outputs land in preallocated arrays indexed by path, and
 every reduction over paths is a numpy pairwise sum over that fixed
 ordering.  Results are bit-identical for any chunk size and worker count.
 
+A coupled pair needs its second copy only until the two copies meet;
+from then on the second copy equals the first bit for bit.  At the start
+of each noise block the pairs that met during the last one leave the
+two-copy block, and the kernel advances them in one copy.  Their Y-side
+numbers are read off the first copy and their weight terms, exact zeros,
+are skipped, so no per-path number depends on when a pair moves.
+
 A path whose state leaves the finite range is aborted and counted; a
 run fails when more than 0.1 percent of its paths blow up.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -261,13 +269,21 @@ def _simulate(
     one noise block are buffered and reduced in one pass.
 
     A chunk of P paths is carried as eigen-coefficients in a mode-major
-    block of shape (n, k, P).  Each step makes one transform to point
-    values, where |x|^r serves Psi, the moments and the f envelope, and
-    one transform of Psi back.  Everything else is diagonal in the
-    eigenbasis: the drift, the H norms, zeta, the noise q sqrt(dt) xi and,
-    because the eigenfunctions are m-orthonormal, the taming norm.
-    Every per-path number is a function of its own column only, so
-    results do not depend on the chunk or on the worker count.
+    block: the first copies in columns [0, P), then a plain run's other
+    copies, P columns each, or a coupled run's second copies of the m
+    pairs in positions [0, m), those that had not met at the start of the
+    noise block.  There one stable permutation of every per-path array
+    and generator moves the pairs that met behind the rest; ids maps
+    positions to paths.
+
+    Each step makes one transform to point values, where |x|^r serves
+    Psi, the moments and the f envelope, and one transform of Psi back.
+    Everything else is diagonal in the eigenbasis: the drift, the H norms,
+    zeta, the noise q sqrt(dt) xi and, because the eigenfunctions are
+    m-orthonormal, the taming norm.  Every per-path number is a function
+    of its own column only, so results do not depend on the chunk, on
+    where a path sits in it, on when pairs are moved or on the worker
+    count.
     """
     n = model.n
     k = len(starts)
@@ -284,6 +300,8 @@ def _simulate(
     q_sqdt = (model.q_diag * math.sqrt(dt))[:, None]
     lam = model.eigenvalues[:, None]
     c0 = to_spectral(model, np.asarray(starts, dtype=float)).T[:, :, None]
+    # delta and gamma are read again only where one of them enters a new piece
+    cuts = sorted(set(coeffs.delta.breaks) | set(coeffs.gamma.breaks))
     if coupled_run:
         eps = sched.epsilon
         f_expo = ((1.0 - r) / (1.0 + r), 2.0 / (coeffs.sigma - 2.0))
@@ -312,10 +330,12 @@ def _simulate(
 
     def run_chunk(lo: int, hi: int):
         P = hi - lo
-        C = np.empty((n, k, P))
-        C[...] = c0
-        C2 = C.reshape(n, k * P)
+        m = P  # pairs in positions [0, m) carry a second copy
+        C2 = np.empty((n, k * P))
+        copies = C2.reshape(n, k, P)  # a plain run's block keeps this shape
+        copies[...] = c0
         ok = np.ones(P, dtype=bool)
+        ids = np.arange(P)
         gens = _path_generators(cfg.seed, lo, hi)
         noise = np.empty((P, min(TIME_BLOCK, n_steps), n))
         dW = np.empty((n, P))
@@ -326,7 +346,16 @@ def _simulate(
             log_s = np.zeros(P)
             zsq = np.zeros(P)
             f_acc = np.zeros(P)
+
+            def second(A):
+                """The second copy of every pair in position order; a met
+                pair's is its first."""
+                return np.concatenate([A[..., P:], A[..., m:P]], axis=-1)
+
         n_tr = max(0, min(hi, trace_paths) - lo)
+        # columns of the two copies of the traced pairs, in path order
+        tr_x = np.arange(n_tr)
+        tr_y = P + tr_x
         if n_kept:
             sums = np.zeros((2, 3, P))
             # kept j of the current batch sits in columns j*P:(j+1)*P
@@ -334,8 +363,25 @@ def _simulate(
             buf_C = np.empty((n, batch * P))
         ki = nb = 0
         t = 0.0  # time after s steps, summed step by step
+        next_cut = 0.0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for s in range(n_steps + 1):
+                b = s % TIME_BLOCK
+                if coupled_run and b == 0 and s < n_steps and coupled[:m].any():
+                    # the pairs that met during the last block move behind the
+                    # rest: a stable partition, pairs still apart first
+                    order = np.concatenate([np.flatnonzero(~coupled), np.flatnonzero(coupled)])
+                    m -= int(np.count_nonzero(coupled[:m]))
+                    # take keeps the block mode-major (C order); indexing would not
+                    C2 = C2.take(np.concatenate([order, P + order[:m]]), axis=1)
+                    for a in (ok, ids, lp, v_prev, coupled, tau, log_s, zsq, f_acc):
+                        a[...] = a[..., order]
+                    gens = [gens[i] for i in order]
+                    pos = np.empty_like(ids)
+                    pos[ids] = np.arange(P)  # pos[j]: where path lo + j sits
+                    tr_x = pos[:n_tr]
+                    tr_y = np.where(tr_x < m, P + tr_x, tr_x)
+
                 # the state after s steps, in point values
                 Xp = from_spectral(model, C2, mode_major=True)
                 if coupled_run or not identity:
@@ -343,7 +389,8 @@ def _simulate(
                     Ar = A**r
                 if coupled_run:
                     V = A * Ar
-                    v = _row_sum(V * w).reshape(k, P)
+                    v = _row_sum(V * w)
+                    v = np.stack([v[:P], second(v)])
                     if s:
                         lp += 0.5 * (v_prev + v) * dt
                     v_prev = v
@@ -362,76 +409,99 @@ def _simulate(
                             sums[int(ki - nb + j >= half)] += vals[:, j]
                         nb = 0
                 if n_tr and s and s % record_every == 0:
-                    D = C[:, 0, :n_tr] - C[:, 1, :n_tr]
+                    D = C2[:, tr_x] - C2[:, tr_y]
                     dist = np.sqrt(_row_sum(D * D * inv_lam))
                     beta = sched.beta(min(t, sched.T))
                     zc = D * (beta / dist**eps) * inv_q
-                    zeta_sq = np.where(coupled[:n_tr] | (dist == 0.0), 0.0, _row_sum(zc * zc))
+                    zeta_sq = np.where(coupled[tr_x] | (dist == 0.0), 0.0, _row_sum(zc * zc))
                     out.trace[lo:lo + n_tr, s // record_every - 1] = np.stack(
                         np.broadcast_arrays(t, dist, beta, zeta_sq), axis=-1
                     )
                 if s == n_steps:
                     break
 
-                b = s % TIME_BLOCK
                 if b == 0:
                     B = min(TIME_BLOCK, n_steps - s)
                     for p, g in enumerate(gens):
                         g.standard_normal(out=noise[p, :B])
                 np.multiply(noise[:, b].T, q_sqdt, out=dW)
 
+                if t >= next_cut:
+                    j = bisect.bisect_right(cuts, t)
+                    next_cut = cuts[j] if j < len(cuts) else math.inf
+                    scale = 1.0 if identity else coeffs.delta(t) / (2.0 * r)
+                    slam = -scale * lam
+                    gamma = coeffs.gamma(t)
                 T = C2 if identity else to_spectral(model, np.copysign(Ar, Xp), mode_major=True)
-                scale = 1.0 if identity else coeffs.delta(t) / (2.0 * r)
-                drift = T * (-scale * lam)
-                gamma = coeffs.gamma(t)
+                drift = T * slam
                 if gamma:
                     drift += gamma * C2
                 if coupled_run:
-                    D = C[:, 0] - C[:, 1]
-                    dist = np.sqrt(_row_sum(D * D * inv_lam))
-                    newly = ~coupled & (dist <= couple_tol)
-                    tau[newly] = t
-                    coupled |= newly
-                    active = ~coupled
-                    ratio = np.where(active, sched.beta(t) / np.where(active, dist, 1.0) ** eps, 0.0)
-                    attraction = D * ratio
-                    drift.reshape(n, k, P)[:, 1] += attraction
-                    zc = attraction * inv_q
-                    zsq += _row_sum(zc * zc) * dt
-                    log_s += _row_sum(zc * (dW * inv_q))
-                    env = np.maximum(V[:, :P], V[:, P:])
-                    fval = (_row_sum(env * w) ** f_expo[0]) ** f_expo[1]
-                    f_acc += np.where(active, fval, 0.0) * dt
+                    X, Y = C2[:, :P], C2[:, P:]
+                    if b + 1 == B and m < P:
+                        # a met pair's X - Y is 0 while its state is finite
+                        # and nan from the step after it leaves the finite
+                        # range until the check that ends this block, which
+                        # makes its log_s and zsq nan
+                        stale = ~np.isfinite(X[:, m:]).all(axis=0)
+                        log_s[m:][stale] = zsq[m:][stale] = math.nan
+                    if m:
+                        D = X[:, :m] - Y
+                        dist = np.sqrt(_row_sum(D * D * inv_lam))
+                        newly = ~coupled[:m] & (dist <= couple_tol)
+                        tau[:m][newly] = t
+                        coupled[:m] |= newly
+                        active = ~coupled[:m]
+                        ratio = np.where(active, sched.beta(t) / np.where(active, dist, 1.0) ** eps, 0.0)
+                        attraction = D * ratio
+                        drift[:, P:] += attraction
+                        zc = attraction * inv_q
+                        zsq[:m] += _row_sum(zc * zc) * dt
+                        log_s[:m] += _row_sum(zc * (dW[:, :m] * inv_q))
+                        env = np.maximum(V[:, :m], V[:, P:])
+                        fval = (_row_sum(env * w) ** f_expo[0]) ** f_expo[1]
+                        f_acc[:m] += np.where(active, fval, 0.0) * dt
 
                 if tamed:
                     drift *= dt / (1.0 + dt * np.sqrt(_row_sum(drift * drift)))
                 else:
                     drift *= dt
                 C2 += drift
-                C += dW[:, None, :]
                 if coupled_run:
-                    np.copyto(C[:, 1], C[:, 0], where=coupled)
+                    X += dW
+                    Y += dW[:, :m]
+                    np.copyto(Y, X[:, :m], where=coupled[:m])
+                else:
+                    copies += dW[:, None, :]
                 t += dt
 
-                if (s + 1) % TIME_BLOCK == 0 or s + 1 == n_steps:
-                    finite = np.isfinite(C).all(axis=(0, 1))
+                if b + 1 == B:
+                    finite = np.isfinite(C2).all(axis=0)
+                    if coupled_run:
+                        finite = finite[:P] & second(finite)
+                    else:
+                        finite = finite.reshape(k, P).all(axis=0)
                     if not finite.all():
-                        C[:, :, ~finite] = 0.0
+                        cols = np.concatenate([finite, finite[:m]]) if coupled_run else np.tile(finite, k)
+                        C2[:, ~cols] = 0.0
                         ok &= finite
                         if coupled_run:
                             lp[:, ~finite] = math.nan
 
-        out.final[:, lo:hi] = Xp.reshape(n, k, P).transpose(1, 2, 0)
-        out.alive[lo:hi] = ok
+        at = lo + ids
+        out.alive[at] = ok
+        if coupled_run:
+            out.final[:, at] = np.stack([Xp[:, :P], second(Xp)]).transpose(0, 2, 1)
+            out.lp_int[:, at] = lp
+            out.coupled[at] = coupled
+            out.tau[at] = tau
+            out.log_stoch_int[at] = log_s
+            out.zeta_sq_int[at] = zsq
+            out.f_int[at] = f_acc
+        else:
+            out.final[:, lo:hi] = Xp.reshape(n, k, P).transpose(1, 2, 0)
         if n_kept:
             out.window_sums[:, :, lo:hi] = sums
-        if coupled_run:
-            out.lp_int[:, lo:hi] = lp
-            out.coupled[lo:hi] = coupled
-            out.tau[lo:hi] = tau
-            out.log_stoch_int[lo:hi] = log_s
-            out.zeta_sq_int[lo:hi] = zsq
-            out.f_int[lo:hi] = f_acc
 
     _dispatch(
         [lambda lo=lo, hi=hi: run_chunk(lo, hi) for lo, hi in _chunk_ranges(N)],
@@ -531,6 +601,18 @@ class CoupledEnsembleResult:
     def coupled_fraction(self) -> float:
         a = self.alive
         return float(np.count_nonzero(self.coupled & a) / max(np.count_nonzero(a), 1))
+
+    def weight_health(self) -> dict:
+        """Effective sample size (sum w)^2 / sum w^2 of the alive pairs'
+        weights and the largest weight's share max w / sum w of their sum
+        (Owen 2013, ch. 9).  Both are scale-free and are computed from
+        w / max w; a weight past float range makes them nan, which the
+        record prints as null."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            u = self.weights[self.alive]
+            u = u / np.max(u)
+            total = np.sum(u)
+            return {"weight_ess": float(total**2 / np.sum(u * u)), "max_weight_share": float(1.0 / total)}
 
 
 def run_coupled_ensemble(
@@ -648,6 +730,7 @@ def verify_harnack(
         "mean_weight": rest.as_dict(),
         "coupled_fraction": res.coupled_fraction,
         "n_blowups": res.n_blowups,
+        **res.weight_health(),
     }
 
 

@@ -8,6 +8,7 @@ form, so no quadrature error enters the verdicts.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Callable, Sequence, Union
 
@@ -52,10 +53,7 @@ class PiecewiseConstant:
     def __call__(self, t: float) -> float:
         if t < 0.0:
             raise ValueError("schedules are defined on [0, inf)")
-        for b, v in zip(reversed(self.breaks), reversed(self.values)):
-            if t >= b:
-                return v
-        return self.values[0]
+        return self.values[bisect.bisect_right(self.breaks, t) - 1]
 
     def integral(self, t: float) -> float:
         """Exact integral of the schedule over [0, t]."""

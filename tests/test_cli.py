@@ -324,6 +324,48 @@ class TestCommandOutputs:
         assert set(rec["outputs"]) >= {"holds", "informative", "lhs", "rhs", "rhs_factor"}
 
 
+    def test_couple_coupling_time_spread(self, tmp_path, capsys):
+        # about half the pairs meet at this tolerance
+        payload = couple_config(n_paths=40)
+        payload["run"].update(dt=1e-3, T=0.1)
+        payload["couple_tol"] = 3e-5
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["couple", "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)["outputs"]
+        tau = out["tau"]
+        assert tau["min"] <= tau["q10"] <= tau["q50"] <= tau["q90"] <= tau["max"]
+        assert 0.0 < out["coupled_fraction"] < 1.0
+        assert 0.0 < out["two_copy_step_fraction"] < 1.0
+        # pairs that never meet take every step in two copies
+        cfg = write_config(tmp_path, "c.json", couple_config())
+        assert main(["couple", "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)["outputs"]
+        assert out["tau"] is None and out["two_copy_step_fraction"] == 1.0
+        # pairs from (x, x) meet before their first step
+        payload = couple_config()
+        payload["y"] = payload["x"]
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["couple", "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)["outputs"]
+        assert out["two_copy_step_fraction"] == 0.0
+        assert {out["tau"][k] for k in ("min", "q10", "q50", "q90", "max")} == {0.0}
+
+    @pytest.mark.parametrize("command", ["couple", "harnack-check", "moments"])
+    def test_weight_health_from_equal_starts(self, tmp_path, capsys, command):
+        # every weight is 1: the effective sample size is every path
+        payload = couple_config(n_paths=50)
+        payload["y"] = payload["x"]
+        if command != "couple":
+            del payload["sample_paths"]
+        if command == "harnack-check":
+            payload["p"] = 2.0
+        cfg = write_config(tmp_path, "w.json", payload)
+        assert main([command, "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)["outputs"]
+        assert out["weight_ess"] == 50.0
+        assert out["max_weight_share"] == 1.0 / 50.0
+
+
 class TestConditionSample:
     def test_one_sample_per_command_none_carried_over(self, tmp_path, capsys, monkeypatch):
         # both sampled checks of one command read one sample; the next

@@ -187,6 +187,23 @@ class TestRNG:
                 coef = coef + dt * (-m.eigenvalues * coef - 0.3 * coef) + m.q_diag * math.sqrt(dt) * xi[s]
             assert np.allclose(to_spectral(m, got[p]), coef, rtol=1e-12, atol=1e-14)
 
+    def test_step_schedule_switches_at_its_breaks(self):
+        # gamma changes at a step time (0.05) and between steps (0.083): the
+        # kernel reads it again only there and must follow gamma(t) step by step
+        m = three_mode_model()
+        gamma = PiecewiseConstant([0.0, 0.05, 0.083], [-0.3, 2.0, -1.0])
+        c = CoefficientSet(r=0.5, gamma=gamma, nonlinearity="identity")
+        x0 = np.array([0.2, -0.1, 0.3])
+        dt, n_steps = 1e-2, 12
+        got = final_states(m, c, x0, n_steps, dt, seed=11, n_paths=2, scheme="explicit_euler")
+        for p in range(2):
+            xi = philox_normals(11, p, (n_steps, 3))
+            coef, t = to_spectral(m, x0), 0.0
+            for s in range(n_steps):
+                coef = coef + dt * (-m.eigenvalues * coef + gamma(t) * coef) + m.q_diag * math.sqrt(dt) * xi[s]
+                t += dt
+            assert np.allclose(to_spectral(m, got[p]), coef, rtol=1e-12, atol=1e-14)
+
 
 class TestStepping:
     def test_equilibrium_stays_fixed_without_noise(self):

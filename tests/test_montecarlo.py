@@ -1,5 +1,6 @@
 """Ensemble estimators: determinism, reweighting, and the verdict helpers."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -241,6 +242,130 @@ class TestCoupledEnsemble:
         for coupled in (False, True):
             short, long = peak(500, coupled), peak(5000, coupled)
             assert abs(long - short) < 100_000, (coupled, short, long)
+
+
+class TestMetPairsLeaveTheTwoCopyBlock:
+    """Pairs that have met move out of the two-copy block at the start of
+    each noise block; no per-path number may depend on when they move."""
+
+    FIELDS = ("XT", "YT", "coupled", "tau", "log_stoch_int", "zeta_sq_int", "f_int",
+              "lp_int_x", "lp_int_y", "dist_final", "alive", "trace")
+
+    def test_results_independent_of_time_block(self, monkeypatch):
+        # a tolerance at which about half the pairs meet, inside noise
+        # blocks; a block longer than the run moves no pair
+        c = small_coeffs()
+        for n in (4, 9):
+            m = dirichlet1d_model(n, [i**-0.5 for i in range(1, n + 1)])
+            x = from_spectral(m, 0.4 / np.arange(1, n + 1))
+            y = from_spectral(m, -0.3 / np.arange(1, n + 1) ** 2)
+            cfg = EnsembleConfig(n_paths=13, dt=1e-3, T=0.1, seed=21)
+            for every in (1, 5):
+                def run(block):
+                    monkeypatch.setattr(montecarlo, "TIME_BLOCK", block)
+                    return run_coupled_ensemble(m, c, cfg, x, y, couple_tol=3e-5,
+                                                trace_paths=9, record_every=every)
+
+                whole = run(cfg.n_steps + 1)
+                assert 0 < np.count_nonzero(whole.coupled) < cfg.n_paths
+                for block in (1, 3, 7):
+                    res = run(block)
+                    for name in self.FIELDS:
+                        assert np.array_equal(getattr(res, name), getattr(whole, name), equal_nan=True), (
+                            n, every, block, name)
+
+    def test_met_pairs_that_blow_up(self, monkeypatch):
+        # explicit Euler past its stability limit on the top mode of a linear
+        # drift: every pair meets at step 4 and leaves the finite range
+        # near step 1460, at a step that varies by path
+        m = small_model()
+        c = CoefficientSet(r=0.5, nonlinearity="identity")
+        x, y = from_spectral(m, [0.4, 0.0, 0.0, 0.0]), from_spectral(m, [0.3, 0.0, 0.0, 0.0])
+        cfg = EnsembleConfig(n_paths=12, dt=0.029, T=0.029 * 1500, seed=3, scheme="explicit_euler")
+        sched = make_schedule(m, c, cfg.realized_T, x, y)
+
+        def run(block, chunk=1024, n_steps=cfg.n_steps):
+            monkeypatch.setattr(montecarlo, "TIME_BLOCK", block)
+            monkeypatch.setattr(montecarlo, "CHUNK_PATHS", chunk)
+            short = EnsembleConfig(n_paths=12, dt=cfg.dt, T=cfg.dt * n_steps, scheme=cfg.scheme, seed=3)
+            return montecarlo._simulate(m, c, short, [x, y], sched, 0.01, trace_paths=12)
+
+        whole = run(cfg.n_steps + 1)
+        assert whole.coupled.all() and not whole.alive.any()
+        # step s leaves the finite range when trace row s, the state after
+        # s + 1 steps, is the first to read a nan distance
+        s_b = np.argmax(np.isnan(whole.trace[:, :, 1]), axis=1)
+        assert 1400 < s_b.min() and s_b.max() < cfg.n_steps - 1
+        # log_s and zsq stop changing once a pair has met
+        before = run(cfg.n_steps + 1, n_steps=1400)
+        for block in (1, 3, 7):
+            res = run(block)
+            other = run(block, chunk=5)
+            for name in ("final", "alive", "lp_int", "coupled", "tau", "log_stoch_int",
+                         "zeta_sq_int", "f_int", "trace"):
+                assert np.array_equal(getattr(other, name), getattr(res, name), equal_nan=True), name
+            for name in ("alive", "coupled", "tau", "f_int"):
+                assert np.array_equal(getattr(res, name), getattr(whole, name)), (block, name)
+            assert np.array_equal(res.final[0], res.final[1], equal_nan=True)
+            assert np.isnan(res.lp_int).all()
+            # a met pair's X - Y is nan from the step after it leaves the
+            # finite range until the check at the end of that noise block
+            stale = (s_b + 1) % block != 0
+            for got, want in ((res.log_stoch_int, before.log_stoch_int),
+                              (res.zeta_sq_int, before.zeta_sq_int)):
+                assert np.array_equal(np.isnan(got), stale), block
+                assert np.array_equal(got[~stale], want[~stale]), block
+            assert stale.any() == (block > 1)
+
+    def test_transforms_narrow_to_the_first_copies_once_all_met(self, monkeypatch):
+        widths = []
+        real = montecarlo.from_spectral
+
+        def spy(model, coeffs, **kw):
+            widths.append(np.shape(coeffs)[-1])
+            return real(model, coeffs, **kw)
+
+        monkeypatch.setattr(montecarlo, "from_spectral", spy)
+        monkeypatch.setattr(montecarlo, "TIME_BLOCK", 4)
+        m, c = small_model(), small_coeffs()
+        cfg = EnsembleConfig(n_paths=6, dt=0.01, T=0.1, seed=3)
+        # from (x, x) every pair meets at step 0 and leaves at step 4
+        run_coupled_ensemble(m, c, cfg, START, START)
+        assert widths == [12] * 4 + [6] * 7
+        # pairs that meet later leave at the first block start after meeting
+        widths.clear()
+        cfg = EnsembleConfig(n_paths=6, dt=1e-3, T=0.1, seed=21)
+        res = run_coupled_ensemble(m, c, cfg, START, OTHER, couple_tol=0.02)
+        assert res.coupled.all()
+        assert widths[0] == 12 and widths[-1] == 6
+        assert all(a >= b for a, b in zip(widths, widths[1:]))
+        last_met = round(float(np.max(res.tau)) / cfg.dt)
+        assert widths.index(6) == (last_met // 4 + 1) * 4
+
+
+class TestWeightHealth:
+    def test_equal_starts_keep_every_path(self):
+        m, c = small_model(), small_coeffs()
+        cfg = EnsembleConfig(n_paths=16, dt=0.01, T=0.1, seed=3)
+        health = run_coupled_ensemble(m, c, cfg, START, START).weight_health()
+        assert health == {"weight_ess": 16.0, "max_weight_share": 1.0 / 16.0}
+
+    def test_hand_values_and_overflow(self):
+        m, c = small_model(), small_coeffs()
+        cfg = EnsembleConfig(n_paths=4, dt=0.01, T=0.1, seed=3)
+        res = run_coupled_ensemble(m, c, cfg, START, OTHER)
+        # weights 1, 1, 2, 4: ess = 8^2 / 22, share = 4 / 8
+        log_w = np.log([1.0, 1.0, 2.0, 4.0])
+        res = dataclasses.replace(res, log_stoch_int=-log_w, zeta_sq_int=np.zeros(4))
+        health = res.weight_health()
+        assert health["weight_ess"] == pytest.approx(64.0 / 22.0, rel=1e-15)
+        assert health["max_weight_share"] == pytest.approx(0.5, rel=1e-15)
+        # a weight past float range leaves both undefined: null in a record
+        huge = dataclasses.replace(res, log_stoch_int=np.array([0.0, 0.0, 0.0, -800.0]))
+        assert all(math.isnan(v) for v in huge.weight_health().values())
+        # a dead path's weight does not count
+        dead = dataclasses.replace(huge, alive=np.array([True, True, True, False]))
+        assert dead.weight_health() == {"weight_ess": 3.0, "max_weight_share": 1.0 / 3.0}
 
 
 class TestEstimateWeighted:

@@ -26,7 +26,9 @@ def test_library_quick_start_runs():
     assert [line.split()[:2] for line in out.getvalue().splitlines()] == [
         [kind, str(p)] for kind in ("exp_neg_h_sq", "rational_h") for p in (2.0, 4.0)
     ]
-    assert namespace["res"].n_blowups == 0
+    res = namespace["res"]
+    assert res.n_blowups == 0
+    assert 0.0 < res.weight_health()["weight_ess"] <= res.XT.shape[0]
 
 
 # --- the config key table is the schema table -----------------------------
