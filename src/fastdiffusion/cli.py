@@ -140,12 +140,21 @@ def _cmd_simulate(cfg: ExperimentConfig, with_tables: bool):
     return outputs, None, None
 
 
+def _path_rows(res: montecarlo.CoupledEnsembleResult):
+    """The rows of the couple paths table, one per pair in path order."""
+    log_weight = -res.log_stoch_int - 0.5 * res.zeta_sq_int
+    return zip(
+        range(res.alive.size), res.coupled, res.tau, log_weight,
+        res.zeta_sq_int, res.f_int, res.dist_final,
+    )
+
+
 def _cmd_couple(cfg: ExperimentConfig, with_tables: bool):
     res = _coupled(
         cfg, trace_paths=cfg.extras["sample_paths"], record_every=cfg.extras["record_every"],
     )
     a = res.alive
-    coupled = res.coupled & a
+    coupled = res.coupled  # a dead pair is never coupled
     sched = res.schedule
     tau_vals = res.tau[coupled]
     # an alive pair is advanced in two copies for the steps before it meets
@@ -180,15 +189,10 @@ def _cmd_couple(cfg: ExperimentConfig, with_tables: bool):
 
     if not with_tables:
         return outputs, None, None
-    log_weight = -res.log_stoch_int - 0.5 * res.zeta_sq_int
-    path_rows = zip(
-        range(cfg.run.n_paths), res.coupled, res.tau, log_weight,
-        res.zeta_sq_int, res.f_int, res.dist_final,
-    )
     trace = res.trace if res.trace is not None else np.empty((0, 0, 4))
     trace_rows = ((j, *row) for j, rows in enumerate(trace) for row in rows)
     return outputs, {
-        "paths": (COUPLE_CSV_COLUMNS, path_rows),
+        "paths": (COUPLE_CSV_COLUMNS, _path_rows(res)),
         "trace": (PLOT_CSV_COLUMNS, trace_rows),
     }, None
 

@@ -129,9 +129,11 @@ def _mixture_samples(model: SpectralModel, n_samples: int, seed: int) -> np.ndar
     Row j is the mode vector e_(j//3 mod n) when j % 3 == 0, the state
     with standard normal spectral coefficients when j % 3 == 1, and a
     point mass of size +-(0.5 + U) at a uniform point when j % 3 == 2.
-    The draws come from one Philox stream in row order.  The sample is
-    read-only: the most recent one is kept and handed to the next call
-    with the same model object, n_samples and seed.
+    The draws come from one Philox stream in four batches, in this order:
+    the Gaussian rows' coefficients, then the point masses' signs, their
+    points and their sizes U.  The sample is read-only: the most recent
+    one is kept and handed to the next call with the same model object,
+    n_samples and seed.
     """
     global _last_sample
     if n_samples < 1:
@@ -141,15 +143,16 @@ def _mixture_samples(model: SpectralModel, n_samples: int, seed: int) -> np.ndar
         return last[3]
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     n = model.n
+    rows = np.arange(n_samples)
+    gauss = rng.standard_normal((rows[1::3].size, n))
+    k = rows[2::3].size
+    sign = rng.integers(2, size=k)
+    point = rng.integers(n, size=k)
+    size = rng.random(k)
     out = np.zeros((n_samples, n))
-    for j in range(1, n_samples, 3):
-        out[j] = rng.standard_normal(n)
-        if j + 1 < n_samples:
-            # the right-hand side is drawn first: sign, then size, then point
-            sign = (-1.0, 1.0)[rng.integers(2)]
-            out[j + 1, rng.integers(n)] = sign * (0.5 + rng.random())
-    out[0::3] = model.eigenfunctions[np.arange(0, n_samples, 3) // 3 % n]
-    out[1::3] = from_spectral(model, out[1::3])
+    out[0::3] = model.eigenfunctions[rows[0::3] // 3 % n]
+    out[1::3] = from_spectral(model, gauss)
+    out[2::3][np.arange(k), point] = np.where(sign, 1.0, -1.0) * (0.5 + size)
     out /= norm_h(model, out)[:, None]
     out.setflags(write=False)
     _last_sample = (model, n_samples, seed, out)

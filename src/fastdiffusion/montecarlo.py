@@ -599,8 +599,7 @@ class CoupledEnsembleResult:
 
     @property
     def coupled_fraction(self) -> float:
-        a = self.alive
-        return float(np.count_nonzero(self.coupled & a) / max(np.count_nonzero(a), 1))
+        return float(np.count_nonzero(self.coupled) / max(np.count_nonzero(self.alive), 1))
 
     def weight_health(self) -> dict:
         """Effective sample size (sum w)^2 / sum w^2 of the alive pairs'
@@ -630,7 +629,9 @@ def run_coupled_ensemble(
 
     The meeting tolerance defaults to 1e-6 times the starting gap in the
     H norm.  Paths with index below trace_paths record a trace row after
-    every record_every-th step.  The estimators and verdicts below read
+    every record_every-th step.  A pair that left the finite range is
+    not coupled, and its tau, weight terms, path integrals and final
+    states are nan.  The estimators and verdicts below read
     the result; none of them runs an ensemble of its own.
     """
     x = np.asarray(x, dtype=float)
@@ -647,6 +648,15 @@ def run_coupled_ensemble(
         trace_paths=min(trace_paths, cfg.n_paths), record_every=record_every,
     )
     n_blow = _check_blowups(run.alive, "coupled")
+    if n_blow:
+        # the kernel zeroes a dead pair at the check that ends its noise
+        # block, so it reads as met from the next step; it has no meeting
+        # time, weight terms or final state
+        dead = ~run.alive
+        run.coupled[dead] = False
+        run.final[:, dead] = math.nan
+        for a in (run.tau, run.log_stoch_int, run.zeta_sq_int, run.f_int):
+            a[dead] = math.nan
     XT, YT = run.final
     return CoupledEnsembleResult(
         x=x, y=y, schedule=sched, XT=XT, YT=YT, coupled=run.coupled, tau=run.tau,
@@ -692,8 +702,10 @@ def verify_harnack(
     The run does not depend on p or F, so one run serves every pair.
 
     When the multiplier overflows to inf the bound carries no information:
-    the verdict holds with informative False, and rhs and its interval
-    are null.
+    the verdict holds with informative False, and rhs, its interval and
+    ci_margin are null.  Otherwise ci_margin = rhs_lo (1 + slack) - lhs_hi
+    is the signed distance of the comparison, >= 0 exactly when the
+    verdict holds (null where it leaves float range).
     """
     a = res.alive
     FX = np.asarray(F(res.XT[a]), dtype=float)
@@ -710,9 +722,10 @@ def verify_harnack(
         rhs = factor * xest.mean
         rhs_lo = factor * (xest.mean - 1.96 * xest.stderr)
         rhs_hi = factor * (xest.mean + 1.96 * xest.stderr)
+        ci_margin = rhs_lo * (1.0 + slack) - lhs_hi
         holds = lhs_hi <= rhs_lo * (1.0 + slack)
     else:
-        rhs = rhs_lo = rhs_hi = None
+        rhs = rhs_lo = rhs_hi = ci_margin = None
         holds = True
 
     return {
@@ -725,6 +738,7 @@ def verify_harnack(
         "rhs": rhs,
         "rhs_ci95": [rhs_lo, rhs_hi],
         "rhs_factor": factor,
+        "ci_margin": ci_margin,
         "weighted_estimate": west.as_dict(),
         "plain_p_estimate": xest.as_dict(),
         "mean_weight": rest.as_dict(),

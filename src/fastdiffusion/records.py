@@ -10,6 +10,7 @@ count.  The inputs hash is a sha1 over the canonical input JSON.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -41,7 +42,10 @@ COUPLE_CSV_COLUMNS = (
 PLOT_CSV_COLUMNS = ("path_index", "t", "dist_h", "beta", "zeta_sq")
 
 
+@functools.cache
 def _package_version() -> str:
+    """The installed version, looked up once per process: the lookup scans
+    every sys.path entry."""
     try:
         return metadata.version("fastdiffusion")
     except metadata.PackageNotFoundError:

@@ -11,8 +11,18 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from fastdiffusion import conditions, config, montecarlo
-from fastdiffusion.cli import main
+from fastdiffusion import (
+    CoefficientSet,
+    EnsembleConfig,
+    conditions,
+    config,
+    dirichlet1d_model,
+    from_spectral,
+    montecarlo,
+    records,
+    run_coupled_ensemble,
+)
+from fastdiffusion.cli import _path_rows, main
 from fastdiffusion.config import COMMANDS, CONDITION_CHECKS, TEST_FUNCTION_KINDS
 
 
@@ -255,6 +265,31 @@ class TestEmission:
         # serialize the parsed record again: text representations of the
         # floats must be identical (shortest round-trip form)
         assert json.dumps(rec, sort_keys=True, indent=2) + "\n" == text
+
+
+class TestDeadPairs:
+    def test_dead_pairs_are_not_coupled(self, tmp_path, monkeypatch):
+        # explicit Euler past its stability limit on a linear drift: all six
+        # pairs leave the finite range near step 1460, before they can meet.
+        # The kernel zeroes a dead pair at the end of its noise block, so
+        # without a correction its row would depend on where blocks end.
+        monkeypatch.setattr(montecarlo, "BLOWUP_BUDGET", 1.0)
+        m = dirichlet1d_model(4, [1.0, 0.8, 0.6, 0.5])
+        c = CoefficientSet(r=0.5, nonlinearity="identity")
+        x, y = from_spectral(m, [0.4, 0.0, 0.0, 0.0]), from_spectral(m, [0.3, 0.0, 0.0, 0.0])
+        cfg = EnsembleConfig(n_paths=6, dt=0.029, T=0.029 * 1500, seed=3, scheme="explicit_euler")
+        tables = []
+        for block in (7, 2000):
+            monkeypatch.setattr(montecarlo, "TIME_BLOCK", block)
+            res = run_coupled_ensemble(m, c, cfg, x, y, couple_tol=1e-300)
+            assert not res.alive.any() and res.coupled_fraction == 0.0
+            path = tmp_path / f"paths_{block}.csv"
+            records._write_csv(path, records.COUPLE_CSV_COLUMNS, _path_rows(res))
+            tables.append(path.read_bytes())
+        assert tables[0] == tables[1]
+        rows = list(csv.reader(io.StringIO(tables[0].decode("utf-8"))))
+        assert rows[0] == list(records.COUPLE_CSV_COLUMNS)
+        assert rows[1:] == [[str(j), "0"] + ["nan"] * 5 for j in range(6)]
 
 
 class TestCommandOutputs:

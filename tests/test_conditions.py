@@ -30,20 +30,27 @@ def two_mode_model():
 
 
 def loop_mixture_samples(model, n_samples, seed):
-    """Reference sampler: one state at a time, transformed and normalized
-    on its own."""
+    """Reference sampler: the four streams drawn one value (or one
+    Gaussian row) per call, in the sampler's order, then one state at a
+    time built, transformed and normalized on its own."""
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     n = model.n
+    n_gauss = len(range(1, n_samples, 3))
+    n_point = len(range(2, n_samples, 3))
+    gauss = [rng.standard_normal(n) for _ in range(n_gauss)]
+    signs = [rng.choice([-1.0, 1.0]) for _ in range(n_point)]
+    points = [rng.integers(n) for _ in range(n_point)]
+    sizes = [rng.random() for _ in range(n_point)]
     out = np.empty((n_samples, n))
     for j in range(n_samples):
         kind = j % 3
         if kind == 0:
             x = model.eigenfunctions[j // 3 % n]
         elif kind == 1:
-            x = from_spectral(model, rng.standard_normal(n))
+            x = from_spectral(model, gauss[j // 3])
         else:
             x = np.zeros(n)
-            x[rng.integers(n)] = rng.choice([-1.0, 1.0]) * (0.5 + rng.random())
+            x[points[j // 3]] = signs[j // 3] * (0.5 + sizes[j // 3])
         out[j] = x / norm_h(model, x)
     return out
 

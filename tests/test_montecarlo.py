@@ -31,7 +31,7 @@ from fastdiffusion import (
     verify_exp_moment_bound,
     verify_harnack,
 )
-from fastdiffusion import montecarlo
+from fastdiffusion import bounds, montecarlo
 
 
 def small_model():
@@ -412,6 +412,29 @@ class TestVerifyHarnack:
             assert out["holds"] is True and out["informative"] is False
             assert out["rhs"] is None and out["rhs_ci95"] == [None, None]
             assert all(math.isfinite(v) for v in out["lhs_ci95"])
+
+    def test_ci_margin_signs_the_verdict(self, monkeypatch):
+        # scale the multiplier through the flip of the verdict: the margin
+        # is >= 0 exactly where the comparison holds
+        m, c = small_model(), small_coeffs()
+        cfg = EnsembleConfig(n_paths=200, dt=0.005, T=0.1, seed=8)
+        res = run_coupled_ensemble(m, c, cfg, START, OTHER)
+        signs = set()
+        for factor in 10.0 ** np.arange(-3.0, 3.5, 0.5):
+            monkeypatch.setattr(bounds, "harnack_rhs", lambda *args, f=factor: f)
+            out = verify_harnack(m, c, res, 2.0, exp_f(m))
+            lhs_hi, rhs_lo = out["lhs_ci95"][1], out["rhs_ci95"][0]
+            assert out["ci_margin"] == rhs_lo * (1.0 + out["slack"]) - lhs_hi
+            assert (out["ci_margin"] >= 0.0) == out["holds"]
+            signs.add(out["holds"])
+        assert signs == {True, False}
+
+    def test_ci_margin_null_for_infinite_factor(self):
+        m, c = small_model(), small_coeffs()
+        cfg = EnsembleConfig(n_paths=64, dt=1e-4, T=0.01, seed=5)
+        y = from_spectral(m, [20.0, 0.0, 0.0, 0.0])
+        out = verify_harnack(m, c, run_coupled_ensemble(m, c, cfg, START, y), 2.0, exp_f(m))
+        assert out["informative"] is False and out["ci_margin"] is None
 
     def test_report_shape(self):
         m, c = small_model(), small_coeffs()

@@ -15,6 +15,8 @@ from fastdiffusion import (
     load_record,
     make_record,
 )
+from fastdiffusion import records
+from fastdiffusion.cli import main
 
 
 class TestCanonicalJson:
@@ -124,3 +126,29 @@ class TestEmitReport:
         paths = emit_report(rec, tmp_path)
         assert len(paths) == 1
         assert paths[0].endswith("bounds.json")
+
+
+class TestPackageVersion:
+    def test_looked_up_once_per_process(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = records.metadata.version
+
+        def spy(name):
+            calls.append(name)
+            return real(name)
+
+        records._package_version.cache_clear()
+        monkeypatch.setattr(records.metadata, "version", spy)
+        cfg = tmp_path / "b.json"
+        cfg.write_text(json.dumps({
+            "model": {"n": 2, "q_diag": [1.0, 0.5]},
+            "coeffs": {"r": 0.5},
+            "run": {"T": 0.1},
+            "x": [0.1, 0.0],
+            "y": [0.0, 0.1],
+        }), encoding="utf-8")
+        codes = [main(["bounds", "--config", str(cfg)]) for _ in range(2)]
+        out = capsys.readouterr().out
+        assert codes == [0, 0]
+        assert calls == ["fastdiffusion"]
+        assert out.count('"version"') == 2
