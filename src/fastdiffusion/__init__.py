@@ -43,20 +43,8 @@ from .spectral import (
     norm_q,
     to_spectral,
 )
-from .dynamics import (
-    NONLINEARITIES,
-    SCHEMES,
-    CoefficientSet,
-    apply_drift,
-    drift_eval,
-    psi_eval,
-)
-from .coupling import (
-    CouplingSchedule,
-    f_diagnostic,
-    make_schedule,
-    zeta,
-)
+from .dynamics import NONLINEARITIES, SCHEMES, CoefficientSet
+from .coupling import CouplingSchedule, make_schedule
 from .bounds import (
     BoundReport,
     bound_report,
@@ -142,14 +130,9 @@ __all__ = [
     "SCHEMES",
     "NONLINEARITIES",
     "CoefficientSet",
-    "psi_eval",
-    "drift_eval",
-    "apply_drift",
     # coupling
     "CouplingSchedule",
     "make_schedule",
-    "zeta",
-    "f_diagnostic",
     # bounds
     "exp_moment_weight",
     "log_moment_rate",

@@ -149,6 +149,12 @@ def _path_rows(res: montecarlo.CoupledEnsembleResult):
     )
 
 
+def _trace_rows(res: montecarlo.CoupledEnsembleResult):
+    """The rows of the couple trace table, each traced pair's in time order."""
+    trace = res.trace if res.trace is not None else np.empty((0, 0, 4))
+    return ((j, *row) for j, rows in enumerate(trace) for row in rows)
+
+
 def _cmd_couple(cfg: ExperimentConfig, with_tables: bool):
     res = _coupled(
         cfg, trace_paths=cfg.extras["sample_paths"], record_every=cfg.extras["record_every"],
@@ -189,11 +195,9 @@ def _cmd_couple(cfg: ExperimentConfig, with_tables: bool):
 
     if not with_tables:
         return outputs, None, None
-    trace = res.trace if res.trace is not None else np.empty((0, 0, 4))
-    trace_rows = ((j, *row) for j, rows in enumerate(trace) for row in rows)
     return outputs, {
         "paths": (COUPLE_CSV_COLUMNS, _path_rows(res)),
-        "trace": (PLOT_CSV_COLUMNS, trace_rows),
+        "trace": (PLOT_CSV_COLUMNS, _trace_rows(res)),
     }, None
 
 

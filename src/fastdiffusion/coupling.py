@@ -14,8 +14,9 @@ stochastic and quadratic integrals of
     zeta_t = beta_t Q^(-1) (X_t - Y_t) / |X_t - Y_t|_H^epsilon
 
 whose exponential supermartingale reweights expectations over the first
-copy into expectations over an uncoupled copy started at y.  The
-point-space formulas below are the oracles that kernel is tested against.
+copy into expectations over an uncoupled copy started at y.  A pair
+that leaves the finite range is carried as nan and counted; the kernel
+is the one place that evaluates the attraction and zeta.
 """
 
 from __future__ import annotations
@@ -28,15 +29,9 @@ import numpy as np
 from .dynamics import CoefficientSet
 from .errors import ZeroHorizon
 from .schedules import PiecewiseConstant, combine, weighted_exp_integral
-from .spectral import SpectralModel, norm_h, to_spectral
+from .spectral import SpectralModel, norm_h
 
-__all__ = [
-    "CouplingSchedule",
-    "make_schedule",
-    "coupling_drift",
-    "zeta",
-    "f_diagnostic",
-]
+__all__ = ["CouplingSchedule", "make_schedule"]
 
 DEFAULT_TOL_FACTOR = 1e-6
 
@@ -99,35 +94,3 @@ def make_schedule(model: SpectralModel, coeffs: CoefficientSet, T: float, x, y) 
     c = 0.0 if dist0 == 0.0 else dist0**eps / denom
     return CouplingSchedule(epsilon=eps, c=c, T=float(T), dist0=dist0, amp=amp, gamma=coeffs.gamma)
 
-
-def coupling_drift(model: SpectralModel, sched: CouplingSchedule, x, y, t: float) -> np.ndarray:
-    """Attraction drift beta_t (x - y) / |x - y|_H^epsilon; zero at x = y."""
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    dist = float(norm_h(model, d))
-    if dist == 0.0:
-        return np.zeros(model.n)
-    return sched.beta(t) * d / dist**sched.epsilon
-
-
-def zeta(model: SpectralModel, sched: CouplingSchedule, x, y, t: float) -> np.ndarray:
-    """Spectral coordinates of the reweighting integrand; zero at x = y."""
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    dist = float(norm_h(model, d))
-    if dist == 0.0:
-        return np.zeros(model.n)
-    return sched.beta(t) * to_spectral(model, d) / (model.q_diag * dist**sched.epsilon)
-
-
-def f_diagnostic(model: SpectralModel, coeffs: CoefficientSet, x, y):
-    """Envelope moment f = m[(|x| v |y|)^(r+1)] raised to (1-r)/(1+r).
-
-    Accepts batched states; the ensemble kernel integrates
-    f^(2/(sigma-2)) while the pair is uncoupled.
-    """
-    r = coeffs.r
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    env = np.maximum(np.abs(x), np.abs(y)) ** (r + 1.0)
-    moment = (model.space.weights * env).sum(axis=-1)
-    out = moment ** ((1.0 - r) / (1.0 + r))
-    return float(out) if out.ndim == 0 else out

@@ -1,4 +1,4 @@
-"""Coefficients and the point-space drift formulas.
+"""Coefficients of the state equation.
 
 The state equation is
 
@@ -7,25 +7,18 @@ The state equation is
 with Psi(t, s) = (delta_t / (2 r)) |s|^(r-1) s for r in (0, 1), diagonal
 noise Q in the eigenbasis of -L, and an optional linear mode (Psi = id)
 kept solely as a closed-form test oracle.  The ensemble kernel in
-montecarlo advances it in eigen-coordinates; drift_eval and apply_drift
-are the same step written on point values, which tests use as oracles.
+montecarlo is the one place that evaluates the drift: it advances the
+state in eigen-coordinates, and a path whose state leaves the finite
+range is carried as nan and counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .schedules import PiecewiseConstant, ScheduleLike, as_schedule, combine
-from .spectral import SpectralModel, from_spectral, to_spectral
 
-__all__ = [
-    "CoefficientSet",
-    "psi_eval",
-    "drift_eval",
-    "apply_drift",
-]
+__all__ = ["CoefficientSet"]
 
 SCHEMES = ("tamed_euler", "explicit_euler")
 NONLINEARITIES = ("power", "identity")
@@ -102,29 +95,3 @@ class CoefficientSet:
             self.delta,
         )
 
-
-def psi_eval(coeffs: CoefficientSet, s, t: float = 0.0):
-    """Pointwise nonlinearity Psi(t, s); accepts scalars or arrays."""
-    s = np.asarray(s, dtype=float)
-    if coeffs.nonlinearity == "identity":
-        out = s.copy()
-    else:
-        scale = coeffs.delta(t) / (2.0 * coeffs.r)
-        out = scale * np.sign(s) * np.abs(s) ** coeffs.r
-    return float(out) if out.ndim == 0 else out
-
-
-def drift_eval(model: SpectralModel, coeffs: CoefficientSet, x, t: float = 0.0) -> np.ndarray:
-    """Drift L Psi(t, x) + gamma_t x for a state or batch of states."""
-    x = np.asarray(x, dtype=float)
-    c = to_spectral(model, psi_eval(coeffs, x, t))
-    lpsi = from_spectral(model, -model.eigenvalues * c)
-    return lpsi + coeffs.gamma(t) * x
-
-
-def apply_drift(x, b, dt: float, scheme: str, weights) -> np.ndarray:
-    """Drift part of one step; taming divides by 1 + dt * |b| in L2(m)."""
-    if scheme == "explicit_euler":
-        return x + dt * b
-    bnorm = np.sqrt((weights * b * b).sum(axis=-1, keepdims=True))
-    return x + dt * b / (1.0 + dt * bnorm)

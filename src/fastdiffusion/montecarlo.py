@@ -17,8 +17,8 @@ two-copy block, and the kernel advances them in one copy.  Their Y-side
 numbers are read off the first copy and their weight terms, exact zeros,
 are skipped, so no per-path number depends on when a pair moves.
 
-A path whose state leaves the finite range is aborted and counted; a
-run fails when more than 0.1 percent of its paths blow up.
+A path whose state leaves the finite range is carried as nan and
+counted; a run fails when more than 0.1 percent of its paths blow up.
 """
 
 from __future__ import annotations
@@ -284,6 +284,11 @@ def _simulate(
     of its own column only, so results do not depend on the chunk, on
     where a path sits in it, on when pairs are moved or on the worker
     count.
+
+    D = X - Y, |D|_H and |zeta|^2 of the pairs still apart are computed
+    once per step, and once more after the last, for the trace rows too.
+    No step maps a non-finite state back to a finite one, so alive is
+    read off the final states and a dead pair's rows read nan.
     """
     n = model.n
     k = len(starts)
@@ -334,7 +339,6 @@ def _simulate(
         C2 = np.empty((n, k * P))
         copies = C2.reshape(n, k, P)  # a plain run's block keeps this shape
         copies[...] = c0
-        ok = np.ones(P, dtype=bool)
         ids = np.arange(P)
         gens = _path_generators(cfg.seed, lo, hi)
         noise = np.empty((P, min(TIME_BLOCK, n_steps), n))
@@ -353,9 +357,7 @@ def _simulate(
                 return np.concatenate([A[..., P:], A[..., m:P]], axis=-1)
 
         n_tr = max(0, min(hi, trace_paths) - lo)
-        # columns of the two copies of the traced pairs, in path order
-        tr_x = np.arange(n_tr)
-        tr_y = P + tr_x
+        tr_x = np.arange(n_tr)  # positions of the traced pairs, in path order
         if n_kept:
             sums = np.zeros((2, 3, P))
             # kept j of the current batch sits in columns j*P:(j+1)*P
@@ -374,13 +376,12 @@ def _simulate(
                     m -= int(np.count_nonzero(coupled[:m]))
                     # take keeps the block mode-major (C order); indexing would not
                     C2 = C2.take(np.concatenate([order, P + order[:m]]), axis=1)
-                    for a in (ok, ids, lp, v_prev, coupled, tau, log_s, zsq, f_acc):
+                    for a in (ids, lp, v_prev, coupled, tau, log_s, zsq, f_acc):
                         a[...] = a[..., order]
                     gens = [gens[i] for i in order]
                     pos = np.empty_like(ids)
                     pos[ids] = np.arange(P)  # pos[j]: where path lo + j sits
                     tr_x = pos[:n_tr]
-                    tr_y = np.where(tr_x < m, P + tr_x, tr_x)
 
                 # the state after s steps, in point values
                 Xp = from_spectral(model, C2, mode_major=True)
@@ -408,15 +409,29 @@ def _simulate(
                         for j in range(nb):
                             sums[int(ki - nb + j >= half)] += vals[:, j]
                         nb = 0
-                if n_tr and s and s % record_every == 0:
-                    D = C2[:, tr_x] - C2[:, tr_y]
-                    dist = np.sqrt(_row_sum(D * D * inv_lam))
+                if coupled_run:
                     beta = sched.beta(min(t, sched.T))
-                    zc = D * (beta / dist**eps) * inv_q
-                    zeta_sq = np.where(coupled[tr_x] | (dist == 0.0), 0.0, _row_sum(zc * zc))
-                    out.trace[lo:lo + n_tr, s // record_every - 1] = np.stack(
-                        np.broadcast_arrays(t, dist, beta, zeta_sq), axis=-1
-                    )
+                    if m:
+                        # D, dist and zeta of the pairs in the two-copy block,
+                        # taken before this step's meeting check: zeta is 0
+                        # where X = Y, as for every pair that has met
+                        D = C2[:, :m] - C2[:, P:]
+                        dist = np.sqrt(_row_sum(D * D * inv_lam))
+                        apart = dist > 0.0
+                        attraction = D * np.where(apart, beta / np.where(apart, dist, 1.0) ** eps, 0.0)
+                        zc = attraction * inv_q
+                        zeta_sq = _row_sum(zc * zc)
+                if n_tr and s and s % record_every == 0:
+                    # rows read the numbers above; a pair that left the block
+                    # has X - Y = 0, which is nan once its state is not finite
+                    rows = out.trace[lo:lo + n_tr, s // record_every - 1]
+                    rows[:, 0] = t
+                    rows[:, 1] = np.where(np.isfinite(C2[:, tr_x]).all(axis=0), 0.0, math.nan)
+                    rows[:, 2] = beta
+                    rows[:, 3] = rows[:, 1]
+                    inside = tr_x < m
+                    rows[inside, 1] = dist[tr_x[inside]]
+                    rows[inside, 3] = zeta_sq[tr_x[inside]]
                 if s == n_steps:
                     break
 
@@ -438,26 +453,16 @@ def _simulate(
                     drift += gamma * C2
                 if coupled_run:
                     X, Y = C2[:, :P], C2[:, P:]
-                    if b + 1 == B and m < P:
-                        # a met pair's X - Y is 0 while its state is finite
-                        # and nan from the step after it leaves the finite
-                        # range until the check that ends this block, which
-                        # makes its log_s and zsq nan
-                        stale = ~np.isfinite(X[:, m:]).all(axis=0)
-                        log_s[m:][stale] = zsq[m:][stale] = math.nan
                     if m:
-                        D = X[:, :m] - Y
-                        dist = np.sqrt(_row_sum(D * D * inv_lam))
                         newly = ~coupled[:m] & (dist <= couple_tol)
                         tau[:m][newly] = t
                         coupled[:m] |= newly
                         active = ~coupled[:m]
-                        ratio = np.where(active, sched.beta(t) / np.where(active, dist, 1.0) ** eps, 0.0)
-                        attraction = D * ratio
+                        # a pair that meets now takes no weight terms, and its
+                        # Y is set to its X below whatever its drift
                         drift[:, P:] += attraction
-                        zc = attraction * inv_q
-                        zsq[:m] += _row_sum(zc * zc) * dt
-                        log_s[:m] += _row_sum(zc * (dW[:, :m] * inv_q))
+                        zsq[:m] += np.where(active, zeta_sq, 0.0) * dt
+                        log_s[:m] += np.where(active, _row_sum(zc * (dW[:, :m] * inv_q)), 0.0)
                         env = np.maximum(V[:, :m], V[:, P:])
                         fval = (_row_sum(env * w) ** f_expo[0]) ** f_expo[1]
                         f_acc[:m] += np.where(active, fval, 0.0) * dt
@@ -475,22 +480,11 @@ def _simulate(
                     copies += dW[:, None, :]
                 t += dt
 
-                if b + 1 == B:
-                    finite = np.isfinite(C2).all(axis=0)
-                    if coupled_run:
-                        finite = finite[:P] & second(finite)
-                    else:
-                        finite = finite.reshape(k, P).all(axis=0)
-                    if not finite.all():
-                        cols = np.concatenate([finite, finite[:m]]) if coupled_run else np.tile(finite, k)
-                        C2[:, ~cols] = 0.0
-                        ok &= finite
-                        if coupled_run:
-                            lp[:, ~finite] = math.nan
-
+        # no step maps a non-finite state back to a finite one
+        finite = np.isfinite(C2).all(axis=0)
         at = lo + ids
-        out.alive[at] = ok
         if coupled_run:
+            out.alive[at] = finite[:P] & second(finite)
             out.final[:, at] = np.stack([Xp[:, :P], second(Xp)]).transpose(0, 2, 1)
             out.lp_int[:, at] = lp
             out.coupled[at] = coupled
@@ -499,6 +493,7 @@ def _simulate(
             out.zeta_sq_int[at] = zsq
             out.f_int[at] = f_acc
         else:
+            out.alive[lo:hi] = finite.reshape(k, P).all(axis=0)
             out.final[:, lo:hi] = Xp.reshape(n, k, P).transpose(1, 2, 0)
         if n_kept:
             out.window_sums[:, :, lo:hi] = sums
@@ -570,8 +565,9 @@ class CoupledEnsembleResult:
 
     lp_int_x and lp_int_y are the path integrals of |.|_{r+1}^{r+1} of
     the two copies.  trace, when requested, has shape (paths, rows, 4)
-    with rows (t, |X-Y|_H, beta_t, |zeta_t|^2).  The horizon is
-    schedule.T.
+    with rows (t, |X-Y|_H, beta_t, |zeta_t|^2); a pair that left the
+    finite range reads nan in |X-Y|_H and |zeta_t|^2 from the row of the
+    step on which it left.  The horizon is schedule.T.
     """
 
     x: np.ndarray
@@ -631,8 +627,9 @@ def run_coupled_ensemble(
     H norm.  Paths with index below trace_paths record a trace row after
     every record_every-th step.  A pair that left the finite range is
     not coupled, and its tau, weight terms, path integrals and final
-    states are nan.  The estimators and verdicts below read
-    the result; none of them runs an ensemble of its own.
+    states are nan; this is the one place that blanks a dead pair.  The
+    estimators and verdicts below read the result; none of them runs an
+    ensemble of its own.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -649,12 +646,12 @@ def run_coupled_ensemble(
     )
     n_blow = _check_blowups(run.alive, "coupled")
     if n_blow:
-        # the kernel zeroes a dead pair at the check that ends its noise
-        # block, so it reads as met from the next step; it has no meeting
-        # time, weight terms or final state
+        # the kernel carries a dead pair on as nan or inf, and it may have
+        # met before it left the finite range: it has no meeting time,
+        # weight terms, path integrals or final state
         dead = ~run.alive
         run.coupled[dead] = False
-        run.final[:, dead] = math.nan
+        run.final[:, dead] = run.lp_int[:, dead] = math.nan
         for a in (run.tau, run.log_stoch_int, run.zeta_sq_int, run.f_int):
             a[dead] = math.nan
     XT, YT = run.final

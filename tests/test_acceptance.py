@@ -17,7 +17,6 @@ from fastdiffusion import (
     AsymptoticSpec,
     CoefficientSet,
     EnsembleConfig,
-    apply_drift,
     build_model,
     check_fractional_power,
     check_noise_domination,
@@ -28,7 +27,6 @@ from fastdiffusion import (
     coupling_gain_int,
     coupling_gain_sq_int,
     dirichlet1d_model,
-    drift_eval,
     estimate_invariant,
     estimate_ptf,
     exp_moment_weight,
@@ -39,13 +37,13 @@ from fastdiffusion import (
     make_test_function,
     norm_h,
     norm_l2m,
-    psi_eval,
     run_coupled_ensemble,
     to_spectral,
     verify_exp_moment_bound,
     verify_harnack,
 )
 from fastdiffusion.cli import main
+from point_oracles import apply_drift, drift_eval, psi_eval
 
 
 def verdict(ok: bool, label: str) -> bool:

@@ -7,6 +7,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -18,11 +19,12 @@ from fastdiffusion import (
     config,
     dirichlet1d_model,
     from_spectral,
+    make_schedule,
     montecarlo,
     records,
     run_coupled_ensemble,
 )
-from fastdiffusion.cli import _path_rows, main
+from fastdiffusion.cli import _path_rows, _trace_rows, main
 from fastdiffusion.config import COMMANDS, CONDITION_CHECKS, TEST_FUNCTION_KINDS
 
 
@@ -270,26 +272,50 @@ class TestEmission:
 class TestDeadPairs:
     def test_dead_pairs_are_not_coupled(self, tmp_path, monkeypatch):
         # explicit Euler past its stability limit on a linear drift: all six
-        # pairs leave the finite range near step 1460, before they can meet.
-        # The kernel zeroes a dead pair at the end of its noise block, so
-        # without a correction its row would depend on where blocks end.
+        # pairs leave the finite range, between steps 790 and 1465, before
+        # they can meet.  The kernel carries a dead pair on as nan, so
+        # neither table may depend on where noise blocks end.
         monkeypatch.setattr(montecarlo, "BLOWUP_BUDGET", 1.0)
         m = dirichlet1d_model(4, [1.0, 0.8, 0.6, 0.5])
         c = CoefficientSet(r=0.5, nonlinearity="identity")
         x, y = from_spectral(m, [0.4, 0.0, 0.0, 0.0]), from_spectral(m, [0.3, 0.0, 0.0, 0.0])
         cfg = EnsembleConfig(n_paths=6, dt=0.029, T=0.029 * 1500, seed=3, scheme="explicit_euler")
-        tables = []
+        tables = {"paths": [], "trace": []}
         for block in (7, 2000):
             monkeypatch.setattr(montecarlo, "TIME_BLOCK", block)
-            res = run_coupled_ensemble(m, c, cfg, x, y, couple_tol=1e-300)
+            res = run_coupled_ensemble(m, c, cfg, x, y, couple_tol=1e-300, trace_paths=6)
             assert not res.alive.any() and res.coupled_fraction == 0.0
-            path = tmp_path / f"paths_{block}.csv"
-            records._write_csv(path, records.COUPLE_CSV_COLUMNS, _path_rows(res))
-            tables.append(path.read_bytes())
-        assert tables[0] == tables[1]
-        rows = list(csv.reader(io.StringIO(tables[0].decode("utf-8"))))
+            for name in ("XT", "YT", "tau", "log_stoch_int", "zeta_sq_int", "f_int", "lp_int_x", "lp_int_y"):
+                assert np.isnan(getattr(res, name)).all(), name
+            for name, columns, rows in (("paths", records.COUPLE_CSV_COLUMNS, _path_rows(res)),
+                                        ("trace", records.PLOT_CSV_COLUMNS, _trace_rows(res))):
+                path = tmp_path / f"couple_{name}_{block}.csv"
+                records._write_csv(path, columns, rows)
+                tables[name].append(path.read_bytes())
+        assert tables["paths"][0] == tables["paths"][1]
+        assert tables["trace"][0] == tables["trace"][1]
+        rows = list(csv.reader(io.StringIO(tables["paths"][0].decode("utf-8"))))
         assert rows[0] == list(records.COUPLE_CSV_COLUMNS)
         assert rows[1:] == [[str(j), "0"] + ["nan"] * 5 for j in range(6)]
+        # row s - 1 is the state after s steps: pair j's dist_h and zeta_sq
+        # read nan from the row of the step on which it left the finite
+        # range, as runs of s - 1 and s steps under the same schedule show
+        first = [int(np.argmax(np.isnan(rows[:, 1]))) + 1 for rows in res.trace]
+        for s, rows in zip(first, res.trace):
+            assert 790 < s < cfg.n_steps
+            assert not np.isnan(rows[:s - 1, 1:]).any() and np.isnan(rows[s - 1:, [1, 3]]).all()
+        alive = {}
+        for steps in {k for s in first for k in (s - 1, s)}:
+            short = EnsembleConfig(n_paths=6, dt=cfg.dt, T=cfg.dt * steps, seed=3, scheme=cfg.scheme)
+            alive[steps] = montecarlo._simulate(m, c, short, [x, y], res.schedule, 1e-300).alive
+        assert all(alive[s - 1][j] and not alive[s][j] for j, s in enumerate(first))
+        # over 1463 steps pair 1 leaves the finite range near the end, and
+        # its path integrals are still inf, not nan, when the run stops
+        short = EnsembleConfig(n_paths=6, dt=cfg.dt, T=cfg.dt * 1463, seed=3, scheme=cfg.scheme)
+        raw = montecarlo._simulate(m, c, short, [x, y], make_schedule(m, c, short.realized_T, x, y), 1e-300)
+        res = run_coupled_ensemble(m, c, short, x, y, couple_tol=1e-300)
+        assert np.isinf(raw.lp_int[:, 1]).all() and not res.alive[1]
+        assert np.isnan(res.lp_int_x[~res.alive]).all() and np.isnan(res.lp_int_y[~res.alive]).all()
 
 
 class TestCommandOutputs:

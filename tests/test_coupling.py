@@ -15,21 +15,17 @@ from fastdiffusion import (
     EnsembleConfig,
     PiecewiseConstant,
     ZeroHorizon,
-    apply_drift,
     build_model,
     coupling_gain,
     dirichlet1d_model,
-    drift_eval,
-    f_diagnostic,
     from_spectral,
     make_schedule,
     norm_h,
     norm_q,
     run_coupled_ensemble,
-    zeta,
 )
-from fastdiffusion.coupling import coupling_drift
 from fastdiffusion.montecarlo import _simulate
+from point_oracles import apply_drift, coupling_drift, drift_eval, f_diagnostic, zeta
 
 
 def four_mode_model():
@@ -379,6 +375,30 @@ class TestRunPair:
         assert t_last == pytest.approx(0.05, rel=1e-12)
         assert dist_last == pytest.approx(float(norm_h(m, res.XT[3] - res.YT[3])), rel=1e-12)
         assert beta_last == pytest.approx(res.schedule.beta(res.schedule.T), rel=1e-9)
+
+    def test_trace_reads_the_step_zeta(self):
+        # row s - 1 holds |zeta|^2 at the state after s steps, which a run of
+        # s steps under the same schedule ends in.  The pairs meet at steps
+        # 7 and 8: the row of the meeting step keeps the zeta taken before
+        # the meeting check, and later rows read 0.  The last row is taken
+        # after the last step.
+        m = four_mode_model()
+        c = CoefficientSet(r=0.5, gamma=-0.2)
+        x = np.array([0.4, -0.3, 0.2, 0.1])
+        y = np.array([-0.2, 0.1, 0.3, 0.05])
+        n_steps, tol = 30, 1e-2
+        sched = make_schedule(m, c, n_steps * 1e-3, x, y)
+        full = flat_run(m, c, sched, x, y, n_steps, seed=21, n_paths=6, couple_tol=tol, trace_paths=6)
+        met = np.rint(full.tau / 1e-3).astype(int)
+        assert set(met) == {7, 8}
+        for s in range(1, n_steps + 1):
+            short = flat_run(m, c, sched, x, y, s, seed=21, n_paths=6, couple_tol=tol)
+            for p in range(6):
+                t, _, _, zeta_sq = full.trace[p, s - 1]
+                z = zeta(m, sched, short.final[0, p], short.final[1, p], t)
+                want = float(np.sum(z * z)) if s <= met[p] else 0.0
+                assert zeta_sq == pytest.approx(want, rel=1e-12, abs=0.0), (s, p)
+                assert (zeta_sq > 0.0) == (s <= met[p])
 
 
 class TestHolderChain:

@@ -14,13 +14,12 @@ from fastdiffusion import (
     PiecewiseConstant,
     build_model,
     dirichlet1d_model,
-    drift_eval,
     estimate_ptf,
-    psi_eval,
     to_spectral,
 )
 from fastdiffusion import montecarlo
 from fastdiffusion.montecarlo import _simulate
+from point_oracles import drift_eval, psi_eval
 
 
 def one_mode_model(lam=5.0, q=1.0):
