@@ -38,8 +38,6 @@ __all__ = [
     "ExperimentConfig",
     "validate_config",
     "COMMANDS",
-    "TEST_FUNCTION_KINDS",
-    "CONDITION_CHECKS",
 ]
 
 COMMANDS = (

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .schedules import PiecewiseConstant, ScheduleLike, as_schedule, combine
 
-__all__ = ["CoefficientSet"]
+__all__ = ["SCHEMES", "NONLINEARITIES", "CoefficientSet"]
 
 SCHEMES = ("tamed_euler", "explicit_euler")
 NONLINEARITIES = ("power", "identity")

@@ -1,5 +1,21 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "FastDiffusionError",
+    "NotSelfAdjoint",
+    "NotNegativeDefinite",
+    "ZeroNoiseMode",
+    "InvalidExponent",
+    "NonFiniteState",
+    "InvalidP",
+    "ZeroHorizon",
+    "EmptySample",
+    "InvalidSampleCount",
+    "NotTimeHomogeneous",
+    "PositiveGamma",
+    "SchemaError",
+]
+
 
 class FastDiffusionError(Exception):
     """Base class for all package-specific errors."""

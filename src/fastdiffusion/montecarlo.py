@@ -46,7 +46,6 @@ __all__ = [
     "estimate_weighted",
     "run_coupled_ensemble",
     "verify_harnack",
-    "verify_exp_moment_bound",
     "estimate_invariant",
     "strong_feller_probe",
 ]
@@ -567,7 +566,10 @@ class CoupledEnsembleResult:
     the two copies.  trace, when requested, has shape (paths, rows, 4)
     with rows (t, |X-Y|_H, beta_t, |zeta_t|^2); a pair that left the
     finite range reads nan in |X-Y|_H and |zeta_t|^2 from the row of the
-    step on which it left.  The horizon is schedule.T.
+    step on which it left.  |X-Y|_H, in the trace and in dist_final,
+    reads inf for a pair still finite but more than about 1e154 apart;
+    the kernel's attraction and zeta are then 0.  The horizon is
+    schedule.T.
     """
 
     x: np.ndarray
@@ -655,11 +657,13 @@ def run_coupled_ensemble(
         for a in (run.tau, run.log_stoch_int, run.zeta_sq_int, run.f_int):
             a[dead] = math.nan
     XT, YT = run.final
+    with np.errstate(over="ignore"):
+        dist_final = np.asarray(norm_h(model, XT - YT))
     return CoupledEnsembleResult(
         x=x, y=y, schedule=sched, XT=XT, YT=YT, coupled=run.coupled, tau=run.tau,
         log_stoch_int=run.log_stoch_int, zeta_sq_int=run.zeta_sq_int, f_int=run.f_int,
         lp_int_x=run.lp_int[0], lp_int_y=run.lp_int[1],
-        dist_final=np.asarray(norm_h(model, XT - YT)), alive=run.alive,
+        dist_final=dist_final, alive=run.alive,
         n_blowups=n_blow, couple_tol=couple_tol, trace=run.trace,
     )
 
@@ -682,6 +686,22 @@ def estimate_weighted(res: CoupledEnsembleResult, F, exponent: float = 1.0) -> E
 # verdicts
 # ---------------------------------------------------------------------------
 
+def _verdict(hi: float, factor: float, lo: float, slack: float) -> dict:
+    """The comparison hi <= factor lo (1 + slack) of a verdict.
+
+    hi is the upper confidence extreme of the left side, lo the lower one
+    of the right side without its multiplier.  An infinite multiplier
+    carries no information: the verdict holds with informative False and
+    ci_margin None.  Otherwise ci_margin = factor lo (1 + slack) - hi is
+    the signed distance of the comparison, >= 0 exactly when it holds; an
+    inf or nan hi fails it.
+    """
+    if not math.isfinite(factor):
+        return {"holds": True, "informative": False, "ci_margin": None}
+    bound = factor * lo * (1.0 + slack)
+    return {"holds": bool(hi <= bound), "informative": True, "ci_margin": bound - hi}
+
+
 def verify_harnack(
     model: SpectralModel,
     coeffs: CoefficientSet,
@@ -694,103 +714,76 @@ def verify_harnack(
 
     The left side uses the reweighted estimator over the coupled pairs;
     the right side reuses the same paths' first copies, so the empirical
-    inequality inherits the pathwise Hoelder structure.  The verdict
-    compares 95 percent confidence extremes with multiplicative slack.
-    The run does not depend on p or F, so one run serves every pair.
+    inequality inherits the pathwise Hoelder structure.  _verdict compares
+    the 95 percent confidence extremes with multiplicative slack; when the
+    multiplier overflows to inf, rhs and its interval are null too.  The
+    run does not depend on p or F, so one run serves every pair.
 
-    When the multiplier overflows to inf the bound carries no information:
-    the verdict holds with informative False, and rhs, its interval and
-    ci_margin are null.  Otherwise ci_margin = rhs_lo (1 + slack) - lhs_hi
-    is the signed distance of the comparison, >= 0 exactly when the
-    verdict holds (null where it leaves float range).
+    The exp_moment block checks, on the same pairs and by the same rule,
+    the exponential moment E exp(w integral_0^T |.|_{r+1}^{r+1} dt) of
+    each copy (w = exp_moment_weight) against exp(log_moment_rate_int +
+    |x|_H^2), and for the attracted copy against exp(log_moment_rate_int
+    + |y|_H^2 + extra), extra = dist0^(2(1 - epsilon)) beta_sq_exp_integral.
+    The first copy goes through the arithmetic of a plain run from x, and
+    a run from (x, x) gives the one-sided bound for x on both sides.  A
+    moment or bound past float range reads null.  The top-level holds is
+    the Harnack comparison's alone.
+
+    extra bounds the H-norm cost of the attraction, integral_0^T beta_t^2
+    |X_t - Y_t|_H^(2(1 - epsilon)) dt, which is why it sits below the
+    measured zeta_sq_int: zeta weighs each mode by 1/q_i^2 (on the README
+    run, 400 traced pairs, the largest H-norm cost was 0.0012, extra
+    0.0055 and the largest zeta_sq_int 0.017).
     """
     a = res.alive
+    sched = res.schedule
     FX = np.asarray(F(res.XT[a]), dtype=float)
     west = estimate_from_values(res.weights[a] * FX)
     xest = estimate_from_values(FX**p)
     rest = estimate_from_values(res.weights[a])
+    rep = bounds.bound_report(model, coeffs, sched.T, res.x, res.y, p)
 
-    factor = bounds.harnack_rhs(model, coeffs, res.schedule.T, p, res.x, res.y)
-    lhs = max(west.mean, 0.0) ** p
-    lhs_hi = max(west.mean + 1.96 * west.stderr, 0.0) ** p
-    lhs_lo = max(west.mean - 1.96 * west.stderr, 0.0) ** p
-    informative = math.isfinite(factor)
-    if informative:
-        rhs = factor * xest.mean
-        rhs_lo = factor * (xest.mean - 1.96 * xest.stderr)
-        rhs_hi = factor * (xest.mean + 1.96 * xest.stderr)
-        ci_margin = rhs_lo * (1.0 + slack) - lhs_hi
-        holds = lhs_hi <= rhs_lo * (1.0 + slack)
-    else:
-        rhs = rhs_lo = rhs_hi = ci_margin = None
-        holds = True
+    factor = rep.harnack_rhs
+    lhs_lo, lhs_hi = (max(v, 0.0) ** p for v in west.ci95)
+    verdict = _verdict(lhs_hi, factor, xest.ci95[0], slack)
+    informative = verdict["informative"]
 
+    def moment_side(lp_int: np.ndarray, log_rhs: float) -> dict:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = rep.exp_moment_weight * lp_int[a]
+            shift = float(np.max(vals))
+            est = estimate_from_values(np.exp(vals - shift))
+        scale = bounds._exp(shift)
+        est = Estimate(est.mean * scale, est.stderr * scale, est.n)
+        rhs = bounds._exp(log_rhs)
+        return {"mean": est.mean, "stderr": est.stderr, "n": est.n, "rhs": rhs,
+                **_verdict(est.ci95[1], rhs, 1.0, slack)}
+
+    beta_sq = sched.beta_sq_exp_integral()
+    extra = sched.dist0 ** (2.0 * (1.0 - sched.epsilon)) * beta_sq
+    th = rep.log_moment_rate_int
     return {
-        "holds": bool(holds),
-        "informative": informative,
+        **verdict,
         "p": p,
         "slack": slack,
-        "lhs": lhs,
+        "lhs": max(west.mean, 0.0) ** p,
         "lhs_ci95": [lhs_lo, lhs_hi],
-        "rhs": rhs,
-        "rhs_ci95": [rhs_lo, rhs_hi],
+        "rhs": factor * xest.mean if informative else None,
+        "rhs_ci95": [factor * v if informative else None for v in xest.ci95],
         "rhs_factor": factor,
-        "ci_margin": ci_margin,
         "weighted_estimate": west.as_dict(),
         "plain_p_estimate": xest.as_dict(),
         "mean_weight": rest.as_dict(),
         "coupled_fraction": res.coupled_fraction,
         "n_blowups": res.n_blowups,
         **res.weight_health(),
-    }
-
-
-def verify_exp_moment_bound(model: SpectralModel, coeffs: CoefficientSet, res: CoupledEnsembleResult) -> dict:
-    """Check the exponential moment bounds for the path integrals of
-    |X_t|_{r+1}^{r+1} and |Y_t|_{r+1}^{r+1} over the pairs of res.
-
-    The first copy goes through exactly the arithmetic of a plain run
-    from x, so its side is the one-sided bound for x.  A run from (x, x)
-    has Y = X and no attraction, and both sides give that bound.
-
-    The comparison is CI-aware: holds reflects the point estimate; a
-    marginal flag is raised when the bound lies inside the 3-sigma
-    confidence interval inflated by 5 percent.
-    """
-    sched = res.schedule
-    lam = bounds.exp_moment_weight(model, coeffs, sched.T)
-    th = bounds.log_moment_rate_int(model, coeffs, sched.T)
-    a = res.alive
-
-    def side(vals: np.ndarray, rhs: float) -> dict:
-        shift = float(np.max(vals))
-        est = estimate_from_values(np.exp(vals - shift))
-        mean = est.mean * math.exp(shift)
-        se = est.stderr * math.exp(shift)
-        lo, hi = mean - 3.0 * se, mean + 3.0 * se
-        return {
-            "mean": mean,
-            "stderr": se,
-            "n": est.n,
-            "rhs": rhs,
-            "holds": bool(mean <= rhs),
-            "marginal": bool(lo * 0.95 <= rhs <= hi * 1.05),
-        }
-
-    nx = float(norm_h(model, res.x))
-    ny = float(norm_h(model, res.y))
-    beta_sq = sched.beta_sq_exp_integral()
-    extra = sched.dist0 ** (2.0 * (1.0 - sched.epsilon)) * beta_sq
-    x_side = side(lam * res.lp_int_x[a], math.exp(th + nx**2))
-    y_side = side(lam * res.lp_int_y[a], math.exp(th + ny**2 + extra))
-    y_side["beta_sq_exp_integral"] = beta_sq
-    return {
-        "exp_moment_weight": lam,
-        "log_moment_rate_int": th,
-        "T": sched.T,
-        "x_side": x_side,
-        "y_side": y_side,
-        "holds": bool(x_side["holds"] and y_side["holds"]),
+        "exp_moment": {
+            "exp_moment_weight": rep.exp_moment_weight,
+            "log_moment_rate_int": th,
+            "beta_sq_exp_integral": beta_sq,
+            "x_side": moment_side(res.lp_int_x, th + rep.norm_x_h**2),
+            "y_side": moment_side(res.lp_int_y, th + rep.norm_y_h**2 + extra),
+        },
     }
 
 

@@ -39,7 +39,6 @@ from fastdiffusion import (
     norm_l2m,
     run_coupled_ensemble,
     to_spectral,
-    verify_exp_moment_bound,
     verify_harnack,
 )
 from fastdiffusion.cli import main
@@ -182,14 +181,21 @@ def test_06_pathwise_hoelder_chain():
 
 
 def test_07_exponential_moment_bound():
+    # a run from (x, x) has Y = X: both sides of harnack-check's exp_moment
+    # block check the one-sided bound for x
     oks, details = [], []
     for name, m, xs in (("n=2", M2, np.array([0.3, -0.1])), ("n=4", M4, START4)):
         cfg = EnsembleConfig(T=0.25, n_paths=4000, dt=1e-3, seed=9)
         x = from_spectral(m, xs)
-        rep = verify_exp_moment_bound(m, COEFFS, run_coupled_ensemble(m, COEFFS, cfg, x, x))
-        s = rep["x_side"]
-        oks.append(rep["holds"])
-        details.append(f"{name}: mean {s['mean']:.3f} <= rhs {s['rhs']:.1f}, marginal={s['marginal']}")
+        F = make_test_function(m, {"kind": "exp_neg_h_sq"})
+        rep = verify_harnack(m, COEFFS, run_coupled_ensemble(m, COEFFS, cfg, x, x), 2.0, F)["exp_moment"]
+        for side in ("x_side", "y_side"):
+            s = rep[side]
+            oks.append(s["holds"] and s["informative"])
+            details.append(
+                f"{name} {side}: ci95 hi {s['mean'] + 1.96 * s['stderr']:.4f} <= rhs {s['rhs']:.1f} "
+                f"(margin {s['ci_margin']:.1f})"
+            )
     assert verdict(
         all(oks),
         "07 exponential moment of the nonlinearity integral stays below its bound: " + "; ".join(details),

@@ -317,6 +317,23 @@ class TestDeadPairs:
         assert np.isinf(raw.lp_int[:, 1]).all() and not res.alive[1]
         assert np.isnan(res.lp_int_x[~res.alive]).all() and np.isnan(res.lp_int_y[~res.alive]).all()
 
+    def test_far_apart_alive_pairs_read_inf(self, monkeypatch):
+        # the same run stopped at 791 steps: every pair is still finite, at
+        # about 1e165, and three of them are more than 1e154 apart, where
+        # |X - Y|_H overflows quietly to inf in the kernel (so the attraction
+        # and zeta read 0) and in dist_final
+        monkeypatch.setattr(montecarlo, "BLOWUP_BUDGET", 1.0)
+        m = dirichlet1d_model(4, [1.0, 0.8, 0.6, 0.5])
+        c = CoefficientSet(r=0.5, nonlinearity="identity")
+        x, y = from_spectral(m, [0.4, 0.0, 0.0, 0.0]), from_spectral(m, [0.3, 0.0, 0.0, 0.0])
+        cfg = EnsembleConfig(n_paths=6, dt=0.029, T=0.029 * 791, seed=3, scheme="explicit_euler")
+        res = run_coupled_ensemble(m, c, cfg, x, y, couple_tol=1e-300, trace_paths=6)
+        assert res.alive.all() and np.isfinite(res.XT).all() and np.isfinite(res.YT).all()
+        far = np.isinf(res.trace[:, -1, 1])
+        assert far.sum() == 3
+        assert np.array_equal(np.isinf(res.dist_final), far)
+        assert (res.trace[far, -1, 3] == 0.0).all()
+
 
 class TestCommandOutputs:
     def test_simulate_reports_estimate(self, tmp_path, capsys):

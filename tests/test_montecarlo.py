@@ -28,7 +28,6 @@ from fastdiffusion import (
     norm_lp,
     run_coupled_ensemble,
     strong_feller_probe,
-    verify_exp_moment_bound,
     verify_harnack,
 )
 from fastdiffusion import bounds, montecarlo
@@ -416,15 +415,43 @@ class TestVerifyHarnack:
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=200, dt=0.005, T=0.1, seed=8)
         res = run_coupled_ensemble(m, c, cfg, START, OTHER)
+        report = bounds.bound_report(m, c, res.schedule.T, START, OTHER, 2.0)
         signs = set()
         for factor in 10.0 ** np.arange(-3.0, 3.5, 0.5):
-            monkeypatch.setattr(bounds, "harnack_rhs", lambda *args, f=factor: f)
+            monkeypatch.setattr(
+                bounds, "bound_report",
+                lambda *args, f=factor: dataclasses.replace(report, harnack_rhs=f),
+            )
             out = verify_harnack(m, c, res, 2.0, exp_f(m))
             lhs_hi, rhs_lo = out["lhs_ci95"][1], out["rhs_ci95"][0]
             assert out["ci_margin"] == rhs_lo * (1.0 + out["slack"]) - lhs_hi
             assert (out["ci_margin"] >= 0.0) == out["holds"]
             signs.add(out["holds"])
         assert signs == {True, False}
+
+    def test_one_bounds_query(self, monkeypatch):
+        # every constant of both comparisons comes from one bound_report
+        m, c = small_model(), small_coeffs()
+        cfg = EnsembleConfig(n_paths=64, dt=0.01, T=0.2, seed=4)
+        res = run_coupled_ensemble(m, c, cfg, START, OTHER)
+        report = bounds.bound_report(m, c, 0.2, START, OTHER, 2.0)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return report
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify_harnack asked for a second bounds query")
+
+        monkeypatch.setattr(bounds, "bound_report", spy)
+        for name in bounds.__all__:
+            if name not in ("BoundReport", "bound_report"):
+                monkeypatch.setattr(bounds, name, forbidden)
+        monkeypatch.setattr(montecarlo, "norm_h", forbidden)
+        out = verify_harnack(m, c, res, 2.0, ones)
+        assert len(calls) == 1
+        assert out["rhs_factor"] == report.harnack_rhs
 
     def test_ci_margin_null_for_infinite_factor(self):
         m, c = small_model(), small_coeffs()
@@ -454,16 +481,49 @@ class TestVerifyHarnack:
         assert out["lhs_ci95"][0] <= out["lhs"] <= out["lhs_ci95"][1]
 
 
+class TestVerdictRule:
+    def test_finite_inputs(self):
+        out = montecarlo._verdict(1.0, 2.0, 0.5, 0.05)
+        assert out == {"holds": True, "informative": True, "ci_margin": 2.0 * 0.5 * 1.05 - 1.0}
+        out = montecarlo._verdict(1.2, 2.0, 0.5, 0.05)
+        assert out["holds"] is False and out["ci_margin"] < 0.0
+        # the comparison includes its edge
+        assert montecarlo._verdict(1.0, 2.0, 0.5, 0.0) == {"holds": True, "informative": True, "ci_margin": 0.0}
+
+    def test_infinite_factor(self):
+        for hi in (1.0, math.inf, math.nan):
+            assert montecarlo._verdict(hi, math.inf, 0.5, 0.05) == {
+                "holds": True, "informative": False, "ci_margin": None,
+            }
+
+    @pytest.mark.parametrize("hi", [math.inf, math.nan])
+    def test_non_finite_hi_fails(self, hi):
+        out = montecarlo._verdict(hi, 2.0, 0.5, 0.05)
+        assert out["holds"] is False and out["informative"] is True
+        assert not out["ci_margin"] >= 0.0
+
+    def test_margin_signs_the_verdict(self):
+        for hi in (-1.0, 0.0, 0.5, 1.0, 1.05, 1.06, 1e300, math.inf, math.nan):
+            for factor in (0.0, 1.0, 2.0, 1e300):
+                out = montecarlo._verdict(hi, factor, 0.5, 0.05)
+                assert (out["ci_margin"] >= 0.0) == out["holds"], (hi, factor)
+
+
 class TestVerifyExpMoment:
+    """The exp_moment block of verify_harnack."""
+
+    def block(self, m, c, res):
+        return verify_harnack(m, c, res, 2.0, exp_f(m))["exp_moment"]
+
     def test_one_sided(self):
         # a run from (x, x) has Y = X: both sides are the bound for x
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=400, dt=0.01, T=0.2, seed=10)
-        out = verify_exp_moment_bound(m, c, run_coupled_ensemble(m, c, cfg, START, START))
-        assert out["holds"]
+        out = self.block(m, c, run_coupled_ensemble(m, c, cfg, START, START))
+        assert out["x_side"]["holds"] and out["y_side"]["holds"]
         assert out["x_side"]["mean"] <= out["x_side"]["rhs"]
-        assert out["y_side"]["beta_sq_exp_integral"] == 0.0
-        assert {k: v for k, v in out["y_side"].items() if k != "beta_sq_exp_integral"} == out["x_side"]
+        assert out["beta_sq_exp_integral"] == 0.0
+        assert out["y_side"] == out["x_side"]
 
     def test_two_sided_x_side_equals_one_sided(self):
         # the first copies of a coupled run go through the plain run's
@@ -473,22 +533,59 @@ class TestVerifyExpMoment:
         one_res = run_coupled_ensemble(m, c, cfg, START, START)
         two_res = run_coupled_ensemble(m, c, cfg, START, OTHER)
         assert np.array_equal(two_res.lp_int_x, one_res.lp_int_x)
-        one = verify_exp_moment_bound(m, c, one_res)
-        two = verify_exp_moment_bound(m, c, two_res)
+        one = self.block(m, c, one_res)
+        two = self.block(m, c, two_res)
         assert two["x_side"] == one["x_side"]
 
     def test_two_sided(self):
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=400, dt=0.01, T=0.2, seed=10)
-        out = verify_exp_moment_bound(m, c, run_coupled_ensemble(m, c, cfg, START, OTHER))
+        out = self.block(m, c, run_coupled_ensemble(m, c, cfg, START, OTHER))
         assert "y_side" in out
-        assert out["holds"] == (out["x_side"]["holds"] and out["y_side"]["holds"])
+        # each side is decided by the verdict rule on its upper CI extreme
+        for side in (out["x_side"], out["y_side"]):
+            hi = side["mean"] + 1.96 * side["stderr"]
+            assert side["informative"] is True
+            assert side["ci_margin"] == pytest.approx(side["rhs"] * 1.05 - hi, rel=1e-12)
+            assert side["holds"] == (side["ci_margin"] >= 0.0)
         # the attracted copy pays an additive distance toll in the exponent
         sched = make_schedule(m, c, cfg.realized_T, START, OTHER)
         extra = sched.dist0 ** (2.0 * (1.0 - sched.epsilon)) * sched.beta_sq_exp_integral()
         ny = float(norm_h(m, OTHER))
         want = math.exp(out["log_moment_rate_int"] + ny**2 + extra)
         assert out["y_side"]["rhs"] == pytest.approx(want, rel=1e-12)
+
+    def test_bound_past_float_range_reads_null(self):
+        # |x|_H^2 = 900 pushes exp(log_moment_rate_int + |x|_H^2) past float range
+        m, c = small_model(), small_coeffs()
+        cfg = EnsembleConfig(n_paths=16, dt=1e-3, T=0.05, seed=2)
+        e1 = m.eigenfunctions[0] / norm_h(m, m.eigenfunctions[0])
+        x = 30.0 * e1
+        out = self.block(m, c, run_coupled_ensemble(m, c, cfg, x, x + 0.05 * e1))
+        for side in (out["x_side"], out["y_side"]):
+            assert side["rhs"] == math.inf
+            assert side["holds"] is True and side["informative"] is False and side["ci_margin"] is None
+
+    def test_attraction_cost_below_extra(self):
+        # extra = dist0^(2(1-eps)) beta_sq_exp_integral bounds the H-norm
+        # cost of the attraction, integral beta_t^2 |X_t - Y_t|_H^(2(1-eps))
+        # dt, on every traced pair; zeta_sq_int, which weighs each mode by
+        # 1/q_i^2, is larger
+        m = dirichlet1d_model(4, [i**-0.5 for i in range(1, 5)])
+        c = CoefficientSet(r=0.5, gamma=-0.2)
+        x = from_spectral(m, [0.35, -0.20, 0.10, -0.05])
+        y = from_spectral(m, [0.29, -0.16, 0.13, -0.02])
+        cfg = EnsembleConfig(n_paths=400, dt=1e-4, T=0.25, seed=21)
+        res = run_coupled_ensemble(m, c, cfg, x, y, trace_paths=400)
+        sched = res.schedule
+        e2 = 2.0 * (1.0 - sched.epsilon)
+        # row s - 1 holds the state after s steps; step s reads the state at s
+        rows = res.trace[:, :-1]
+        cost = cfg.dt * (sched.beta(0.0) ** 2 * sched.dist0**e2 + np.sum(rows[:, :, 2] ** 2 * rows[:, :, 1] ** e2, axis=1))
+        extra = self.block(m, c, res)["beta_sq_exp_integral"] * sched.dist0**e2
+        assert res.n_blowups == 0 and np.all(cost > 0.0)
+        assert np.max(cost) <= extra
+        assert np.max(res.zeta_sq_int) > extra
 
 
 class TestEstimateInvariant:

@@ -3,8 +3,9 @@
 Every command runs in-process through ``fastdiffusion.cli.main`` on a
 small fixed config at seeds 3 and 7; ``couple`` and ``invariant`` also
 run with ``--format csv``.  ``conditions`` runs its closed-form checks in
-one config and its two sampled checks, at each seed, in another.  Each
-output line reads
+one config and its two sampled checks, at each seed, in another.
+``harnack-check`` also runs from starts at |x|_H = 30 and 60, where the
+exponential-moment bounds pass float range.  Each output line reads
 
     <command> <config> <sha256>
 
@@ -27,6 +28,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -46,6 +48,8 @@ CLOSED_FORM_CHECKS = [
     {"check": "fractional_power", "theta": 1.4, "rho": 2.0, "alpha": 2.0, "d": 2.0, "eps": 0.5},
     {"check": "spectral_growth", "theta": 0.48, "rho": 2.0, "d": 0.5, "eps": 0.2, "r": 1.0 / 3.0, "sigma": 3.0},
 ]
+FAR_H = (30.0, 60.0)  # |x|_H of the distant harnack-check starts
+LAMBDA_1 = 100.0 * math.sin(math.pi / 10.0) ** 2  # first eigenvalue of the four-mode model
 
 
 def configs():
@@ -73,6 +77,13 @@ def configs():
             yield command, f"seed{seed}", doc, ()
         for command in CSV_COMMANDS:
             yield command, f"seed{seed}-csv", docs[command], ("--format", "csv")
+    for a in FAR_H:
+        # x = a e_1 / |e_1|_H and y 0.05 further along e_1, with |e_1|_H = lambda_1^(-1/2)
+        x, y = ({"spectral": [h * math.sqrt(LAMBDA_1), 0.0, 0.0, 0.0]} for h in (a, a + 0.05))
+        yield "harnack-check", f"far{a:g}", {
+            "model": MODEL, "coeffs": {"r": 0.5, "gamma": -0.2}, "x": x, "y": y, "p": 2.0,
+            "run": {"n_paths": 64, "dt": 1e-3, "T": 0.25, "seed": SEEDS[0]},
+        }, ()
 
 
 def digests(main):
