@@ -168,8 +168,6 @@ _SCHEMA = (
     _Key("run.dt", "num", _RUN_COMMANDS, **_POSITIVE, default=1e-3),
     _Key("run.T", "num", _RUN_COMMANDS, _RUN_COMMANDS, **_POSITIVE),
     _Key("run.seed", "int", _RUN_COMMANDS, lo=0, default=_default(EnsembleConfig, "seed")),
-    _Key("run.burn_in", "num", tuple(c for c in _RUN_COMMANDS if c != "invariant"), lo=0.0,
-         default=_default(EnsembleConfig, "burn_in")),
     _Key("run.burn_in", "num", ("invariant",), ("invariant",), **_POSITIVE),
     _Key("run.scheme", "choice", _RUN_COMMANDS, choices=SCHEMES,
          default=_default(EnsembleConfig, "scheme")),

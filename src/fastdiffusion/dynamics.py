@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schedules import PiecewiseConstant, ScheduleLike, as_schedule, combine
+from .schedules import ScheduleLike, as_schedule
 
 __all__ = ["SCHEMES", "NONLINEARITIES", "CoefficientSet"]
 
@@ -85,13 +85,3 @@ class CoefficientSet:
         return all(
             s.is_constant for s in (self.delta, self.eta, self.gamma, self.xi)
         )
-
-    def log_moment_rate_schedule(self, hs_norm_sq: float) -> PiecewiseConstant:
-        """Moment-bound rate q + 2^((r+2)/r) eta^((r+1)/r) delta^(-1/r)."""
-        r = self.r
-        return combine(
-            lambda e, d: hs_norm_sq + 2.0 ** ((r + 2.0) / r) * e ** ((r + 1.0) / r) * d ** (-1.0 / r),
-            self.eta,
-            self.delta,
-        )
-

@@ -459,7 +459,6 @@ def _simulate(
                         active = ~coupled[:m]
                         # a pair that meets now takes no weight terms, and its
                         # Y is set to its X below whatever its drift
-                        drift[:, P:] += attraction
                         zsq[:m] += np.where(active, zeta_sq, 0.0) * dt
                         log_s[:m] += np.where(active, _row_sum(zc * (dW[:, :m] * inv_q)), 0.0)
                         env = np.maximum(V[:, :m], V[:, P:])
@@ -473,6 +472,10 @@ def _simulate(
                 C2 += drift
                 if coupled_run:
                     X += dW
+                    if m:
+                        # the attraction is not tamed: zeta and the weight
+                        # reweight exactly this shift of the noise
+                        Y += attraction * dt
                     Y += dW[:, :m]
                     np.copyto(Y, X[:, :m], where=coupled[:m])
                 else:
@@ -692,14 +695,18 @@ def _verdict(hi: float, factor: float, lo: float, slack: float) -> dict:
     hi is the upper confidence extreme of the left side, lo the lower one
     of the right side without its multiplier.  An infinite multiplier
     carries no information: the verdict holds with informative False and
-    ci_margin None.  Otherwise ci_margin = factor lo (1 + slack) - hi is
-    the signed distance of the comparison, >= 0 exactly when it holds; an
-    inf or nan hi fails it.
+    ci_margin None.  Otherwise it holds when hi <= factor lo (1 + slack),
+    so an inf or nan hi or a nan lo fails it.  It is informative only when
+    lo > 0 (0 <= 0 says nothing); then ci_margin = factor lo (1 + slack)
+    - hi is the signed distance of the comparison, >= 0 exactly when it
+    holds, and otherwise None.
     """
     if not math.isfinite(factor):
         return {"holds": True, "informative": False, "ci_margin": None}
     bound = factor * lo * (1.0 + slack)
-    return {"holds": bool(hi <= bound), "informative": True, "ci_margin": bound - hi}
+    informative = bool(lo > 0.0)
+    return {"holds": bool(hi <= bound), "informative": informative,
+            "ci_margin": bound - hi if informative else None}
 
 
 def verify_harnack(
@@ -746,7 +753,7 @@ def verify_harnack(
     factor = rep.harnack_rhs
     lhs_lo, lhs_hi = (max(v, 0.0) ** p for v in west.ci95)
     verdict = _verdict(lhs_hi, factor, xest.ci95[0], slack)
-    informative = verdict["informative"]
+    finite = math.isfinite(factor)
 
     def moment_side(lp_int: np.ndarray, log_rhs: float) -> dict:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -768,8 +775,8 @@ def verify_harnack(
         "slack": slack,
         "lhs": max(west.mean, 0.0) ** p,
         "lhs_ci95": [lhs_lo, lhs_hi],
-        "rhs": factor * xest.mean if informative else None,
-        "rhs_ci95": [factor * v if informative else None for v in xest.ci95],
+        "rhs": factor * xest.mean if finite else None,
+        "rhs_ci95": [factor * v if finite else None for v in xest.ci95],
         "rhs_factor": factor,
         "weighted_estimate": west.as_dict(),
         "plain_p_estimate": xest.as_dict(),

@@ -17,23 +17,18 @@ from fastdiffusion import (
     AsymptoticSpec,
     CoefficientSet,
     EnsembleConfig,
+    bound_report,
     build_model,
     check_fractional_power,
     check_noise_domination,
     check_noise_sandwich,
     check_power_spectrum_window,
     check_spectral_growth,
-    coupling_gain,
-    coupling_gain_int,
-    coupling_gain_sq_int,
     dirichlet1d_model,
     estimate_invariant,
     estimate_ptf,
-    exp_moment_weight,
     from_spectral,
-    harnack_rhs,
     hs_check,
-    log_moment_rate,
     make_test_function,
     norm_h,
     norm_l2m,
@@ -231,28 +226,34 @@ def test_09_closed_form_constants():
     def close(a, b, rel=1e-12):
         checks.append(math.isclose(a, b, rel_tol=rel, abs_tol=0.0))
 
+    def rep(c, T, m=m1, p=None):
+        # from x = y = 0; at constant coefficients a rate or gain
+        # integrated to T = 1 is its pointwise value
+        return bound_report(m, c, T, np.zeros(m.n), np.zeros(m.n), p)
+
     base = CoefficientSet(r=0.5, gamma=0.0)
-    close(exp_moment_weight(m1, base, 1.0), 0.5 * math.exp(-3.0))
-    close(exp_moment_weight(m1, CoefficientSet(r=0.5, gamma=0.0, delta=2.0), 1.0),
-          2.0 * exp_moment_weight(m1, base, 1.0))
-    close(exp_moment_weight(m1, base, 1e-14), 0.5)
-    close(log_moment_rate(m1, CoefficientSet(r=0.5, delta=1.0, eta=1.0)), 33.0)
-    close(log_moment_rate(m1, CoefficientSet(r=0.5, delta=2.0, eta=1.0)), 9.0)
-    close(coupling_gain(base, 0.3), 1.0)
-    close(coupling_gain_int(base, 0.7), 0.7)
-    close(coupling_gain(CoefficientSet(r=0.5, sigma=4.0, delta=16.0), 0.2), 2.0)
-    close(coupling_gain_int(CoefficientSet(r=0.5, gamma=1.0), 1.0), 1.0 - math.exp(-1.0))
+    close(rep(base, 1.0).exp_moment_weight, 0.5 * math.exp(-3.0))
+    close(rep(CoefficientSet(r=0.5, gamma=0.0, delta=2.0), 1.0).exp_moment_weight,
+          2.0 * rep(base, 1.0).exp_moment_weight)
+    close(rep(base, 1e-14).exp_moment_weight, 0.5)
+    close(rep(CoefficientSet(r=0.5, delta=1.0, eta=1.0), 1.0).log_moment_rate_int, 33.0)
+    close(rep(CoefficientSet(r=0.5, delta=2.0, eta=1.0), 1.0).log_moment_rate_int, 9.0)
+    close(rep(base, 1.0).coupling_gain_int, 1.0)
+    close(rep(base, 0.7).coupling_gain_int, 0.7)
+    close(rep(CoefficientSet(r=0.5, sigma=4.0, delta=16.0), 1.0).coupling_gain_int, 2.0)
+    close(rep(CoefficientSet(r=0.5, gamma=1.0), 1.0).coupling_gain_int, 1.0 - math.exp(-1.0))
     close(
-        harnack_rhs(m1, CoefficientSet(r=0.5, gamma=0.0, sigma=8.0 / 3.0), 1.0, 2.0, [0.0], [0.0]),
+        rep(CoefficientSet(r=0.5, gamma=0.0, sigma=8.0 / 3.0), 1.0, p=2.0).harnack_rhs,
         math.exp(0.25 * (66.0 + 0.5 * math.exp(-3.0))),
     )
     for gamma in (0.0, -0.7):
         c = CoefficientSet(r=0.5, gamma=gamma)
         consts = constant_coefficient_constants(M4, c, 0.8)
-        close(consts["exp_moment_weight"], exp_moment_weight(M4, c, 0.8))
-        close(consts["log_moment_rate"], log_moment_rate(M4, c))
-        close(consts["coupling_gain_int"], coupling_gain_int(c, 0.8))
-        close(consts["coupling_gain_sq_int"], coupling_gain_sq_int(c, 0.8))
+        got = rep(c, 0.8, M4)
+        close(consts["exp_moment_weight"], got.exp_moment_weight)
+        close(consts["log_moment_rate"] * 0.8, got.log_moment_rate_int)
+        close(consts["coupling_gain_int"], got.coupling_gain_int)
+        close(consts["coupling_gain_sq_int"], got.coupling_gain_sq_int)
     n_bad = checks.count(False)
     assert verdict(
         n_bad == 0,

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -88,6 +89,23 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, extra", [
+        ("bounds", {"p": 2.0}), ("simulate", {}), ("couple", {}), ("harnack-check", {"p": 2.0}),
+        ("moments", {"exponent": 1.0}), ("probe-feller", {}),
+    ])
+    def test_burn_in_only_for_invariant(self, tmp_path, capsys, command, extra):
+        # only invariant discards a burn-in; elsewhere the key is unknown
+        payload = {**couple_config(), **extra}
+        del payload["sample_paths"]
+        if command in ("simulate", "probe-feller"):
+            del payload["y"]
+        payload["run"]["burn_in"] = 0.05
+        cfg = write_config(tmp_path, "b.json", payload)
+        assert main([command, "--config", cfg]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: configuration invalid: run.burn_in: unknown key\n"
 
     def test_unknown_subcommand(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "b.json", bounds_config())
@@ -335,6 +353,17 @@ class TestDeadPairs:
         assert (res.trace[far, -1, 3] == 0.0).all()
 
 
+def far_config(scheme="tamed_euler"):
+    """The far30 config of tools/record_digests.py: x at |x|_H = 30 along
+    e_1 (|e_1|_H = lambda_1^(-1/2)) and y 0.05 further."""
+    lam1 = 100.0 * math.sin(math.pi / 10.0) ** 2
+    x, y = ({"spectral": [h * math.sqrt(lam1), 0.0, 0.0, 0.0]} for h in (30.0, 30.05))
+    return {
+        "model": {"n": 4, "q_diag": {"power": -0.5}}, "coeffs": {"r": 0.5, "gamma": -0.2},
+        "x": x, "y": y, "run": {"n_paths": 64, "dt": 1e-3, "T": 0.25, "seed": 3, "scheme": scheme},
+    }
+
+
 class TestCommandOutputs:
     def test_simulate_reports_estimate(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "s.json", {
@@ -401,6 +430,25 @@ class TestCommandOutputs:
         assert code in (0, 2)
         assert set(rec["outputs"]) >= {"holds", "informative", "lhs", "rhs", "rhs_factor"}
 
+
+    @pytest.mark.parametrize("scheme", ["tamed_euler", "explicit_euler"])
+    def test_distant_pairs_meet_under_both_schemes(self, tmp_path, capsys, scheme):
+        # at |x|_H = 30 the taming is strong; the attraction is added untamed,
+        # so the calibrated schedule closes the gap under either scheme
+        cfg = write_config(tmp_path, "c.json", far_config(scheme))
+        assert main(["couple", "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)["outputs"]
+        assert out["n_blowups"] == 0
+        assert out["final_dist_h"]["max_alive"] <= 1e-5
+
+    def test_zero_against_zero_is_uninformative(self, tmp_path, capsys):
+        # exp(-|X_T|_H^2) underflows to 0 on every path at |x|_H = 30: the
+        # finite multiplier compares 0 with 0, which says nothing
+        cfg = write_config(tmp_path, "h.json", {**far_config(), "p": 2.0})
+        assert main(["harnack-check", "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)["outputs"]
+        assert out["rhs_ci95"] == [0.0, 0.0] and 1.0 < out["rhs_factor"] < math.inf
+        assert out["holds"] is True and out["informative"] is False and out["ci_margin"] is None
 
     def test_couple_coupling_time_spread(self, tmp_path, capsys):
         # about half the pairs meet at this tolerance
@@ -753,9 +801,14 @@ def strategies_from_schema(command):
 
 
 def _schema_paths(command):
-    """Every key path the table accepts for command."""
+    """Every key path the table accepts for command; a nested row is
+    selected by the command (run.burn_in) or by a value inside its
+    object (a check name, a test-function kind)."""
     top = {k.path for k in config._SCHEMA if k.parent == "" and command in k.commands}
-    return top | {k.path for k in config._SCHEMA if k.parent.removesuffix("[]") in top}
+    return top | {
+        k.path for k in config._SCHEMA
+        if k.parent.removesuffix("[]") in top and (command in k.commands or not set(k.commands) & set(COMMANDS))
+    }
 
 
 def _doc_paths(doc):

@@ -16,7 +16,6 @@ from fastdiffusion import (
     PiecewiseConstant,
     ZeroHorizon,
     build_model,
-    coupling_gain,
     dirichlet1d_model,
     from_spectral,
     make_schedule,
@@ -100,10 +99,10 @@ class TestMakeSchedule:
         m = four_mode_model()
         c = CoefficientSet(r=0.5, delta=3.0, gamma=-0.4, xi=0.5)
         s = make_schedule(m, c, 1.0, np.array([1.0, 0, 0, 0.0]), np.zeros(4))
-        # coupling_gain = (delta xi)^{1/sigma} exp(-full Gamma); beta folds in
+        # the gain (delta xi)^{1/sigma} exp(-full Gamma); beta folds in
         # the extra eps^{1/sigma} and decays only by (1-eps) Gamma.
         t = 0.7
-        full = coupling_gain(c, t)
+        full = (3.0 * 0.5) ** (1.0 / c.sigma) * math.exp(-c.gamma.integral(t))
         expect = (
             s.c * s.epsilon ** (1.0 / c.sigma) * full
             * math.exp(s.epsilon * c.gamma.integral(t))
@@ -322,8 +321,8 @@ class TestKernelStep:
     def test_one_step_matches_point_space_formulas(self):
         # one step of the spectral-state kernel against the point-space
         # oracles: drift_eval/apply_drift plus the Q dW increment for both
-        # copies, coupling_drift on the second, zeta and f_diagnostic for
-        # the accumulators.  No start has a zero entry: the kernel's point
+        # copies, the untamed coupling_drift times dt on the second, zeta
+        # and f_diagnostic for the accumulators.  No start has a zero entry: the kernel's point
         # values carry transform roundoff (~1e-17), which |s|^r would lift
         # to ~1e-9 there.
         m = four_mode_model()
@@ -342,11 +341,12 @@ class TestKernelStep:
                 xi = np.random.Generator(np.random.Philox(key=key)).standard_normal(4)
                 dW = from_spectral(m, m.q_diag * math.sqrt(dt) * xi)
                 bx = drift_eval(m, c, x)
-                by = drift_eval(m, c, y) + coupling_drift(m, sched, x, y, 0.0)
+                by = drift_eval(m, c, y)
+                shift = coupling_drift(m, sched, x, y, 0.0) * dt
                 z = zeta(m, sched, x, y, 0.0)
                 close = dict(rtol=1e-13, atol=1e-13)
                 assert np.allclose(res.XT[p], apply_drift(x, bx, dt, scheme, w) + dW, **close)
-                assert np.allclose(res.YT[p], apply_drift(y, by, dt, scheme, w) + dW, **close)
+                assert np.allclose(res.YT[p], apply_drift(y, by, dt, scheme, w) + shift + dW, **close)
                 assert np.isclose(res.log_stoch_int[p], np.sum(z * math.sqrt(dt) * xi), **close)
                 assert np.isclose(res.zeta_sq_int[p], np.sum(z * z) * dt, **close)
                 assert np.isclose(res.f_int[p], f_diagnostic(m, c, x, y) ** fexp * dt, **close)

@@ -12,6 +12,7 @@ from fastdiffusion import (
     EnsembleConfig,
     NonFiniteState,
     PiecewiseConstant,
+    bound_report,
     build_model,
     dirichlet1d_model,
     estimate_ptf,
@@ -24,6 +25,11 @@ from point_oracles import drift_eval, psi_eval
 
 def one_mode_model(lam=5.0, q=1.0):
     return build_model([1.0], [[-lam]], [q])
+
+
+def rate_int(m, c):
+    """The log-moment rate integrated over [0, 1]."""
+    return bound_report(m, c, 1.0, np.zeros(m.n), np.zeros(m.n)).log_moment_rate_int
 
 
 class TestCoefficientSet:
@@ -55,16 +61,18 @@ class TestCoefficientSet:
         assert c.gamma(0.75) == -1.0
 
     def test_eta_zero_degenerate_edge(self):
+        # the rate integrated to T = 1 is the constant rate: q = hs_norm_sq
+        m = one_mode_model(lam=1.0)
         c = CoefficientSet(r=0.5, eta=0.0)
-        rate = c.log_moment_rate_schedule(hs_norm_sq=1.0)
-        assert rate(0.0) == pytest.approx(1.0, rel=1e-15)
+        assert rate_int(m, c) == pytest.approx(m.hs_norm_sq, rel=1e-15)
 
     def test_moment_rate_hand_values(self):
-        # r = 1/2: rate = q + 2^5 eta^3 / delta^2
+        # r = 1/2: rate = q + 2^5 eta^3 / delta^2, here with q = 1
+        m = one_mode_model(lam=1.0)
         c = CoefficientSet(r=0.5, delta=1.0, eta=1.0)
-        assert c.log_moment_rate_schedule(1.0)(0.0) == pytest.approx(33.0, rel=1e-14)
+        assert rate_int(m, c) == pytest.approx(33.0, rel=1e-14)
         c2 = CoefficientSet(r=0.5, delta=2.0, eta=1.0)
-        assert c2.log_moment_rate_schedule(1.0)(0.0) == pytest.approx(9.0, rel=1e-14)
+        assert rate_int(m, c2) == pytest.approx(9.0, rel=1e-14)
 
 
 class TestPsi:

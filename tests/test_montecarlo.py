@@ -496,6 +496,17 @@ class TestVerdictRule:
                 "holds": True, "informative": False, "ci_margin": None,
             }
 
+    @pytest.mark.parametrize("lo", [0.0, -0.1, math.nan])
+    def test_right_side_not_positive(self, lo):
+        # 0 <= 0 holds and says nothing about the inequality
+        for factor in (0.0, 2.0):
+            out = montecarlo._verdict(1.0, factor, lo, 0.05)
+            assert out == {"holds": False, "informative": False, "ci_margin": None}
+            for hi in (math.inf, math.nan):
+                assert montecarlo._verdict(hi, factor, lo, 0.05)["holds"] is False
+        out = montecarlo._verdict(0.0, 2.0, lo, 0.05)
+        assert out == {"holds": lo == 0.0, "informative": False, "ci_margin": None}
+
     @pytest.mark.parametrize("hi", [math.inf, math.nan])
     def test_non_finite_hi_fails(self, hi):
         out = montecarlo._verdict(hi, 2.0, 0.5, 0.05)

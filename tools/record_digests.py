@@ -18,17 +18,29 @@ comparing two checkouts is one diff:
     diff other.txt this.txt
 
 ``--src`` names the source directory to import ``fastdiffusion`` from;
-the default is the ``src`` next to this script.
+the default is the ``src`` next to this script.  ``--against OTHER_SRC``
+runs the same configs on both sources (OTHER_SRC in a subprocess) and,
+for each record or table whose digest differs, prints
+
+    <command> <config> <max rel diff> <key path> [+N non-numeric: <key path>]
+
+the largest relative difference |a - b| / max(|a|, |b|) over the numbers
+the two files share and the key path where it occurs (``[i]`` a list
+index or CSV row, ``.name`` a key or CSV column).  Values that are not
+both numbers and differ (null against a number, a key on one side only)
+are counted after it, with the first one's path.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import math
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -86,34 +98,124 @@ def configs():
         }, ()
 
 
-def digests(main):
-    """Run every config through main; yield (name, label, sha256) per file."""
-    with tempfile.TemporaryDirectory() as tmp:
-        for i, (command, label, doc, extra) in enumerate(configs()):
-            cfg = Path(tmp) / f"{i}.json"
-            cfg.write_text(json.dumps(doc), encoding="utf-8")
-            out = Path(tmp) / f"out{i}"
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main([command, "--config", str(cfg), "--out", str(out), *extra])
-            if code not in (0, 2):
-                raise SystemExit(f"{command} {label} exited {code}: {stderr.getvalue().strip()}")
-            for path in sorted(out.iterdir()):
-                yield path.stem, label, hashlib.sha256(path.read_bytes()).hexdigest()
+def run_all(main, root: Path):
+    """Run every config through main with outputs under root; yield
+    (name, label, path) per file, in print order."""
+    for i, (command, label, doc, extra) in enumerate(configs()):
+        cfg = root / f"{i}.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        out = root / f"out{i}"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", str(cfg), "--out", str(out), *extra])
+        if code not in (0, 2):
+            raise SystemExit(f"{command} {label} exited {code}: {stderr.getvalue().strip()}")
+        for path in sorted(out.iterdir()):
+            yield path.stem, label, path
+
+
+def _sha(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _load(path: Path):
+    """A record as parsed JSON; a CSV table as a list of {column: value}
+    rows, each value a float where it parses as one."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix != ".csv":
+        return json.loads(text)
+
+    def num(v):
+        try:
+            return float(v)
+        except ValueError:
+            return v
+    return [{k: num(v) for k, v in row.items()} for row in csv.DictReader(io.StringIO(text))]
+
+
+def _is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _leaf_diffs(a, b, path=""):
+    """Yield (relative difference or None, key path) for each place where
+    a and b differ; None where the two values are not both numbers."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b), key=str):
+            sub = f"{path}.{k}" if path else str(k)
+            if k in a and k in b:
+                yield from _leaf_diffs(a[k], b[k], sub)
+            else:
+                yield None, sub
+    elif isinstance(a, list) and isinstance(b, list):
+        for i, (u, v) in enumerate(zip(a, b)):
+            yield from _leaf_diffs(u, v, f"{path}[{i}]")
+        if len(a) != len(b):
+            yield None, f"{path}[{min(len(a), len(b))}]"
+    elif _is_num(a) and _is_num(b):
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            a, b = float(a), float(b)
+            d = abs(a - b) / max(abs(a), abs(b))
+            yield (d if d == d else math.inf), path  # nan: inf against a number
+    elif a != b:
+        yield None, path
+
+
+def compare(this: Path, other: Path) -> str:
+    """One line: the largest relative difference between two output files
+    and where it occurs, then the non-numeric differences."""
+    diffs = list(_leaf_diffs(_load(other), _load(this)))
+    nums = [(d, p) for d, p in diffs if d is not None]
+    rest = [p for d, p in diffs if d is None]
+    d, p = max(nums, key=lambda t: t[0]) if nums else (0.0, "-")
+    line = f"{d:.3g} {p}"
+    if rest:
+        line += f" +{len(rest)} non-numeric: {rest[0]}"
+    return line
+
+
+# argv: OTHER_SRC, this script's directory, the output directory
+_RUN_OTHER = (
+    "import sys; from pathlib import Path; sys.path[:0] = sys.argv[1:3]; "
+    "from record_digests import run_all; from fastdiffusion.cli import main; "
+    "list(run_all(main, Path(sys.argv[3])))"
+)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                         help="directory that holds the fastdiffusion package")
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="print the differences from the records of another source directory")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     from fastdiffusion.cli import main as cli_main
 
-    for name, label, digest in digests(cli_main):
-        print(name, label, digest)
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.against is None:
+            for name, label, path in run_all(cli_main, Path(tmp)):
+                print(name, label, _sha(path))
+            return 0
+        # the other source runs the same configs, in the same order, in its
+        # own process; output i of both runs sits at the same relative path
+        other, this = Path(tmp) / "other", Path(tmp) / "this"
+        other.mkdir()
+        this.mkdir()
+        subprocess.run([sys.executable, "-c", _RUN_OTHER, args.against,
+                        str(Path(__file__).resolve().parent), str(other)], check=True)
+        seen = set()
+        for name, label, path in run_all(cli_main, this):
+            twin = other / path.relative_to(this)
+            seen.add(twin)
+            if not twin.exists():
+                print(name, label, "only in this source")
+            elif _sha(twin) != _sha(path):
+                print(name, label, compare(path, twin))
+        labels = [label for _, label, _, _ in configs()]
+        for twin in sorted(set(other.glob("out*/*")) - seen):
+            print(twin.stem, labels[int(twin.parent.name[3:])], f"only in {args.against}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
