@@ -8,13 +8,6 @@ sufficient conditions against Monte Carlo evidence.
 The public names are those of each module's __all__, in import order.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
-try:
-    __version__ = version("fastdiffusion")
-except PackageNotFoundError:  # running from a source tree without install
-    __version__ = "0.0.0+local"
-
 from . import bounds, conditions, config, coupling, dynamics, errors, montecarlo, records, schedules, spectral
 from .errors import *
 from .schedules import *
@@ -40,3 +33,10 @@ __all__ = [
     *config.__all__,
     *records.__all__,
 ]
+
+
+def __getattr__(name):
+    # the version lookup scans every sys.path entry: done on first use only
+    if name == "__version__":
+        return records._package_version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

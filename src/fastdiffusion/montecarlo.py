@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,8 @@ __all__ = [
 ]
 
 CHUNK_PATHS = 1024
-TIME_BLOCK = 256
+TIME_BLOCK = 128
+NOISE_TILE = 64  # paths drawn into the path-major scratch at a time
 BLOWUP_BUDGET = 1e-3
 
 
@@ -158,6 +158,7 @@ def _dispatch(work, n_workers: int):
         for item in work:
             item()
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: import when needed
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             futures = [pool.submit(item) for item in work]
             for f in futures:
@@ -190,8 +191,11 @@ def _row_sum(A: np.ndarray) -> np.ndarray:
 
     numpy's own reductions choose their summation order from the array's
     width, which would make a path's bits depend on how many paths share
-    its chunk.
+    its chunk.  np.add.reduce adds row by row (from -0.0, which keeps a
+    zero sum's sign) only when A has at least two contiguous columns.
     """
+    if A.shape[1] > 1 and A.strides[1] == A.itemsize:
+        return np.add.reduce(A, axis=0, initial=-0.0)
     out = A[0].copy()
     for row in A[1:]:
         out += row
@@ -279,10 +283,13 @@ def _simulate(
     Psi, the moments and the f envelope, and one transform of Psi back.
     Everything else is diagonal in the eigenbasis: the drift, the H norms,
     zeta, the noise q sqrt(dt) xi and, because the eigenfunctions are
-    m-orthonormal, the taming norm.  Every per-path number is a function
-    of its own column only, so results do not depend on the chunk, on
-    where a path sits in it, on when pairs are moved or on the worker
-    count.
+    m-orthonormal, the taming norm.  A noise block is drawn at its start,
+    NOISE_TILE paths at a time into a path-major tile, and stored
+    step-major, scaled by q sqrt(dt), in dW_block of shape (TIME_BLOCK, n,
+    P): step b reads the contiguous view dW_block[b].  Every per-path
+    number is a function of its own column only, so results do not depend
+    on the chunk, on where a path sits in it, on when pairs are moved or
+    on the worker count.
 
     D = X - Y, |D|_H and |zeta|^2 of the pairs still apart are computed
     once per step, and once more after the last, for the trace rows too.
@@ -340,8 +347,8 @@ def _simulate(
         copies[...] = c0
         ids = np.arange(P)
         gens = _path_generators(cfg.seed, lo, hi)
-        noise = np.empty((P, min(TIME_BLOCK, n_steps), n))
-        dW = np.empty((n, P))
+        dW_block = np.empty((min(TIME_BLOCK, n_steps), n, P))
+        tile = np.empty((min(NOISE_TILE, P), len(dW_block), n))
         if coupled_run:
             lp = np.zeros((k, P))
             coupled = np.zeros(P, dtype=bool)
@@ -408,7 +415,7 @@ def _simulate(
                         for j in range(nb):
                             sums[int(ki - nb + j >= half)] += vals[:, j]
                         nb = 0
-                if coupled_run:
+                if coupled_run and (m or n_tr):
                     beta = sched.beta(min(t, sched.T))
                     if m:
                         # D, dist and zeta of the pairs in the two-copy block,
@@ -416,8 +423,7 @@ def _simulate(
                         # where X = Y, as for every pair that has met
                         D = C2[:, :m] - C2[:, P:]
                         dist = np.sqrt(_row_sum(D * D * inv_lam))
-                        apart = dist > 0.0
-                        attraction = D * np.where(apart, beta / np.where(apart, dist, 1.0) ** eps, 0.0)
+                        attraction = D * (beta / np.where(dist > 0.0, dist, np.inf) ** eps)
                         zc = attraction * inv_q
                         zeta_sq = _row_sum(zc * zc)
                 if n_tr and s and s % record_every == 0:
@@ -436,9 +442,13 @@ def _simulate(
 
                 if b == 0:
                     B = min(TIME_BLOCK, n_steps - s)
-                    for p, g in enumerate(gens):
-                        g.standard_normal(out=noise[p, :B])
-                np.multiply(noise[:, b].T, q_sqdt, out=dW)
+                    for p0 in range(0, P, NOISE_TILE):
+                        cols = slice(p0, min(p0 + NOISE_TILE, P))
+                        for i, g in enumerate(gens[cols]):
+                            g.standard_normal(out=tile[i, :B])
+                        np.multiply(tile[:cols.stop - p0, :B].transpose(1, 2, 0), q_sqdt,
+                                    out=dW_block[:B, :, cols])
+                dW = dW_block[b]
 
                 if t >= next_cut:
                     j = bisect.bisect_right(cuts, t)
@@ -466,7 +476,11 @@ def _simulate(
                         f_acc[:m] += np.where(active, fval, 0.0) * dt
 
                 if tamed:
-                    drift *= dt / (1.0 + dt * np.sqrt(_row_sum(drift * drift)))
+                    h = _row_sum(drift * drift)  # to dt / (1 + dt |drift|), in place
+                    np.sqrt(h, out=h)
+                    h *= dt
+                    h += 1.0
+                    drift *= np.divide(dt, h, out=h)
                 else:
                     drift *= dt
                 C2 += drift

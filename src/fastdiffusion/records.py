@@ -14,7 +14,6 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +45,11 @@ PLOT_CSV_COLUMNS = ("path_index", "t", "dist_h", "beta", "zeta_sq")
 def _package_version() -> str:
     """The installed version, looked up once per process: the lookup scans
     every sys.path entry."""
+    from importlib import metadata
+
     try:
         return metadata.version("fastdiffusion")
-    except metadata.PackageNotFoundError:
+    except metadata.PackageNotFoundError:  # running from a source tree without install
         return "0.0.0+local"
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -337,6 +338,100 @@ class TestMetPairsLeaveTheTwoCopyBlock:
         assert all(a >= b for a, b in zip(widths, widths[1:]))
         last_met = round(float(np.max(res.tau)) / cfg.dt)
         assert widths.index(6) == (last_met // 4 + 1) * 4
+
+
+class TestRowSum:
+    """_row_sum adds the rows of a block one at a time, in order, for any
+    row count, width and layout, so a path's bits never depend on how
+    many paths share its chunk."""
+
+    @staticmethod
+    def in_order(A):
+        out = A[0].copy()
+        for row in A[1:]:
+            out = out + row
+        return out
+
+    def test_bit_equal_to_adding_rows_in_order(self, monkeypatch):
+        reduces = []
+
+        def spy(*args, **kw):
+            reduces.append(1)
+            return np.add.reduce(*args, **kw)
+
+        # _row_sum reads nothing else of numpy
+        monkeypatch.setattr(montecarlo, "np", SimpleNamespace(add=SimpleNamespace(reduce=spy)))
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 4, 8, 9, 64):
+            for width in (1, 2, 3, 1024):
+                # magnitudes over 16 decades, so the order of the additions
+                # shows in the bits, and an all -0.0 column
+                base = rng.standard_normal((n, width + 5)) * 10.0 ** rng.uniform(-8, 8, (n, width + 5))
+                base[:, 3] = -0.0
+                layouts = {"C": base[:, :width].copy(), "sliced": base[:, 2:2 + width],
+                           "F": np.asfortranarray(base[:, :width])}
+                for layout, A in layouts.items():
+                    reduces.clear()
+                    got = montecarlo._row_sum(A)
+                    want = self.in_order(A)
+                    assert got.shape == (width,)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, width, layout)
+                    # numpy sums a one-column or F-ordered block pairwise from 8 rows
+                    contiguous_columns = layout != "F" or n == 1
+                    assert len(reduces) == int(width > 1 and contiguous_columns), (n, width, layout)
+
+
+class TestNoiseBlock:
+    """Each noise block is drawn path-major a tile of paths at a time and
+    stored step-major, pre-scaled by q sqrt(dt)."""
+
+    FIELDS = ("XT", "YT", "coupled", "tau", "log_stoch_int", "zeta_sq_int", "f_int",
+              "lp_int_x", "lp_int_y", "dist_final", "alive")
+
+    def test_results_independent_of_tile_width(self, monkeypatch):
+        # 50 steps in noise blocks of 7: seven full blocks and a short one;
+        # about half the pairs meet and move, which reorders the generators
+        m, c = small_model(), small_coeffs()
+        monkeypatch.setattr(montecarlo, "TIME_BLOCK", 7)
+
+        def run(n_paths, tile):
+            monkeypatch.setattr(montecarlo, "NOISE_TILE", tile)
+            cfg = EnsembleConfig(n_paths=n_paths, dt=1e-3, T=0.05, seed=21)
+            thinned = EnsembleConfig(n_paths=n_paths, dt=1e-3, T=0.05, burn_in=0.01, seed=21)
+            plain = montecarlo._simulate(m, c, thinned, [START], thin=3, eps0=0.01)
+            res = run_coupled_ensemble(m, c, cfg, START, OTHER, couple_tol=1e-5,
+                                       trace_paths=9, record_every=2)
+            return plain, res
+
+        base_plain, base = run(11, 64)
+        assert 0 < np.count_nonzero(base.coupled) < 11
+        for n_paths in (11, 13):
+            for tile in (1, 3, 64):
+                plain, res = run(n_paths, tile)
+                assert np.array_equal(plain.final[:, :11], base_plain.final), (n_paths, tile)
+                assert np.array_equal(plain.window_sums[..., :11], base_plain.window_sums), (n_paths, tile)
+                for name in self.FIELDS:
+                    assert np.array_equal(getattr(res, name)[:11], getattr(base, name), equal_nan=True), (
+                        n_paths, tile, name)
+                assert np.array_equal(res.trace, base.trace), (n_paths, tile)
+
+    def test_block_held_once(self):
+        # a 1024-pair coupled run of one noise block holds the scaled block
+        # (P TIME_BLOCK n floats) and a small tile, not a second full copy
+        m, c = small_model(), small_coeffs()
+        P, steps = 1024, montecarlo.TIME_BLOCK
+        cfg = EnsembleConfig(n_paths=P, dt=1e-3, T=steps * 1e-3, seed=3)
+        assert cfg.n_steps == steps
+        sched = make_schedule(m, c, cfg.realized_T, START, OTHER)
+        args = (m, c, cfg, [START, OTHER], sched, 1e-6)
+        montecarlo._simulate(*args)  # first calls fill lazy caches
+        tracemalloc.start()
+        try:
+            montecarlo._simulate(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * P * steps * m.n * 8, peak
 
 
 class TestWeightHealth:

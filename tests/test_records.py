@@ -1,8 +1,13 @@
 """Canonical records: byte-stable JSON, lossless floats, fixed CSV columns."""
 
 import csv
+import importlib.metadata
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,14 +136,14 @@ class TestEmitReport:
 class TestPackageVersion:
     def test_looked_up_once_per_process(self, tmp_path, capsys, monkeypatch):
         calls = []
-        real = records.metadata.version
+        real = importlib.metadata.version
 
         def spy(name):
             calls.append(name)
             return real(name)
 
         records._package_version.cache_clear()
-        monkeypatch.setattr(records.metadata, "version", spy)
+        monkeypatch.setattr(importlib.metadata, "version", spy)
         cfg = tmp_path / "b.json"
         cfg.write_text(json.dumps({
             "model": {"n": 2, "q_diag": [1.0, 0.5]},
@@ -152,3 +157,20 @@ class TestPackageVersion:
         assert codes == [0, 0]
         assert calls == ["fastdiffusion"]
         assert out.count('"version"') == 2
+
+    def test_import_leaves_version_lookup_and_pool_unloaded(self):
+        # importing the package looks nothing up and loads no thread pool;
+        # __version__ is looked up on first use and equals a record's
+        code = (
+            "import sys, fastdiffusion\n"
+            "print(sorted({'importlib.metadata', 'concurrent.futures'} & set(sys.modules)))\n"
+            "print(fastdiffusion.__version__)\n"
+            "print(fastdiffusion.make_record('bounds', {}, {}, seed=None).version)\n"
+        )
+        src = str(Path(records.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env).stdout
+        loaded, version, record_version = out.splitlines()
+        assert loaded == "[]"
+        assert version == record_version

@@ -28,7 +28,9 @@ the largest relative difference |a - b| / max(|a|, |b|) over the numbers
 the two files share and the key path where it occurs (``[i]`` a list
 index or CSV row, ``.name`` a key or CSV column).  Values that are not
 both numbers and differ (null against a number, a key on one side only)
-are counted after it, with the first one's path.
+are counted after it, with the first one's path.  It exits 1 when any
+record or table differs or exists on one side only, and 0, printing
+nothing, when every one is byte-identical.
 """
 
 from __future__ import annotations
@@ -204,18 +206,20 @@ def main(argv=None) -> int:
         this.mkdir()
         subprocess.run([sys.executable, "-c", _RUN_OTHER, args.against,
                         str(Path(__file__).resolve().parent), str(other)], check=True)
-        seen = set()
+        seen, lines = set(), []
         for name, label, path in run_all(cli_main, this):
             twin = other / path.relative_to(this)
             seen.add(twin)
             if not twin.exists():
-                print(name, label, "only in this source")
+                lines.append(f"{name} {label} only in this source")
             elif _sha(twin) != _sha(path):
-                print(name, label, compare(path, twin))
+                lines.append(f"{name} {label} {compare(path, twin)}")
         labels = [label for _, label, _, _ in configs()]
         for twin in sorted(set(other.glob("out*/*")) - seen):
-            print(twin.stem, labels[int(twin.parent.name[3:])], f"only in {args.against}")
-    return 0
+            lines.append(f"{twin.stem} {labels[int(twin.parent.name[3:])]} only in {args.against}")
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
 
 if __name__ == "__main__":
     sys.exit(main())
