@@ -17,13 +17,14 @@ bound_report is the one query.  It evaluates each constant once:
 * coupling_gain_int and coupling_gain_sq_int: the integrals over [0, T]
   of the gain (delta_t xi_t)^(1/sigma) exp(-integral_0^t gamma) and of
   its square.  The gain is the dissipativity-vs-noise amplitude; its
-  integral sets how much attraction budget a horizon carries.
+  integral sets how much attraction budget a horizon carries, and
+  coupling.make_schedule calibrates the attraction from both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,18 +62,14 @@ def _term(fn) -> float:
     return math.inf if math.isnan(v) else v
 
 
-def _harnack_terms(sigma, p, T, lam, th, gi, gsq, nx, ny, dist) -> tuple[float, float, float]:
-    """The three exponent terms of the power-Harnack right-hand side."""
-    term1 = (p - 1.0) / 4.0 * (2.0 * th + lam * T + nx**2 + ny**2)
-    term2 = _term(lambda: (p - 1.0) * (sigma + 2.0) ** 2 * gsq / (4.0 * (sigma * gi) ** 2) * dist**2)
-    term3 = _term(lambda: (
-        lam ** ((2.0 - sigma) / 2.0)
-        * ((sigma + 2.0) / sigma) ** (sigma + 1.0)
-        * (2.0 * p * (p + 1.0)) ** (sigma / 2.0)
-        / (4.0 * (p - 1.0) ** (sigma - 1.0) * gi**sigma)
-        * dist**sigma
-    ))
-    return term1, term2, term3
+def _coupling_gain(coeffs: CoefficientSet, T: float):
+    """epsilon = sigma / (sigma + 2), the gain (delta_t xi_t)^(1/sigma) and
+    its integral over [0, T] against exp(-integral_0^t gamma): the one
+    calibration of both the coupling schedule and the bounds."""
+    sigma = coeffs.sigma
+    gain = combine(lambda d, xv: (d * xv) ** (1.0 / sigma), coeffs.delta, coeffs.xi)
+    gi = _constant("coupling_gain_int", lambda: weighted_exp_integral(gain, coeffs.gamma, 1.0, T))
+    return sigma / (sigma + 2.0), gain, gi
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,29 @@ class BoundReport:
     dist_h: float
     harnack_terms: tuple[float, float, float] | None
     harnack_rhs: float | None
+
+    @property
+    def attraction_cost_bound(self) -> float:
+        """dist_h^2 coupling_gain_sq_int / (epsilon coupling_gain_int)^2, the
+        bound on the attraction's H-norm cost integral_0^T beta_t^2
+        |X_t - Y_t|_H^(2(1 - epsilon)) dt; inf past float range."""
+        return _term(lambda: self.dist_h**2 * self.coupling_gain_sq_int
+                     / (self.epsilon * self.coupling_gain_int) ** 2)
+
+    def _harnack_terms(self, p: float) -> tuple[float, float, float]:
+        """The three exponent terms of the power-Harnack right-hand side."""
+        sigma, lam, gi, dist = self.sigma, self.exp_moment_weight, self.coupling_gain_int, self.dist_h
+        term1 = (p - 1.0) / 4.0 * (2.0 * self.log_moment_rate_int + lam * self.T
+                                   + self.norm_x_h**2 + self.norm_y_h**2)
+        term2 = (p - 1.0) / 4.0 * self.attraction_cost_bound
+        term3 = _term(lambda: (
+            lam ** ((2.0 - sigma) / 2.0)
+            * ((sigma + 2.0) / sigma) ** (sigma + 1.0)
+            * (2.0 * p * (p + 1.0)) ** (sigma / 2.0)
+            / (4.0 * (p - 1.0) ** (sigma - 1.0) * gi**sigma)
+            * dist**sigma
+        ))
+        return term1, term2, term3
 
     def as_dict(self) -> dict:
         """Every field; the Harnack fields only when p is given."""
@@ -126,10 +146,8 @@ def bound_report(
     if p is not None and not p > 1.0:
         raise InvalidP(f"integrability exponent must satisfy p > 1, got {p!r}")
     r = coeffs.r
-    sigma = coeffs.sigma
     q = model.hs_norm_sq
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     expo = 2.0 * coeffs.gamma.integral(T) + (2.0 * q + 1.0) * T
     lam = _constant("exp_moment_weight", lambda: 0.5 * math.exp(-expo) * coeffs.delta.inf_over(T))
     th = _constant("log_moment_rate_int", lambda: combine(
@@ -137,31 +155,17 @@ def bound_report(
         coeffs.eta,
         coeffs.delta,
     ).integral(T))
-    amp = combine(lambda d, xv: (d * xv) ** (1.0 / sigma), coeffs.delta, coeffs.xi)
-    gi = _constant("coupling_gain_int", lambda: weighted_exp_integral(amp, coeffs.gamma, 1.0, T))
+    eps, gain, gi = _coupling_gain(coeffs, T)
     gsq = _constant("coupling_gain_sq_int", lambda: weighted_exp_integral(
-        amp.map(lambda v: v * v), coeffs.gamma, 2.0, T,
+        gain.map(lambda v: v * v), coeffs.gamma, 2.0, T,
     ))
-    nx = float(norm_h(model, x))
-    ny = float(norm_h(model, y))
-    dist = float(norm_h(model, x - y))
-    terms = None
-    rhs = None
-    if p is not None:
-        terms = _harnack_terms(sigma, p, T, lam, th, gi, gsq, nx, ny, dist)
-        rhs = _exp(sum(terms))
-    return BoundReport(
-        T=float(T),
-        p=None if p is None else float(p),
-        sigma=sigma,
-        epsilon=sigma / (sigma + 2.0),
-        exp_moment_weight=lam,
-        log_moment_rate_int=th,
-        coupling_gain_int=gi,
-        coupling_gain_sq_int=gsq,
-        norm_x_h=nx,
-        norm_y_h=ny,
-        dist_h=dist,
-        harnack_terms=terms,
-        harnack_rhs=rhs,
+    rep = BoundReport(
+        T=float(T), p=None, sigma=coeffs.sigma, epsilon=eps, exp_moment_weight=lam,
+        log_moment_rate_int=th, coupling_gain_int=gi, coupling_gain_sq_int=gsq,
+        norm_x_h=float(norm_h(model, x)), norm_y_h=float(norm_h(model, y)),
+        dist_h=float(norm_h(model, x - y)), harnack_terms=None, harnack_rhs=None,
     )
+    if p is None:
+        return rep
+    terms = rep._harnack_terms(p)
+    return replace(rep, p=float(p), harnack_terms=terms, harnack_rhs=_exp(sum(terms)))

@@ -142,9 +142,8 @@ def _cmd_simulate(cfg: ExperimentConfig, with_tables: bool):
 
 def _path_rows(res: montecarlo.CoupledEnsembleResult):
     """The rows of the couple paths table, one per pair in path order."""
-    log_weight = -res.log_stoch_int - 0.5 * res.zeta_sq_int
     return zip(
-        range(res.alive.size), res.coupled, res.tau, log_weight,
+        range(res.alive.size), res.coupled, res.tau, res.log_weights,
         res.zeta_sq_int, res.f_int, res.dist_final,
     )
 
@@ -161,7 +160,6 @@ def _cmd_couple(cfg: ExperimentConfig, with_tables: bool):
     )
     a = res.alive
     coupled = res.coupled  # a dead pair is never coupled
-    sched = res.schedule
     tau_vals = res.tau[coupled]
     # an alive pair is advanced in two copies for the steps before it meets
     run = cfg.run
@@ -174,13 +172,7 @@ def _cmd_couple(cfg: ExperimentConfig, with_tables: bool):
         "mean_weight": estimate_from_values(res.weights[a]).as_dict(),
         **res.weight_health(),
         "two_copy_step_fraction": float(np.mean(two_copy_steps) / run.n_steps),
-        "schedule": {
-            "epsilon": sched.epsilon,
-            "c": sched.c,
-            "dist0": sched.dist0,
-            "hypothesis_integral": sched.hypothesis_integral(),
-            "beta_sq_exp_integral": sched.beta_sq_exp_integral(),
-        },
+        "schedule": {k: getattr(res.schedule, k) for k in ("epsilon", "c", "dist0")},
         "tau": None if not tau_vals.size else {
             "mean": float(np.sum(tau_vals) / tau_vals.size),
             "min": float(np.min(tau_vals)),

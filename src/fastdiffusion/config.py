@@ -24,6 +24,7 @@ from .conditions import AsymptoticSpec, check_noise_domination, check_noise_sand
 from .dynamics import SCHEMES, CoefficientSet, _sigma_floor
 from .errors import FastDiffusionError, NotSelfAdjoint, SchemaError
 from .montecarlo import (
+    SEED_MAX,
     EnsembleConfig,
     estimate_invariant,
     estimate_weighted,
@@ -100,13 +101,14 @@ class _Key:
         return self.path.rpartition(".")[2]
 
     def bounds(self) -> str:
-        """The range as text: "in (0, 1)", "> 0", ">= 2", or ""."""
+        """The range as text: "in (0, 1)", "> 0", ">= 2", or ""; integers exact."""
+        lo, hi = (f"{v:g}" if isinstance(v, float) else str(v) for v in (self.lo, self.hi))
         if self.lo is not None and self.hi is not None:
             left = "(" if self.lo_open else "["
             right = ")" if self.hi_open else "]"
-            return f"in {left}{self.lo:g}, {self.hi:g}{right}"
+            return f"in {left}{lo}, {hi}{right}"
         if self.lo is not None:
-            return f"{'>' if self.lo_open else '>='} {self.lo:g}"
+            return f"{'>' if self.lo_open else '>='} {lo}"
         return ""
 
     def admits(self, v) -> bool:
@@ -167,7 +169,7 @@ _SCHEMA = (
     _Key("run.n_paths", "int", _RUN_COMMANDS, lo=2, default=1000),
     _Key("run.dt", "num", _RUN_COMMANDS, **_POSITIVE, default=1e-3),
     _Key("run.T", "num", _RUN_COMMANDS, _RUN_COMMANDS, **_POSITIVE),
-    _Key("run.seed", "int", _RUN_COMMANDS, lo=0, default=_default(EnsembleConfig, "seed")),
+    _Key("run.seed", "int", _RUN_COMMANDS, lo=0, hi=SEED_MAX, default=_default(EnsembleConfig, "seed")),
     _Key("run.burn_in", "num", ("invariant",), ("invariant",), **_POSITIVE),
     _Key("run.scheme", "choice", _RUN_COMMANDS, choices=SCHEMES,
          default=_default(EnsembleConfig, "scheme")),
@@ -194,7 +196,7 @@ _SCHEMA = (
     _Key("conditions[].use_model", "bool", ("noise_sandwich",), default=False),
     _Key("conditions[].n_samples", "int", _MODEL_CHECKS, lo=1,
          default=_default(check_noise_domination, "n_samples")),
-    _Key("conditions[].seed", "int", _MODEL_CHECKS, lo=0,
+    _Key("conditions[].seed", "int", _MODEL_CHECKS, lo=0, hi=SEED_MAX,
          default=_default(check_noise_domination, "seed")),
 )
 

@@ -7,7 +7,8 @@ attraction drift
 
 to the second copy until the first numerical meeting time, after which
 the second copy is forced equal to the first.  The schedule beta is
-calibrated so that the attraction alone closes the gap by time T.
+calibrated so that the attraction alone closes the gap by time T, from
+the gain and gain integral that bounds computes for the Harnack bound.
 Along the way the ensemble kernel (montecarlo) accumulates the
 stochastic and quadratic integrals of
 
@@ -26,9 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bounds
 from .dynamics import CoefficientSet
 from .errors import ZeroHorizon
-from .schedules import PiecewiseConstant, combine, weighted_exp_integral
+from .schedules import PiecewiseConstant
 from .spectral import SpectralModel, norm_h
 
 __all__ = ["CouplingSchedule", "make_schedule"]
@@ -43,7 +45,10 @@ class CouplingSchedule:
     beta(t) = c * (epsilon delta_t xi_t)^(1/sigma)
                 * exp(-(1 - epsilon) * integral_0^t gamma_s ds)
 
-    with 1 - epsilon = 2 / (sigma + 2).
+    with 1 - epsilon = 2 / (sigma + 2).  By construction integral_0^T beta_t
+    exp(-epsilon integral_0^t gamma) dt = dist0^epsilon / epsilon, and
+    dist0^(2(1 - epsilon)) integral_0^T beta_t^2 exp(-2 epsilon integral_0^t
+    gamma) dt is the BoundReport's attraction_cost_bound.
     """
 
     epsilon: float
@@ -57,40 +62,22 @@ class CouplingSchedule:
         """Attraction amplitude at time t."""
         return self.c * self.amp(t) * math.exp(-(1.0 - self.epsilon) * self.gamma.integral(t))
 
-    def hypothesis_integral(self) -> float:
-        """Exact integral_0^T beta_t exp(-epsilon integral_0^t gamma) dt.
-
-        The two exponential decays combine to exp(-integral gamma), so the
-        value is c times the calibration integral and equals
-        dist0^epsilon / epsilon by construction.
-        """
-        return self.c * weighted_exp_integral(self.amp, self.gamma, 1.0, self.T)
-
-    def beta_sq_exp_integral(self) -> float:
-        """Exact integral_0^T beta_t^2 exp(-2 epsilon integral_0^t gamma) dt.
-
-        Appears in the moment bound for the attracted copy.  The combined
-        decay exponent is exactly 2: (2/(sigma+2)) * 2 + 2 sigma/(sigma+2) = 2.
-        """
-        amp_sq = self.amp.map(lambda v: v * v)
-        return self.c**2 * weighted_exp_integral(amp_sq, self.gamma, 2.0, self.T)
-
 
 def make_schedule(model: SpectralModel, coeffs: CoefficientSet, T: float, x, y) -> CouplingSchedule:
     """Calibrate the attraction schedule for starting points x and y.
 
     The normalizer c is chosen so that the accumulated attraction exactly
     matches the gap: integral_0^T beta_t exp(-epsilon integral_0^t gamma) dt
-    = |x - y|_H^epsilon / epsilon.  Equal starting points give the
-    degenerate schedule c = 0.
+    = |x - y|_H^epsilon / epsilon, which gives c = |x - y|_H^epsilon /
+    (epsilon^(1 + 1/sigma) coupling_gain_int).  Equal starting points give
+    the degenerate schedule c = 0.  A gain integral past float range
+    raises OverflowError under its name.
     """
     if not T > 0.0:
         raise ZeroHorizon(f"horizon must be positive, got {T!r}")
-    sigma = coeffs.sigma
-    eps = sigma / (sigma + 2.0)
+    eps, gain, gi = bounds._coupling_gain(coeffs, T)
+    scale = eps ** (1.0 / coeffs.sigma)
     dist0 = float(norm_h(model, np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
-    amp = combine(lambda d, xv: (eps * d * xv) ** (1.0 / sigma), coeffs.delta, coeffs.xi)
-    denom = eps * weighted_exp_integral(amp, coeffs.gamma, 1.0, T)
-    c = 0.0 if dist0 == 0.0 else dist0**eps / denom
+    c = 0.0 if dist0 == 0.0 else dist0**eps / (eps * scale * gi)
+    amp = gain.map(lambda v: scale * v)
     return CouplingSchedule(epsilon=eps, c=c, T=float(T), dist0=dist0, amp=amp, gamma=coeffs.gamma)
-

@@ -53,6 +53,7 @@ CHUNK_PATHS = 1024
 TIME_BLOCK = 128
 NOISE_TILE = 64  # paths drawn into the path-major scratch at a time
 BLOWUP_BUDGET = 1e-3
+SEED_MAX = 2**64 - 1  # a seed is the first word of a Philox key
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,8 @@ class EnsembleConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ValueError(f"T must be positive and finite, got {self.T!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not 0 <= self.seed <= SEED_MAX:
+            raise ValueError(f"seed must lie in [0, {SEED_MAX}], got {self.seed!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.burn_in < 0.0 or self.burn_in >= self.T:
@@ -608,9 +609,14 @@ class CoupledEnsembleResult:
     trace: np.ndarray | None = None
 
     @property
+    def log_weights(self) -> np.ndarray:
+        """Log change-of-measure weight per path, -log_stoch_int - zeta_sq_int / 2."""
+        return -self.log_stoch_int - 0.5 * self.zeta_sq_int
+
+    @property
     def weights(self) -> np.ndarray:
         """Change-of-measure weight per path (alive paths only are meaningful)."""
-        return np.exp(-self.log_stoch_int - 0.5 * self.zeta_sq_int)
+        return np.exp(self.log_weights)
 
     @property
     def coupled_fraction(self) -> float:
@@ -744,25 +750,24 @@ def verify_harnack(
     the exponential moment E exp(w integral_0^T |.|_{r+1}^{r+1} dt) of
     each copy (w = exp_moment_weight) against exp(log_moment_rate_int +
     |x|_H^2), and for the attracted copy against exp(log_moment_rate_int
-    + |y|_H^2 + extra), extra = dist0^(2(1 - epsilon)) beta_sq_exp_integral.
-    The first copy goes through the arithmetic of a plain run from x, and
-    a run from (x, x) gives the one-sided bound for x on both sides.  A
-    moment or bound past float range reads null.  The top-level holds is
-    the Harnack comparison's alone.
+    + |y|_H^2 + attraction_cost_bound), the BoundReport term that is
+    4/(p - 1) times the second Harnack term.  The first copy goes through
+    the arithmetic of a plain run from x, and a run from (x, x) gives the
+    one-sided bound for x on both sides.  A moment or bound past float
+    range reads null.  The top-level holds is the Harnack comparison's alone.
 
-    extra bounds the H-norm cost of the attraction, integral_0^T beta_t^2
-    |X_t - Y_t|_H^(2(1 - epsilon)) dt, which is why it sits below the
-    measured zeta_sq_int: zeta weighs each mode by 1/q_i^2 (on the README
-    run, 400 traced pairs, the largest H-norm cost was 0.0012, extra
-    0.0055 and the largest zeta_sq_int 0.017).
+    attraction_cost_bound bounds the H-norm cost of the attraction,
+    integral_0^T beta_t^2 |X_t - Y_t|_H^(2(1 - epsilon)) dt, which is why
+    it sits below the measured zeta_sq_int: zeta weighs each mode by
+    1/q_i^2 (on the README run, 400 traced pairs, the largest H-norm cost
+    was 0.0012, the bound 0.0055 and the largest zeta_sq_int 0.017).
     """
     a = res.alive
-    sched = res.schedule
     FX = np.asarray(F(res.XT[a]), dtype=float)
     west = estimate_from_values(res.weights[a] * FX)
     xest = estimate_from_values(FX**p)
     rest = estimate_from_values(res.weights[a])
-    rep = bounds.bound_report(model, coeffs, sched.T, res.x, res.y, p)
+    rep = bounds.bound_report(model, coeffs, res.schedule.T, res.x, res.y, p)
 
     factor = rep.harnack_rhs
     lhs_lo, lhs_hi = (max(v, 0.0) ** p for v in west.ci95)
@@ -780,8 +785,7 @@ def verify_harnack(
         return {"mean": est.mean, "stderr": est.stderr, "n": est.n, "rhs": rhs,
                 **_verdict(est.ci95[1], rhs, 1.0, slack)}
 
-    beta_sq = sched.beta_sq_exp_integral()
-    extra = sched.dist0 ** (2.0 * (1.0 - sched.epsilon)) * beta_sq
+    extra = rep.attraction_cost_bound
     th = rep.log_moment_rate_int
     return {
         **verdict,
@@ -801,7 +805,7 @@ def verify_harnack(
         "exp_moment": {
             "exp_moment_weight": rep.exp_moment_weight,
             "log_moment_rate_int": th,
-            "beta_sq_exp_integral": beta_sq,
+            "attraction_cost_bound": extra,
             "x_side": moment_side(res.lp_int_x, th + rep.norm_x_h**2),
             "y_side": moment_side(res.lp_int_y, th + rep.norm_y_h**2 + extra),
         },

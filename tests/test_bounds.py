@@ -238,3 +238,26 @@ class TestBoundReport:
         rep = bound_report(m, CoefficientSet(r=0.5, gamma=-0.2), 1.0, x, np.zeros(4), p=2.0)
         assert rep.harnack_rhs > 1.0
         assert calls == {"weighted_exp_integral": 2, "norm_h": 3}
+
+    @pytest.mark.parametrize("sigma", [8.0 / 3.0, 4.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_second_term_is_the_attraction_cost(self, p, sigma):
+        # harnack_terms[1] = (p - 1)/4 attraction_cost_bound, which is the
+        # W07 attraction term (p - 1)(sigma + 2)^2 gsq dist^2 / (4 (sigma gi)^2)
+        m = dirichlet1d_model(4, [1.0, 0.8, 0.6, 0.5])
+        gam = PiecewiseConstant([0.0, 0.5], [-0.5, 1.0])
+        c = CoefficientSet(r=0.5, sigma=sigma, delta=2.0, gamma=gam, xi=0.7)
+        rep = bound_report(m, c, 1.0, np.array([0.4, 0.1, -0.3, 0.0]), np.array([-0.1, 0.0, 0.2, 0.1]), p)
+        cost = rep.attraction_cost_bound
+        assert rep.harnack_terms[1] == pytest.approx((p - 1.0) / 4.0 * cost, rel=1e-14)
+        w07 = ((p - 1.0) * (sigma + 2.0) ** 2 * rep.coupling_gain_sq_int * rep.dist_h**2
+               / (4.0 * (sigma * rep.coupling_gain_int) ** 2))
+        assert rep.harnack_terms[1] == pytest.approx(w07, rel=1e-14)
+        assert "attraction_cost_bound" not in rep.as_dict()
+
+    def test_attraction_cost_past_float_range_is_inf(self):
+        # dist_h^2 coupling_gain_sq_int leaves float range: inf, not an error
+        c = CoefficientSet(r=0.5, gamma=-350.0)
+        rep = bound_report(unit_noise_model(), c, 1.0, np.array([1e150]), np.zeros(1))
+        assert math.isfinite(rep.coupling_gain_sq_int) and rep.coupling_gain_sq_int > 1e300
+        assert rep.attraction_cost_bound == math.inf

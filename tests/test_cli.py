@@ -223,6 +223,69 @@ class TestExitCodes:
         rec = json.loads(capsys.readouterr().out)
         assert rec["outputs"]["all_hold"] is True
 
+    @staticmethod
+    def pair_config(command, gamma):
+        """The four-mode pair config of tools/record_digests.py at T = 1."""
+        payload = {
+            "model": {"n": 4, "q_diag": {"power": -0.5}},
+            "coeffs": {"r": 0.5, "gamma": gamma, "xi": 0.01},
+            "run": {"n_paths": 8, "dt": 0.01, "T": 1.0, "seed": 3},
+            "x": {"spectral": [0.35, -0.20, 0.10, -0.05]},
+            "y": {"spectral": [0.29, -0.16, 0.13, -0.02]},
+        }
+        if command == "harnack-check":
+            payload["p"] = 2.0
+        return payload
+
+    @pytest.mark.parametrize("command", ["couple", "moments", "harnack-check"])
+    def test_gain_integral_past_float_range_is_named(self, tmp_path, capsys, command):
+        # every pair command calibrates its schedule from coupling_gain_int
+        cfg = write_config(tmp_path, "g.json", self.pair_config(command, -800.0))
+        assert main([command, "--config", cfg]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: coupling_gain_int leaves float range\n"
+
+    @pytest.mark.parametrize("command", ["couple", "moments"])
+    def test_finite_gain_integral_runs(self, tmp_path, capsys, command):
+        # at gamma = -400 the gain integral is finite and its square is not;
+        # neither command needs the square
+        cfg = write_config(tmp_path, "g.json", self.pair_config(command, -400.0))
+        assert main([command, "--config", cfg]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert json.loads(out.out)["command"] == command
+
+    @pytest.mark.parametrize("command, key", [("bounds", "run.seed"), ("conditions", "conditions[0].seed")])
+    def test_seed_past_philox_key_range_is_refused(self, tmp_path, capsys, command, key):
+        # a seed is the first 64-bit word of a Philox key
+        for seed, code in ((2**64, 1), (2**64 - 1, 0)):
+            if command == "bounds":
+                payload = bounds_config()
+                payload["run"]["seed"] = seed
+            else:
+                entry = {"check": "noise_domination", "n_samples": 50, "seed": seed}
+                payload = {"model": {"n": 4, "q_diag": {"power": -0.5}}, "coeffs": {"r": 0.5},
+                           "conditions": [entry]}
+            cfg = write_config(tmp_path, "s.json", payload)
+            assert main([command, "--config", cfg]) in ((1,) if code else (0, 2))
+            out = capsys.readouterr()
+            if code:
+                assert out.out == ""
+                assert out.err == (f"error: configuration invalid: {key}: "
+                                   "must be in [0, 18446744073709551615]\n")
+            else:
+                assert out.err == "" and json.loads(out.out)["command"] == command
+
+    def test_seed_override_past_philox_key_range_is_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", couple_config())
+        assert main(["couple", "--config", cfg, "--seed", str(2**64)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: configuration invalid: run.seed: must be in [0, 18446744073709551615]\n"
+        assert main(["couple", "--config", cfg, "--seed", str(2**64 - 1)]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 1
+
 
 class TestOverrides:
     def test_seed_override_recorded(self, tmp_path, capsys):

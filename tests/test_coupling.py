@@ -15,6 +15,7 @@ from fastdiffusion import (
     EnsembleConfig,
     PiecewiseConstant,
     ZeroHorizon,
+    bound_report,
     build_model,
     dirichlet1d_model,
     from_spectral,
@@ -23,6 +24,7 @@ from fastdiffusion import (
     norm_q,
     run_coupled_ensemble,
 )
+from fastdiffusion import bounds, coupling
 from fastdiffusion.montecarlo import _simulate
 from point_oracles import apply_drift, coupling_drift, drift_eval, f_diagnostic, zeta
 
@@ -38,6 +40,23 @@ def flat_schedule(eps, c, T=1.0, dist0=1.0):
         amp=PiecewiseConstant.constant(1.0),
         gamma=PiecewiseConstant.constant(0.0),
     )
+
+
+def piecewise_setups():
+    """(coeffs, T, x, y) with piecewise-constant gamma of either sign."""
+    return [
+        (CoefficientSet(r=0.5, delta=2.0, gamma=PiecewiseConstant([0.0, 0.5], [-0.5, 1.0]), xi=0.7),
+         1.0, np.array([0.4, 0.1, -0.3, 0.0]), np.array([-0.1, 0.0, 0.2, 0.1])),
+        (CoefficientSet(r=0.5, delta=1.5, gamma=PiecewiseConstant([0.0, 0.4], [0.8, -0.6]), xi=0.9),
+         1.3, np.array([0.7, 0, 0, 0.0]), np.zeros(4)),
+    ]
+
+
+def quad_beta(s, gamma, k):
+    """integral_0^T beta_t^k exp(-k epsilon integral_0^t gamma) dt by quadrature."""
+    def integrand(t):
+        return s.beta(t) ** k * math.exp(-k * s.epsilon * gamma.integral(t))
+    return quad(integrand, 0.0, s.T, points=gamma.breaks[1:], limit=200)[0]
 
 
 class TestMakeSchedule:
@@ -71,15 +90,26 @@ class TestMakeSchedule:
 
     def test_hypothesis_integral_equality(self):
         # The calibration makes the attraction integral exactly
-        # dist0^eps / eps.
+        # dist0^eps / eps; checked by adaptive quadrature of beta.
         m = four_mode_model()
-        x = np.array([0.4, 0.1, -0.3, 0.0])
-        y = np.array([-0.1, 0.0, 0.2, 0.1])
-        gam = PiecewiseConstant([0.0, 0.5], [-0.5, 1.0])
-        c = CoefficientSet(r=0.5, delta=2.0, gamma=gam, xi=0.7)
-        s = make_schedule(m, c, 1.0, x, y)
-        want = s.dist0**s.epsilon / s.epsilon
-        assert s.hypothesis_integral() == pytest.approx(want, rel=1e-10)
+        for c, T, x, y in piecewise_setups():
+            s = make_schedule(m, c, T, x, y)
+            want = s.dist0**s.epsilon / s.epsilon
+            assert quad_beta(s, c.gamma, 1) == pytest.approx(want, rel=1e-9)
+
+    def test_one_gain_integral_from_bounds(self, monkeypatch):
+        # the schedule reads its gain and gain integral off bounds, and
+        # c = dist0^eps / (eps^(1 + 1/sigma) coupling_gain_int)
+        calls = []
+        real = bounds.weighted_exp_integral
+        monkeypatch.setattr(bounds, "weighted_exp_integral", lambda *a: calls.append(a) or real(*a))
+        m = four_mode_model()
+        c, T, x, y = piecewise_setups()[0]
+        s = make_schedule(m, c, T, x, y)
+        assert len(calls) == 1
+        assert not hasattr(coupling, "weighted_exp_integral") and not hasattr(coupling, "combine")
+        gi = bound_report(m, c, T, x, y).coupling_gain_int
+        assert s.c == pytest.approx(s.dist0**s.epsilon / (s.epsilon ** (1.0 + 1.0 / c.sigma) * gi), rel=1e-14)
 
     def test_equal_starts_degenerate(self):
         m = four_mode_model()
@@ -109,17 +139,14 @@ class TestMakeSchedule:
         )
         assert s.beta(t) == pytest.approx(expect, rel=1e-12)
 
-    def test_beta_sq_exp_integral_quadrature(self):
+    def test_attraction_cost_bound_quadrature(self):
+        # dist0^(2(1-eps)) integral beta^2 exp(-2 eps Gamma), by quadrature,
+        # is the closed form that bounds reports for the same query
         m = four_mode_model()
-        gam = PiecewiseConstant([0.0, 0.4], [0.8, -0.6])
-        c = CoefficientSet(r=0.5, delta=1.5, gamma=gam, xi=0.9)
-        s = make_schedule(m, c, 1.3, np.array([0.7, 0, 0, 0.0]), np.zeros(4))
-
-        def integrand(t):
-            return s.beta(t) ** 2 * math.exp(-2 * s.epsilon * gam.integral(t))
-
-        num, _ = quad(integrand, 0.0, 1.3, points=[0.4], limit=200)
-        assert s.beta_sq_exp_integral() == pytest.approx(num, rel=1e-9)
+        for c, T, x, y in piecewise_setups():
+            s = make_schedule(m, c, T, x, y)
+            num = s.dist0 ** (2.0 * (1.0 - s.epsilon)) * quad_beta(s, c.gamma, 2)
+            assert bound_report(m, c, T, x, y).attraction_cost_bound == pytest.approx(num, rel=1e-9)
 
 
 class TestDrifts:

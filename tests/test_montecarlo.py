@@ -32,6 +32,7 @@ from fastdiffusion import (
     verify_harnack,
 )
 from fastdiffusion import bounds, montecarlo
+from fastdiffusion.cli import _path_rows
 
 
 def small_model():
@@ -77,6 +78,11 @@ class TestEnsembleConfig:
             EnsembleConfig(n_paths=10, dt=0.01, T=0.1, n_workers=0)
         with pytest.raises(ValueError):
             EnsembleConfig(n_paths=10, dt=0.01, T=0.1, seed=-1)
+
+    def test_seed_is_a_philox_key_word(self):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            EnsembleConfig(n_paths=10, dt=0.01, T=0.1, seed=2**64)
+        assert EnsembleConfig(n_paths=10, dt=0.01, T=0.1, seed=2**64 - 1).seed == 2**64 - 1
 
 
 class TestEstimate:
@@ -197,8 +203,11 @@ class TestCoupledEnsemble:
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=8, dt=0.01, T=0.1, seed=3)
         res = run_coupled_ensemble(m, c, cfg, START, OTHER)
-        want = np.exp(-res.log_stoch_int - 0.5 * res.zeta_sq_int)
-        assert np.array_equal(res.weights, want)
+        log_w = -res.log_stoch_int - 0.5 * res.zeta_sq_int
+        assert np.array_equal(res.log_weights, log_w)
+        assert np.array_equal(res.weights, np.exp(log_w))
+        # the couple paths table's log_weight column reads the same array
+        assert [row[3] for row in _path_rows(res)] == list(res.log_weights)
 
     def test_identical_starts_coupled_immediately(self):
         m, c = small_model(), small_coeffs()
@@ -628,7 +637,7 @@ class TestVerifyExpMoment:
         out = self.block(m, c, run_coupled_ensemble(m, c, cfg, START, START))
         assert out["x_side"]["holds"] and out["y_side"]["holds"]
         assert out["x_side"]["mean"] <= out["x_side"]["rhs"]
-        assert out["beta_sq_exp_integral"] == 0.0
+        assert out["attraction_cost_bound"] == 0.0
         assert out["y_side"] == out["x_side"]
 
     def test_two_sided_x_side_equals_one_sided(self):
@@ -654,9 +663,14 @@ class TestVerifyExpMoment:
             assert side["informative"] is True
             assert side["ci_margin"] == pytest.approx(side["rhs"] * 1.05 - hi, rel=1e-12)
             assert side["holds"] == (side["ci_margin"] >= 0.0)
-        # the attracted copy pays an additive distance toll in the exponent
+        # the attracted copy pays an additive distance toll in the exponent:
+        # the bound on the attraction's H-norm cost, dist0^(2(1-eps)) times
+        # integral beta^2 exp(-2 eps Gamma), at gamma constant in closed form
         sched = make_schedule(m, c, cfg.realized_T, START, OTHER)
-        extra = sched.dist0 ** (2.0 * (1.0 - sched.epsilon)) * sched.beta_sq_exp_integral()
+        k = 2.0 * c.gamma(0.0)
+        beta_sq = sched.beta(0.0) ** 2 * -math.expm1(-k * sched.T) / k
+        extra = sched.dist0 ** (2.0 * (1.0 - sched.epsilon)) * beta_sq
+        assert out["attraction_cost_bound"] == pytest.approx(extra, rel=1e-12)
         ny = float(norm_h(m, OTHER))
         want = math.exp(out["log_moment_rate_int"] + ny**2 + extra)
         assert out["y_side"]["rhs"] == pytest.approx(want, rel=1e-12)
@@ -673,8 +687,8 @@ class TestVerifyExpMoment:
             assert side["holds"] is True and side["informative"] is False and side["ci_margin"] is None
 
     def test_attraction_cost_below_extra(self):
-        # extra = dist0^(2(1-eps)) beta_sq_exp_integral bounds the H-norm
-        # cost of the attraction, integral beta_t^2 |X_t - Y_t|_H^(2(1-eps))
+        # extra = attraction_cost_bound bounds the H-norm cost of the
+        # attraction, integral beta_t^2 |X_t - Y_t|_H^(2(1-eps))
         # dt, on every traced pair; zeta_sq_int, which weighs each mode by
         # 1/q_i^2, is larger
         m = dirichlet1d_model(4, [i**-0.5 for i in range(1, 5)])
@@ -688,7 +702,7 @@ class TestVerifyExpMoment:
         # row s - 1 holds the state after s steps; step s reads the state at s
         rows = res.trace[:, :-1]
         cost = cfg.dt * (sched.beta(0.0) ** 2 * sched.dist0**e2 + np.sum(rows[:, :, 2] ** 2 * rows[:, :, 1] ** e2, axis=1))
-        extra = self.block(m, c, res)["beta_sq_exp_integral"] * sched.dist0**e2
+        extra = self.block(m, c, res)["attraction_cost_bound"]
         assert res.n_blowups == 0 and np.all(cost > 0.0)
         assert np.max(cost) <= extra
         assert np.max(res.zeta_sq_int) > extra
