@@ -20,6 +20,7 @@ import numpy as np
 
 from .dynamics import CoefficientSet, _sigma_floor
 from .errors import EmptySample
+from .montecarlo import SEED_MAX
 from .spectral import SpectralModel, from_spectral, norm_h, norm_lp, norm_q
 
 __all__ = [
@@ -133,9 +134,12 @@ def _mixture_samples(model: SpectralModel, n_samples: int, seed: int) -> np.ndar
     the Gaussian rows' coefficients, then the point masses' signs, their
     points and their sizes U.  The sample is read-only: the most recent
     one is kept and handed to the next call with the same model object,
-    n_samples and seed.
+    n_samples and seed.  A seed outside [0, SEED_MAX], the range of the
+    Philox key word, is a ValueError.
     """
     global _last_sample
+    if not 0 <= seed <= SEED_MAX:
+        raise ValueError(f"seed must lie in [0, {SEED_MAX}], got {seed!r}")
     if n_samples < 1:
         raise EmptySample("n_samples must be at least 1")
     last = _last_sample

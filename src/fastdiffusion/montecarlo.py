@@ -208,7 +208,8 @@ def _sample_stats(X: np.ndarray, C: np.ndarray, w: np.ndarray, inv_lam: np.ndarr
     """The per-sample values |x|_{r+1}^{r+1}, exp(eps0 |x|_H^{r+1}) and
     exp(eps0 |x|_H^2) of m states given mode-major by their point values
     X and their eigen-coefficients C, both of shape (n, m); the result
-    has shape (3, m).  |x|_H is (sum_i c_i^2 / lambda_i)^(1/2), read off C."""
+    has shape (3, m).  |x|_H is (sum_i c_i^2 / lambda_i)^(1/2), read off C;
+    w and inv_lam are the weights and 1 / lambda_i spread over C's shape."""
     nh = np.sqrt(_row_sum(C * C * inv_lam))
     return np.stack([
         _row_sum(w * np.abs(X) ** rp1),
@@ -284,10 +285,14 @@ def _simulate(
     Psi, the moments and the f envelope, and one transform of Psi back.
     Everything else is diagonal in the eigenbasis: the drift, the H norms,
     zeta, the noise q sqrt(dt) xi and, because the eigenfunctions are
-    m-orthonormal, the taming norm.  A noise block is drawn at its start,
-    NOISE_TILE paths at a time into a path-major tile, and stored
-    step-major, scaled by q sqrt(dt), in dW_block of shape (TIME_BLOCK, n,
-    P): step b reads the contiguous view dW_block[b].  Every per-path
+    m-orthonormal, the taming norm.  The per-mode factors (weights,
+    1/lambda, 1/q, the drift's -delta lambda / 2r) are spread into
+    contiguous blocks of the width they multiply, built once per chunk;
+    a partition rebuilds those whose width changed, and a cut the drift
+    factor.  A noise block is drawn at its start, NOISE_TILE paths at a
+    time into a path-major tile, and copied step-major into dW_block of
+    shape (TIME_BLOCK, n, P), which is then scaled by q sqrt(dt) in
+    place: step b reads the contiguous view dW_block[b].  Every per-path
     number is a function of its own column only, so results do not depend
     on the chunk, on where a path sits in it, on when pairs are moved or
     on the worker count.
@@ -317,6 +322,7 @@ def _simulate(
     if coupled_run:
         eps = sched.epsilon
         f_expo = ((1.0 - r) / (1.0 + r), 2.0 / (coeffs.sigma - 2.0))
+        half_dt = 0.5 * dt  # exact, so (a + b) * half_dt rounds as 0.5 * (a + b) * dt
 
     burn = cfg.burn_steps
     n_kept = (n_steps - burn) // thin if thin else 0
@@ -350,8 +356,11 @@ def _simulate(
         gens = _path_generators(cfg.seed, lo, hi)
         dW_block = np.empty((min(TIME_BLOCK, n_steps), n, P))
         tile = np.empty((min(NOISE_TILE, P), len(dW_block), n))
+        q_sqdt_P = np.repeat(q_sqdt, P, axis=1)
         if coupled_run:
             lp = np.zeros((k, P))
+            # the trapezoid's rows at the last step and at this one
+            v_prev, v_cur = np.empty((2, P)), np.empty((2, P))
             coupled = np.zeros(P, dtype=bool)
             tau = np.full(P, math.nan)
             log_s = np.zeros(P)
@@ -363,6 +372,14 @@ def _simulate(
                 pair's is its first."""
                 return np.concatenate([A[..., P:], A[..., m:P]], axis=-1)
 
+            def factors():
+                """The weights over all P + m columns of the block, and the
+                weights, 1/lambda and 1/q over the m pairs still apart."""
+                return (np.repeat(w, P + m, axis=1),
+                        *(np.repeat(a, m, axis=1) for a in (w, inv_lam, inv_q)))
+
+            w_all, w_m, inv_lam_m, inv_q_m = factors()
+
         n_tr = max(0, min(hi, trace_paths) - lo)
         tr_x = np.arange(n_tr)  # positions of the traced pairs, in path order
         if n_kept:
@@ -370,6 +387,7 @@ def _simulate(
             # kept j of the current batch sits in columns j*P:(j+1)*P
             buf_X = np.empty((n, batch * P))
             buf_C = np.empty((n, batch * P))
+            w_s, inv_lam_s = (np.repeat(a, batch * P, axis=1) for a in (w, inv_lam))
         ki = nb = 0
         t = 0.0  # time after s steps, summed step by step
         next_cut = 0.0
@@ -389,6 +407,8 @@ def _simulate(
                     pos = np.empty_like(ids)
                     pos[ids] = np.arange(P)  # pos[j]: where path lo + j sits
                     tr_x = pos[:n_tr]
+                    w_all, w_m, inv_lam_m, inv_q_m = factors()
+                    slam_all = np.repeat(slam, C2.shape[1], axis=1)
 
                 # the state after s steps, in point values
                 Xp = from_spectral(model, C2, mode_major=True)
@@ -396,12 +416,17 @@ def _simulate(
                     A = np.abs(Xp)
                     Ar = A**r
                 if coupled_run:
-                    V = A * Ar
-                    v = _row_sum(V * w)
-                    v = np.stack([v[:P], second(v)])
+                    V = np.multiply(A, Ar, out=A)  # |x|^(r+1); A is not read again
+                    v = _row_sum(V * w_all)
+                    v_cur[0] = v[:P]
+                    v_cur[1, :m] = v[P:]
+                    v_cur[1, m:] = v[m:P]
                     if s:
-                        lp += 0.5 * (v_prev + v) * dt
-                    v_prev = v
+                        # lp += (v_prev + v_cur) dt / 2, summed in v_prev
+                        v_prev += v_cur
+                        v_prev *= half_dt
+                        lp += v_prev
+                    v_prev, v_cur = v_cur, v_prev
                 if n_kept and s > burn and (s - burn) % thin == 0:
                     if keep:
                         out.kept[ki, lo:hi] = Xp.T
@@ -410,8 +435,9 @@ def _simulate(
                     ki += 1
                     nb += 1
                     if nb == batch or ki == n_kept:
+                        got = slice(0, nb * P)
                         vals = _sample_stats(
-                            buf_X[:, :nb * P], buf_C[:, :nb * P], w, inv_lam, rp1, eps0,
+                            buf_X[:, got], buf_C[:, got], w_s[:, got], inv_lam_s[:, got], rp1, eps0,
                         ).reshape(3, nb, P)
                         for j in range(nb):
                             sums[int(ki - nb + j >= half)] += vals[:, j]
@@ -423,9 +449,9 @@ def _simulate(
                         # taken before this step's meeting check: zeta is 0
                         # where X = Y, as for every pair that has met
                         D = C2[:, :m] - C2[:, P:]
-                        dist = np.sqrt(_row_sum(D * D * inv_lam))
+                        dist = np.sqrt(_row_sum(D * D * inv_lam_m))
                         attraction = D * (beta / np.where(dist > 0.0, dist, np.inf) ** eps)
-                        zc = attraction * inv_q
+                        zc = attraction * inv_q_m
                         zeta_sq = _row_sum(zc * zc)
                 if n_tr and s and s % record_every == 0:
                     # rows read the numbers above; a pair that left the block
@@ -447,8 +473,8 @@ def _simulate(
                         cols = slice(p0, min(p0 + NOISE_TILE, P))
                         for i, g in enumerate(gens[cols]):
                             g.standard_normal(out=tile[i, :B])
-                        np.multiply(tile[:cols.stop - p0, :B].transpose(1, 2, 0), q_sqdt,
-                                    out=dW_block[:B, :, cols])
+                        dW_block[:B, :, cols] = tile[:cols.stop - p0, :B].transpose(1, 2, 0)
+                    dW_block[:B] *= q_sqdt_P
                 dW = dW_block[b]
 
                 if t >= next_cut:
@@ -456,9 +482,13 @@ def _simulate(
                     next_cut = cuts[j] if j < len(cuts) else math.inf
                     scale = 1.0 if identity else coeffs.delta(t) / (2.0 * r)
                     slam = -scale * lam
+                    slam_all = np.repeat(slam, C2.shape[1], axis=1)
                     gamma = coeffs.gamma(t)
-                T = C2 if identity else to_spectral(model, np.copysign(Ar, Xp), mode_major=True)
-                drift = T * slam
+                if identity:
+                    drift = C2 * slam_all
+                else:  # Ar and the coefficients of Psi are not read again
+                    drift = to_spectral(model, np.copysign(Ar, Xp, out=Ar), mode_major=True)
+                    drift *= slam_all
                 if gamma:
                     drift += gamma * C2
                 if coupled_run:
@@ -471,9 +501,9 @@ def _simulate(
                         # a pair that meets now takes no weight terms, and its
                         # Y is set to its X below whatever its drift
                         zsq[:m] += np.where(active, zeta_sq, 0.0) * dt
-                        log_s[:m] += np.where(active, _row_sum(zc * (dW[:, :m] * inv_q)), 0.0)
+                        log_s[:m] += np.where(active, _row_sum(zc * (dW[:, :m] * inv_q_m)), 0.0)
                         env = np.maximum(V[:, :m], V[:, P:])
-                        fval = (_row_sum(env * w) ** f_expo[0]) ** f_expo[1]
+                        fval = (_row_sum(env * w_m) ** f_expo[0]) ** f_expo[1]
                         f_acc[:m] += np.where(active, fval, 0.0) * dt
 
                 if tamed:

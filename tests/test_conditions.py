@@ -83,6 +83,17 @@ class TestMixtureSamples:
             assert other is not first
             assert np.array_equal(other, loop_mixture_samples(*args))
 
+    @pytest.mark.parametrize("check", [check_noise_domination, check_embedding_constant])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_philox_key_range_is_refused(self, check, seed):
+        # the same ValueError as EnsembleConfig's, raised before the cached
+        # sample of the same model and size is looked at
+        m = two_mode_model()
+        cached = _mixture_samples(m, 10, 0)
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 18446744073709551615\]"):
+            check(m, CoefficientSet(r=0.5), n_samples=10, seed=seed)
+        assert _mixture_samples(m, 10, 0) is cached
+
 
 class TestHsCheck:
     def test_finite_model_reports_sum(self):

@@ -1,5 +1,6 @@
 """Pair coupling: schedule calibration, drifts, reweighting accumulators, traces."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from fastdiffusion import (
     from_spectral,
     make_schedule,
     norm_h,
+    norm_lp,
     norm_q,
     run_coupled_ensemble,
 )
@@ -348,17 +350,22 @@ class TestKernelStep:
     def test_one_step_matches_point_space_formulas(self):
         # one step of the spectral-state kernel against the point-space
         # oracles: drift_eval/apply_drift plus the Q dW increment for both
-        # copies, the untamed coupling_drift times dt on the second, zeta
-        # and f_diagnostic for the accumulators.  No start has a zero entry: the kernel's point
-        # values carry transform roundoff (~1e-17), which |s|^r would lift
-        # to ~1e-9 there.
-        m = four_mode_model()
+        # copies, the untamed coupling_drift times dt on the second, zeta,
+        # f_diagnostic and the (r+1)-moments for the accumulators.  No
+        # start has a zero entry: the kernel's point values carry transform
+        # roundoff (~1e-17), which |s|^r would lift to ~1e-9 there.  The
+        # second model has distinct weights and an operator self-adjoint
+        # for them (diag(m) L is a multiple of the grid Laplacian), so a
+        # weight or 1/lambda factor spread along the wrong axis shows.
+        weights = np.array([0.1, 0.2, 0.3, 0.4])
+        weighted = build_model(weights, (weights[0] * four_mode_model().operator) / weights[:, None],
+                               [1.0, 0.8, 0.6, 0.5])
         c = CoefficientSet(r=0.5, delta=1.3, gamma=-0.4)
         x = np.array([0.4, -0.3, 0.2, 0.1])
         y = np.array([-0.2, 0.1, 0.3, 0.05])
         dt, seed = 1e-3, 7
-        w = m.space.weights
-        for scheme in ("tamed_euler", "explicit_euler"):
+        for m, scheme in itertools.product((four_mode_model(), weighted), ("tamed_euler", "explicit_euler")):
+            w = m.space.weights
             cfg = EnsembleConfig(n_paths=2, dt=dt, T=dt, seed=seed, scheme=scheme)
             res = run_coupled_ensemble(m, c, cfg, x, y)
             sched = res.schedule
@@ -377,6 +384,10 @@ class TestKernelStep:
                 assert np.isclose(res.log_stoch_int[p], np.sum(z * math.sqrt(dt) * xi), **close)
                 assert np.isclose(res.zeta_sq_int[p], np.sum(z * z) * dt, **close)
                 assert np.isclose(res.f_int[p], f_diagnostic(m, c, x, y) ** fexp * dt, **close)
+                # the trapezoid of |.|_{r+1}^{r+1} over the step, per copy
+                for start, lp_int, end in ((x, res.lp_int_x, res.XT), (y, res.lp_int_y, res.YT)):
+                    ends = [norm_lp(m, v, c.r + 1.0) ** (c.r + 1.0) for v in (start, end[p])]
+                    assert np.isclose(lp_int[p], 0.5 * sum(ends) * dt, **close)
 
 
 class TestRunPair:

@@ -283,6 +283,38 @@ class TestMetPairsLeaveTheTwoCopyBlock:
                         assert np.array_equal(getattr(res, name), getattr(whole, name), equal_nan=True), (
                             n, every, block, name)
 
+    def test_coefficient_cuts_after_pairs_left(self, monkeypatch):
+        # delta changes at step 31 and gamma at step 53, inside noise blocks
+        # of 3 and 7 steps.  At the delta cut some pairs have left the
+        # two-copy block and others are still apart; by the gamma cut every
+        # pair has left.  The factor blocks rebuilt there, and those of a
+        # thinned plain run, give the bits of a run that moves no pair.
+        m = small_model()
+        c = CoefficientSet(r=0.5, delta=PiecewiseConstant([0.0, 0.0305], [1.0, 1.5]),
+                           gamma=PiecewiseConstant([0.0, 0.0525], [-0.4, -0.1]))
+        cfg = EnsembleConfig(n_paths=13, dt=1e-3, T=0.1, seed=21)
+        thinned = EnsembleConfig(n_paths=13, dt=1e-3, T=0.1, burn_in=0.01, seed=21)
+
+        def run(block, chunk=1024):
+            monkeypatch.setattr(montecarlo, "TIME_BLOCK", block)
+            monkeypatch.setattr(montecarlo, "CHUNK_PATHS", chunk)
+            plain = montecarlo._simulate(m, c, thinned, [START], thin=3, eps0=0.01)
+            res = run_coupled_ensemble(m, c, cfg, START, OTHER, couple_tol=1e-3, trace_paths=13)
+            return plain, res
+
+        whole_plain, whole = run(cfg.n_steps + 1)
+        met = np.rint(whole.tau / cfg.dt)
+        # a pair that met before step 28 has left by step 28 at every block size
+        assert whole.coupled.all() and (met < 28).any() and (met > 31).any() and met.max() < 49
+        for block in (1, 3, 7):
+            for chunk in (1, 5):
+                plain, res = run(block, chunk)
+                assert np.array_equal(plain.final, whole_plain.final), (block, chunk)
+                assert np.array_equal(plain.window_sums, whole_plain.window_sums), (block, chunk)
+                for name in self.FIELDS:
+                    assert np.array_equal(getattr(res, name), getattr(whole, name), equal_nan=True), (
+                        block, chunk, name)
+
     def test_met_pairs_that_blow_up(self, monkeypatch):
         # explicit Euler past its stability limit on the top mode of a linear
         # drift: every pair meets at step 4 and leaves the finite range

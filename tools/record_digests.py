@@ -5,7 +5,10 @@ small fixed config at seeds 3 and 7; ``couple`` and ``invariant`` also
 run with ``--format csv``.  ``conditions`` runs its closed-form checks in
 one config and its two sampled checks, at each seed, in another.
 ``harnack-check`` also runs from starts at |x|_H = 30 and 60, where the
-exponential-moment bounds pass float range.  Each output line reads
+exponential-moment bounds pass float range.  ``simulate``, ``couple`` and
+``harnack-check`` also run 450 steps, across three noise-block
+boundaries, under a delta and a gamma that change inside a block after
+some pairs have met.  Each output line reads
 
     <command> <config> <sha256>
 
@@ -62,6 +65,11 @@ CLOSED_FORM_CHECKS = [
     {"check": "fractional_power", "theta": 1.4, "rho": 2.0, "alpha": 2.0, "d": 2.0, "eps": 0.5},
     {"check": "spectral_growth", "theta": 0.48, "rho": 2.0, "d": 0.5, "eps": 0.2, "r": 1.0 / 3.0, "sigma": 3.0},
 ]
+# delta changes at step 300 and gamma at step 350 of a 450-step run; the
+# pairs that meet (at steps 158-239 at seed 3) have left the two-copy
+# block at step 256
+CUT_COEFFS = {"r": 0.5, "xi": 0.01, "delta": {"breaks": [0.0, 0.3], "values": [1.0, 1.5]},
+              "gamma": {"breaks": [0.0, 0.35], "values": [-0.2, -0.1]}}
 FAR_H = (30.0, 60.0)  # |x|_H of the distant harnack-check starts
 LAMBDA_1 = 100.0 * math.sin(math.pi / 10.0) ** 2  # first eigenvalue of the four-mode model
 
@@ -98,6 +106,10 @@ def configs():
             "model": MODEL, "coeffs": {"r": 0.5, "gamma": -0.2}, "x": x, "y": y, "p": 2.0,
             "run": {"n_paths": 64, "dt": 1e-3, "T": 0.25, "seed": SEEDS[0]},
         }, ()
+    cut = {"coeffs": CUT_COEFFS, "run": {"n_paths": 64, "dt": 1e-3, "T": 0.45, "seed": SEEDS[0]}}
+    yield "simulate", "cuts", {**plain, **tf, **cut}, ()
+    yield "couple", "cuts", {**pair, "sample_paths": 2, **cut}, ()
+    yield "harnack-check", "cuts", {**pair, **tf, "p": 2.0, **cut}, ()
 
 
 def run_all(main, root: Path):
