@@ -7,6 +7,7 @@ verdict fails, 1 on any error (bad config, bad usage, runtime failure).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,7 +24,7 @@ from .conditions import (
     check_spectral_growth,
     hs_check,
 )
-from .config import COMMANDS, ExperimentConfig, validate_config
+from .config import _RUN_COMMANDS, COMMANDS, ExperimentConfig, validate_config
 from .errors import FastDiffusionError
 from .montecarlo import estimate_from_values, make_test_function
 from .records import (
@@ -79,6 +80,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="csv additionally writes the bulk per-path tables",
     )
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main call in this process reads.  parse_args makes
+    a new Namespace per call, and no action changes a shared default."""
+    return build_parser()
+
+
+# the run-block key each override flag sets
+_RUN_FLAGS = {"seed": "seed", "paths": "n_paths", "dt": "dt", "workers": "n_workers"}
 
 
 def _tf(cfg: ExperimentConfig):
@@ -262,11 +274,17 @@ def run_command(cfg: ExperimentConfig, with_tables: bool = False):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+
+    overrides = {key: getattr(args, flag) for flag, key in _RUN_FLAGS.items()
+                 if getattr(args, flag) is not None}
+    if overrides and args.command not in _RUN_COMMANDS:
+        flags = ", ".join(f"--{flag}" for flag, key in _RUN_FLAGS.items() if key in overrides)
+        print(f"usage error: {args.command} has no run block for {flags}", file=sys.stderr)
         return 1
 
     try:
@@ -279,18 +297,12 @@ def main(argv=None) -> int:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 1
 
-    overrides = {
-        "seed": args.seed,
-        "n_paths": args.paths,
-        "dt": args.dt,
-        "n_workers": args.workers,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
-        if not isinstance(raw, dict):
-            print("error: config must be a JSON object", file=sys.stderr)
-            return 1
-        raw.setdefault("run", {}).update(overrides)
+        # a config, or a run block, that is not an object is left for the
+        # schema to name, as it is without the flags
+        run = raw.setdefault("run", {}) if isinstance(raw, dict) else None
+        if isinstance(run, dict):
+            run.update(overrides)
 
     try:
         cfg = validate_config(raw, args.command)

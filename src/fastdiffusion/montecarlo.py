@@ -24,6 +24,7 @@ counted; a run fails when more than 0.1 percent of its paths blow up.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -166,11 +167,34 @@ def _dispatch(work, n_workers: int):
                 f.result()
 
 
+@functools.cache
+def _zero_seed():
+    """A seed sequence whose every word is zero: it reads no OS entropy.
+    Made on first use, as importing this module does not load numpy.random."""
+
+    class ZeroSeed(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return ZeroSeed()
+
+
 def _path_generators(seed: int, lo: int, hi: int):
-    return [
-        np.random.Generator(np.random.Philox(key=np.array([seed, p], dtype=np.uint64)))
-        for p in range(lo, hi)
-    ]
+    """Path p's generator for each p in [lo, hi): Philox keyed by (seed, p).
+
+    Philox(key=...) first seeds itself from OS entropy, which the key then
+    overwrites.  Here each bit generator starts from the zero seed, which
+    leaves the zero counter and empty buffer that Philox(key=...) sets,
+    and takes its key through the state setter.
+    """
+    state = np.random.Philox(_zero_seed()).state
+    gens = []
+    for p in range(lo, hi):
+        bit_gen = np.random.Philox(_zero_seed())
+        state["state"]["key"] = np.array([seed, p], dtype=np.uint64)
+        bit_gen.state = state
+        gens.append(np.random.Generator(bit_gen))
+    return gens
 
 
 def _check_blowups(alive: np.ndarray, what: str):

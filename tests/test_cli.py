@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from fastdiffusion import (
     CoefficientSet,
     EnsembleConfig,
+    cli,
     conditions,
     config,
     dirichlet1d_model,
@@ -315,6 +316,85 @@ class TestOverrides:
         two = capsys.readouterr().out
         assert one == two
         assert "n_workers" not in json.loads(one)["inputs"]["run"]
+
+    @pytest.mark.parametrize("run", [5, [], None])
+    def test_override_on_a_run_that_is_not_an_object(self, tmp_path, capsys, run):
+        # the flag gives the schema's one-line error, as the config alone does
+        payload = bounds_config()
+        payload["run"] = run
+        cfg = write_config(tmp_path, "b.json", payload)
+        assert main(["bounds", "--config", cfg]) == 1
+        alone = capsys.readouterr()
+        assert alone.err == "error: configuration invalid: run: must be an object\n"
+        assert main(["bounds", "--config", cfg, "--seed", "3"]) == 1
+        assert capsys.readouterr() == alone
+
+    def test_override_on_a_config_that_is_not_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "b.json", [1])
+        assert main(["bounds", "--config", cfg]) == 1
+        alone = capsys.readouterr()
+        assert alone.err == "error: configuration invalid: config: must be a JSON object\n"
+        assert main(["bounds", "--config", cfg, "--seed", "3"]) == 1
+        assert capsys.readouterr() == alone
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--seed", "3"], "--seed"),
+        (["--dt", "0.1", "--workers", "2"], "--dt, --workers"),
+    ])
+    def test_override_on_conditions_names_the_flag(self, tmp_path, capsys, flags, named):
+        cfg = write_config(tmp_path, "c.json", {
+            "conditions": [{"check": "hs", "theta": 1.0, "rho": 2.0, "alpha": 2.0}],
+        })
+        assert main(["conditions", "--config", cfg, *flags]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"usage error: conditions has no run block for {named}\n"
+
+
+class TestParserReuse:
+    """In-process main calls share one parser; build_parser() makes a new one."""
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_one_parser_per_process(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        real = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        cfg = write_config(tmp_path, "b.json", bounds_config())
+        try:
+            for argv in (["bounds", "--config", cfg], ["bounds", "--config", cfg, "--seed", "4"],
+                         ["bounds", "--bogus"]):
+                main(argv)
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_override_does_not_carry_over(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "b.json", bounds_config())
+        assert main(["bounds", "--config", cfg, "--seed", "99"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 99
+        assert main(["bounds", "--config", cfg]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["seed"] == 7 and rec["inputs"]["run"]["seed"] == 7
+
+    def test_usage_error_leaves_the_parser_as_new(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "b.json", bounds_config())
+        argv = ["bounds", "--config", cfg, "--format", "json"]
+        cli._parser.cache_clear()
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        cli._parser.cache_clear()
+        assert main(["bounds", "--config", cfg, "--format", "xml", "--seed", "x"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert main(argv) == 0
+        assert capsys.readouterr() == first
 
 
 class TestEmission:

@@ -422,6 +422,25 @@ class TestRowSum:
                     assert len(reduces) == int(width > 1 and contiguous_columns), (n, width, layout)
 
 
+class TestPathGenerators:
+    @pytest.mark.parametrize("seed", [0, 7, montecarlo.SEED_MAX])
+    def test_same_state_and_draws_as_keyed_philox(self, seed):
+        # the generators skip Philox(key=...)'s entropy read, so a change to
+        # numpy's Philox state layout must show here
+        def flat(state):
+            return {k: (flat(v) if isinstance(v, dict) else np.asarray(v).tolist())
+                    for k, v in state.items()}
+
+        gens = montecarlo._path_generators(seed, 5, 9)
+        assert len(gens) == 4
+        for p, gen in zip(range(5, 9), gens):
+            ref = np.random.Generator(np.random.Philox(key=np.array([seed, p], dtype=np.uint64)))
+            assert flat(gen.bit_generator.state) == flat(ref.bit_generator.state), p
+            assert np.array_equal(gen.standard_normal((3, 4)), ref.standard_normal((3, 4))), p
+            assert gen.bit_generator.random_raw() == ref.bit_generator.random_raw(), p
+            assert flat(gen.bit_generator.state) == flat(ref.bit_generator.state), p
+
+
 class TestNoiseBlock:
     """Each noise block is drawn path-major a tile of paths at a time and
     stored step-major, pre-scaled by q sqrt(dt)."""

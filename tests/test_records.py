@@ -159,11 +159,13 @@ class TestPackageVersion:
         assert out.count('"version"') == 2
 
     def test_import_leaves_version_lookup_and_pool_unloaded(self):
-        # importing the package looks nothing up and loads no thread pool;
-        # __version__ is looked up on first use and equals a record's
+        # importing the package looks nothing up and loads no thread pool
+        # and no numpy.random; __version__ is looked up on first use and
+        # equals a record's
         code = (
             "import sys, fastdiffusion\n"
-            "print(sorted({'importlib.metadata', 'concurrent.futures'} & set(sys.modules)))\n"
+            "print(sorted({'importlib.metadata', 'concurrent.futures', 'numpy.random'}"
+            " & set(sys.modules)))\n"
             "print(fastdiffusion.__version__)\n"
             "print(fastdiffusion.make_record('bounds', {}, {}, seed=None).version)\n"
         )
