@@ -20,8 +20,8 @@ import numpy as np
 
 from .dynamics import CoefficientSet, _sigma_floor
 from .errors import EmptySample
-from .montecarlo import SEED_MAX
-from .spectral import SpectralModel, from_spectral, norm_h, norm_lp, norm_q
+from .montecarlo import SEED_MAX, _path_generators
+from .spectral import SpectralModel, _coeff_norm, from_spectral, norm_h, norm_lp, norm_q, to_spectral
 
 __all__ = [
     "ConditionReport",
@@ -118,8 +118,9 @@ def hs_check(target) -> ConditionReport:
     )
 
 
-# the last sample drawn, as (model, n_samples, seed, sample); the sampled
-# checks of one conditions command share it
+# the last sample drawn, as (model, n_samples, seed, sample, norms), with
+# the sample's (|x|_H, |x|_Q) under norms["hq"] and |x|_p under norms[p];
+# the sampled checks of one conditions command share it
 _last_sample = None
 
 
@@ -133,9 +134,9 @@ def _mixture_samples(model: SpectralModel, n_samples: int, seed: int) -> np.ndar
     The draws come from one Philox stream in four batches, in this order:
     the Gaussian rows' coefficients, then the point masses' signs, their
     points and their sizes U.  The sample is read-only: the most recent
-    one is kept and handed to the next call with the same model object,
-    n_samples and seed.  A seed outside [0, SEED_MAX], the range of the
-    Philox key word, is a ValueError.
+    one is kept, with its norms, and handed to the next call with the same
+    model object, n_samples and seed.  A seed outside [0, SEED_MAX], the
+    range of the Philox key word, is a ValueError.
     """
     global _last_sample
     if not 0 <= seed <= SEED_MAX:
@@ -145,7 +146,7 @@ def _mixture_samples(model: SpectralModel, n_samples: int, seed: int) -> np.ndar
     last = _last_sample
     if last is not None and last[0] is model and last[1:3] == (n_samples, seed):
         return last[3]
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    (rng,) = _path_generators(seed, 0, 1)  # the Philox stream keyed by (seed, 0)
     n = model.n
     rows = np.arange(n_samples)
     gauss = rng.standard_normal((rows[1::3].size, n))
@@ -159,17 +160,30 @@ def _mixture_samples(model: SpectralModel, n_samples: int, seed: int) -> np.ndar
     out[2::3][np.arange(k), point] = np.where(sign, 1.0, -1.0) * (0.5 + size)
     out /= norm_h(model, out)[:, None]
     out.setflags(write=False)
-    _last_sample = (model, n_samples, seed, out)
+    _last_sample = (model, n_samples, seed, out, {})
     return out
 
 
-def _domination_ratio(model: SpectralModel, coeffs: CoefficientSet, x) -> np.ndarray:
-    r = coeffs.r
+def _sample_norms(model: SpectralModel, n_samples: int, seed: int, p: float):
+    """The mixture sample and its |x|_H, |x|_Q and |x|_p, each computed once
+    per sample and kept with it; one to_spectral gives both |x|_H and |x|_Q."""
+    xs = _mixture_samples(model, n_samples, seed)
+    norms = _last_sample[4]  # the entry of xs, which _mixture_samples just made or kept
+    if "hq" not in norms:
+        c = to_spectral(model, xs)
+        norms["hq"] = _coeff_norm(c, model.eigenvalues), _coeff_norm(c, model.q_diag**2)
+    if p not in norms:
+        norms[p] = norm_lp(model, xs, p)
+    return xs, *norms["hq"], norms[p]
+
+
+def _ratio_of_norms(coeffs: CoefficientSet, nh, nq, lp) -> np.ndarray:
     sigma = coeffs.sigma
-    lp = norm_lp(model, x, r + 1.0)
-    nh = norm_h(model, x)
-    nq = norm_q(model, x)
     return lp**2 * nh ** (sigma - 2.0) / nq**sigma
+
+
+def _domination_ratio(model: SpectralModel, coeffs: CoefficientSet, x) -> np.ndarray:
+    return _ratio_of_norms(coeffs, norm_h(model, x), norm_q(model, x), norm_lp(model, x, coeffs.r + 1.0))
 
 
 def check_noise_domination(
@@ -185,8 +199,8 @@ def check_noise_domination(
     with the sample.  holds is true when the configured xi is at most
     the sampled minimum.
     """
-    xs = _mixture_samples(model, n_samples, seed)
-    ratios = _domination_ratio(model, coeffs, xs)
+    xs, nh, nq, lp = _sample_norms(model, n_samples, seed, coeffs.r + 1.0)
+    ratios = _ratio_of_norms(coeffs, nh, nq, lp)
     k = int(np.argmin(ratios))
     xi_est = float(ratios[k])
     xi_conf = min(coeffs.xi.values)
@@ -340,8 +354,8 @@ def check_embedding_constant(
     Always holds on a finite model; the report carries the largest
     sampled ratio as the constant.
     """
-    xs = _mixture_samples(model, n_samples, seed)
-    ratios = norm_h(model, xs) / norm_lp(model, xs, coeffs.r + 1.0)
+    xs, nh, _, lp = _sample_norms(model, n_samples, seed, coeffs.r + 1.0)
+    ratios = nh / lp
     k = int(np.argmax(ratios))
     best = float(ratios[k])
     return ConditionReport(

@@ -181,6 +181,7 @@ def _zero_seed():
 
 def _path_generators(seed: int, lo: int, hi: int):
     """Path p's generator for each p in [lo, hi): Philox keyed by (seed, p).
+    The condition sampler takes its stream, keyed by (seed, 0), from here.
 
     Philox(key=...) first seeds itself from OS entropy, which the key then
     overwrites.  Here each bit generator starts from the zero seed, which

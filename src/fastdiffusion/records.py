@@ -5,6 +5,11 @@ sorts keys, uses shortest round-trip float text, carries no wall-clock
 or host data, and excludes execution plumbing (worker count) from the
 input echo, so reruns produce byte-identical files under any worker
 count.  The inputs hash is a sha1 over the canonical input JSON.
+
+The canonical text is what json.dumps(value, sort_keys=True, indent=2,
+allow_nan=False) writes, plus a newline, byte for byte, but _write writes
+it directly: with indent set, CPython's json drops its C encoder for the
+pure-Python one.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ import csv
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 import numpy as np
@@ -54,26 +61,66 @@ def _package_version() -> str:
 
 
 def _plain(obj):
-    """Recursively convert to JSON-safe plain Python (NaN/Inf -> None)."""
+    """Recursively convert to JSON-safe plain Python (NaN/Inf -> None): exact
+    plain types first, then numpy values, tuples and subclasses."""
+    t = type(obj)
+    if t is float:
+        return obj if math.isfinite(obj) else None
+    if t is str or t is int or t is bool or obj is None:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
+        return _plain(obj.tolist())
+    if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return v if np.isfinite(v) else None
+        return v if math.isfinite(v) else None
     return obj
+
+
+def _write(v, out: list, pad: str):
+    """Append v's canonical text, at indent pad, to out; dict keys are str."""
+    if isinstance(v, str):
+        out.append(_escape(v))
+    elif isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        out.append(float.__repr__(v))
+    elif isinstance(v, (dict, list, tuple)):
+        is_dict = isinstance(v, dict)
+        if not v:
+            out.append("{}" if is_dict else "[]")
+            return
+        inner = pad + "  "
+        out.append("{" if is_dict else "[")
+        for item in sorted(v.items()) if is_dict else v:
+            if is_dict:
+                out.append(f"\n{inner}{_escape(item[0])}: ")
+                item = item[1]
+            else:
+                out.append("\n" + inner)
+            _write(item, out, inner)
+            out.append(",")
+        out[-1] = f"\n{pad}{'}' if is_dict else ']'}"
+    elif v is None or v is True or v is False:
+        out.append("null" if v is None else "true" if v else "false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def _dumps(plain) -> str:
     """Canonical text of a value that is already plain."""
-    return json.dumps(plain, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    out = []
+    _write(plain, out, "")
+    return "".join(out) + "\n"
 
 
 def canonical_json(payload) -> str:

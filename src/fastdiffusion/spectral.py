@@ -284,15 +284,17 @@ def norm_lp(model: SpectralModel, x, p: float) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def _coeff_norm(c: np.ndarray, scale: np.ndarray) -> np.ndarray | float:
+    """(sum_i c_i^2 / scale_i)^(1/2) of spectral coefficients."""
+    out = np.sqrt((c * c / scale).sum(axis=-1))
+    return float(out) if out.ndim == 0 else out
+
+
 def norm_h(model: SpectralModel, x) -> np.ndarray | float:
     """Negative-order norm (sum_i <x, e_i>_m^2 / lambda_i)^(1/2)."""
-    c = to_spectral(model, x)
-    out = np.sqrt((c * c / model.eigenvalues).sum(axis=-1))
-    return float(out) if out.ndim == 0 else out
+    return _coeff_norm(to_spectral(model, x), model.eigenvalues)
 
 
 def norm_q(model: SpectralModel, x) -> np.ndarray | float:
     """Noise-scaled norm (sum_i <x, e_i>_m^2 / q_i^2)^(1/2)."""
-    c = to_spectral(model, x)
-    out = np.sqrt((c * c / model.q_diag**2).sum(axis=-1))
-    return float(out) if out.ndim == 0 else out
+    return _coeff_norm(to_spectral(model, x), model.q_diag**2)

@@ -1,5 +1,7 @@
 """Sufficient-condition calculus: windows, thresholds, and the sampled checks."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from fastdiffusion import (
     norm_lp,
 )
 from fastdiffusion import conditions
+from fastdiffusion.cli import main
 from fastdiffusion.conditions import _domination_ratio, _mixture_samples
 
 
@@ -364,3 +367,60 @@ class TestEmbeddingConstant:
         conditions._last_sample = None  # draw the second sample afresh
         b = check_embedding_constant(m, c, n_samples=400, seed=2)
         assert a.numbers == b.numbers
+
+
+class TestSampleNorms:
+    """The sampled checks of one command share the sample's norms: one
+    to_spectral gives |x|_H and |x|_Q, and |x|_{r+1} is computed once."""
+
+    @staticmethod
+    def spy_on_sample_calls(monkeypatch):
+        calls = []
+        for name in ("to_spectral", "norm_lp"):
+            def spy(model, x, *args, _name=name, _fn=getattr(conditions, name)):
+                calls.append((_name, x, args))
+                return _fn(model, x, *args)
+            monkeypatch.setattr(conditions, name, spy)
+        monkeypatch.setattr(conditions, "_last_sample", None)
+
+        def on_sample():
+            xs = conditions._last_sample[3]
+            return [(name, args) for name, x, args in calls if x is xs]
+        return on_sample
+
+    def test_one_command_computes_each_norm_once(self, monkeypatch, tmp_path, capsys):
+        on_sample = self.spy_on_sample_calls(monkeypatch)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "model": {"n": 9, "q_diag": {"power": -0.5}},
+            "coeffs": {"r": 0.5, "xi": 0.001},
+            "conditions": [{"check": c, "n_samples": 500, "seed": 3} for c in ("noise_domination", "embedding")],
+        }), encoding="utf-8")
+        assert main(["conditions", "--config", str(cfg)]) == 0
+        assert on_sample() == [("to_spectral", ()), ("norm_lp", (1.5,))]
+        # the shared norms give the numbers the unshared formulas give, bit for bit
+        m, xs = conditions._last_sample[0], conditions._last_sample[3]
+        dom, emb = json.loads(capsys.readouterr().out)["outputs"]["reports"]
+        ratios = _domination_ratio(m, CoefficientSet(r=0.5), xs)
+        assert dom["numbers"]["min_ratio"] == float(ratios.min())
+        assert emb["numbers"]["embedding_constant"] == float((norm_h(m, xs) / norm_lp(m, xs, 1.5)).max())
+
+    def test_another_exponent_recomputes_only_its_norm(self, monkeypatch):
+        on_sample = self.spy_on_sample_calls(monkeypatch)
+        m = two_mode_model()
+        check_noise_domination(m, CoefficientSet(r=0.5), n_samples=300, seed=1)
+        check_embedding_constant(m, CoefficientSet(r=0.5), n_samples=300, seed=1)
+        rep = check_embedding_constant(m, CoefficientSet(r=0.25), n_samples=300, seed=1)
+        assert on_sample() == [("to_spectral", ()), ("norm_lp", (1.5,)), ("norm_lp", (1.25,))]
+        xs = conditions._last_sample[3]
+        want = float((norm_h(m, xs) / norm_lp(m, xs, 1.25)).max())
+        assert rep.numbers["embedding_constant"] == want
+
+    def test_domination_ratio_keeps_no_norms(self, monkeypatch):
+        on_sample = self.spy_on_sample_calls(monkeypatch)
+        m = two_mode_model()
+        xs = _mixture_samples(m, 30, 0)
+        for _ in range(2):
+            _domination_ratio(m, CoefficientSet(r=0.5), xs)
+        assert on_sample() == [("norm_lp", (1.5,))] * 2
+        assert conditions._last_sample[4] == {}

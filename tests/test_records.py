@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastdiffusion import (
     COUPLE_CSV_COLUMNS,
@@ -52,6 +54,104 @@ class TestCanonicalJson:
     def test_deterministic_bytes(self):
         payload = {"z": [0.1, 0.2], "a": {"nested": 3}}
         assert canonical_json(payload) == canonical_json(payload)
+
+
+class Big(int):
+    """An int subclass with its own repr: json writes int.__repr__."""
+
+    def __repr__(self):
+        return "Big"
+
+
+class Tilted(float):
+    """A float subclass with its own repr: json writes float.__repr__."""
+
+    def __repr__(self):
+        return "Tilted"
+
+
+def json_text(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+PLAIN_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1.0 / 3.0, 1e22, -1e-7])
+PLAIN_LEAVES = (
+    st.none() | st.booleans() | st.integers(-(2**200), 2**200) | PLAIN_FLOATS | st.text()
+    | PLAIN_FLOATS.map(np.float64) | PLAIN_FLOATS.map(Tilted) | st.integers().map(Big)
+    | st.sampled_from(["\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f\n\t\"\\/", ""])
+)
+PLAIN_VALUES = st.recursive(
+    PLAIN_LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.tuples(kids, kids)
+    | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestWriter:
+    """records._dumps writes what json.dumps writes with sort_keys=True,
+    indent=2 and allow_nan=False, byte for byte."""
+
+    @given(PLAIN_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_same_text_as_json(self, value):
+        assert records._dumps(value) == json_text(value)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": [{}]}, [[[]]], {"\u00e9": {"\x01": "\u2028"}},
+        -0.0, 5e-324, 1e16, 1.0 / 3.0, 2**100, -(2**70), True, None, "",
+        Big(3), Tilted(0.5), np.float64(0.1), [np.float64(-0.0), Big(-1)],
+    ])
+    def test_edge_values(self, value):
+        assert records._dumps(value) == json_text(value)
+
+    @pytest.mark.parametrize("value, error", [
+        (math.nan, ValueError), ([math.inf], ValueError), ({"a": -math.inf}, ValueError),
+        (np.float64(math.nan), ValueError), ({1, 2}, TypeError), ({"a": [set()]}, TypeError),
+    ])
+    def test_refuses_what_json_refuses(self, value, error):
+        with pytest.raises(error):
+            json_text(value)
+        with pytest.raises(error):
+            records._dumps(value)
+
+
+class TestPlain:
+    """The exact-type fast path and the isinstance chain behind it."""
+
+    @pytest.mark.parametrize("value, want", [
+        (np.float32(0.1), 0.10000000149011612),
+        (np.float64(math.nan), None),
+        (np.float64(math.inf), None),
+        (np.float64(-math.inf), None),
+        (math.nan, None),
+        (-math.inf, None),
+        (np.int64(-7), -7),
+        (np.bool_(True), True),
+        (np.array(2.5), 2.5),
+        (np.array([[1.0, math.nan], [np.inf, -0.0]]), [[1.0, None], [None, -0.0]]),
+        (np.array([[1, 2]]), [[1, 2]]),
+        ((1, 2.5, (np.float64(3.0),)), [1, 2.5, [3.0]]),
+        ([True, False, np.bool_(False), 1], [True, False, False, 1]),
+        (Big(4), 4),
+        (Tilted(0.25), 0.25),
+        (Tilted(math.nan), None),
+        ({1: np.int64(2), "k": {"n": None, "s": "x"}}, {"1": 2, "k": {"n": None, "s": "x"}}),
+    ])
+    def test_values(self, value, want):
+        got = records._plain(value)
+        assert got == want
+
+        def types(v):
+            if isinstance(v, dict):
+                return {k: types(x) for k, x in v.items()}
+            return [types(x) for x in v] if isinstance(v, list) else type(v)
+        assert types(got) == types(want)
+
+    def test_negative_zero_keeps_its_sign(self):
+        got = records._plain({"a": -0.0, "b": np.array([-0.0]), "c": np.float64(-0.0)})
+        assert [math.copysign(1.0, v) for v in (got["a"], got["b"][0], got["c"])] == [-1.0] * 3
 
 
 class TestResultRecord:

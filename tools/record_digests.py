@@ -3,7 +3,11 @@
 Every command runs in-process through ``fastdiffusion.cli.main`` on a
 small fixed config at seeds 3 and 7; ``couple`` and ``invariant`` also
 run with ``--format csv``.  ``conditions`` runs its closed-form checks in
-one config and its two sampled checks, at each seed, in another.
+one config and its two sampled checks, at each seed, in another.  The
+sampled checks, at each seed, and one ``bounds`` config also run on a
+nine-mode model: from n = 8 numpy's last-axis sums add pairwise, in
+another order than below it, so only configs with n >= 8 can show a
+change of summation layout.
 ``harnack-check`` also runs from starts at |x|_H = 30 and 60, where the
 exponential-moment bounds pass float range.  ``simulate``, ``couple`` and
 ``harnack-check`` also run 450 steps, across three noise-block
@@ -54,9 +58,12 @@ SEEDS = (3, 7)
 CSV_COMMANDS = ("couple", "invariant")
 
 MODEL = {"n": 4, "q_diag": {"power": -0.5}}
+MODEL9 = {"n": 9, "q_diag": {"power": -0.5}}
 COEFFS = {"r": 0.5, "gamma": -0.2, "xi": 0.01}
 X = {"spectral": [0.35, -0.20, 0.10, -0.05]}
 Y = {"spectral": [0.29, -0.16, 0.13, -0.02]}
+X9 = {"spectral": [0.35, -0.20, 0.10, -0.05, 0.04, -0.03, 0.02, -0.015, 0.01]}
+Y9 = {"spectral": [0.29, -0.16, 0.13, -0.02, 0.05, -0.01, 0.03, -0.02, 0.005]}
 CLOSED_FORM_CHECKS = [
     {"check": "hs"},
     {"check": "hs", "theta": 1.0, "rho": 2.0, "alpha": 2.0},
@@ -80,9 +87,12 @@ def configs():
     plain = {"model": MODEL, "coeffs": COEFFS, "x": X}
     tf = {"test_function": {"kind": "exp_neg_h_sq"}}
     yield "conditions", "closed", {"model": MODEL, "coeffs": COEFFS, "conditions": CLOSED_FORM_CHECKS}, ()
+    def sampled(model, seed):
+        checks = [{"check": c, "n_samples": 2000, "seed": seed} for c in ("noise_domination", "embedding")]
+        return {"model": model, "coeffs": COEFFS, "conditions": checks}
+
     for seed in SEEDS:
-        sampled = [{"check": c, "n_samples": 2000, "seed": seed} for c in ("noise_domination", "embedding")]
-        yield "conditions", f"sampled{seed}", {"model": MODEL, "coeffs": COEFFS, "conditions": sampled}, ()
+        yield "conditions", f"sampled{seed}", sampled(MODEL, seed), ()
     for seed in SEEDS:
         run = {"n_paths": 64, "dt": 0.01, "T": 0.2, "seed": seed}
         docs = {
@@ -110,6 +120,10 @@ def configs():
     yield "simulate", "cuts", {**plain, **tf, **cut}, ()
     yield "couple", "cuts", {**pair, "sample_paths": 2, **cut}, ()
     yield "harnack-check", "cuts", {**pair, **tf, "p": 2.0, **cut}, ()
+    for seed in SEEDS:
+        yield "conditions", f"sampled{seed}-n9", sampled(MODEL9, seed), ()
+    yield "bounds", "n9", {"model": MODEL9, "coeffs": COEFFS, "x": X9, "y": Y9, "p": 2.0,
+                           "run": {"dt": 0.01, "T": 0.2, "seed": SEEDS[0]}}, ()
 
 
 def run_all(main, root: Path):
