@@ -15,7 +15,6 @@ import numpy as np
 
 from . import bounds, montecarlo
 from .conditions import (
-    AsymptoticSpec,
     check_embedding_constant,
     check_fractional_power,
     check_noise_domination,
@@ -115,26 +114,24 @@ def _cmd_bounds(cfg: ExperimentConfig, with_tables: bool):
 
 
 def _run_condition(entry: dict, cfg: ExperimentConfig):
-    """One check.  The entry carries every parameter the check takes, with
-    the schema's defaults filled in, under the library's parameter names."""
+    """One check.  The entry's keys, defaults filled in, are the check's parameter
+    names; the model and coeffs go only to the checks that read them."""
     name = entry["check"]
+    params = {k: v for k, v in entry.items() if k != "check"}
     if name == "noise_domination":
-        return check_noise_domination(cfg.model, cfg.coeffs, entry["n_samples"], entry["seed"])
+        return check_noise_domination(cfg.model, cfg.coeffs, **params)
     if name == "embedding":
-        return check_embedding_constant(cfg.model, cfg.coeffs, entry["n_samples"], entry["seed"])
+        return check_embedding_constant(cfg.model, cfg.coeffs, **params)
     if name == "noise_sandwich":
-        params = {k: v for k, v in entry.items() if k not in ("check", "use_model")}
-        return check_noise_sandwich(**params, model=cfg.model if entry["use_model"] else None)
-    if name == "hs" and entry["theta"] is None:
-        return hs_check(cfg.model)
-    spec = AsymptoticSpec(**{k: v for k, v in entry.items() if k != "check"})
+        model = cfg.model if params.pop("use_model") else None
+        return check_noise_sandwich(**params, model=model)
     if name == "hs":
-        return hs_check(spec)
+        return hs_check(cfg.model, **params)
     if name == "spectral_growth":
-        return check_spectral_growth(spec)
+        return check_spectral_growth(**params)
     if name == "power_spectrum_window":
-        return check_power_spectrum_window(spec)
-    return check_fractional_power(spec)
+        return check_power_spectrum_window(**params)
+    return check_fractional_power(**params)
 
 
 def _cmd_conditions(cfg: ExperimentConfig, with_tables: bool):
@@ -167,9 +164,8 @@ def _trace_rows(res: montecarlo.CoupledEnsembleResult):
 
 
 def _cmd_couple(cfg: ExperimentConfig, with_tables: bool):
-    res = _coupled(
-        cfg, trace_paths=cfg.extras["sample_paths"], record_every=cfg.extras["record_every"],
-    )
+    traced = cfg.extras["sample_paths"] if with_tables else 0  # only the trace table reads them
+    res = _coupled(cfg, trace_paths=traced, record_every=cfg.extras["record_every"])
     a = res.alive
     coupled = res.coupled  # a dead pair is never coupled
     tau_vals = res.tau[coupled]

@@ -8,7 +8,8 @@ On a finite model the best xi is a minimum over states, estimated here
 by sampling.  The asymptotic checks transcribe the known sufficient
 conditions for (*) into exponent inequalities for families with
 q_i ~ i^theta and lambda_i >= c i^rho, including the fractional-power
-construction and the two worked parameter regimes.
+construction and the two worked parameter regimes.  Each check takes the
+parameters it reads, and sigma=None stands for its floor 4/(1+r).
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import CoefficientSet, _sigma_floor
-from .errors import EmptySample
+from .errors import InvalidSampleCount
 from .montecarlo import SEED_MAX, _path_generators
 from .spectral import SpectralModel, _coeff_norm, from_spectral, norm_h, norm_lp, norm_q, to_spectral
 
 __all__ = [
     "ConditionReport",
-    "AsymptoticSpec",
     "hs_check",
     "check_noise_domination",
     "check_spectral_growth",
@@ -52,22 +52,6 @@ class ConditionReport:
     numbers: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class AsymptoticSpec:
-    """Growth data for mode families: q_i ~ i^theta, base eigenvalues
-    lambda_i >= eig_c * i^rho, fractional power alpha, effective
-    dimension d, and the exponents (r, sigma, eps) of the regime."""
-
-    theta: float
-    rho: float = 2.0
-    eig_c: float = 1.0
-    alpha: float = 1.0
-    d: float = 1.0
-    eps: float | None = None
-    r: float | None = None
-    sigma: float | None = None
-
-
 def _finish(clauses: dict, numbers: dict, label: str, **extra) -> ConditionReport:
     holds = all(clauses.values())
     failing = [name for name, ok in clauses.items() if not ok]
@@ -88,23 +72,26 @@ def _below(lo: float | None, hi: float | None) -> bool:
     return lo is not None and hi is not None and lo < hi
 
 
-def hs_check(target) -> ConditionReport:
+def hs_check(model: SpectralModel | None = None, theta: float | None = None,
+             rho: float = 2.0, alpha: float = 1.0) -> ConditionReport:
     """Finiteness of sum_i q_i^2 / lambda_i.
 
-    For a SpectralModel the sum is finite by construction and reported.
-    For an AsymptoticSpec the series sum i^(2 theta - alpha rho) converges
-    exactly when 2 theta - alpha rho < -1.
+    Without theta the sum over the model's modes is finite by construction
+    and reported.  With theta, for q_i ~ i^theta over the alpha-th power of
+    an operator with lambda_i ~ i^rho, the series sum i^(2 theta - alpha rho)
+    converges exactly when 2 theta - alpha rho < -1.
     """
-    if isinstance(target, SpectralModel):
-        value = target.hs_norm_sq
+    if theta is None:
+        if model is None:
+            raise ValueError("hs_check needs a model or a theta; got neither")
+        value = model.hs_norm_sq
         return ConditionReport(
             holds=True,
-            detail=f"noise size sum q_i^2/lambda_i = {value!r} over {target.n} modes",
+            detail=f"noise size sum q_i^2/lambda_i = {value!r} over {model.n} modes",
             numbers={"hs_norm_sq": value},
             clauses={"finite": True},
         )
-    spec = target
-    exponent = 2.0 * spec.theta - spec.alpha * spec.rho
+    exponent = 2.0 * theta - alpha * rho
     ok = exponent < -1.0
     return ConditionReport(
         holds=ok,
@@ -135,14 +122,14 @@ def _mixture_samples(model: SpectralModel, n_samples: int, seed: int) -> np.ndar
     the Gaussian rows' coefficients, then the point masses' signs, their
     points and their sizes U.  The sample is read-only: the most recent
     one is kept, with its norms, and handed to the next call with the same
-    model object, n_samples and seed.  A seed outside [0, SEED_MAX], the
-    range of the Philox key word, is a ValueError.
+    model object, n_samples and seed.  n_samples < 1 is an InvalidSampleCount
+    and a seed outside [0, SEED_MAX], the Philox key word's range, a ValueError.
     """
     global _last_sample
     if not 0 <= seed <= SEED_MAX:
         raise ValueError(f"seed must lie in [0, {SEED_MAX}], got {seed!r}")
     if n_samples < 1:
-        raise EmptySample("n_samples must be at least 1")
+        raise InvalidSampleCount("n_samples must be at least 1")
     last = _last_sample
     if last is not None and last[0] is model and last[1:3] == (n_samples, seed):
         return last[3]
@@ -218,22 +205,24 @@ def check_noise_domination(
     )
 
 
-def check_spectral_growth(spec: AsymptoticSpec) -> ConditionReport:
+def check_spectral_growth(
+    theta: float, d: float, eps: float, r: float, sigma: float | None = None, rho: float = 2.0
+) -> ConditionReport:
     """Sufficient conditions for (*) from the Nash-type embedding route.
 
     Requires the noise-size series to converge, eps in (0, 1), effective
     dimension d below 2 eps (1+r)/(1-r), and noise growth exponent
     theta >= rho (sigma + 2 eps - 2) / (2 sigma).
     """
-    r, sigma, eps, d = spec.r, spec.sigma, spec.eps, spec.d
-    hs_exponent = 2.0 * spec.theta - spec.rho  # alpha = 1 here: the operator itself
+    sigma = _sigma_floor(r) if sigma is None else sigma
+    hs_exponent = 2.0 * theta - rho  # alpha = 1 here: the operator itself
     d_max = 2.0 * eps * (1.0 + r) / (1.0 - r)
-    growth_exponent = spec.rho * (sigma + 2.0 * eps - 2.0) / (2.0 * sigma)
+    growth_exponent = rho * (sigma + 2.0 * eps - 2.0) / (2.0 * sigma)
     clauses = {
         "hs_finite": hs_exponent < -1.0,
         "eps_in_0_1": 0.0 < eps < 1.0,
         "dimension_window": 0.0 < d < d_max,
-        "noise_growth": spec.theta >= growth_exponent,
+        "noise_growth": theta >= growth_exponent,
         "sigma_admissible": sigma >= _sigma_floor(r),
     }
     numbers = {
@@ -287,7 +276,9 @@ def check_noise_sandwich(
     return _finish(clauses, numbers, "second-order growth regime")
 
 
-def check_power_spectrum_window(spec: AsymptoticSpec) -> ConditionReport:
+def check_power_spectrum_window(
+    theta: float, d: float, eps: float, r: float, sigma: float | None = None, alpha: float | None = None
+) -> ConditionReport:
     """Power-noise regime q_i = i^theta over a fractional power of a base
     operator with lambda_i >= c i^(2/d).
 
@@ -296,9 +287,10 @@ def check_power_spectrum_window(spec: AsymptoticSpec) -> ConditionReport:
     powers form the half-open window
     (max((2 theta + 1) d / 2, (1-r) d / (2 eps (1+r))), sigma theta d / (sigma+2eps-2)].
     A threshold with a zero denominator (eps = 0 or 1, sigma + 2 eps = 2)
-    is reported as None and the clauses that need it fail.
+    is reported as None and the clauses that need it fail.  Without alpha
+    there is no alpha_in_window clause.
     """
-    r, sigma, eps, d, theta = spec.r, spec.sigma, spec.eps, spec.d, spec.theta
+    sigma = _sigma_floor(r) if sigma is None else sigma
     s = sigma + 2.0 * eps - 2.0
     thresholds = (_ratio(s, 4.0 * (1.0 - eps)), _ratio(s * (1.0 - r), 2.0 * sigma * eps * (1.0 + r)))
     theta_min = None if None in thresholds else max(thresholds)
@@ -310,15 +302,15 @@ def check_power_spectrum_window(spec: AsymptoticSpec) -> ConditionReport:
         "alpha_window_nonempty": _below(alpha_lo, alpha_hi),
     }
     numbers = {"theta_min": theta_min, "alpha_lo": alpha_lo, "alpha_hi": alpha_hi}
-    if spec.alpha is not None:
-        clauses["alpha_in_window"] = (
-            _below(alpha_lo, spec.alpha) and alpha_hi is not None and spec.alpha <= alpha_hi
-        )
-        numbers["alpha"] = spec.alpha
+    if alpha is not None:
+        clauses["alpha_in_window"] = _below(alpha_lo, alpha) and alpha_hi is not None and alpha <= alpha_hi
+        numbers["alpha"] = alpha
     return _finish(clauses, numbers, "power-noise fractional regime")
 
 
-def check_fractional_power(spec: AsymptoticSpec) -> ConditionReport:
+def check_fractional_power(
+    theta: float, alpha: float, d: float, eps: float, r: float, sigma: float | None = None, rho: float = 2.0
+) -> ConditionReport:
     """Fractional power construction: -(-L0)^alpha with diagonal noise.
 
     Requires alpha > d (1-r) / (2 eps (1+r)), a convergent noise-size
@@ -326,14 +318,14 @@ def check_fractional_power(spec: AsymptoticSpec) -> ConditionReport:
     theta >= alpha rho (sigma + 2 eps - 2) / (2 sigma).  At eps = 0 the
     dimension threshold is reported as None and its clause fails.
     """
-    r, sigma, eps, d = spec.r, spec.sigma, spec.eps, spec.d
+    sigma = _sigma_floor(r) if sigma is None else sigma
     alpha_min = _ratio(d * (1.0 - r), 2.0 * eps * (1.0 + r))
-    hs_exponent = 2.0 * spec.theta - spec.alpha * spec.rho
-    growth_exponent = spec.alpha * spec.rho * (sigma + 2.0 * eps - 2.0) / (2.0 * sigma)
+    hs_exponent = 2.0 * theta - alpha * rho
+    growth_exponent = alpha * rho * (sigma + 2.0 * eps - 2.0) / (2.0 * sigma)
     clauses = {
-        "alpha_above_dimension": _below(alpha_min, spec.alpha),
+        "alpha_above_dimension": _below(alpha_min, alpha),
         "hs_finite": hs_exponent < -1.0,
-        "noise_growth": spec.theta >= growth_exponent,
+        "noise_growth": theta >= growth_exponent,
     }
     numbers = {
         "alpha_min": alpha_min,

@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .conditions import AsymptoticSpec, check_noise_domination, check_noise_sandwich
-from .dynamics import SCHEMES, CoefficientSet, _sigma_floor
+from .conditions import check_noise_domination, check_noise_sandwich, hs_check
+from .dynamics import SCHEMES, CoefficientSet
 from .errors import FastDiffusionError, NotSelfAdjoint, SchemaError
 from .montecarlo import (
     SEED_MAX,
@@ -178,10 +178,9 @@ _SCHEMA = (
     _Key("conditions[].theta", "num", ("hs", "noise_sandwich") + _CLOSED_FORM, _CLOSED_FORM,
          note="none: hs reads the model"),
     _Key("conditions[].rho", "num", ("hs", "spectral_growth", "fractional_power"),
-         default=_default(AsymptoticSpec, "rho")),
-    _Key("conditions[].eig_c", "num", ("spectral_growth",), default=_default(AsymptoticSpec, "eig_c")),
+         default=_default(hs_check, "rho")),
     _Key("conditions[].alpha", "num", ("hs", "fractional_power"), ("fractional_power",),
-         default=_default(AsymptoticSpec, "alpha")),
+         default=_default(hs_check, "alpha")),
     _Key("conditions[].alpha", "num", ("power_spectrum_window",), note="none: no alpha clause",
          verbatim=True),
     _Key("conditions[].d", "num", _CLOSED_FORM, _CLOSED_FORM),
@@ -511,11 +510,11 @@ def validate_config(raw: dict, command: str) -> ExperimentConfig:
         if extras.get(key) is not None:
             extras[key] = _resolve_state(model, extras[key])
     for entry in extras.get("conditions", ()):
-        # an entry's r and sigma default to the coeffs block's
+        # an entry's r and sigma default to the coeffs block's (else the check's sigma)
         if "r" in entry and entry["r"] is None:
             entry["r"] = coeffs.r
-        if "sigma" in entry and entry["sigma"] is None:
-            entry["sigma"] = coeffs.sigma if coeffs is not None else _sigma_floor(entry["r"])
+        if "sigma" in entry and entry["sigma"] is None and coeffs is not None:
+            entry["sigma"] = coeffs.sigma
 
     document = dict(raw)
     if run is not None:

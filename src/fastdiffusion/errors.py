@@ -9,7 +9,6 @@ __all__ = [
     "NonFiniteState",
     "InvalidP",
     "ZeroHorizon",
-    "EmptySample",
     "InvalidSampleCount",
     "NotTimeHomogeneous",
     "PositiveGamma",
@@ -47,10 +46,6 @@ class InvalidP(FastDiffusionError):
 
 class ZeroHorizon(FastDiffusionError):
     """Time horizon T must be strictly positive."""
-
-
-class EmptySample(FastDiffusionError):
-    """An empirical check was asked to run on zero samples."""
 
 
 class InvalidSampleCount(FastDiffusionError):

@@ -119,11 +119,9 @@ def combine(fn: Callable[..., float], *schedules: ScheduleLike) -> PiecewiseCons
 
 
 def _piece_exp_factor(x: float, duration: float) -> float:
-    """Exact value of integral_0^duration exp(-x * s / duration) ds ... rewritten:
-
-    returns duration * (1 - exp(-x)) / x with the x -> 0 limit handled,
-    where x = rate * duration of the decaying exponential on the piece.
-    """
+    """The integral of exp(-x s / duration) over s in [0, duration], that is
+    duration (1 - exp(-x)) / x, or duration at x = 0, where x is the decay
+    rate times the piece's duration."""
     if x == 0.0:
         return duration
     return duration * (-math.expm1(-x) / x)

@@ -14,7 +14,6 @@ import numpy as np
 
 from constant_route import constant_coefficient_constants
 from fastdiffusion import (
-    AsymptoticSpec,
     CoefficientSet,
     EnsembleConfig,
     bound_report,
@@ -272,17 +271,11 @@ def test_10_condition_windows_and_series():
     close(ns.numbers["eps_lo"], 1.0 / 6.0)
     close(ns.numbers["eps_hi"], 1.0 / 3.0)
     close(ns.numbers["lower_exponent"], 7.0 / 8.0)
-    psw = check_power_spectrum_window(
-        AsymptoticSpec(theta=1.0, rho=2.0, alpha=2.0, d=1.0, eps=0.25, r=0.5, sigma=8.0 / 3.0)
-    )
+    psw = check_power_spectrum_window(theta=1.0, alpha=2.0, d=1.0, eps=0.25, r=0.5, sigma=8.0 / 3.0)
     close(psw.numbers["theta_min"], 7.0 / 18.0)
-    fp = check_fractional_power(
-        AsymptoticSpec(theta=-2.0, rho=2.0, alpha=1.0, d=2.0, eps=0.5, r=0.5, sigma=8.0 / 3.0)
-    )
+    fp = check_fractional_power(theta=-2.0, rho=2.0, alpha=1.0, d=2.0, eps=0.5, r=0.5, sigma=8.0 / 3.0)
     close(fp.numbers["alpha_min"], 2.0 / 3.0)
-    sg = check_spectral_growth(
-        AsymptoticSpec(theta=0.5, rho=1.0, d=0.5, eps=0.25, r=0.5, sigma=8.0 / 3.0)
-    )
+    sg = check_spectral_growth(theta=0.5, rho=1.0, d=0.5, eps=0.25, r=0.5, sigma=8.0 / 3.0)
     close(sg.numbers["growth_exponent"], 7.0 / 32.0)
 
     cases = [
@@ -300,7 +293,7 @@ def test_10_condition_windows_and_series():
         s6 = float(terms.sum())
         s5 = float(terms[:100_000].sum())
         oracle_converges = abs(s6 - s5) / s6 < 0.01
-        rep = hs_check(AsymptoticSpec(theta=theta, rho=rho, alpha=alpha))
+        rep = hs_check(theta=theta, rho=rho, alpha=alpha)
         agree.append(oracle_converges == expect and rep.holds == oracle_converges)
     n_bad = checks.count(False) + agree.count(False)
     assert verdict(

@@ -287,6 +287,14 @@ class TestExitCodes:
         assert main(["couple", "--config", cfg, "--seed", str(2**64 - 1)]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 1
 
+    def test_eig_c_is_an_unknown_key(self, tmp_path, capsys):
+        entry = {"check": "spectral_growth", "theta": 0.48, "d": 0.5, "eps": 0.2, "r": 0.5, "eig_c": 1.0}
+        cfg = write_config(tmp_path, "c.json", {"conditions": [entry]})
+        assert main(["conditions", "--config", cfg]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: configuration invalid: conditions[0].eig_c: unknown key\n"
+
 
 class TestOverrides:
     def test_seed_override_recorded(self, tmp_path, capsys):
@@ -419,6 +427,22 @@ class TestEmission:
             trace_rows = list(csv.reader(fh))
         # header + n_steps rows for each of the sample_paths=2 traced paths
         assert len(trace_rows) == 1 + 10 * 2
+
+    def test_couple_traces_only_for_the_tables(self, tmp_path, capsys, monkeypatch):
+        calls, real = [], montecarlo.run_coupled_ensemble
+
+        def spy(*args, **kw):
+            calls.append(kw["trace_paths"])
+            return real(*args, **kw)
+
+        monkeypatch.setattr(montecarlo, "run_coupled_ensemble", spy)
+        cfg = write_config(tmp_path, "c.json", couple_config())
+        for fmt in ("json", "csv"):
+            assert main(["couple", "--config", cfg, "--out", str(tmp_path / fmt), "--format", fmt]) == 0
+        capsys.readouterr()
+        assert calls == [0, couple_config()["sample_paths"]]
+        # the trace changes no byte of the record
+        assert (tmp_path / "json" / "couple.json").read_bytes() == (tmp_path / "csv" / "couple.json").read_bytes()
 
     def test_stdout_floats_reparse_losslessly(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "b.json", bounds_config())
@@ -969,7 +993,7 @@ def test_strategies_draw_every_schema_key(command):
     seen = set()
 
     @given(strategies_from_schema(command))
-    @settings(max_examples=100, derandomize=True, deadline=None, database=None,
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
               suppress_health_check=list(HealthCheck))
     def collect(doc):
         seen.update(_doc_paths(doc))

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastdiffusion import (
-    AsymptoticSpec,
     CoefficientSet,
+    InvalidSampleCount,
     build_model,
     check_embedding_constant,
     check_fractional_power,
@@ -97,6 +97,11 @@ class TestMixtureSamples:
             check(m, CoefficientSet(r=0.5), n_samples=10, seed=seed)
         assert _mixture_samples(m, 10, 0) is cached
 
+    @pytest.mark.parametrize("check", [check_noise_domination, check_embedding_constant])
+    def test_zero_samples_is_a_sample_count_error(self, check):
+        with pytest.raises(InvalidSampleCount, match="n_samples must be at least 1"):
+            check(two_mode_model(), CoefficientSet(r=0.5), n_samples=0)
+
 
 class TestHsCheck:
     def test_finite_model_reports_sum(self):
@@ -105,24 +110,28 @@ class TestHsCheck:
         assert rep.numbers["hs_norm_sq"] == pytest.approx(7.0 / 3.0, rel=1e-14)
 
     def test_series_converges(self):
-        rep = hs_check(AsymptoticSpec(theta=1.0, rho=2.0, alpha=2.0))
+        rep = hs_check(theta=1.0, rho=2.0, alpha=2.0)
         assert rep.holds
         assert rep.numbers["series_exponent"] == pytest.approx(-2.0, rel=1e-15)
 
     def test_series_boundary_diverges(self):
         # 2 theta - alpha rho = -1 exactly: the harmonic edge diverges
-        rep = hs_check(AsymptoticSpec(theta=1.0, rho=2.0, alpha=1.5))
+        rep = hs_check(theta=1.0, rho=2.0, alpha=1.5)
         assert not rep.holds
         assert rep.numbers["series_exponent"] == pytest.approx(-1.0, rel=1e-15)
         assert "diverges" in rep.detail
 
+    def test_neither_model_nor_theta_is_refused(self):
+        with pytest.raises(ValueError, match="model.*theta"):
+            hs_check()
+
 
 class TestSpectralGrowth:
     def passing_spec(self):
-        return AsymptoticSpec(theta=0.48, rho=2.0, alpha=1.0, d=0.5, eps=0.2, r=1.0 / 3.0, sigma=3.0)
+        return dict(theta=0.48, rho=2.0, d=0.5, eps=0.2, r=1.0 / 3.0, sigma=3.0)
 
     def test_passing_configuration(self):
-        rep = check_spectral_growth(self.passing_spec())
+        rep = check_spectral_growth(**self.passing_spec())
         assert rep.holds
         assert all(rep.clauses.values())
         # d_max = 2 eps (1+r)/(1-r) = 2 * 0.2 * (4/3)/(2/3) = 0.8
@@ -131,22 +140,19 @@ class TestSpectralGrowth:
         assert rep.numbers["growth_exponent"] == pytest.approx(1.4 / 3.0, rel=1e-14)
 
     def test_eps_one_fails(self):
-        spec = AsymptoticSpec(theta=0.48, rho=2.0, alpha=1.0, d=0.5, eps=1.0, r=1.0 / 3.0, sigma=3.0)
-        rep = check_spectral_growth(spec)
+        rep = check_spectral_growth(theta=0.48, rho=2.0, d=0.5, eps=1.0, r=1.0 / 3.0, sigma=3.0)
         assert not rep.holds
         assert not rep.clauses["eps_in_0_1"]
         assert "eps_in_0_1" in rep.detail
 
     def test_dimension_window_binds(self):
-        spec = AsymptoticSpec(theta=0.48, rho=2.0, alpha=1.0, d=1.0, eps=0.2, r=1.0 / 3.0, sigma=3.0)
-        rep = check_spectral_growth(spec)
+        rep = check_spectral_growth(theta=0.48, rho=2.0, d=1.0, eps=0.2, r=1.0 / 3.0, sigma=3.0)
         assert not rep.holds
         failing = [k for k, v in rep.clauses.items() if not v]
         assert failing == ["dimension_window"]
 
     def test_d_max_hand_value(self):
-        spec = AsymptoticSpec(theta=0.7, rho=2.0, d=1.0, eps=0.5, r=0.5, sigma=8.0 / 3.0)
-        rep = check_spectral_growth(spec)
+        rep = check_spectral_growth(theta=0.7, rho=2.0, d=1.0, eps=0.5, r=0.5, sigma=8.0 / 3.0)
         # 2 * (1/2) * (3/2)/(1/2) = 3 and 2 * (8/3 + 1 - 2)/(16/3) = 5/8
         assert rep.numbers["d_max"] == pytest.approx(3.0, rel=1e-14)
         assert rep.numbers["growth_exponent"] == pytest.approx(5.0 / 8.0, rel=1e-14)
@@ -191,52 +197,47 @@ class TestNoiseSandwich:
 
 class TestPowerSpectrumWindow:
     def base(self, theta, alpha=None, d=1.0):
-        return AsymptoticSpec(
-            theta=theta, alpha=alpha, d=d, eps=4.0 / 7.0, r=0.5, sigma=8.0 / 3.0
-        )
+        return dict(theta=theta, alpha=alpha, d=d, eps=4.0 / 7.0, r=0.5, sigma=8.0 / 3.0)
 
     def test_threshold_hand_value(self):
         # s = 8/3 + 8/7 - 2 = 38/21; branch one s/(4(1-eps)) = 19/18
         # dominates branch two 19/96
-        rep = check_power_spectrum_window(self.base(theta=1.2, alpha=1.75))
+        rep = check_power_spectrum_window(**self.base(theta=1.2, alpha=1.75))
         assert rep.numbers["theta_min"] == pytest.approx(19.0 / 18.0, rel=1e-14)
         assert rep.holds
 
     def test_alpha_window_values(self):
-        rep = check_power_spectrum_window(self.base(theta=1.2, alpha=1.75))
+        rep = check_power_spectrum_window(**self.base(theta=1.2, alpha=1.75))
         assert rep.numbers["alpha_lo"] == pytest.approx(1.7, rel=1e-14)
         s = 8.0 / 3.0 + 2.0 * (4.0 / 7.0) - 2.0
         assert rep.numbers["alpha_hi"] == pytest.approx((8.0 / 3.0) * 1.2 / s, rel=1e-14)
 
     def test_window_is_half_open(self):
-        at_lo = check_power_spectrum_window(self.base(theta=1.2, alpha=1.7))
+        at_lo = check_power_spectrum_window(**self.base(theta=1.2, alpha=1.7))
         assert not at_lo.clauses["alpha_in_window"]
-        hi = check_power_spectrum_window(self.base(theta=1.2)).numbers["alpha_hi"]
-        at_hi = check_power_spectrum_window(self.base(theta=1.2, alpha=hi))
+        hi = check_power_spectrum_window(**self.base(theta=1.2)).numbers["alpha_hi"]
+        at_hi = check_power_spectrum_window(**self.base(theta=1.2, alpha=hi))
         assert at_hi.clauses["alpha_in_window"]
-        above = check_power_spectrum_window(self.base(theta=1.2, alpha=hi * (1 + 1e-12)))
+        above = check_power_spectrum_window(**self.base(theta=1.2, alpha=hi * (1 + 1e-12)))
         assert not above.clauses["alpha_in_window"]
 
     def test_below_threshold_empties_window(self):
-        rep = check_power_spectrum_window(self.base(theta=1.0))
+        rep = check_power_spectrum_window(**self.base(theta=1.0))
         assert not rep.holds
         assert not rep.clauses["theta_above_threshold"]
         assert not rep.clauses["alpha_window_nonempty"]
         assert "theta_above_threshold" in rep.detail
 
     def test_window_scales_with_dimension(self):
-        one = check_power_spectrum_window(self.base(theta=1.2, d=1.0))
-        three = check_power_spectrum_window(self.base(theta=1.2, d=3.0))
+        one = check_power_spectrum_window(**self.base(theta=1.2, d=1.0))
+        three = check_power_spectrum_window(**self.base(theta=1.2, d=3.0))
         assert three.numbers["alpha_lo"] == pytest.approx(3 * one.numbers["alpha_lo"], rel=1e-14)
         assert three.numbers["alpha_hi"] == pytest.approx(3 * one.numbers["alpha_hi"], rel=1e-14)
 
 
 class TestFractionalPower:
     def test_hand_thresholds(self):
-        spec = AsymptoticSpec(
-            theta=1.0, rho=2.0, alpha=2.0, d=0.5, eps=0.25, r=0.5, sigma=8.0 / 3.0
-        )
-        rep = check_fractional_power(spec)
+        rep = check_fractional_power(theta=1.0, rho=2.0, alpha=2.0, d=0.5, eps=0.25, r=0.5, sigma=8.0 / 3.0)
         assert rep.holds
         # alpha_min = d(1-r)/(2 eps (1+r)) = 0.5*0.5/(0.5*1.5) = 1/3
         assert rep.numbers["alpha_min"] == pytest.approx(1.0 / 3.0, rel=1e-14)
@@ -245,20 +246,29 @@ class TestFractionalPower:
         assert rep.numbers["hs_exponent"] == pytest.approx(-2.0, rel=1e-15)
 
     def test_growth_clause_binds(self):
-        spec = AsymptoticSpec(
-            theta=0.8, rho=2.0, alpha=2.0, d=0.5, eps=0.25, r=0.5, sigma=8.0 / 3.0
-        )
-        rep = check_fractional_power(spec)
+        rep = check_fractional_power(theta=0.8, rho=2.0, alpha=2.0, d=0.5, eps=0.25, r=0.5, sigma=8.0 / 3.0)
         assert not rep.holds
         failing = [k for k, v in rep.clauses.items() if not v]
         assert failing == ["noise_growth"]
 
     def test_series_clause_matches_hs_check(self):
-        spec = AsymptoticSpec(
-            theta=1.4, rho=2.0, alpha=2.0, d=0.5, eps=0.25, r=0.5, sigma=8.0 / 3.0
-        )
-        rep = check_fractional_power(spec)
-        assert rep.clauses["hs_finite"] == hs_check(spec).holds
+        rep = check_fractional_power(theta=1.4, rho=2.0, alpha=2.0, d=0.5, eps=0.25, r=0.5, sigma=8.0 / 3.0)
+        assert rep.clauses["hs_finite"] == hs_check(theta=1.4, rho=2.0, alpha=2.0).holds
+
+
+class TestSigmaDefault:
+    """Without sigma a closed-form check takes sigma at its floor 4/(1+r)."""
+
+    @pytest.mark.parametrize("check, params", [
+        (check_spectral_growth, dict(theta=0.4, d=0.5, eps=0.2, r=0.5)),
+        (check_power_spectrum_window, dict(theta=1.2, d=1.0, eps=4.0 / 7.0, r=0.3)),
+        (check_power_spectrum_window, dict(theta=1.2, d=1.0, eps=4.0 / 7.0, r=0.3, alpha=2)),
+        (check_fractional_power, dict(theta=1.0, alpha=2.0, d=0.5, eps=0.25, r=0.7)),
+    ])
+    def test_equals_the_floor_bit_for_bit(self, check, params):
+        rep = check(**params)
+        floor = check(**params, sigma=4.0 / (1.0 + params["r"]))
+        assert repr(vars(rep)) == repr(vars(floor))
 
 
 class TestDegenerateEps:
@@ -275,8 +285,7 @@ class TestDegenerateEps:
          ["alpha_window_nonempty", "alpha_in_window"]),
     ])
     def test_null_threshold_fails_its_clauses(self, check, eps, sigma, null, failing):
-        spec = AsymptoticSpec(theta=1.4, alpha=2.0, d=2.0, eps=eps, r=0.5, sigma=sigma)
-        rep = check(spec)
+        rep = check(theta=1.4, alpha=2.0, d=2.0, eps=eps, r=0.5, sigma=sigma)
         assert not rep.holds
         assert [k for k, v in rep.numbers.items() if v is None] == null
         for name in failing:

@@ -1,5 +1,7 @@
 """Config validation: every violation reported in one pass, strict keys."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,31 @@ from fastdiffusion import (
     EnsembleConfig,
     SchemaError,
     SpectralModel,
+    check_embedding_constant,
+    check_fractional_power,
+    check_noise_domination,
+    check_noise_sandwich,
+    check_power_spectrum_window,
+    check_spectral_growth,
     from_spectral,
+    hs_check,
     validate_config,
 )
+from fastdiffusion import config
+
+# the library function each conditions[].check name runs
+CHECKS = {
+    "hs": hs_check,
+    "noise_domination": check_noise_domination,
+    "spectral_growth": check_spectral_growth,
+    "noise_sandwich": check_noise_sandwich,
+    "power_spectrum_window": check_power_spectrum_window,
+    "fractional_power": check_fractional_power,
+    "embedding": check_embedding_constant,
+}
+# entry keys that are no parameter: the check's name, and the switch that
+# hands noise_sandwich the model
+NOT_PARAMETERS = ("check", "use_model")
 
 
 def good_config():
@@ -276,6 +300,31 @@ class TestConditionsSchema:
         }
         cfg = validate_config(raw, "conditions")
         assert cfg.model is None
+
+    def test_rows_are_the_check_signatures(self):
+        assert set(CHECKS) == set(config.CONDITION_CHECKS)
+        rows = {}
+        for k in config._SCHEMA:
+            if k.parent != "conditions[]" or k.name in NOT_PARAMETERS:
+                continue
+            for name in k.commands:
+                rows[name, k.name] = k
+                params = inspect.signature(CHECKS[name]).parameters
+                assert k.name in params, (name, k.name)
+                declared = params[k.name].default
+                if name not in k.required and (k.default is not None or declared is not inspect.Parameter.empty):
+                    assert declared == k.default, (name, k.name)
+        for name, fn in CHECKS.items():
+            for param in inspect.signature(fn).parameters:
+                if param not in ("model", "coeffs"):
+                    assert (name, param) in rows, (name, param)
+
+    def test_sigma_without_coeffs_is_left_to_the_check(self):
+        entry = {"check": "power_spectrum_window", "theta": 1.0, "d": 1.0, "eps": 0.25, "r": 0.5}
+        (values,) = validate_config({"conditions": [entry]}, "conditions").extras["conditions"]
+        assert values["sigma"] is None and values["alpha"] is None
+        (values,) = validate_config(self.base([entry]), "conditions").extras["conditions"]
+        assert values["sigma"] == CoefficientSet(r=0.5).sigma
 
     def test_model_checks_need_model_block(self):
         raw = {"conditions": [{"check": "embedding"}]}

@@ -3,7 +3,10 @@
 Every command runs in-process through ``fastdiffusion.cli.main`` on a
 small fixed config at seeds 3 and 7; ``couple`` and ``invariant`` also
 run with ``--format csv``.  ``conditions`` runs its closed-form checks in
-one config and its two sampled checks, at each seed, in another.  The
+one config and its two sampled checks, at each seed, in another; after
+the other lines it runs the closed-form checks again without a ``coeffs``
+block, each entry with its own ``r`` and no ``sigma``, so every check
+takes sigma at its floor 4/(1+r).  The
 sampled checks, at each seed, and one ``bounds`` config also run on a
 nine-mode model: from n = 8 numpy's last-axis sums add pairwise, in
 another order than below it, so only configs with n >= 8 can show a
@@ -72,6 +75,16 @@ CLOSED_FORM_CHECKS = [
     {"check": "fractional_power", "theta": 1.4, "rho": 2.0, "alpha": 2.0, "d": 2.0, "eps": 0.5},
     {"check": "spectral_growth", "theta": 0.48, "rho": 2.0, "d": 0.5, "eps": 0.2, "r": 1.0 / 3.0, "sigma": 3.0},
 ]
+# no coeffs block: each entry sets r, and sigma is the check's own default
+BARE_CHECKS = [
+    {"check": "hs"},
+    {"check": "hs", "theta": 0.5, "alpha": 1.5},
+    {"check": "noise_sandwich", "r": 0.5, "eps": 0.25, "alpha_decay": 0.9, "theta": 0.44, "use_model": False},
+    {"check": "power_spectrum_window", "theta": 1.2, "d": 1.0, "eps": 4.0 / 7.0, "r": 0.5},
+    {"check": "power_spectrum_window", "theta": 1.2, "d": 1.0, "eps": 4.0 / 7.0, "r": 0.3, "alpha": 2},
+    {"check": "fractional_power", "theta": 1.0, "alpha": 2.0, "d": 0.5, "eps": 0.25, "r": 0.7},
+    {"check": "spectral_growth", "theta": 0.4, "d": 0.5, "eps": 0.2, "r": 0.5},
+]
 # delta changes at step 300 and gamma at step 350 of a 450-step run; the
 # pairs that meet (at steps 158-239 at seed 3) have left the two-copy
 # block at step 256
@@ -124,6 +137,7 @@ def configs():
         yield "conditions", f"sampled{seed}-n9", sampled(MODEL9, seed), ()
     yield "bounds", "n9", {"model": MODEL9, "coeffs": COEFFS, "x": X9, "y": Y9, "p": 2.0,
                            "run": {"dt": 0.01, "T": 0.2, "seed": SEEDS[0]}}, ()
+    yield "conditions", "bare", {"model": MODEL, "conditions": BARE_CHECKS}, ()
 
 
 def run_all(main, root: Path):
