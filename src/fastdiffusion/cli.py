@@ -26,12 +26,7 @@ from .conditions import (
 from .config import _RUN_COMMANDS, COMMANDS, ExperimentConfig, validate_config
 from .errors import FastDiffusionError
 from .montecarlo import estimate_from_values, make_test_function
-from .records import (
-    COUPLE_CSV_COLUMNS,
-    PLOT_CSV_COLUMNS,
-    emit_report,
-    make_record,
-)
+from .records import emit_report, make_record
 
 __all__ = ["main", "build_parser", "run_command"]
 
@@ -147,6 +142,12 @@ def _cmd_simulate(cfg: ExperimentConfig, with_tables: bool):
     # the estimate leaves out exactly the paths that blew up
     outputs = {"estimate": est.as_dict(), "n_blowups": cfg.run.n_paths - est.n, "test_function": spec}
     return outputs, None, None
+
+
+# fixed column orders of the couple tables (documented contract), one per
+# field of each row _path_rows and _trace_rows yield
+COUPLE_CSV_COLUMNS = ("path_index", "coupled", "tau", "log_weight", "zeta_sq_int", "f_int", "final_dist_h")
+PLOT_CSV_COLUMNS = ("path_index", "t", "dist_h", "beta", "zeta_sq")
 
 
 def _path_rows(res: montecarlo.CoupledEnsembleResult):

@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import CoefficientSet, _sigma_floor
 from .errors import InvalidSampleCount
 from .montecarlo import SEED_MAX, _path_generators
-from .spectral import SpectralModel, _coeff_norm, from_spectral, norm_h, norm_lp, norm_q, to_spectral
+from .spectral import SpectralModel, _coeff_norm, from_spectral, norm_h, norm_lp, to_spectral
 
 __all__ = [
     "ConditionReport",
@@ -167,10 +167,6 @@ def _sample_norms(model: SpectralModel, n_samples: int, seed: int, p: float):
 def _ratio_of_norms(coeffs: CoefficientSet, nh, nq, lp) -> np.ndarray:
     sigma = coeffs.sigma
     return lp**2 * nh ** (sigma - 2.0) / nq**sigma
-
-
-def _domination_ratio(model: SpectralModel, coeffs: CoefficientSet, x) -> np.ndarray:
-    return _ratio_of_norms(coeffs, norm_h(model, x), norm_q(model, x), norm_lp(model, x, coeffs.r + 1.0))
 
 
 def check_noise_domination(

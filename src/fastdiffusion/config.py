@@ -188,7 +188,7 @@ _SCHEMA = (
     _Key("conditions[].r", "num", _R_CHECKS, lo=0.0, hi=1.0, lo_open=True, hi_open=True,
          note="coeffs.r"),
     _Key("conditions[].sigma", "num", _CLOSED_FORM, **_POSITIVE,
-         note="coeffs.sigma, else its default at r"),
+         note="coeffs.sigma without an entry r, else 4/(1+r)"),
     _Key("conditions[].alpha_decay", "num", ("noise_sandwich",), ("noise_sandwich",)),
     _Key("conditions[].c1", "num", ("noise_sandwich",), default=_default(check_noise_sandwich, "c1")),
     _Key("conditions[].c2", "num", ("noise_sandwich",), default=_default(check_noise_sandwich, "c2")),
@@ -510,11 +510,12 @@ def validate_config(raw: dict, command: str) -> ExperimentConfig:
         if extras.get(key) is not None:
             extras[key] = _resolve_state(model, extras[key])
     for entry in extras.get("conditions", ()):
-        # an entry's r and sigma default to the coeffs block's (else the check's sigma)
+        # an entry without r takes the coeffs block's r and sigma; an entry
+        # with its own r leaves sigma to the check's default at that r
         if "r" in entry and entry["r"] is None:
             entry["r"] = coeffs.r
-        if "sigma" in entry and entry["sigma"] is None and coeffs is not None:
-            entry["sigma"] = coeffs.sigma
+            if "sigma" in entry and entry["sigma"] is None:
+                entry["sigma"] = coeffs.sigma
 
     document = dict(raw)
     if run is not None:

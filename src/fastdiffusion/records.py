@@ -4,12 +4,16 @@ A record is a pure function of (config document, seed): serialization
 sorts keys, uses shortest round-trip float text, carries no wall-clock
 or host data, and excludes execution plumbing (worker count) from the
 input echo, so reruns produce byte-identical files under any worker
-count.  The inputs hash is a sha1 over the canonical input JSON.
+count.  The inputs hash is a sha1 over the canonical input JSON.  A
+table is whatever (columns, rows) a command hands to emit_report.
 
-The canonical text is what json.dumps(value, sort_keys=True, indent=2,
-allow_nan=False) writes, plus a newline, byte for byte, but _write writes
-it directly: with indent set, CPython's json drops its C encoder for the
-pure-Python one.
+A record holds what its command returned, and _write converts it in the
+one walk that writes it: numpy arrays through tolist(), numpy scalars as
+their Python values, tuples as lists, dict keys through str, and nan and
++-inf as null.  The text is then what json.dumps(value, sort_keys=True,
+indent=2, allow_nan=False) writes of the converted value, plus a newline,
+byte for byte; _write writes it directly because, with indent set,
+CPython's json drops its C encoder for the pure-Python one.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _escape
@@ -25,27 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "ResultRecord",
-    "make_record",
-    "load_record",
-    "emit_report",
-    "canonical_json",
-    "COUPLE_CSV_COLUMNS",
-    "PLOT_CSV_COLUMNS",
-]
-
-# fixed column orders for the bulk tables (documented contract)
-COUPLE_CSV_COLUMNS = (
-    "path_index",
-    "coupled",
-    "tau",
-    "log_weight",
-    "zeta_sq_int",
-    "f_int",
-    "final_dist_h",
-)
-PLOT_CSV_COLUMNS = ("path_index", "t", "dist_h", "beta", "zeta_sq")
+__all__ = ["ResultRecord", "make_record", "emit_report"]
 
 
 @functools.cache
@@ -60,38 +43,12 @@ def _package_version() -> str:
         return "0.0.0+local"
 
 
-def _plain(obj):
-    """Recursively convert to JSON-safe plain Python (NaN/Inf -> None): exact
-    plain types first, then numpy values, tuples and subclasses."""
-    t = type(obj)
-    if t is float:
-        return obj if math.isfinite(obj) else None
-    if t is str or t is int or t is bool or obj is None:
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    return obj
-
-
 def _write(v, out: list, pad: str):
-    """Append v's canonical text, at indent pad, to out; dict keys are str."""
+    """Append v's canonical text, at indent pad, to out, converting v as it goes."""
     if isinstance(v, str):
         out.append(_escape(v))
     elif isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
-        out.append(float.__repr__(v))
+        out.append(float.__repr__(v) if math.isfinite(v) else "null")
     elif isinstance(v, (dict, list, tuple)):
         is_dict = isinstance(v, dict)
         if not v:
@@ -99,7 +56,7 @@ def _write(v, out: list, pad: str):
             return
         inner = pad + "  "
         out.append("{" if is_dict else "[")
-        for item in sorted(v.items()) if is_dict else v:
+        for item in sorted({str(k): x for k, x in v.items()}.items()) if is_dict else v:
             if is_dict:
                 out.append(f"\n{inner}{_escape(item[0])}: ")
                 item = item[1]
@@ -110,31 +67,31 @@ def _write(v, out: list, pad: str):
         out[-1] = f"\n{pad}{'}' if is_dict else ']'}"
     elif v is None or v is True or v is False:
         out.append("null" if v is None else "true" if v else "false")
-    elif isinstance(v, int):
-        out.append(int.__repr__(v))
+    elif isinstance(v, (int, np.integer)):
+        out.append(int.__repr__(int(v)))
+    elif isinstance(v, np.ndarray):
+        _write(v.tolist(), out, pad)
+    elif isinstance(v, np.bool_):
+        out.append("true" if v else "false")
+    elif isinstance(v, np.floating):
+        _write(float(v), out, pad)
     else:
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-def _dumps(plain) -> str:
-    """Canonical text of a value that is already plain."""
+def _dumps(value) -> str:
+    """Canonical text of value."""
     out = []
-    _write(plain, out, "")
+    _write(value, out, "")
     return "".join(out) + "\n"
-
-
-def canonical_json(payload) -> str:
-    """Sorted-key, indent-2 JSON with lossless float text."""
-    return _dumps(_plain(payload))
 
 
 @dataclass(frozen=True)
 class ResultRecord:
     """One command's verdict: inputs echo, outputs, and audit fields.
 
-    inputs and outputs hold plain JSON values (dicts, lists, str, int,
-    finite float, bool, None), as make_record and load_record build them;
-    to_json writes them as they are.
+    inputs and outputs hold what the command gave, numpy values included;
+    to_json converts them as it writes them.
     """
 
     command: str
@@ -151,30 +108,13 @@ class ResultRecord:
 
 def make_record(command: str, inputs: dict, outputs: dict, seed: int | None) -> ResultRecord:
     """Build a record; the timestamp stays None so output is reproducible."""
-    inputs = _plain(inputs)
-    digest = hashlib.sha1(_dumps(inputs).encode("utf-8")).hexdigest()
     return ResultRecord(
         command=command,
         inputs=inputs,
-        outputs=_plain(outputs),
+        outputs=outputs,
         seed=None if seed is None else int(seed),
         version=_package_version(),
-        inputs_hash=digest,
-    )
-
-
-def load_record(path) -> ResultRecord:
-    """Reload an emitted record; load(emit(r)) == r."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return ResultRecord(
-        command=data["command"],
-        inputs=data["inputs"],
-        outputs=data["outputs"],
-        seed=data["seed"],
-        version=data["version"],
-        inputs_hash=data["inputs_hash"],
-        timestamp=data["timestamp"],
+        inputs_hash=hashlib.sha1(_dumps(inputs).encode("utf-8")).hexdigest(),
     )
 
 
@@ -187,9 +127,7 @@ def _write_csv(path: Path, columns, rows):
 
 
 def _csv_cell(v):
-    if isinstance(v, (np.bool_, bool)):
-        return int(v)
-    if isinstance(v, (np.integer, int)):
+    if isinstance(v, (np.bool_, np.integer, int)):
         return int(v)
     if isinstance(v, (np.floating, float)):
         return repr(float(v))

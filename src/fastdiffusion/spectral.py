@@ -34,7 +34,6 @@ __all__ = [
     "model_from_spec",
     "to_spectral",
     "from_spectral",
-    "norm_l2m",
     "norm_lp",
     "norm_h",
     "norm_q",
@@ -84,7 +83,7 @@ class SpectralModel:
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     q_diag: np.ndarray
-    hs_norm_sq: float = field(default=0.0)
+    hs_norm_sq: float = field(init=False)
     # m-weighted eigenfunctions stored point-major, the matrix to_spectral
     # applies to mode-major batches
     _analysis: np.ndarray = field(init=False, repr=False, compare=False)
@@ -268,12 +267,6 @@ def from_spectral(model: SpectralModel, coeffs, *, mode_major: bool = False) -> 
         return np.einsum("ij,ip->jp", model.eigenfunctions, c)
     return np.einsum("...i,ik->...k", c, model.eigenfunctions)
 
-
-def norm_l2m(model: SpectralModel, x) -> np.ndarray | float:
-    """Weighted L2 norm (sum_k m_k x_k^2)^(1/2)."""
-    x = np.asarray(x, dtype=float)
-    out = np.sqrt((model.space.weights * x * x).sum(axis=-1))
-    return float(out) if out.ndim == 0 else out
 
 def norm_lp(model: SpectralModel, x, p: float) -> np.ndarray | float:
     """Weighted Lp norm (sum_k m_k |x_k|^p)^(1/p) for p >= 1."""

@@ -4,11 +4,14 @@ An independent route for cross-checking the ensemble kernel
 (fastdiffusion.montecarlo._simulate), which advances batches of paths in
 eigen-coordinates: Psi, the drift, the tamed or explicit drift step, the
 attraction drift, the reweighting integrand zeta and the f envelope.
+Beside them, two references the spectral and condition tests check the
+library against: the weighted L2 norm, for Parseval, and the
+noise-domination ratio, with each of its norms computed afresh.
 """
 
 import numpy as np
 
-from fastdiffusion.spectral import from_spectral, norm_h, to_spectral
+from fastdiffusion.spectral import from_spectral, norm_h, norm_lp, norm_q, to_spectral
 
 
 def psi_eval(coeffs, s, t: float = 0.0):
@@ -69,3 +72,16 @@ def f_diagnostic(model, coeffs, x, y):
     moment = (model.space.weights * env).sum(axis=-1)
     out = moment ** ((1.0 - r) / (1.0 + r))
     return float(out) if out.ndim == 0 else out
+
+
+def norm_l2m(model, x):
+    """Weighted L2 norm (sum_k m_k x_k^2)^(1/2)."""
+    x = np.asarray(x, dtype=float)
+    out = np.sqrt((model.space.weights * x * x).sum(axis=-1))
+    return float(out) if out.ndim == 0 else out
+
+
+def domination_ratio(model, coeffs, x):
+    """|x|_{r+1}^2 |x|_H^(sigma-2) / |x|_Q^sigma, each norm computed afresh."""
+    sigma = coeffs.sigma
+    return norm_lp(model, x, coeffs.r + 1.0) ** 2 * norm_h(model, x) ** (sigma - 2.0) / norm_q(model, x) ** sigma

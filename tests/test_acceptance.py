@@ -30,13 +30,12 @@ from fastdiffusion import (
     hs_check,
     make_test_function,
     norm_h,
-    norm_l2m,
     run_coupled_ensemble,
     to_spectral,
     verify_harnack,
 )
 from fastdiffusion.cli import main
-from point_oracles import apply_drift, drift_eval, psi_eval
+from point_oracles import apply_drift, drift_eval, norm_l2m, psi_eval
 
 
 def verdict(ok: bool, label: str) -> bool:

@@ -472,15 +472,15 @@ class TestDeadPairs:
             assert not res.alive.any() and res.coupled_fraction == 0.0
             for name in ("XT", "YT", "tau", "log_stoch_int", "zeta_sq_int", "f_int", "lp_int_x", "lp_int_y"):
                 assert np.isnan(getattr(res, name)).all(), name
-            for name, columns, rows in (("paths", records.COUPLE_CSV_COLUMNS, _path_rows(res)),
-                                        ("trace", records.PLOT_CSV_COLUMNS, _trace_rows(res))):
+            for name, columns, rows in (("paths", cli.COUPLE_CSV_COLUMNS, _path_rows(res)),
+                                        ("trace", cli.PLOT_CSV_COLUMNS, _trace_rows(res))):
                 path = tmp_path / f"couple_{name}_{block}.csv"
                 records._write_csv(path, columns, rows)
                 tables[name].append(path.read_bytes())
         assert tables["paths"][0] == tables["paths"][1]
         assert tables["trace"][0] == tables["trace"][1]
         rows = list(csv.reader(io.StringIO(tables["paths"][0].decode("utf-8"))))
-        assert rows[0] == list(records.COUPLE_CSV_COLUMNS)
+        assert rows[0] == list(cli.COUPLE_CSV_COLUMNS)
         assert rows[1:] == [[str(j), "0"] + ["nan"] * 5 for j in range(6)]
         # row s - 1 is the state after s steps: pair j's dist_h and zeta_sq
         # read nan from the row of the step on which it left the finite
@@ -657,6 +657,20 @@ class TestCommandOutputs:
         out = json.loads(capsys.readouterr().out)["outputs"]
         assert out["weight_ess"] == 50.0
         assert out["max_weight_share"] == 1.0 / 50.0
+
+
+class TestConditionSigma:
+    def test_entry_r_runs_as_the_library_call(self, tmp_path, capsys):
+        # sigma defaults to 4/(1+r) at the entry's own r, not at coeffs.r
+        params = {"theta": 0.4, "d": 0.5, "eps": 0.2, "r": 0.1}
+        cfg = write_config(tmp_path, "c.json", {
+            "coeffs": {"r": 0.9}, "conditions": [{"check": "spectral_growth", **params}],
+        })
+        assert main(["conditions", "--config", cfg]) == 2  # dimension_window fails
+        (report,) = json.loads(capsys.readouterr().out)["outputs"]["reports"]
+        want = conditions.check_spectral_growth(**params)
+        assert report == json.loads(records._dumps({"check": "spectral_growth", **vars(want)}))
+        assert report["clauses"]["sigma_admissible"] is True
 
 
 class TestConditionSample:
@@ -881,12 +895,17 @@ def _q_diag(draw, n):
 
 def _entry(draw, ctx):
     """A condition check that the rest of the document can run."""
+    sampled = ("noise_domination", "embedding")  # they read both the model and coeffs
     have_model, have_coeffs = "model" in ctx, "coeffs" in ctx
-    name = draw(st.sampled_from([
-        c for c in CONDITION_CHECKS
-        if c not in ("noise_domination", "embedding") or (have_model and have_coeffs)
-    ]))
+    if have_model and have_coeffs and draw(st.booleans()):
+        # only these documents reach the sampled checks: half their entries
+        # do, and half of those set both the sample size and the seed
+        name = draw(st.sampled_from(sampled))
+    else:
+        name = draw(st.sampled_from([c for c in CONDITION_CHECKS if c not in sampled]))
     fixed = {"check": name}
+    if name in sampled and draw(st.booleans()):
+        fixed.update((k, draw(_number(_row("conditions[]", name, k)))) for k in ("n_samples", "seed"))
     if not have_coeffs and name in ("spectral_growth", "noise_sandwich",
                                     "power_spectrum_window", "fractional_power"):
         fixed["r"] = draw(_number(_row("conditions[]", name, "r")))

@@ -25,7 +25,8 @@ from fastdiffusion import (
 )
 from fastdiffusion import conditions
 from fastdiffusion.cli import main
-from fastdiffusion.conditions import _domination_ratio, _mixture_samples
+from fastdiffusion.conditions import _mixture_samples
+from point_oracles import domination_ratio
 
 
 def two_mode_model():
@@ -304,8 +305,8 @@ class TestNoiseDomination:
         m = two_mode_model()
         c = CoefficientSet(r=0.5)
         x = np.array(coords)
-        a = _domination_ratio(m, c, x)
-        b = _domination_ratio(m, c, scale * x)
+        a = domination_ratio(m, c, x)
+        b = domination_ratio(m, c, scale * x)
         assert b == pytest.approx(a, rel=1e-10)
 
     def test_single_mode_reduction(self):
@@ -317,7 +318,7 @@ class TestNoiseDomination:
             lam = m.eigenvalues[i]
             q = m.q_diag[i]
             want = float(norm_lp(m, e, 1.5)) ** 2 * lam ** (-(sigma - 2.0) / 2.0) * q**sigma
-            assert _domination_ratio(m, c, e) == pytest.approx(want, rel=1e-12)
+            assert domination_ratio(m, c, e) == pytest.approx(want, rel=1e-12)
 
     def test_estimate_positive_and_witness_recorded(self):
         m = two_mode_model()
@@ -325,7 +326,7 @@ class TestNoiseDomination:
         assert rep.xi_estimate > 0.0
         assert rep.witness is not None
         assert norm_h(m, rep.witness) == pytest.approx(1.0, rel=1e-12)
-        ratio_at_witness = _domination_ratio(m, CoefficientSet(r=0.5), rep.witness)
+        ratio_at_witness = domination_ratio(m, CoefficientSet(r=0.5), rep.witness)
         assert ratio_at_witness == pytest.approx(rep.xi_estimate, rel=1e-12)
 
     def test_holds_compares_configured_xi(self):
@@ -410,7 +411,7 @@ class TestSampleNorms:
         # the shared norms give the numbers the unshared formulas give, bit for bit
         m, xs = conditions._last_sample[0], conditions._last_sample[3]
         dom, emb = json.loads(capsys.readouterr().out)["outputs"]["reports"]
-        ratios = _domination_ratio(m, CoefficientSet(r=0.5), xs)
+        ratios = domination_ratio(m, CoefficientSet(r=0.5), xs)
         assert dom["numbers"]["min_ratio"] == float(ratios.min())
         assert emb["numbers"]["embedding_constant"] == float((norm_h(m, xs) / norm_lp(m, xs, 1.5)).max())
 
@@ -424,12 +425,3 @@ class TestSampleNorms:
         xs = conditions._last_sample[3]
         want = float((norm_h(m, xs) / norm_lp(m, xs, 1.25)).max())
         assert rep.numbers["embedding_constant"] == want
-
-    def test_domination_ratio_keeps_no_norms(self, monkeypatch):
-        on_sample = self.spy_on_sample_calls(monkeypatch)
-        m = two_mode_model()
-        xs = _mixture_samples(m, 30, 0)
-        for _ in range(2):
-            _domination_ratio(m, CoefficientSet(r=0.5), xs)
-        assert on_sample() == [("norm_lp", (1.5,))] * 2
-        assert conditions._last_sample[4] == {}

@@ -323,8 +323,15 @@ class TestConditionsSchema:
         entry = {"check": "power_spectrum_window", "theta": 1.0, "d": 1.0, "eps": 0.25, "r": 0.5}
         (values,) = validate_config({"conditions": [entry]}, "conditions").extras["conditions"]
         assert values["sigma"] is None and values["alpha"] is None
+        # an entry with its own r leaves sigma to the check under a coeffs block too
         (values,) = validate_config(self.base([entry]), "conditions").extras["conditions"]
-        assert values["sigma"] == CoefficientSet(r=0.5).sigma
+        assert values["sigma"] is None
+
+    def test_entry_without_r_takes_the_coeffs_sigma(self):
+        raw = self.base([{"check": "spectral_growth", "theta": 0.4, "d": 0.5, "eps": 0.2}])
+        raw["coeffs"]["sigma"] = 5.0
+        (values,) = validate_config(raw, "conditions").extras["conditions"]
+        assert (values["r"], values["sigma"]) == (0.5, 5.0)
 
     def test_model_checks_need_model_block(self):
         raw = {"conditions": [{"check": "embedding"}]}

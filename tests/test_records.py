@@ -1,6 +1,7 @@
 """Canonical records: byte-stable JSON, lossless floats, fixed CSV columns."""
 
 import csv
+import hashlib
 import importlib.metadata
 import json
 import math
@@ -13,32 +14,45 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from fastdiffusion import (
-    COUPLE_CSV_COLUMNS,
-    PLOT_CSV_COLUMNS,
-    canonical_json,
-    emit_report,
-    load_record,
-    make_record,
-)
+from fastdiffusion import emit_report, make_record
 from fastdiffusion import records
-from fastdiffusion.cli import main
+from fastdiffusion.cli import COUPLE_CSV_COLUMNS, PLOT_CSV_COLUMNS, main
+
+
+def _plain(obj):
+    """The reference conversion: a command's outputs as plain JSON values
+    (NaN/Inf -> None).  The writer converts as it writes, to the same text."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if math.isfinite(v) else None
+    return obj
 
 
 class TestCanonicalJson:
     def test_keys_sorted_and_trailing_newline(self):
-        text = canonical_json({"b": 1, "a": 2})
+        text = records._dumps({"b": 1, "a": 2})
         assert text.endswith("\n")
         assert text.index('"a"') < text.index('"b"')
 
     def test_floats_round_trip_exactly(self):
         vals = [1.0 / 3.0, 0.1, math.pi, 1e-300, 7.25]
-        back = json.loads(canonical_json({"vals": vals}))
+        back = json.loads(records._dumps({"vals": vals}))
         assert back["vals"] == vals  # shortest repr reparses to the same bits
 
     def test_non_finite_becomes_null(self):
-        back = json.loads(canonical_json({"a": math.nan, "b": math.inf, "c": -math.inf}))
+        back = json.loads(records._dumps({"a": math.nan, "b": math.inf, "c": -math.inf}))
         assert back == {"a": None, "b": None, "c": None}
 
     def test_numpy_scalars_and_arrays(self):
@@ -48,12 +62,12 @@ class TestCanonicalJson:
             "f": np.float64(0.25),
             "flag": np.bool_(True),
         }
-        back = json.loads(canonical_json(payload))
+        back = json.loads(records._dumps(payload))
         assert back == {"arr": [1.5, 2.5], "i": 7, "f": 0.25, "flag": True}
 
     def test_deterministic_bytes(self):
         payload = {"z": [0.1, 0.2], "a": {"nested": 3}}
-        assert canonical_json(payload) == canonical_json(payload)
+        assert records._dumps(payload) == records._dumps(payload)
 
 
 class Big(int):
@@ -74,29 +88,34 @@ def json_text(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-PLAIN_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, 1e16, 1.0 / 3.0, 1e22, -1e-7])
-PLAIN_LEAVES = (
-    st.none() | st.booleans() | st.integers(-(2**200), 2**200) | PLAIN_FLOATS | st.text()
-    | PLAIN_FLOATS.map(np.float64) | PLAIN_FLOATS.map(Tilted) | st.integers().map(Big)
+FLOATS = FINITE_FLOATS | st.sampled_from([math.nan, math.inf, -math.inf])
+LEAVES = (
+    st.none() | st.booleans() | st.integers(-(2**200), 2**200) | FLOATS | st.text()
+    | FLOATS.map(np.float64) | FLOATS.map(Tilted) | st.integers().map(Big)
     | st.sampled_from(["\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f\n\t\"\\/", ""])
+    | st.floats(width=32).map(np.float32) | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=3), elements=FLOATS)
+    | hnp.arrays(np.int32, hnp.array_shapes(min_dims=0, max_dims=2, max_side=3))
 )
-PLAIN_VALUES = st.recursive(
-    PLAIN_LEAVES,
+VALUES = st.recursive(
+    LEAVES,
     lambda kids: st.lists(kids, max_size=4) | st.tuples(kids, kids)
-    | st.dictionaries(st.text(), kids, max_size=4),
+    | st.dictionaries(st.text() | st.integers(), kids, max_size=4),
     max_leaves=25,
 )
 
 
 class TestWriter:
     """records._dumps writes what json.dumps writes with sort_keys=True,
-    indent=2 and allow_nan=False, byte for byte."""
+    indent=2 and allow_nan=False of the value's plain form, byte for byte."""
 
-    @given(PLAIN_VALUES)
+    @given(VALUES)
     @settings(max_examples=300, deadline=None)
     def test_same_text_as_json(self, value):
-        assert records._dumps(value) == json_text(value)
+        assert records._dumps(value) == json_text(_plain(value))
 
     @pytest.mark.parametrize("value", [
         {}, [], (), {"a": {}, "b": [], "c": [{}]}, [[[]]], {"\u00e9": {"\x01": "\u2028"}},
@@ -111,14 +130,22 @@ class TestWriter:
         (np.float64(math.nan), ValueError), ({1, 2}, TypeError), ({"a": [set()]}, TypeError),
     ])
     def test_refuses_what_json_refuses(self, value, error):
+        """json.dumps refuses all of these.  The writer refuses the same
+        types, and writes a non-finite float as null, as records always have."""
         with pytest.raises(error):
             json_text(value)
-        with pytest.raises(error):
-            records._dumps(value)
+        if error is ValueError:
+            text = records._dumps(value)
+            assert "null" in text and text == json_text(_plain(value))
+        else:
+            with pytest.raises(error):
+                records._dumps(value)
 
 
 class TestPlain:
-    """The exact-type fast path and the isinstance chain behind it."""
+    """The writer's conversions of numpy values, tuples, subclasses, int
+    keys and non-finite floats: it writes each value as the reference's
+    plain form, which is want."""
 
     @pytest.mark.parametrize("value, want", [
         (np.float32(0.1), 0.10000000149011612),
@@ -140,27 +167,29 @@ class TestPlain:
         ({1: np.int64(2), "k": {"n": None, "s": "x"}}, {"1": 2, "k": {"n": None, "s": "x"}}),
     ])
     def test_values(self, value, want):
-        got = records._plain(value)
-        assert got == want
-
-        def types(v):
-            if isinstance(v, dict):
-                return {k: types(x) for k, x in v.items()}
-            return [types(x) for x in v] if isinstance(v, list) else type(v)
-        assert types(got) == types(want)
+        # the text tells 1 from 1.0 from true and 0.0 from -0.0, so equal
+        # text is equal plain values of equal types
+        text = json_text(_plain(value))
+        assert text == json_text(want)
+        assert records._dumps(value) == text
 
     def test_negative_zero_keeps_its_sign(self):
-        got = records._plain({"a": -0.0, "b": np.array([-0.0]), "c": np.float64(-0.0)})
+        value = {"a": -0.0, "b": np.array([-0.0]), "c": np.float64(-0.0)}
+        text = records._dumps(value)
+        assert text == json_text(_plain(value))
+        got = json.loads(text)
         assert [math.copysign(1.0, v) for v in (got["a"], got["b"][0], got["c"])] == [-1.0] * 3
 
 
 class TestResultRecord:
     def test_round_trip(self, tmp_path):
-        rec = make_record("bounds", {"p": 2.0}, {"value": 1.0 / 3.0}, seed=5)
+        outputs = {"value": 1.0 / 3.0, "arr": np.array([0.5, math.nan]), "n": np.int64(3)}
+        rec = make_record("bounds", {"p": 2.0}, outputs, seed=5)
+        assert rec.outputs is outputs  # the record holds what the command gave
         path = tmp_path / "bounds.json"
         path.write_text(rec.to_json(), encoding="utf-8")
-        back = load_record(path)
-        assert back == rec
+        back = json.loads(path.read_text(encoding="utf-8"))
+        assert back == {**vars(rec), "outputs": {"value": 1.0 / 3.0, "arr": [0.5, None], "n": 3}}
 
     def test_no_wall_clock(self):
         rec = make_record("bounds", {"p": 2.0}, {"value": 1.0}, seed=5)
@@ -176,6 +205,11 @@ class TestResultRecord:
         assert a.inputs_hash != c.inputs_hash
         assert len(a.inputs_hash) == 40  # sha1 hex
 
+    def test_inputs_hash_is_sha1_of_plain_inputs(self):
+        inputs = {"x": np.array([0.1, -0.0]), "run": {"dt": np.float64(1e-3), "seed": np.int64(3)}, 2: (1, math.inf)}
+        want = hashlib.sha1(json_text(_plain(inputs)).encode("utf-8")).hexdigest()
+        assert make_record("bounds", inputs, {}, seed=None).inputs_hash == want
+
     def test_seed_recorded(self):
         rec = make_record("simulate", {}, {}, seed=12)
         assert rec.seed == 12
@@ -188,8 +222,8 @@ class TestEmitReport:
         rows = [(0, True, 0.5, -0.1, 0.2, 0.3, 0.0)]
         paths = emit_report(rec, tmp_path, {"paths": (COUPLE_CSV_COLUMNS, rows)})
         assert [p.split("/")[-1] for p in paths] == ["couple.json", "couple_paths.csv"]
-        back = load_record(tmp_path / "couple.json")
-        assert back.outputs == {"b": 2}
+        back = json.loads((tmp_path / "couple.json").read_text(encoding="utf-8"))
+        assert back["outputs"] == {"b": 2}
 
     def test_csv_header_matches_contract(self, tmp_path):
         rec = make_record("couple", {}, {}, seed=0)

@@ -13,6 +13,7 @@ from fastdiffusion import (
     MeasureSpace,
     NotNegativeDefinite,
     NotSelfAdjoint,
+    SpectralModel,
     ZeroNoiseMode,
     build_model,
     dirichlet1d_model,
@@ -20,11 +21,11 @@ from fastdiffusion import (
     from_spectral,
     model_from_spec,
     norm_h,
-    norm_l2m,
     norm_lp,
     norm_q,
     to_spectral,
 )
+from point_oracles import norm_l2m
 
 
 def two_mode_model():
@@ -45,6 +46,13 @@ class TestBuildModel:
         # e_2 alternates in sign
         assert m.eigenfunctions[1][0] * m.eigenfunctions[1][1] < 0
         assert math.isclose(m.hs_norm_sq, 7.0 / 3.0, rel_tol=1e-14)
+
+    def test_hs_norm_sq_is_derived_not_passed(self):
+        m = two_mode_model()
+        parts = (m.space, m.operator, m.eigenvalues, m.eigenfunctions, m.q_diag)
+        with pytest.raises(TypeError):
+            SpectralModel(*parts, hs_norm_sq=123.0)
+        assert SpectralModel(*parts).hs_norm_sq == m.hs_norm_sq
 
     def test_one_point_model(self):
         m = build_model([1.0], [[-5.0]], [1.0])
