@@ -244,28 +244,41 @@ def model_from_spec(spec: dict) -> SpectralModel:
 # transforms and norms; all accept batched states with shape (..., n)
 # ---------------------------------------------------------------------------
 
-# The mode-major transforms take a batch of shape (n, P), one state per
-# column.  einsum's fixed contraction order keeps each column's bits
-# independent of P, which a BLAS matmul does not (its blocking depends on
-# the shape).  The summed index must not be the matrix's contiguous axis:
-# on a one-column batch einsum would then switch to a vectorized dot
-# product, which adds in another order.
+# The transforms call _einsum, numpy's C einsum: the function that
+# np.einsum(optimize=False) itself hands its operands to, here without the
+# Python-level dispatch in front of it, a fixed cost that each kernel step
+# would pay on both of its transforms.  numpy._core is tried first because
+# numpy 2 warns on importing numpy.core.  The operand layout still sets
+# the summation order.  einsum's fixed contraction order keeps each
+# column's bits independent of the batch width P, which a BLAS matmul does
+# not (its blocking depends on the shape), and the summed index must not
+# be the matrix's contiguous axis: on a one-column batch einsum would then
+# switch to a vectorized dot product, which adds in another order.  The
+# mode-major forms take a batch of shape (n, P), one state per column.
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1.x
+    try:
+        from numpy.core.multiarray import c_einsum as _einsum
+    except ImportError:
+        _einsum = np.einsum
+
 
 def to_spectral(model: SpectralModel, x, *, mode_major: bool = False) -> np.ndarray:
     """Coefficients <x, e_i>_m of a state (or batch of states)."""
     x = np.asarray(x, dtype=float)
     if mode_major:
-        return np.einsum("ji,jp->ip", model._analysis, x)
+        return _einsum("ji,jp->ip", model._analysis, x)
     xm = x * model.space.weights
-    return np.einsum("...j,ij->...i", xm, model.eigenfunctions)
+    return _einsum("...j,ij->...i", xm, model.eigenfunctions)
 
 
 def from_spectral(model: SpectralModel, coeffs, *, mode_major: bool = False) -> np.ndarray:
     """State vector sum_i c_i e_i from spectral coefficients."""
     c = np.asarray(coeffs, dtype=float)
     if mode_major:
-        return np.einsum("ij,ip->jp", model.eigenfunctions, c)
-    return np.einsum("...i,ik->...k", c, model.eigenfunctions)
+        return _einsum("ij,ip->jp", model.eigenfunctions, c)
+    return _einsum("...i,ik->...k", c, model.eigenfunctions)
 
 
 def norm_lp(model: SpectralModel, x, p: float) -> np.ndarray | float:

@@ -493,6 +493,23 @@ class TestNoiseBlock:
             tracemalloc.stop()
         assert peak < 1.5 * P * steps * m.n * 8, peak
 
+    def test_plain_block_held_once(self):
+        # the one-copy twin: a 1024-path plain run of one noise block adds
+        # each step's noise slice in place, so no second block-sized array
+        m, c = small_model(), small_coeffs()
+        P, steps = 1024, montecarlo.TIME_BLOCK
+        cfg = EnsembleConfig(n_paths=P, dt=1e-3, T=steps * 1e-3, seed=3)
+        assert cfg.n_steps == steps
+        args = (m, c, cfg, [START])
+        montecarlo._simulate(*args)  # first calls fill lazy caches
+        tracemalloc.start()
+        try:
+            montecarlo._simulate(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.35 * P * steps * m.n * 8, peak
+
 
 class TestWeightHealth:
     def test_equal_starts_keep_every_path(self):

@@ -1,6 +1,8 @@
 """Model construction, eigenbasis identities, and the four norms."""
 
+import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from fastdiffusion import (
     norm_q,
     to_spectral,
 )
+from fastdiffusion import spectral
 from point_oracles import norm_l2m
 
 
@@ -183,6 +186,66 @@ class TestTransforms:
     def test_round_trip(self, x):
         m = dirichlet1d_model(8, [1.0] * 8)
         assert np.allclose(from_spectral(m, to_spectral(m, x)), x, atol=1e-10)
+
+
+def _einsum_candidates():
+    """numpy's C einsum under each import path the binding tries, then
+    np.einsum itself, by name; a path this numpy lacks is left out."""
+    found = {}
+    for module in ("numpy._core.multiarray", "numpy.core.multiarray"):
+        with warnings.catch_warnings():
+            # numpy 2 keeps numpy.core as a deprecated alias of numpy._core
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                found[module] = importlib.import_module(module).c_einsum
+            except (ImportError, AttributeError):
+                pass
+    found["np.einsum"] = np.einsum
+    return found
+
+
+class TestEinsumBinding:
+    """The transforms call numpy's C einsum directly; whichever import
+    path binds it, every form gives np.einsum's bits for the same
+    subscripts, for any mode count, width and layout."""
+
+    def test_binds_the_c_function(self):
+        candidates = _einsum_candidates()
+        if "numpy._core.multiarray" in candidates:
+            assert spectral._einsum is candidates["numpy._core.multiarray"]
+        else:
+            assert spectral._einsum in candidates.values()
+
+    @staticmethod
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    @pytest.mark.parametrize("binding", sorted(_einsum_candidates()))
+    def test_bit_equal_to_np_einsum(self, binding, monkeypatch):
+        monkeypatch.setattr(spectral, "_einsum", _einsum_candidates()[binding])
+        rng = np.random.default_rng(0)
+        for n in (1, 4, 8, 9, 64):
+            m = dirichlet1d_model(n, np.ones(n))
+            E, w = m.eigenfunctions, m.space.weights
+            for width in (1, 2, 3, 1024):
+                # magnitudes over 16 decades, so the order of the additions
+                # shows in the bits, and an all -0.0 column
+                base = rng.standard_normal((n, width + 5)) * 10.0 ** rng.uniform(-8, 8, (n, width + 5))
+                base[:, 3] = -0.0
+                layouts = {"C": base[:, :width].copy(), "sliced": base[:, 2:2 + width],
+                           "F": np.asfortranarray(base[:, :width])}
+                for layout, A in layouts.items():
+                    where = (binding, n, width, layout)
+                    # mode-major forms take A as is, batched forms its transpose
+                    pairs = [
+                        (to_spectral(m, A, mode_major=True), np.einsum("ji,jp->ip", m._analysis, A)),
+                        (from_spectral(m, A, mode_major=True), np.einsum("ij,ip->jp", E, A)),
+                        (to_spectral(m, A.T), np.einsum("...j,ij->...i", A.T * w, E)),
+                        (from_spectral(m, A.T), np.einsum("...i,ik->...k", A.T, E)),
+                    ]
+                    for form, (got, want) in enumerate(pairs):
+                        assert got.shape == want.shape, (*where, form)
+                        assert np.array_equal(self.bits(got), self.bits(want)), (*where, form)
 
 
 class TestNorms:

@@ -7,10 +7,12 @@ one config and its two sampled checks, at each seed, in another; after
 the other lines it runs the closed-form checks again without a ``coeffs``
 block, each entry with its own ``r`` and no ``sigma``, so every check
 takes sigma at its floor 4/(1+r).  The
-sampled checks, at each seed, and one ``bounds`` config also run on a
-nine-mode model: from n = 8 numpy's last-axis sums add pairwise, in
-another order than below it, so only configs with n >= 8 can show a
-change of summation layout.
+sampled checks, at each seed, one ``bounds`` config and, at seed 3,
+``simulate``, ``harnack-check`` and ``invariant`` also run on a nine-mode
+model: from n = 8 numpy's sums over an F-ordered or last axis add
+pairwise, in another order than below it, so only configs with n >= 8
+can show a change of summation layout, in the checks or in the
+ensemble kernel's transforms and row sums.
 ``harnack-check`` also runs from starts at |x|_H = 30 and 60, where the
 exponential-moment bounds pass float range.  ``simulate``, ``couple`` and
 ``harnack-check`` also run 450 steps, across three noise-block
@@ -94,6 +96,24 @@ FAR_H = (30.0, 60.0)  # |x|_H of the distant harnack-check starts
 LAMBDA_1 = 100.0 * math.sin(math.pi / 10.0) ** 2  # first eigenvalue of the four-mode model
 
 
+def ensemble_docs(model, x, y, seed):
+    """The config document of bounds and of each ensemble command, by command."""
+    pair = {"model": model, "coeffs": COEFFS, "x": x, "y": y}
+    plain = {"model": model, "coeffs": COEFFS, "x": x}
+    tf = {"test_function": {"kind": "exp_neg_h_sq"}}
+    run = {"n_paths": 64, "dt": 0.01, "T": 0.2, "seed": seed}
+    return {
+        "bounds": {**pair, "p": 2.0, "run": run},
+        "simulate": {**plain, **tf, "run": run},
+        "couple": {**pair, "sample_paths": 2, "run": run},
+        "harnack-check": {**pair, **tf, "p": 2.0, "run": run},
+        "moments": {**pair, "exponent": 2.0, "run": run},
+        "invariant": {"model": model, "coeffs": COEFFS, "thin": 2,
+                      "run": {**run, "T": 1.0, "burn_in": 0.2}},
+        "probe-feller": {**plain, **tf, "run": run},
+    }
+
+
 def configs():
     """(command, config label, config document, extra argv), in print order."""
     pair = {"model": MODEL, "coeffs": COEFFS, "x": X, "y": Y}
@@ -107,17 +127,7 @@ def configs():
     for seed in SEEDS:
         yield "conditions", f"sampled{seed}", sampled(MODEL, seed), ()
     for seed in SEEDS:
-        run = {"n_paths": 64, "dt": 0.01, "T": 0.2, "seed": seed}
-        docs = {
-            "bounds": {**pair, "p": 2.0, "run": run},
-            "simulate": {**plain, **tf, "run": run},
-            "couple": {**pair, "sample_paths": 2, "run": run},
-            "harnack-check": {**pair, **tf, "p": 2.0, "run": run},
-            "moments": {**pair, "exponent": 2.0, "run": run},
-            "invariant": {"model": MODEL, "coeffs": COEFFS, "thin": 2,
-                          "run": {**run, "T": 1.0, "burn_in": 0.2}},
-            "probe-feller": {**plain, **tf, "run": run},
-        }
+        docs = ensemble_docs(MODEL, X, Y, seed)
         for command, doc in docs.items():
             yield command, f"seed{seed}", doc, ()
         for command in CSV_COMMANDS:
@@ -137,6 +147,9 @@ def configs():
         yield "conditions", f"sampled{seed}-n9", sampled(MODEL9, seed), ()
     yield "bounds", "n9", {"model": MODEL9, "coeffs": COEFFS, "x": X9, "y": Y9, "p": 2.0,
                            "run": {"dt": 0.01, "T": 0.2, "seed": SEEDS[0]}}, ()
+    docs9 = ensemble_docs(MODEL9, X9, Y9, SEEDS[0])
+    for command in ("simulate", "harnack-check", "invariant"):
+        yield command, "n9", docs9[command], ()
     yield "conditions", "bare", {"model": MODEL, "conditions": BARE_CHECKS}, ()
 
 
