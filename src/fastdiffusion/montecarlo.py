@@ -308,12 +308,10 @@ def _simulate(
 
     Each step makes one transform to point values, where |x|^r serves
     Psi, the moments and the f envelope, and one transform of Psi back.
-    A step writes its temporaries into arrays it holds and will not read
-    again: gamma C and the taming's drift * drift go into Psi's buffer Ar
-    once the transform back has read it, and a one-copy run adds its
-    noise slice to C in place, with no broadcast copy.  None of them
-    outlives its step, so a chunk holds no scratch beyond what a step
-    makes anyway.
+    Off the identity nonlinearity, gamma C and the taming's drift * drift
+    go into Psi's buffer Ar once the transform back has read it, and Ar
+    is made anew each step, so a chunk holds no scratch beyond what a
+    step makes anyway.
     Everything else is diagonal in the eigenbasis: the drift, the H norms,
     zeta, the noise q sqrt(dt) xi and, because the eigenfunctions are
     m-orthonormal, the taming norm.  The per-mode factors (weights,
@@ -521,7 +519,7 @@ def _simulate(
                     drift = to_spectral(model, np.copysign(Ar, Xp, out=Ar), mode_major=True)
                     drift *= slam_all
                 if gamma:
-                    drift += gamma * C2 if identity else np.multiply(gamma, C2, out=Ar)
+                    drift += np.multiply(gamma, C2, out=None if identity else Ar)
                 if coupled_run:
                     X, Y = C2[:, :P], C2[:, P:]
                     if m:
@@ -539,7 +537,7 @@ def _simulate(
 
                 if tamed:
                     # to dt / (1 + dt |drift|), in place
-                    h = _row_sum(drift * drift if identity else np.multiply(drift, drift, out=Ar))
+                    h = _row_sum(np.multiply(drift, drift, out=None if identity else Ar))
                     np.sqrt(h, out=h)
                     h *= dt
                     h += 1.0
@@ -555,8 +553,6 @@ def _simulate(
                         Y += attraction * dt
                     Y += dW[:, :m]
                     np.copyto(Y, X[:, :m], where=coupled[:m])
-                elif k == 1:
-                    C2 += dW
                 else:
                     copies += dW[:, None, :]
                 t += dt

@@ -475,40 +475,39 @@ class TestNoiseBlock:
                         n_paths, tile, name)
                 assert np.array_equal(res.trace, base.trace), (n_paths, tile)
 
-    def test_block_held_once(self):
-        # a 1024-pair coupled run of one noise block holds the scaled block
-        # (P TIME_BLOCK n floats) and a small tile, not a second full copy
+    @staticmethod
+    def _block_peak(coupled):
+        # the tracemalloc peak of a 1024-path run of one noise block, after
+        # a first run has filled the lazy caches, and the block's size
+        # (P TIME_BLOCK n floats)
         m, c = small_model(), small_coeffs()
         P, steps = 1024, montecarlo.TIME_BLOCK
         cfg = EnsembleConfig(n_paths=P, dt=1e-3, T=steps * 1e-3, seed=3)
         assert cfg.n_steps == steps
-        sched = make_schedule(m, c, cfg.realized_T, START, OTHER)
-        args = (m, c, cfg, [START, OTHER], sched, 1e-6)
-        montecarlo._simulate(*args)  # first calls fill lazy caches
+        if coupled:
+            sched = make_schedule(m, c, cfg.realized_T, START, OTHER)
+            args = (m, c, cfg, [START, OTHER], sched, 1e-6)
+        else:
+            args = (m, c, cfg, [START])
+        montecarlo._simulate(*args)
         tracemalloc.start()
         try:
             montecarlo._simulate(*args)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1], P * steps * m.n * 8
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * P * steps * m.n * 8, peak
+
+    def test_block_held_once(self):
+        # a 1024-pair coupled run holds the scaled block and a small tile,
+        # not a second full copy
+        peak, block = self._block_peak(coupled=True)
+        assert peak < 1.5 * block, peak
 
     def test_plain_block_held_once(self):
-        # the one-copy twin: a 1024-path plain run of one noise block adds
-        # each step's noise slice in place, so no second block-sized array
-        m, c = small_model(), small_coeffs()
-        P, steps = 1024, montecarlo.TIME_BLOCK
-        cfg = EnsembleConfig(n_paths=P, dt=1e-3, T=steps * 1e-3, seed=3)
-        assert cfg.n_steps == steps
-        args = (m, c, cfg, [START])
-        montecarlo._simulate(*args)  # first calls fill lazy caches
-        tracemalloc.start()
-        try:
-            montecarlo._simulate(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.35 * P * steps * m.n * 8, peak
+        # the one-copy twin: a plain run adds each step's noise slice to
+        # the state in place, so it too holds one block-sized array
+        peak, block = self._block_peak(coupled=False)
+        assert peak < 1.35 * block, peak
 
 
 class TestWeightHealth:
