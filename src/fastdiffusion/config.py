@@ -33,7 +33,7 @@ from .montecarlo import (
     verify_harnack,
 )
 from .schedules import PiecewiseConstant
-from .spectral import _MODEL_DEFAULTS, SpectralModel, from_spectral, model_from_spec
+from .spectral import SpectralModel, _dirichlet_operator, build_model, fractional_power, from_spectral
 
 __all__ = [
     "ExperimentConfig",
@@ -156,8 +156,8 @@ _SCHEMA = (
     _Key("test_function.center", "state", ("indicator_ball",), ("indicator_ball",)),
     _Key("test_function.radius", "num", ("indicator_ball",), ("indicator_ball",), **_POSITIVE),
     _Key("model.n", "int", COMMANDS, COMMANDS, lo=1),
-    _Key("model.measure", "measure", COMMANDS, **_POSITIVE, default=_MODEL_DEFAULTS["measure"]),
-    _Key("model.operator", "operator", COMMANDS, default=_MODEL_DEFAULTS["operator"]),
+    _Key("model.measure", "measure", COMMANDS, **_POSITIVE, default="uniform"),
+    _Key("model.operator", "operator", COMMANDS, default="dirichlet1d"),
     _Key("model.alpha", "num", COMMANDS, **_POSITIVE, note="none: -L itself"),
     _Key("model.q_diag", "q_diag", COMMANDS, COMMANDS),
     _Key("coeffs.r", "num", COMMANDS, COMMANDS, lo=0.0, hi=1.0, lo_open=True, hi_open=True),
@@ -434,8 +434,22 @@ def _check_conditions(ck, path, v, k):
     return [_check_entry(ck, f"{path}[{i}]", e) for i, e in enumerate(v)]
 
 
+def _build_model(values: dict) -> SpectralModel:
+    """The model of a valid model block.  q_diag {"power": p} gives
+    q_i = i^p; a power that overflows gives infinite amplitudes, which
+    build_model rejects."""
+    n, measure, operator, q = values["n"], values["measure"], values["operator"], values["q_diag"]
+    weights = np.full(n, 1.0 / n) if measure == "uniform" else measure
+    matrix = _dirichlet_operator(n) if operator == "dirichlet1d" else operator["matrix"]
+    if isinstance(q, dict):
+        with np.errstate(over="ignore"):
+            q = np.arange(1, n + 1, dtype=float) ** float(q["power"])
+    model = build_model(weights, matrix, q)
+    return model if values["alpha"] is None else fractional_power(model, values["alpha"])
+
+
 _BUILD = {
-    "model": model_from_spec,
+    "model": _build_model,
     "coeffs": lambda values: CoefficientSet(**values),
     "run": lambda values: EnsembleConfig(**values),
 }

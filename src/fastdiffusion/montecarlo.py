@@ -340,7 +340,7 @@ def _simulate(
     r = coeffs.r
     identity = coeffs.nonlinearity == "identity"
     tamed = cfg.scheme != "explicit_euler"
-    w = model.space.weights[:, None]
+    w = model.weights[:, None]
     inv_lam = (1.0 / model.eigenvalues)[:, None]
     inv_q = (1.0 / model.q_diag)[:, None]
     q_sqdt = (model.q_diag * math.sqrt(dt))[:, None]

@@ -26,17 +26,14 @@ from .errors import (
 )
 
 __all__ = [
-    "MeasureSpace",
     "SpectralModel",
     "build_model",
     "dirichlet1d_model",
     "fractional_power",
-    "model_from_spec",
     "to_spectral",
     "from_spectral",
     "norm_lp",
     "norm_h",
-    "norm_q",
 ]
 
 WEIGHT_SUM_TOL = 1e-12
@@ -44,41 +41,21 @@ SELF_ADJOINT_TOL = 1e-10
 DEFINITE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MeasureSpace:
-    """Probability weights on a finite set of points."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty 1-D array")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ValueError("weights must be finite and strictly positive")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {w.sum()!r}")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return self.weights.size
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralModel:
-    """Weighted space plus the eigendecomposition of -L and diagonal noise.
+    """Probability weights, the eigendecomposition of -L and diagonal noise.
 
-    eigenvalues are the eigenvalues of -L, sorted ascending, all > 0.
-    eigenfunctions[i] is the i-th eigenfunction as a point-space vector,
-    m-orthonormal, with its first nonnegligible entry made positive.
-    q_diag[i] is the noise amplitude driving mode i; hs_norm_sq is
-    sum(q_i^2 / lambda_i), the squared Hilbert-Schmidt size of the noise
-    relative to the operator.
+    weights[k] is the mass m_k of point k.  eigenvalues are the
+    eigenvalues of -L, sorted ascending, all > 0.  eigenfunctions[i] is
+    the i-th eigenfunction as a point-space vector, m-orthonormal, with
+    its first nonnegligible entry made positive.  q_diag[i] is the noise
+    amplitude driving mode i; hs_norm_sq is sum(q_i^2 / lambda_i), the
+    squared Hilbert-Schmidt size of the noise relative to the operator.
+    The arrays are read-only copies of those passed in.  Models compare
+    and hash by identity.
     """
 
-    space: MeasureSpace
+    weights: np.ndarray
     operator: np.ndarray
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
@@ -86,11 +63,11 @@ class SpectralModel:
     hs_norm_sq: float = field(init=False)
     # m-weighted eigenfunctions stored point-major, the matrix to_spectral
     # applies to mode-major batches
-    _analysis: np.ndarray = field(init=False, repr=False, compare=False)
+    _analysis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("operator", "eigenvalues", "eigenfunctions", "q_diag"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for name in ("weights", "operator", "eigenvalues", "eigenfunctions", "q_diag"):
+            arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(
@@ -98,13 +75,13 @@ class SpectralModel:
             "hs_norm_sq",
             float(np.sum(self.q_diag**2 / self.eigenvalues)),
         )
-        analysis = np.ascontiguousarray((self.eigenfunctions * self.space.weights).T)
+        analysis = np.ascontiguousarray((self.eigenfunctions * self.weights).T)
         analysis.setflags(write=False)
         object.__setattr__(self, "_analysis", analysis)
 
     @property
     def n(self) -> int:
-        return self.space.n
+        return self.weights.size
 
 
 def _fix_signs(E: np.ndarray) -> np.ndarray:
@@ -125,17 +102,23 @@ def build_model(weights, operator, q_diag) -> SpectralModel:
 
     Raises NotSelfAdjoint if diag(m) L is not symmetric within 1e-10,
     NotNegativeDefinite if any eigenvalue of -L is <= 0, and
-    ZeroNoiseMode if any noise amplitude vanishes.
+    ZeroNoiseMode if any noise amplitude vanishes; ValueError if the
+    weights are not a probability vector or a shape is wrong.
     """
-    space = weights if isinstance(weights, MeasureSpace) else MeasureSpace(np.asarray(weights, dtype=float))
+    m = np.asarray(weights, dtype=float)
+    if m.ndim != 1 or m.size == 0:
+        raise ValueError("weights must be a nonempty 1-D array")
+    if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
+        raise ValueError("weights must be finite and strictly positive")
+    if abs(float(m.sum()) - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {m.sum()!r}")
     L = np.asarray(operator, dtype=float)
-    n = space.n
+    n = m.size
     if L.shape != (n, n):
         raise ValueError(f"operator must be {n}x{n}, got {L.shape}")
     if not np.all(np.isfinite(L)):
         raise ValueError("operator entries must be finite")
 
-    m = space.weights
     weighted = m[:, None] * L
     scale = max(float(np.max(np.abs(weighted))), 1.0)
     asym = float(np.max(np.abs(weighted - weighted.T)))
@@ -162,7 +145,7 @@ def build_model(weights, operator, q_diag) -> SpectralModel:
     if np.any(q == 0.0):
         raise ZeroNoiseMode("every mode must carry a nonzero noise amplitude")
 
-    return SpectralModel(space, L, lam, E, q)
+    return SpectralModel(m, L, lam, E, q)
 
 
 def _dirichlet_operator(n: int) -> np.ndarray:
@@ -197,47 +180,10 @@ def fractional_power(model: SpectralModel, alpha: float) -> SpectralModel:
     if not np.all((lam > 0.0) & np.isfinite(lam)):
         raise InvalidExponent(f"the eigenvalues of (-L)^alpha leave float range at alpha = {alpha!r}")
     E = model.eigenfunctions
-    m = model.space.weights
+    m = model.weights
     # L_alpha x = -sum_i lam_i <x, e_i>_m e_i, assembled as a matrix
     L = -np.einsum("ij,ik,k->jk", E * lam[:, None], E, m)
-    return SpectralModel(model.space, L, lam, E, model.q_diag)
-
-
-_MODEL_DEFAULTS = {"measure": "uniform", "operator": "dirichlet1d"}
-
-
-def model_from_spec(spec: dict) -> SpectralModel:
-    """Build a model from a plain-dict description (the JSON model block).
-
-    Keys: n (int), measure ("uniform" or weight list), operator
-    ("dirichlet1d" or {"matrix": [[...]]}), optional alpha (fractional
-    power of -L), q_diag ({"power": p} for q_i = i^p, or a list);
-    _MODEL_DEFAULTS holds the measure and operator of a block that names
-    neither.  A power that overflows gives infinite amplitudes, which
-    are rejected.
-    """
-    n = spec["n"]
-    measure = spec.get("measure", _MODEL_DEFAULTS["measure"])
-    if measure == "uniform":
-        weights = np.full(n, 1.0 / n)
-    else:
-        weights = np.asarray(measure, dtype=float)
-
-    q_spec = spec["q_diag"]
-    if isinstance(q_spec, dict):
-        with np.errstate(over="ignore"):
-            q = np.arange(1, n + 1, dtype=float) ** float(q_spec["power"])
-    else:
-        q = np.asarray(q_spec, dtype=float)
-
-    op = spec.get("operator", _MODEL_DEFAULTS["operator"])
-    matrix = _dirichlet_operator(n) if op == "dirichlet1d" else np.asarray(op["matrix"], dtype=float)
-    model = build_model(weights, matrix, q)
-
-    alpha = spec.get("alpha")
-    if alpha is not None:
-        model = fractional_power(model, float(alpha))
-    return model
+    return SpectralModel(m, L, lam, E, model.q_diag)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +215,7 @@ def to_spectral(model: SpectralModel, x, *, mode_major: bool = False) -> np.ndar
     x = np.asarray(x, dtype=float)
     if mode_major:
         return _einsum("ji,jp->ip", model._analysis, x)
-    xm = x * model.space.weights
+    xm = x * model.weights
     return _einsum("...j,ij->...i", xm, model.eigenfunctions)
 
 
@@ -286,7 +232,7 @@ def norm_lp(model: SpectralModel, x, p: float) -> np.ndarray | float:
     if p < 1.0:
         raise InvalidExponent(f"norm exponent must be >= 1, got {p!r}")
     x = np.asarray(x, dtype=float)
-    out = ((model.space.weights * np.abs(x) ** p).sum(axis=-1)) ** (1.0 / p)
+    out = ((model.weights * np.abs(x) ** p).sum(axis=-1)) ** (1.0 / p)
     return float(out) if out.ndim == 0 else out
 
 
@@ -300,7 +246,3 @@ def norm_h(model: SpectralModel, x) -> np.ndarray | float:
     """Negative-order norm (sum_i <x, e_i>_m^2 / lambda_i)^(1/2)."""
     return _coeff_norm(to_spectral(model, x), model.eigenvalues)
 
-
-def norm_q(model: SpectralModel, x) -> np.ndarray | float:
-    """Noise-scaled norm (sum_i <x, e_i>_m^2 / q_i^2)^(1/2)."""
-    return _coeff_norm(to_spectral(model, x), model.q_diag**2)

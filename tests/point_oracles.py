@@ -4,14 +4,15 @@ An independent route for cross-checking the ensemble kernel
 (fastdiffusion.montecarlo._simulate), which advances batches of paths in
 eigen-coordinates: Psi, the drift, the tamed or explicit drift step, the
 attraction drift, the reweighting integrand zeta and the f envelope.
-Beside them, two references the spectral and condition tests check the
-library against: the weighted L2 norm, for Parseval, and the
-noise-domination ratio, with each of its norms computed afresh.
+Beside them, three references the spectral, coupling and condition tests
+check the library against: the weighted L2 norm, for Parseval, the
+noise-scaled norm |x|_Q, and the noise-domination ratio, with each of
+its norms computed afresh.
 """
 
 import numpy as np
 
-from fastdiffusion.spectral import from_spectral, norm_h, norm_lp, norm_q, to_spectral
+from fastdiffusion.spectral import from_spectral, norm_h, norm_lp, to_spectral
 
 
 def psi_eval(coeffs, s, t: float = 0.0):
@@ -69,7 +70,7 @@ def f_diagnostic(model, coeffs, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     env = np.maximum(np.abs(x), np.abs(y)) ** (r + 1.0)
-    moment = (model.space.weights * env).sum(axis=-1)
+    moment = (model.weights * env).sum(axis=-1)
     out = moment ** ((1.0 - r) / (1.0 + r))
     return float(out) if out.ndim == 0 else out
 
@@ -77,7 +78,14 @@ def f_diagnostic(model, coeffs, x, y):
 def norm_l2m(model, x):
     """Weighted L2 norm (sum_k m_k x_k^2)^(1/2)."""
     x = np.asarray(x, dtype=float)
-    out = np.sqrt((model.space.weights * x * x).sum(axis=-1))
+    out = np.sqrt((model.weights * x * x).sum(axis=-1))
+    return float(out) if out.ndim == 0 else out
+
+
+def norm_q(model, x):
+    """Noise-scaled norm (sum_i <x, e_i>_m^2 / q_i^2)^(1/2)."""
+    c = to_spectral(model, x)
+    out = np.sqrt((c * c / model.q_diag**2).sum(axis=-1))
     return float(out) if out.ndim == 0 else out
 
 

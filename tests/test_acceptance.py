@@ -101,7 +101,7 @@ def test_03_shared_noise_contraction():
     X = np.tile(x, (n_paths, 1))
     Y = np.tile(y, (n_paths, 1))
     rng = np.random.default_rng(11)
-    w = M4.space.weights
+    w = M4.weights
     t = 0.0
     D = np.exp(-2 * gam * t) * norm_h(M4, X - Y) ** 2
     worst = -math.inf
@@ -326,7 +326,7 @@ def _self_convergence_slope(dt_base=1e-3, T=0.25, n_paths=256, seed=7):
     x0 = from_spectral(M4, np.array([0.6, -0.3, 0.2, 0.1]))
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((n_fine, n_paths, M4.n))
-    w = M4.space.weights
+    w = M4.weights
     sqdt = math.sqrt(dt_fine)
 
     def run(stride):

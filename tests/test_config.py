@@ -1,6 +1,7 @@
 """Config validation: every violation reported in one pass, strict keys."""
 
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from fastdiffusion import (
     check_noise_sandwich,
     check_power_spectrum_window,
     check_spectral_growth,
+    build_model,
+    fractional_power,
     from_spectral,
     hs_check,
     validate_config,
@@ -185,6 +188,48 @@ class TestModelRules:
         raw["model"]["operator"] = {"matrix": S.tolist()}  # not self-adjoint for this m
         with pytest.raises(SchemaError, match="^configuration invalid: model: diag\\(m\\) L deviates"):
             validate_config(raw, "bounds")
+
+
+# each form of the model block's measure and operator, by name: the block
+# entries (absent for the defaults) and the weights and matrix they stand for
+DIRICHLET4 = 25.0 * (np.eye(4, k=1) + np.eye(4, k=-1) - 2.0 * np.eye(4))
+WEIGHTED = np.array([0.1, 0.2, 0.3, 0.4])
+SPACE_FORMS = {
+    "defaults": ({}, np.full(4, 0.25), DIRICHLET4),
+    "named": ({"measure": "uniform", "operator": "dirichlet1d"}, np.full(4, 0.25), DIRICHLET4),
+    "uniform_list": ({"measure": [0.25] * 4}, np.full(4, 0.25), DIRICHLET4),
+    "uniform_matrix": ({"operator": {"matrix": (2.0 * DIRICHLET4).tolist()}}, np.full(4, 0.25),
+                       2.0 * DIRICHLET4),
+    # diag(m) L is a multiple of the grid Laplacian: self-adjoint for m
+    "weighted_matrix": ({"measure": WEIGHTED.tolist(),
+                         "operator": {"matrix": (WEIGHTED[0] * DIRICHLET4 / WEIGHTED[:, None]).tolist()}},
+                        WEIGHTED, WEIGHTED[0] * DIRICHLET4 / WEIGHTED[:, None]),
+}
+Q_FORMS = {
+    "power": ({"power": -0.5}, np.arange(1, 5, dtype=float) ** -0.5),
+    "list": ([1.0, 0.8, 0.6, 0.5], np.array([1.0, 0.8, 0.6, 0.5])),
+}
+
+
+class TestModelBlock:
+    """validate_config builds the model of each block form as build_model
+    and fractional_power do from the arrays the block stands for."""
+
+    @pytest.mark.parametrize("space, q_form, alpha",
+                             itertools.product(SPACE_FORMS, Q_FORMS, (None, 1.5)))
+    def test_bit_equal_to_library_build(self, space, q_form, alpha):
+        entries, weights, matrix = SPACE_FORMS[space]
+        q_entry, q = Q_FORMS[q_form]
+        raw = good_config()
+        raw["model"] = {"n": 4, **entries, "q_diag": q_entry, **({} if alpha is None else {"alpha": alpha})}
+        got = validate_config(raw, "bounds").model
+        want = build_model(weights, matrix, q)
+        if alpha is not None:
+            want = fractional_power(want, alpha)
+        for name in ("weights", "operator", "eigenvalues", "eigenfunctions", "q_diag", "_analysis"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert got.hs_norm_sq.hex() == want.hs_norm_sq.hex()
 
 
 class TestScheduleSchema:

@@ -23,12 +23,11 @@ from fastdiffusion import (
     make_schedule,
     norm_h,
     norm_lp,
-    norm_q,
     run_coupled_ensemble,
 )
 from fastdiffusion import bounds, coupling
 from fastdiffusion.montecarlo import _simulate
-from point_oracles import apply_drift, coupling_drift, drift_eval, f_diagnostic, zeta
+from point_oracles import apply_drift, coupling_drift, drift_eval, f_diagnostic, norm_q, zeta
 
 
 def four_mode_model():
@@ -228,7 +227,7 @@ class TestFDiagnostic:
         f = f_diagnostic(m, c, x, y)
         lhs = f ** (2.0 / (sigma - 2.0))
         env = np.maximum(np.abs(x), np.abs(y)) ** 1.5
-        rhs = float((m.space.weights * (1.0 + env)).sum())
+        rhs = float((m.weights * (1.0 + env)).sum())
         assert lhs <= rhs + 1e-12
 
 
@@ -365,7 +364,7 @@ class TestKernelStep:
         y = np.array([-0.2, 0.1, 0.3, 0.05])
         dt, seed = 1e-3, 7
         for m, scheme in itertools.product((four_mode_model(), weighted), ("tamed_euler", "explicit_euler")):
-            w = m.space.weights
+            w = m.weights
             cfg = EnsembleConfig(n_paths=2, dt=dt, T=dt, seed=seed, scheme=scheme)
             res = run_coupled_ensemble(m, c, cfg, x, y)
             sched = res.schedule

@@ -19,7 +19,7 @@ MODULES = (errors, schedules, spectral, dynamics, coupling, bounds, conditions, 
 
 def test_every_name_resolves_once():
     names = fastdiffusion.__all__
-    assert len(names) == len(set(names)) == 60
+    assert len(names) == len(set(names)) == 57
     assert names == ["__version__"] + [n for m in MODULES for n in m.__all__]
     assert isinstance(fastdiffusion.__version__, str)
     for module in MODULES:

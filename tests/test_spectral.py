@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 
 from fastdiffusion import (
     InvalidExponent,
-    MeasureSpace,
     NotNegativeDefinite,
     NotSelfAdjoint,
     SpectralModel,
@@ -21,14 +20,12 @@ from fastdiffusion import (
     dirichlet1d_model,
     fractional_power,
     from_spectral,
-    model_from_spec,
     norm_h,
     norm_lp,
-    norm_q,
     to_spectral,
 )
 from fastdiffusion import spectral
-from point_oracles import norm_l2m
+from point_oracles import norm_l2m, norm_q
 
 
 def two_mode_model():
@@ -52,7 +49,7 @@ class TestBuildModel:
 
     def test_hs_norm_sq_is_derived_not_passed(self):
         m = two_mode_model()
-        parts = (m.space, m.operator, m.eigenvalues, m.eigenfunctions, m.q_diag)
+        parts = (m.weights, m.operator, m.eigenvalues, m.eigenfunctions, m.q_diag)
         with pytest.raises(TypeError):
             SpectralModel(*parts, hs_norm_sq=123.0)
         assert SpectralModel(*parts).hs_norm_sq == m.hs_norm_sq
@@ -74,7 +71,7 @@ class TestBuildModel:
         # Asymmetric as a plain matrix but self-adjoint under m = (1/3, 2/3):
         # m_i L_ij symmetric requires L_21 = L_12 m_1 / m_2 = 1/2.
         m = build_model([1.0 / 3.0, 2.0 / 3.0], [[-2.0, 1.0], [0.5, -2.0]], [1.0, 1.0])
-        E, lam, w = m.eigenfunctions, m.eigenvalues, m.space.weights
+        E, lam, w = m.eigenfunctions, m.eigenvalues, m.weights
         gram = np.einsum("k,ik,jk->ij", w, E, E)
         assert np.allclose(gram, np.eye(2), atol=1e-10)
         L = np.array([[-2.0, 1.0], [0.5, -2.0]])
@@ -86,15 +83,43 @@ class TestBuildModel:
             build_model([0.5, 0.5], [[-2.0, 1.0], [1.0, -2.0]], [1.0, 0.0])
 
     def test_measure_must_be_probability(self):
-        with pytest.raises(ValueError):
-            MeasureSpace(np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            MeasureSpace(np.array([1.5, -0.5]))
+        L, q = [[-2.0, 1.0], [1.0, -2.0]], [1.0, 2.0]
+        for weights in ([], [[0.5, 0.5]]):
+            with pytest.raises(ValueError, match="^weights must be a nonempty 1-D array$"):
+                build_model(weights, L, q)
+        for weights in ([1.5, -0.5], [0.5, float("nan")], [1.0, 0.0]):
+            with pytest.raises(ValueError, match="^weights must be finite and strictly positive$"):
+                build_model(weights, L, q)
+        with pytest.raises(ValueError, match="^weights must sum to 1 within 1e-12, got .*1.1"):
+            build_model([0.5, 0.6], L, q)
 
     def test_model_arrays_read_only(self):
         m = two_mode_model()
-        with pytest.raises(ValueError):
-            m.eigenvalues[0] = 2.0
+        for arr in (m.weights, m.operator, m.eigenvalues, m.eigenfunctions, m.q_diag, m._analysis):
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+
+    def test_caller_arrays_stay_writable_and_unshared(self):
+        weights, q = np.array([0.5, 0.5]), np.array([1.0, 2.0])
+        L = np.array([[-2.0, 1.0], [1.0, -2.0]])
+        q3 = np.array([1.0, 0.5, 0.3])
+        m = build_model(weights, L, q)
+        d = dirichlet1d_model(3, q3)
+        f = fractional_power(m, 0.5)
+        for model, given in ((m, (weights, L, q)), (d, (q3,)), (f, (m.weights, m.eigenfunctions, m.q_diag))):
+            own = (model.weights, model.operator, model.eigenvalues, model.eigenfunctions, model.q_diag)
+            assert not any(a.flags.writeable for a in own)
+            assert not any(np.shares_memory(g, a) for g in given for a in own)
+        for arr in (weights, L, q, q3):
+            assert arr.flags.writeable
+        q3[0] = 2.0
+        assert d.q_diag[0] == 1.0
+
+    def test_models_compare_and_hash_by_identity(self):
+        a, b = two_mode_model(), two_mode_model()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
 
 
 class TestDirichletModel:
@@ -108,7 +133,7 @@ class TestDirichletModel:
 
     def test_orthonormal_basis(self):
         m = dirichlet1d_model(8, [1.0] * 8)
-        w, E = m.space.weights, m.eigenfunctions
+        w, E = m.weights, m.eigenfunctions
         gram = np.einsum("k,ik,jk->ij", w, E, E)
         assert np.allclose(gram, np.eye(8), atol=1e-10)
 
@@ -132,31 +157,6 @@ class TestFractionalPower:
         m = build_model([0.5, 0.5], [[-2.0 * scale, scale], [scale, -2.0 * scale]], [1.0, 2.0])
         with pytest.raises(InvalidExponent):
             fractional_power(m, 1000.0)
-
-
-class TestModelFromSpec:
-    def test_dirichlet_spec(self):
-        m = model_from_spec(
-            {"n": 4, "measure": "uniform", "operator": "dirichlet1d",
-             "q_diag": {"power": -0.5}}
-        )
-        assert m.n == 4
-        assert np.allclose(m.q_diag, np.arange(1, 5) ** -0.5)
-
-    def test_minimal_spec_is_uniform_dirichlet(self):
-        spec = {"n": 4, "q_diag": {"power": -0.5}}
-        m = model_from_spec(spec)
-        full = model_from_spec({**spec, "measure": "uniform", "operator": "dirichlet1d"})
-        assert np.array_equal(m.eigenvalues, full.eigenvalues)
-        assert np.array_equal(m.space.weights, full.space.weights)
-
-    def test_matrix_spec_with_alpha(self):
-        m = model_from_spec(
-            {"n": 2, "measure": [0.5, 0.5],
-             "operator": {"matrix": [[-2.0, 1.0], [1.0, -2.0]]},
-             "alpha": 2.0, "q_diag": [1.0, 2.0]}
-        )
-        assert np.allclose(m.eigenvalues, [1.0, 9.0], rtol=1e-12)
 
 
 class TestTransforms:
@@ -226,7 +226,7 @@ class TestEinsumBinding:
         rng = np.random.default_rng(0)
         for n in (1, 4, 8, 9, 64):
             m = dirichlet1d_model(n, np.ones(n))
-            E, w = m.eigenfunctions, m.space.weights
+            E, w = m.eigenfunctions, m.weights
             for width in (1, 2, 3, 1024):
                 # magnitudes over 16 decades, so the order of the additions
                 # shows in the bits, and an all -0.0 column

@@ -12,7 +12,10 @@ sampled checks, at each seed, one ``bounds`` config and, at seed 3,
 model: from n = 8 numpy's sums over an F-ordered or last axis add
 pairwise, in another order than below it, so only configs with n >= 8
 can show a change of summation layout, in the checks or in the
-ensemble kernel's transforms and row sums.
+ensemble kernel's transforms and row sums.  ``bounds`` and the sampled
+checks at seed 3 also run on a model block with a weight list, an
+explicit matrix, a q_diag list and alpha, the branches of the config's
+model builder that the default block leaves out.
 ``harnack-check`` also runs from starts at |x|_H = 30 and 60, where the
 exponential-moment bounds pass float range.  ``simulate``, ``couple`` and
 ``harnack-check`` also run 450 steps, across three noise-block
@@ -94,6 +97,14 @@ CUT_COEFFS = {"r": 0.5, "xi": 0.01, "delta": {"breaks": [0.0, 0.3], "values": [1
               "gamma": {"breaks": [0.0, 0.35], "values": [-0.2, -0.1]}}
 FAR_H = (30.0, 60.0)  # |x|_H of the distant harnack-check starts
 LAMBDA_1 = 100.0 * math.sin(math.pi / 10.0) ** 2  # first eigenvalue of the four-mode model
+# a model block that takes every non-default branch of the builder: a
+# weight list, an explicit matrix (w_0 L / w_i for the grid Laplacian L,
+# self-adjoint for these weights), a q_diag list and alpha
+WEIGHTS = [0.1, 0.2, 0.3, 0.4]
+GRID4 = [[25.0 * (-2.0 if i == j else 1.0 if abs(i - j) == 1 else 0.0) for j in range(4)] for i in range(4)]
+MODEL_W = {"n": 4, "measure": WEIGHTS,
+           "operator": {"matrix": [[WEIGHTS[0] * v / w for v in row] for row, w in zip(GRID4, WEIGHTS)]},
+           "q_diag": [1.0, 0.8, 0.6, 0.5], "alpha": 1.5}
 
 
 def ensemble_docs(model, x, y, seed):
@@ -151,6 +162,9 @@ def configs():
     for command in ("simulate", "harnack-check", "invariant"):
         yield command, "n9", docs9[command], ()
     yield "conditions", "bare", {"model": MODEL, "conditions": BARE_CHECKS}, ()
+    yield "bounds", "weighted", {"model": MODEL_W, "coeffs": COEFFS, "x": X, "y": Y, "p": 2.0,
+                                 "run": {"dt": 0.01, "T": 0.2, "seed": SEEDS[0]}}, ()
+    yield "conditions", "sampled3-weighted", sampled(MODEL_W, SEEDS[0]), ()
 
 
 def run_all(main, root: Path):
