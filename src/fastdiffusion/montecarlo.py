@@ -441,10 +441,9 @@ def _simulate(
 
                 # the state after s steps, in point values
                 Xp = from_spectral(model, C2, mode_major=True)
-                if coupled_run or not identity:
+                if coupled_run:
                     A = np.abs(Xp)
                     Ar = A**r
-                if coupled_run:
                     V = np.multiply(A, Ar, out=A)  # |x|^(r+1); A is not read again
                     v = _row_sum(V * w_all)
                     v_cur[0] = v[:P]
@@ -456,6 +455,9 @@ def _simulate(
                         v_prev *= half_dt
                         lp += v_prev
                     v_prev, v_cur = v_cur, v_prev
+                elif not identity:  # a plain run reads |x| only as |x|^r
+                    Ar = np.abs(Xp)
+                    Ar **= r
                 if n_kept and s > burn and (s - burn) % thin == 0:
                     if keep:
                         out.kept[ki, lo:hi] = Xp.T

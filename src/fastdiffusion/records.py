@@ -44,13 +44,15 @@ def _package_version() -> str:
 
 
 def _write(v, out: list, pad: str):
-    """Append v's canonical text, at indent pad, to out, converting v as it goes."""
-    if isinstance(v, str):
+    """Append v's canonical text, at indent pad, to out, converting v as it
+    goes: exact plain types first, then numpy values and subclasses."""
+    t = type(v)
+    if t is str:
         out.append(_escape(v))
-    elif isinstance(v, float):
+    elif t is float:
         out.append(float.__repr__(v) if math.isfinite(v) else "null")
-    elif isinstance(v, (dict, list, tuple)):
-        is_dict = isinstance(v, dict)
+    elif t is dict or t is list or t is tuple:
+        is_dict = t is dict
         if not v:
             out.append("{}" if is_dict else "[]")
             return
@@ -65,8 +67,16 @@ def _write(v, out: list, pad: str):
             _write(item, out, inner)
             out.append(",")
         out[-1] = f"\n{pad}{'}' if is_dict else ']'}"
-    elif v is None or v is True or v is False:
+    elif t is int:
+        out.append(int.__repr__(v))
+    elif v is None or t is bool:
         out.append("null" if v is None else "true" if v else "false")
+    elif isinstance(v, str):
+        out.append(_escape(v))
+    elif isinstance(v, float):
+        out.append(float.__repr__(v) if math.isfinite(v) else "null")
+    elif isinstance(v, (dict, list, tuple)):
+        _write(dict(v.items()) if isinstance(v, dict) else list(v), out, pad)
     elif isinstance(v, (int, np.integer)):
         out.append(int.__repr__(int(v)))
     elif isinstance(v, np.ndarray):
@@ -91,8 +101,11 @@ class ResultRecord:
     """One command's verdict: inputs echo, outputs, and audit fields.
 
     inputs and outputs hold what the command gave, numpy values included;
-    to_json converts them as it writes them.
+    to_json converts them as it writes them, the inputs from the text
+    make_record hashed, kept in a slot outside the fields.
     """
+
+    __slots__ = ("__dict__", "__weakref__", "_inputs_text")
 
     command: str
     inputs: dict
@@ -103,19 +116,30 @@ class ResultRecord:
     timestamp: float | None = None
 
     def to_json(self) -> str:
-        return _dumps(vars(self))
+        # only a top-level key starts a line with two spaces and a quote, and every
+        # newline in _write's text is indentation: the inputs go in two spaces deeper
+        inputs = getattr(self, "_inputs_text", None) or _dumps(self.inputs)
+        head, tail = _dumps({**vars(self), "inputs": None}).split('\n  "inputs": null', 1)
+        return head + '\n  "inputs": ' + inputs[:-1].replace("\n", "\n  ") + tail
+
+    def __reduce__(self):  # a copy or an unpickled record renders its inputs anew
+        return ResultRecord, tuple(vars(self).values())
 
 
 def make_record(command: str, inputs: dict, outputs: dict, seed: int | None) -> ResultRecord:
-    """Build a record; the timestamp stays None so output is reproducible."""
-    return ResultRecord(
+    """Build a record; the timestamp stays None so output is reproducible.
+    The inputs are rendered once, for inputs_hash and for to_json."""
+    text = _dumps(inputs)
+    record = ResultRecord(
         command=command,
         inputs=inputs,
         outputs=outputs,
         seed=None if seed is None else int(seed),
         version=_package_version(),
-        inputs_hash=hashlib.sha1(_dumps(inputs).encode("utf-8")).hexdigest(),
+        inputs_hash=hashlib.sha1(text.encode("utf-8")).hexdigest(),
     )
+    object.__setattr__(record, "_inputs_text", text)
+    return record
 
 
 def _write_csv(path: Path, columns, rows):

@@ -14,6 +14,7 @@ of L after scaling by D^(-1/2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,9 @@ class SpectralModel:
     its first nonnegligible entry made positive.  q_diag[i] is the noise
     amplitude driving mode i; hs_norm_sq is sum(q_i^2 / lambda_i), the
     squared Hilbert-Schmidt size of the noise relative to the operator.
-    The arrays are read-only copies of those passed in.  Models compare
-    and hash by identity.
+    The arrays are read-only copies of those passed in, with the weights
+    and q_diag checked as build_model checks them.  Models compare and
+    hash by identity.
     """
 
     weights: np.ndarray
@@ -70,11 +72,8 @@ class SpectralModel:
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(
-            self,
-            "hs_norm_sq",
-            float(np.sum(self.q_diag**2 / self.eigenvalues)),
-        )
+        _check_weights_and_noise(self.weights, self.q_diag)
+        object.__setattr__(self, "hs_norm_sq", float((self.q_diag**2 / self.eigenvalues).sum()))
         analysis = np.ascontiguousarray((self.eigenfunctions * self.weights).T)
         analysis.setflags(write=False)
         object.__setattr__(self, "_analysis", analysis)
@@ -84,16 +83,34 @@ class SpectralModel:
         return self.weights.size
 
 
+def _check_weights_and_noise(m: np.ndarray, q: np.ndarray | None = None):
+    """Raise unless m is a probability vector and q, if given, a finite
+    noise vector of m's size with no zero entry.  Entries are compared as
+    Python floats, cheaper than numpy reductions on a model's few points."""
+    if m.ndim != 1 or m.size == 0:
+        raise ValueError("weights must be a nonempty 1-D array")
+    if not all(0.0 < w < math.inf for w in m.tolist()):
+        raise ValueError("weights must be finite and strictly positive")
+    total = m.sum()
+    if abs(float(total) - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
+    if q is not None:
+        if q.shape != m.shape:
+            raise ValueError(f"q_diag must have shape ({m.size},), got {q.shape}")
+        noise = q.tolist()
+        if not all(map(math.isfinite, noise)):
+            raise ValueError("q_diag entries must be finite")
+        if 0.0 in noise:
+            raise ZeroNoiseMode("every mode must carry a nonzero noise amplitude")
+
+
 def _fix_signs(E: np.ndarray) -> np.ndarray:
     """Make the first nonnegligible entry of each eigenfunction positive."""
     out = E.copy()
-    for i, row in enumerate(out):
-        scale = np.max(np.abs(row))
-        for v in row:
-            if abs(v) > 1e-12 * scale:
-                if v < 0.0:
-                    out[i] = -row
-                break
+    A = np.abs(out)
+    first = (A > 1e-12 * A.max(axis=1, keepdims=True)).argmax(axis=1)
+    flip = out[np.arange(len(out)), first] < 0.0  # an all-zero row keeps its signs
+    out[flip] = -out[flip]
     return out
 
 
@@ -106,22 +123,17 @@ def build_model(weights, operator, q_diag) -> SpectralModel:
     weights are not a probability vector or a shape is wrong.
     """
     m = np.asarray(weights, dtype=float)
-    if m.ndim != 1 or m.size == 0:
-        raise ValueError("weights must be a nonempty 1-D array")
-    if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
-        raise ValueError("weights must be finite and strictly positive")
-    if abs(float(m.sum()) - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {m.sum()!r}")
+    _check_weights_and_noise(m)
     L = np.asarray(operator, dtype=float)
     n = m.size
     if L.shape != (n, n):
         raise ValueError(f"operator must be {n}x{n}, got {L.shape}")
-    if not np.all(np.isfinite(L)):
+    if not np.isfinite(L).all():
         raise ValueError("operator entries must be finite")
 
     weighted = m[:, None] * L
-    scale = max(float(np.max(np.abs(weighted))), 1.0)
-    asym = float(np.max(np.abs(weighted - weighted.T)))
+    scale = max(float(np.abs(weighted).max()), 1.0)
+    asym = float(np.abs(weighted - weighted.T).max())
     if asym > SELF_ADJOINT_TOL * scale:
         raise NotSelfAdjoint(
             f"diag(m) L deviates from symmetry by {asym:.3e} (tolerance {SELF_ADJOINT_TOL:.1e} relative)"
@@ -135,17 +147,8 @@ def build_model(weights, operator, q_diag) -> SpectralModel:
         raise NotNegativeDefinite(
             f"smallest eigenvalue of -L is {float(lam[0])!r}; operator must be strictly negative definite"
         )
-    E = _fix_signs((U / d[:, None]).T)
-
-    q = np.asarray(q_diag, dtype=float)
-    if q.shape != (n,):
-        raise ValueError(f"q_diag must have shape ({n},), got {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("q_diag entries must be finite")
-    if np.any(q == 0.0):
-        raise ZeroNoiseMode("every mode must carry a nonzero noise amplitude")
-
-    return SpectralModel(m, L, lam, E, q)
+    # the model's constructor checks the noise
+    return SpectralModel(m, L, lam, _fix_signs((U / d[:, None]).T), q_diag)
 
 
 def _dirichlet_operator(n: int) -> np.ndarray:

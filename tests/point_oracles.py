@@ -4,10 +4,10 @@ An independent route for cross-checking the ensemble kernel
 (fastdiffusion.montecarlo._simulate), which advances batches of paths in
 eigen-coordinates: Psi, the drift, the tamed or explicit drift step, the
 attraction drift, the reweighting integrand zeta and the f envelope.
-Beside them, three references the spectral, coupling and condition tests
+Beside them, four references the spectral, coupling and condition tests
 check the library against: the weighted L2 norm, for Parseval, the
-noise-scaled norm |x|_Q, and the noise-domination ratio, with each of
-its norms computed afresh.
+noise-scaled norm |x|_Q, the noise-domination ratio, with each of its
+norms computed afresh, and the eigenfunction sign rule, entry by entry.
 """
 
 import numpy as np
@@ -93,3 +93,17 @@ def domination_ratio(model, coeffs, x):
     """|x|_{r+1}^2 |x|_H^(sigma-2) / |x|_Q^sigma, each norm computed afresh."""
     sigma = coeffs.sigma
     return norm_lp(model, x, coeffs.r + 1.0) ** 2 * norm_h(model, x) ** (sigma - 2.0) / norm_q(model, x) ** sigma
+
+
+def fix_signs(E):
+    """Each row of E with its first entry above 1e-12 times the row's
+    largest |entry| made positive, found by a walk along the row."""
+    out = E.copy()
+    for i, row in enumerate(out):
+        scale = np.max(np.abs(row))
+        for v in row:
+            if abs(v) > 1e-12 * scale:
+                if v < 0.0:
+                    out[i] = -row
+                break
+    return out

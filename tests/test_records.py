@@ -1,11 +1,14 @@
 """Canonical records: byte-stable JSON, lossless floats, fixed CSV columns."""
 
+import copy
 import csv
+import dataclasses
 import hashlib
 import importlib.metadata
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -209,6 +212,47 @@ class TestResultRecord:
         inputs = {"x": np.array([0.1, -0.0]), "run": {"dt": np.float64(1e-3), "seed": np.int64(3)}, 2: (1, math.inf)}
         want = hashlib.sha1(json_text(_plain(inputs)).encode("utf-8")).hexdigest()
         assert make_record("bounds", inputs, {}, seed=None).inputs_hash == want
+
+    RICH_INPUTS = {
+        "s": "line\nbreak \"quoted\" \u00e9\u4e2d\U0001f600 \\ / \t",
+        "empty": {"d": {}, "l": [], "t": ()},
+        "nested": {"a": [{"b": [1, [2.5, None]]}, (True, False)]},
+        3: {1: "int keys", "x": -0.0},
+        "np": {"arr": np.array([[0.1, math.nan], [math.inf, -0.0]]), "f": np.float64(1e-300),
+               "i": np.int64(-7), "b": np.bool_(True), "f32": np.float32(0.1)},
+    }
+
+    @pytest.mark.parametrize("inputs", [{}, {"p": 2.0}, RICH_INPUTS], ids=["empty", "one", "rich"])
+    def test_to_json_is_json_dumps(self, inputs):
+        rec = make_record("bounds", inputs, {"value": np.float64(0.5), "s": "a\nb"}, seed=np.int64(4))
+        assert rec.to_json() == json_text(_plain(vars(rec)))
+        assert rec.inputs_hash == hashlib.sha1(records._dumps(inputs).encode("utf-8")).hexdigest()
+
+    @given(st.dictionaries(st.text() | st.integers(), VALUES, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_to_json_is_json_dumps_of_any_inputs(self, inputs):
+        rec = make_record("conditions", inputs, {"inputs": None}, seed=None)
+        assert rec.to_json() == json_text(_plain(vars(rec)))
+
+    def test_copies_write_the_same_text(self):
+        rec = make_record("bounds", self.RICH_INPUTS, {"value": 1.0}, seed=3)
+        for other in (dataclasses.replace(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+            assert vars(other).keys() == vars(rec).keys()
+            assert other.to_json() == rec.to_json()
+
+    def test_inputs_walked_once(self, monkeypatch):
+        inputs = {"p": 2.0, "x": [0.1, 0.2], "run": {"dt": 1e-3}}
+        walked = []
+        write = records._write
+
+        def counting(v, out, pad):
+            walked.append(id(v))
+            write(v, out, pad)
+
+        monkeypatch.setattr(records, "_write", counting)
+        make_record("bounds", inputs, {"value": 1.0}, seed=None).to_json()
+        for part in (inputs, inputs["x"], inputs["run"]):
+            assert walked.count(id(part)) == 1
 
     def test_seed_recorded(self):
         rec = make_record("simulate", {}, {}, seed=12)

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from fastdiffusion import (
     to_spectral,
 )
 from fastdiffusion import spectral
-from point_oracles import norm_l2m, norm_q
+from point_oracles import fix_signs, norm_l2m, norm_q
 
 
 def two_mode_model():
@@ -120,6 +121,84 @@ class TestBuildModel:
         assert a == a and a != b
         assert hash(a) == hash(a)
         assert len({a, b, a}) == 2
+
+
+class TestModelChecks:
+    @pytest.mark.parametrize("weights, operator, q_diag, error, message", [
+        # each case fails the check named first and one build_model makes later
+        ([[0.5, 0.5]], [[-2.0, math.nan], [1.0, -2.0]], [0.0, 1.0], ValueError, "weights must be a nonempty"),
+        ([1.5, -0.5], [[-2.0]], [1.0, 2.0], ValueError, "weights must be finite"),
+        ([0.5, 0.6], [[-2.0, 1.0], [0.0, -2.0]], [0.0, 1.0], ValueError, "weights must sum to 1"),
+        ([0.5, 0.5], [[-2.0, 1.0, 0.0]] * 3, [math.nan, 1.0], ValueError, "operator must be 2x2"),
+        ([0.5, 0.5], [[-2.0, math.inf], [1.0, -2.0]], [0.0, 1.0], ValueError, "operator entries must be finite"),
+        ([0.5, 0.5], [[-2.0, 1.0], [0.0, -2.0]], [0.0, 1.0], NotSelfAdjoint, "diag"),
+        ([0.5, 0.5], [[-1.0, 1.0], [1.0, -1.0]], [1.0], NotNegativeDefinite, "smallest eigenvalue"),
+        ([0.5, 0.5], [[-2.0, 1.0], [1.0, -2.0]], [0.0, math.nan, 1.0], ValueError, "q_diag must have shape"),
+        ([0.5, 0.5], [[-2.0, 1.0], [1.0, -2.0]], [math.nan, 0.0], ValueError, "q_diag entries must be finite"),
+    ])
+    def test_first_failed_check_wins(self, weights, operator, q_diag, error, message):
+        with pytest.raises(error, match="^" + re.escape(message)):
+            build_model(weights, operator, q_diag)
+
+    def test_constructor_refuses_what_build_model_refuses(self):
+        m = two_mode_model()
+        with pytest.raises(ValueError, match="^weights must sum to 1 within 1e-12, got .*1.1"):
+            SpectralModel([0.5, 0.6], m.operator, m.eigenvalues, m.eigenfunctions, m.q_diag)
+        with pytest.raises(ValueError, match="^weights must be finite and strictly positive$"):
+            SpectralModel([1.5, -0.5], m.operator, m.eigenvalues, m.eigenfunctions, m.q_diag)
+        with pytest.raises(ValueError, match=re.escape("q_diag must have shape (2,), got (3,)")):
+            SpectralModel(m.weights, m.operator, m.eigenvalues, m.eigenfunctions, [1.0, 2.0, 3.0])
+        with pytest.raises(ZeroNoiseMode):
+            SpectralModel(m.weights, m.operator, m.eigenvalues, m.eigenfunctions, [1.0, 0.0])
+
+    def test_fractional_power_of_a_valid_model(self):
+        m = dirichlet1d_model(4, [1.0, 0.5, 0.3, 0.2])
+        f = fractional_power(m, 0.75)
+        assert np.array_equal(f.eigenvalues, m.eigenvalues**0.75)
+        for name in ("weights", "eigenfunctions", "q_diag"):
+            assert np.array_equal(getattr(f, name), getattr(m, name))
+
+
+def _raw_eigenvectors(n):
+    """The unsigned eigenfunction rows of the uniform dirichlet1d model,
+    made as build_model makes them before their signs are fixed."""
+    d = np.sqrt(np.full(n, 1.0 / n))
+    L = spectral._dirichlet_operator(n)
+    sym = (L * d[:, None]) / d[None, :]
+    _, U = np.linalg.eigh(-0.5 * (sym + sym.T))
+    return (U / d[:, None]).T
+
+
+class TestFixSigns:
+    """The vectorized sign rule against the entry-by-entry walk, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(E):
+        got, want = spectral._fix_signs(E), fix_signs(E)
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("E", [
+        np.zeros((2, 3)),
+        np.array([[0.0, -0.0, 0.0], [-0.0, 1.0, -1.0]]),
+        np.array([[1e-14, -1e-13, -0.5, 1.0]]),  # leading entries below 1e-12 * max, then a negative
+        np.array([[-1e-12, 0.3, -1.0], [1e-12, -0.3, 1.0]]),  # 1e-12 * max is not above it
+        np.array([[-3.0]]),
+        np.array([[2.0]]),
+    ], ids=["zero", "signed-zeros", "tiny-leading", "at-threshold", "n1-negative", "n1-positive"])
+    def test_edge_rows(self, E):
+        self.assert_same_bits(E)
+
+    def test_flips_past_negligible_entries(self):
+        got = spectral._fix_signs(np.array([[1e-14, -1e-13, -0.5, 1.0]]))
+        assert got.tolist() == [[-1e-14, 1e-13, 0.5, -1.0]]
+
+    @pytest.mark.parametrize("n", [2, 4, 9, 16])
+    def test_dirichlet_eigenvectors(self, n):
+        E = _raw_eigenvectors(n)
+        self.assert_same_bits(E)
+        self.assert_same_bits(-E)
+        assert np.array_equal(spectral._fix_signs(E), dirichlet1d_model(n, [1.0] * n).eigenfunctions)
 
 
 class TestDirichletModel:
