@@ -2,6 +2,10 @@
 
 Exit codes: 0 when a report is produced or a verdict holds, 2 when a
 verdict fails, 1 on any error (bad config, bad usage, runtime failure).
+
+Each command's handler imports the modules it runs, so a process loads
+only what its command needs: bounds and conditions never load the
+ensemble kernel.
 """
 
 from __future__ import annotations
@@ -13,19 +17,8 @@ import sys
 
 import numpy as np
 
-from . import bounds, montecarlo
-from .conditions import (
-    check_embedding_constant,
-    check_fractional_power,
-    check_noise_domination,
-    check_noise_sandwich,
-    check_power_spectrum_window,
-    check_spectral_growth,
-    hs_check,
-)
 from .config import _RUN_COMMANDS, COMMANDS, ExperimentConfig, validate_config
 from .errors import FastDiffusionError
-from .montecarlo import estimate_from_values, make_test_function
 from .records import emit_report, make_record
 
 __all__ = ["main", "build_parser", "run_command"]
@@ -89,19 +82,22 @@ _RUN_FLAGS = {"seed": "seed", "paths": "n_paths", "dt": "dt", "workers": "n_work
 
 def _tf(cfg: ExperimentConfig):
     """The configured test function's description and the function itself."""
+    from .montecarlo import make_test_function
     spec = cfg.extras["test_function"]
     return spec, make_test_function(cfg.model, spec)
 
 
 def _coupled(cfg: ExperimentConfig, **trace):
-    return montecarlo.run_coupled_ensemble(
+    from .montecarlo import run_coupled_ensemble
+    return run_coupled_ensemble(
         cfg.model, cfg.coeffs, cfg.run, cfg.extras["x"], cfg.extras["y"],
         cfg.extras["couple_tol"], **trace,
     )
 
 
 def _cmd_bounds(cfg: ExperimentConfig, with_tables: bool):
-    rep = bounds.bound_report(
+    from .bounds import bound_report
+    rep = bound_report(
         cfg.model, cfg.coeffs, cfg.run.realized_T,
         cfg.extras["x"], cfg.extras["y"], cfg.extras["p"],
     )
@@ -111,22 +107,23 @@ def _cmd_bounds(cfg: ExperimentConfig, with_tables: bool):
 def _run_condition(entry: dict, cfg: ExperimentConfig):
     """One check.  The entry's keys, defaults filled in, are the check's parameter
     names; the model and coeffs go only to the checks that read them."""
+    from . import conditions
     name = entry["check"]
     params = {k: v for k, v in entry.items() if k != "check"}
     if name == "noise_domination":
-        return check_noise_domination(cfg.model, cfg.coeffs, **params)
+        return conditions.check_noise_domination(cfg.model, cfg.coeffs, **params)
     if name == "embedding":
-        return check_embedding_constant(cfg.model, cfg.coeffs, **params)
+        return conditions.check_embedding_constant(cfg.model, cfg.coeffs, **params)
     if name == "noise_sandwich":
         model = cfg.model if params.pop("use_model") else None
-        return check_noise_sandwich(**params, model=model)
+        return conditions.check_noise_sandwich(**params, model=model)
     if name == "hs":
-        return hs_check(cfg.model, **params)
+        return conditions.hs_check(cfg.model, **params)
     if name == "spectral_growth":
-        return check_spectral_growth(**params)
+        return conditions.check_spectral_growth(**params)
     if name == "power_spectrum_window":
-        return check_power_spectrum_window(**params)
-    return check_fractional_power(**params)
+        return conditions.check_power_spectrum_window(**params)
+    return conditions.check_fractional_power(**params)
 
 
 def _cmd_conditions(cfg: ExperimentConfig, with_tables: bool):
@@ -137,8 +134,9 @@ def _cmd_conditions(cfg: ExperimentConfig, with_tables: bool):
 
 
 def _cmd_simulate(cfg: ExperimentConfig, with_tables: bool):
+    from .montecarlo import estimate_ptf
     spec, F = _tf(cfg)
-    est = montecarlo.estimate_ptf(cfg.model, cfg.coeffs, cfg.run, cfg.extras["x"], F)
+    est = estimate_ptf(cfg.model, cfg.coeffs, cfg.run, cfg.extras["x"], F)
     # the estimate leaves out exactly the paths that blew up
     outputs = {"estimate": est.as_dict(), "n_blowups": cfg.run.n_paths - est.n, "test_function": spec}
     return outputs, None, None
@@ -150,21 +148,24 @@ COUPLE_CSV_COLUMNS = ("path_index", "coupled", "tau", "log_weight", "zeta_sq_int
 PLOT_CSV_COLUMNS = ("path_index", "t", "dist_h", "beta", "zeta_sq")
 
 
-def _path_rows(res: montecarlo.CoupledEnsembleResult):
-    """The rows of the couple paths table, one per pair in path order."""
+def _path_rows(res):
+    """The rows of the couple paths table of a CoupledEnsembleResult, one per
+    pair in path order."""
     return zip(
         range(res.alive.size), res.coupled, res.tau, res.log_weights,
         res.zeta_sq_int, res.f_int, res.dist_final,
     )
 
 
-def _trace_rows(res: montecarlo.CoupledEnsembleResult):
-    """The rows of the couple trace table, each traced pair's in time order."""
+def _trace_rows(res):
+    """The rows of the couple trace table of a CoupledEnsembleResult, each
+    traced pair's in time order."""
     trace = res.trace if res.trace is not None else np.empty((0, 0, 4))
     return ((j, *row) for j, rows in enumerate(trace) for row in rows)
 
 
 def _cmd_couple(cfg: ExperimentConfig, with_tables: bool):
+    from .montecarlo import estimate_from_values
     traced = cfg.extras["sample_paths"] if with_tables else 0  # only the trace table reads them
     res = _coupled(cfg, trace_paths=traced, record_every=cfg.extras["record_every"])
     a = res.alive
@@ -203,8 +204,9 @@ def _cmd_couple(cfg: ExperimentConfig, with_tables: bool):
 
 
 def _cmd_harnack(cfg: ExperimentConfig, with_tables: bool):
+    from .montecarlo import verify_harnack
     spec, F = _tf(cfg)
-    verdict = montecarlo.verify_harnack(
+    verdict = verify_harnack(
         cfg.model, cfg.coeffs, _coupled(cfg), cfg.extras["p"], F, cfg.extras["slack"],
     )
     verdict["test_function"] = spec
@@ -212,6 +214,7 @@ def _cmd_harnack(cfg: ExperimentConfig, with_tables: bool):
 
 
 def _cmd_moments(cfg: ExperimentConfig, with_tables: bool):
+    from .montecarlo import estimate_weighted, make_test_function
     exponent = cfg.extras["exponent"]
     tf = cfg.extras["test_function"]
     if tf is None:
@@ -219,15 +222,16 @@ def _cmd_moments(cfg: ExperimentConfig, with_tables: bool):
     else:
         F = make_test_function(cfg.model, tf)
     res = _coupled(cfg)
-    est = montecarlo.estimate_weighted(res, F, exponent)
+    est = estimate_weighted(res, F, exponent)
     outputs = {"estimate": est.as_dict(), "exponent": exponent, "n_blowups": res.n_blowups,
                "test_function": tf, **res.weight_health()}
     return outputs, None, None
 
 
 def _cmd_invariant(cfg: ExperimentConfig, with_tables: bool):
+    from .montecarlo import estimate_invariant
     # the kernel keeps its snapshots only for the sample table
-    samples, report = montecarlo.estimate_invariant(
+    samples, report = estimate_invariant(
         cfg.model, cfg.coeffs, cfg.run,
         x0=cfg.extras["x"], thin=cfg.extras["thin"], eps0=cfg.extras["eps0"], samples=with_tables,
     )
@@ -238,8 +242,9 @@ def _cmd_invariant(cfg: ExperimentConfig, with_tables: bool):
 
 
 def _cmd_probe(cfg: ExperimentConfig, with_tables: bool):
+    from .montecarlo import strong_feller_probe
     spec, F = _tf(cfg)
-    report = montecarlo.strong_feller_probe(
+    report = strong_feller_probe(
         cfg.model, cfg.coeffs, cfg.run, cfg.extras["x"], F, cfg.extras["radii"]
     )
     report["test_function"] = spec

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import CoefficientSet, _sigma_floor
+from .dynamics import CoefficientSet, _check_seed, _path_generators, _require_int, _sigma_floor
 from .errors import InvalidSampleCount
-from .montecarlo import SEED_MAX, _path_generators
 from .spectral import SpectralModel, _coeff_norm, from_spectral, norm_h, norm_lp, to_spectral
 
 __all__ = [
@@ -122,12 +121,13 @@ def _mixture_samples(model: SpectralModel, n_samples: int, seed: int) -> np.ndar
     the Gaussian rows' coefficients, then the point masses' signs, their
     points and their sizes U.  The sample is read-only: the most recent
     one is kept, with its norms, and handed to the next call with the same
-    model object, n_samples and seed.  n_samples < 1 is an InvalidSampleCount
-    and a seed outside [0, SEED_MAX], the Philox key word's range, a ValueError.
+    model object, n_samples and seed.  n_samples < 1 is an InvalidSampleCount;
+    a seed outside [0, SEED_MAX], the Philox key word's range, and a
+    non-integer seed or n_samples are a ValueError.
     """
     global _last_sample
-    if not 0 <= seed <= SEED_MAX:
-        raise ValueError(f"seed must lie in [0, {SEED_MAX}], got {seed!r}")
+    _check_seed(seed)
+    _require_int("n_samples", n_samples)
     if n_samples < 1:
         raise InvalidSampleCount("n_samples must be at least 1")
     last = _last_sample

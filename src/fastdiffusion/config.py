@@ -8,11 +8,14 @@ its dotted key path before raising, so a broken config surfaces all of
 its problems in one round trip.  Unknown keys are rejected everywhere.
 Every absent optional key is filled in with its table default, so the
 commands read no default of their own.  A default that a library
-function or constructor already declares is read from its signature.
+function or constructor already declares is read from its signature,
+the first time a config needs it: a command whose config takes no such
+default from a module never loads that module here.
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import sys
 from dataclasses import dataclass
@@ -20,18 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .conditions import check_noise_domination, check_noise_sandwich, hs_check
-from .dynamics import SCHEMES, CoefficientSet
+from .dynamics import SCHEMES, SEED_MAX, CoefficientSet, EnsembleConfig
 from .errors import FastDiffusionError, NotSelfAdjoint, SchemaError
-from .montecarlo import (
-    SEED_MAX,
-    EnsembleConfig,
-    estimate_invariant,
-    estimate_weighted,
-    run_coupled_ensemble,
-    strong_feller_probe,
-    verify_harnack,
-)
 from .schedules import PiecewiseConstant
 from .spectral import SpectralModel, _dirichlet_operator, build_model, fractional_power, from_spectral
 
@@ -77,6 +70,8 @@ class _Key:
     and schedule values must lie in [lo, hi]; lo_open and hi_open make a
     bound strict.  note describes a default derived from other keys.  A
     number becomes a float unless verbatim (the record echoes it as written).
+    The default is given, or declared by a library signature named as
+    (module, function, parameter).
     """
 
     path: str
@@ -87,10 +82,22 @@ class _Key:
     hi: float | None = None
     lo_open: bool = False
     hi_open: bool = False
-    default: object = None
+    given: object = None
+    declared: tuple = ()
     note: str = ""
     choices: tuple = ()
     verbatim: bool = False
+
+    @cached_property
+    def default(self):
+        """The value an absent key takes; a declared default is read once,
+        on first use, and a declared tuple becomes the list a config gives."""
+        if not self.declared:
+            return self.given
+        module, fn, name = self.declared
+        owner = getattr(importlib.import_module(f"{__package__}.{module}"), fn)
+        value = inspect.signature(owner).parameters[name].default
+        return list(value) if isinstance(value, tuple) else value
 
     @cached_property
     def parent(self) -> str:
@@ -117,11 +124,6 @@ class _Key:
         return self.hi is None or (v < self.hi if self.hi_open else v <= self.hi)
 
 
-def _default(fn, name: str):
-    """The default that fn declares for its parameter name."""
-    return inspect.signature(fn).parameters[name].default
-
-
 _RUN_COMMANDS = tuple(c for c in COMMANDS if c != "conditions")
 _PAIR_COMMANDS = ("couple", "harnack-check", "moments")
 _MODEL_CHECKS = ("noise_domination", "embedding")
@@ -137,18 +139,18 @@ _SCHEMA = (
          note="zero state"),
     _Key("y", "state", ("bounds",) + _PAIR_COMMANDS, ("bounds",) + _PAIR_COMMANDS),
     _Key("p", "num", ("bounds", "harnack-check"), ("harnack-check",), lo=1.0, lo_open=True),
-    _Key("slack", "num", ("harnack-check",), lo=0.0, default=_default(verify_harnack, "slack")),
-    _Key("exponent", "num", ("moments",), default=_default(estimate_weighted, "exponent")),
+    _Key("slack", "num", ("harnack-check",), lo=0.0, declared=("montecarlo", "verify_harnack", "slack")),
+    _Key("exponent", "num", ("moments",), declared=("montecarlo", "estimate_weighted", "exponent")),
     _Key("couple_tol", "num", _PAIR_COMMANDS, **_POSITIVE, note="1e-6 × starting H distance"),
-    _Key("sample_paths", "int", ("couple",), lo=0, default=4),
+    _Key("sample_paths", "int", ("couple",), lo=0, given=4),
     _Key("record_every", "int", ("couple",), lo=1,
-         default=_default(run_coupled_ensemble, "record_every")),
-    _Key("thin", "int", ("invariant",), lo=1, default=_default(estimate_invariant, "thin")),
-    _Key("eps0", "num", ("invariant",), **_POSITIVE, default=_default(estimate_invariant, "eps0")),
+         declared=("montecarlo", "run_coupled_ensemble", "record_every")),
+    _Key("thin", "int", ("invariant",), lo=1, declared=("montecarlo", "estimate_invariant", "thin")),
+    _Key("eps0", "num", ("invariant",), **_POSITIVE, declared=("montecarlo", "estimate_invariant", "eps0")),
     _Key("radii", "nums", ("probe-feller",), **_POSITIVE,
-         default=list(_default(strong_feller_probe, "radii"))),
+         declared=("montecarlo", "strong_feller_probe", "radii")),
     _Key("test_function", "test_function", ("simulate", "harnack-check", "probe-feller"),
-         default={"kind": "exp_neg_h_sq"}),
+         given={"kind": "exp_neg_h_sq"}),
     _Key("test_function", "test_function", ("moments",), note="F = 1"),
     _Key("conditions", "checks", ("conditions",), ("conditions",)),
     _Key("test_function.kind", "choice", TEST_FUNCTION_KINDS, TEST_FUNCTION_KINDS,
@@ -156,31 +158,32 @@ _SCHEMA = (
     _Key("test_function.center", "state", ("indicator_ball",), ("indicator_ball",)),
     _Key("test_function.radius", "num", ("indicator_ball",), ("indicator_ball",), **_POSITIVE),
     _Key("model.n", "int", COMMANDS, COMMANDS, lo=1),
-    _Key("model.measure", "measure", COMMANDS, **_POSITIVE, default="uniform"),
-    _Key("model.operator", "operator", COMMANDS, default="dirichlet1d"),
+    _Key("model.measure", "measure", COMMANDS, **_POSITIVE, given="uniform"),
+    _Key("model.operator", "operator", COMMANDS, given="dirichlet1d"),
     _Key("model.alpha", "num", COMMANDS, **_POSITIVE, note="none: -L itself"),
     _Key("model.q_diag", "q_diag", COMMANDS, COMMANDS),
     _Key("coeffs.r", "num", COMMANDS, COMMANDS, lo=0.0, hi=1.0, lo_open=True, hi_open=True),
-    _Key("coeffs.delta", "schedule", COMMANDS, **_POSITIVE, default=_default(CoefficientSet, "delta")),
+    _Key("coeffs.delta", "schedule", COMMANDS, **_POSITIVE, declared=("dynamics", "CoefficientSet", "delta")),
     _Key("coeffs.eta", "schedule", COMMANDS, **_POSITIVE, note="delta/(2r)"),
-    _Key("coeffs.gamma", "schedule", COMMANDS, default=_default(CoefficientSet, "gamma")),
-    _Key("coeffs.xi", "schedule", COMMANDS, **_POSITIVE, default=_default(CoefficientSet, "xi")),
+    _Key("coeffs.gamma", "schedule", COMMANDS, declared=("dynamics", "CoefficientSet", "gamma")),
+    _Key("coeffs.xi", "schedule", COMMANDS, **_POSITIVE, declared=("dynamics", "CoefficientSet", "xi")),
     _Key("coeffs.sigma", "num", COMMANDS, note="4/(1+r)"),
-    _Key("run.n_paths", "int", _RUN_COMMANDS, lo=2, default=1000),
-    _Key("run.dt", "num", _RUN_COMMANDS, **_POSITIVE, default=1e-3),
+    _Key("run.n_paths", "int", _RUN_COMMANDS, lo=2, given=1000),
+    _Key("run.dt", "num", _RUN_COMMANDS, **_POSITIVE, given=1e-3),
     _Key("run.T", "num", _RUN_COMMANDS, _RUN_COMMANDS, **_POSITIVE),
-    _Key("run.seed", "int", _RUN_COMMANDS, lo=0, hi=SEED_MAX, default=_default(EnsembleConfig, "seed")),
+    _Key("run.seed", "int", _RUN_COMMANDS, lo=0, hi=SEED_MAX,
+         declared=("dynamics", "EnsembleConfig", "seed")),
     _Key("run.burn_in", "num", ("invariant",), ("invariant",), **_POSITIVE),
     _Key("run.scheme", "choice", _RUN_COMMANDS, choices=SCHEMES,
-         default=_default(EnsembleConfig, "scheme")),
-    _Key("run.n_workers", "int", _RUN_COMMANDS, lo=1, default=_default(EnsembleConfig, "n_workers")),
+         declared=("dynamics", "EnsembleConfig", "scheme")),
+    _Key("run.n_workers", "int", _RUN_COMMANDS, lo=1, declared=("dynamics", "EnsembleConfig", "n_workers")),
     _Key("conditions[].check", "choice", CONDITION_CHECKS, CONDITION_CHECKS, choices=CONDITION_CHECKS),
     _Key("conditions[].theta", "num", ("hs", "noise_sandwich") + _CLOSED_FORM, _CLOSED_FORM,
          note="none: hs reads the model"),
     _Key("conditions[].rho", "num", ("hs", "spectral_growth", "fractional_power"),
-         default=_default(hs_check, "rho")),
+         declared=("conditions", "hs_check", "rho")),
     _Key("conditions[].alpha", "num", ("hs", "fractional_power"), ("fractional_power",),
-         default=_default(hs_check, "alpha")),
+         declared=("conditions", "hs_check", "alpha")),
     _Key("conditions[].alpha", "num", ("power_spectrum_window",), note="none: no alpha clause",
          verbatim=True),
     _Key("conditions[].d", "num", _CLOSED_FORM, _CLOSED_FORM),
@@ -190,13 +193,15 @@ _SCHEMA = (
     _Key("conditions[].sigma", "num", _CLOSED_FORM, **_POSITIVE,
          note="coeffs.sigma without an entry r, else 4/(1+r)"),
     _Key("conditions[].alpha_decay", "num", ("noise_sandwich",), ("noise_sandwich",)),
-    _Key("conditions[].c1", "num", ("noise_sandwich",), default=_default(check_noise_sandwich, "c1")),
-    _Key("conditions[].c2", "num", ("noise_sandwich",), default=_default(check_noise_sandwich, "c2")),
-    _Key("conditions[].use_model", "bool", ("noise_sandwich",), default=False),
+    _Key("conditions[].c1", "num", ("noise_sandwich",),
+         declared=("conditions", "check_noise_sandwich", "c1")),
+    _Key("conditions[].c2", "num", ("noise_sandwich",),
+         declared=("conditions", "check_noise_sandwich", "c2")),
+    _Key("conditions[].use_model", "bool", ("noise_sandwich",), given=False),
     _Key("conditions[].n_samples", "int", _MODEL_CHECKS, lo=1,
-         default=_default(check_noise_domination, "n_samples")),
+         declared=("conditions", "check_noise_domination", "n_samples")),
     _Key("conditions[].seed", "int", _MODEL_CHECKS, lo=0, hi=SEED_MAX,
-         default=_default(check_noise_domination, "seed")),
+         declared=("conditions", "check_noise_domination", "seed")),
 )
 
 

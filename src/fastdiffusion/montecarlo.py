@@ -24,7 +24,6 @@ counted; a run fails when more than 0.1 percent of its paths blow up.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,12 +31,11 @@ import numpy as np
 
 from . import bounds
 from .coupling import DEFAULT_TOL_FACTOR, CouplingSchedule, make_schedule
-from .dynamics import SCHEMES, CoefficientSet
+from .dynamics import CoefficientSet, EnsembleConfig, _path_generators
 from .errors import InvalidSampleCount, NonFiniteState, NotTimeHomogeneous, PositiveGamma
 from .spectral import SpectralModel, from_spectral, norm_h, to_spectral
 
 __all__ = [
-    "EnsembleConfig",
     "Estimate",
     "estimate_from_values",
     "CoupledEnsembleResult",
@@ -54,51 +52,6 @@ CHUNK_PATHS = 1024
 TIME_BLOCK = 128
 NOISE_TILE = 64  # paths drawn into the path-major scratch at a time
 BLOWUP_BUDGET = 1e-3
-SEED_MAX = 2**64 - 1  # a seed is the first word of a Philox key
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Controls shared by every ensemble estimator."""
-
-    n_paths: int
-    dt: float
-    T: float
-    seed: int = 0
-    burn_in: float = 0.0
-    scheme: str = "tamed_euler"
-    n_workers: int = 1
-
-    def __post_init__(self):
-        if self.n_paths < 2:
-            raise InvalidSampleCount(f"n_paths must be at least 2, got {self.n_paths!r}")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"T must be positive and finite, got {self.T!r}")
-        if not 0 <= self.seed <= SEED_MAX:
-            raise ValueError(f"seed must lie in [0, {SEED_MAX}], got {self.seed!r}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.burn_in < 0.0 or self.burn_in >= self.T:
-            raise ValueError("burn_in must lie in [0, T)")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be at least 1")
-        n_steps = round(self.T / self.dt)
-        if n_steps < 1 or abs(n_steps * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
-            raise ValueError(f"T = {self.T!r} must be an integer number of dt = {self.dt!r} steps")
-
-    @property
-    def n_steps(self) -> int:
-        return round(self.T / self.dt)
-
-    @property
-    def burn_steps(self) -> int:
-        return round(self.burn_in / self.dt)
-
-    @property
-    def realized_T(self) -> float:
-        return self.n_steps * self.dt
 
 
 @dataclass(frozen=True)
@@ -165,37 +118,6 @@ def _dispatch(work, n_workers: int):
             futures = [pool.submit(item) for item in work]
             for f in futures:
                 f.result()
-
-
-@functools.cache
-def _zero_seed():
-    """A seed sequence whose every word is zero: it reads no OS entropy.
-    Made on first use, as importing this module does not load numpy.random."""
-
-    class ZeroSeed(np.random.bit_generator.ISeedSequence):
-        def generate_state(self, n_words, dtype=np.uint32):
-            return np.zeros(n_words, dtype=dtype)
-
-    return ZeroSeed()
-
-
-def _path_generators(seed: int, lo: int, hi: int):
-    """Path p's generator for each p in [lo, hi): Philox keyed by (seed, p).
-    The condition sampler takes its stream, keyed by (seed, 0), from here.
-
-    Philox(key=...) first seeds itself from OS entropy, which the key then
-    overwrites.  Here each bit generator starts from the zero seed, which
-    leaves the zero counter and empty buffer that Philox(key=...) sets,
-    and takes its key through the state setter.
-    """
-    state = np.random.Philox(_zero_seed()).state
-    gens = []
-    for p in range(lo, hi):
-        bit_gen = np.random.Philox(_zero_seed())
-        state["state"]["key"] = np.array([seed, p], dtype=np.uint64)
-        bit_gen.state = state
-        gens.append(np.random.Generator(bit_gen))
-    return gens
 
 
 def _check_blowups(alive: np.ndarray, what: str):

@@ -99,6 +99,28 @@ class TestMixtureSamples:
         assert _mixture_samples(m, 10, 0) is cached
 
     @pytest.mark.parametrize("check", [check_noise_domination, check_embedding_constant])
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 3.7),  # would draw the seed-3 sample, key [3, 0]
+        ("seed", False),
+        ("n_samples", 8.5),
+        ("n_samples", True),
+    ])
+    def test_integer_arguments_refuse_floats_and_bools(self, check, field, value):
+        m = two_mode_model()
+        cached = _mixture_samples(m, 10, 3)
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+            check(m, CoefficientSet(r=0.5), **{"n_samples": 10, "seed": 3, field: value})
+        assert _mixture_samples(m, 10, 3) is cached
+
+    @pytest.mark.parametrize("check", [check_noise_domination, check_embedding_constant])
+    def test_numpy_integer_seed_draws_the_same_sample(self, check):
+        m, c = two_mode_model(), CoefficientSet(r=0.5)
+        want = check(m, c, n_samples=10, seed=3)
+        got = check(two_mode_model(), c, n_samples=np.int32(10), seed=np.uint64(3))
+        assert np.array_equal(got.witness, want.witness)
+        assert got.numbers == want.numbers
+
+    @pytest.mark.parametrize("check", [check_noise_domination, check_embedding_constant])
     def test_zero_samples_is_a_sample_count_error(self, check):
         with pytest.raises(InvalidSampleCount, match="n_samples must be at least 1"):
             check(two_mode_model(), CoefficientSet(r=0.5), n_samples=0)

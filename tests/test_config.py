@@ -18,10 +18,15 @@ from fastdiffusion import (
     check_power_spectrum_window,
     check_spectral_growth,
     build_model,
+    estimate_invariant,
+    estimate_weighted,
     fractional_power,
     from_spectral,
     hs_check,
+    run_coupled_ensemble,
+    strong_feller_probe,
     validate_config,
+    verify_harnack,
 )
 from fastdiffusion import config
 
@@ -363,6 +368,32 @@ class TestConditionsSchema:
             for param in inspect.signature(fn).parameters:
                 if param not in ("model", "coeffs"):
                     assert (name, param) in rows, (name, param)
+
+    def test_other_declared_defaults_are_the_signatures(self):
+        # the defaults outside the checks that the schema reads from a
+        # library signature, each on first use
+        owners = {
+            "slack": verify_harnack,
+            "exponent": estimate_weighted,
+            "record_every": run_coupled_ensemble,
+            "thin": estimate_invariant,
+            "eps0": estimate_invariant,
+            "radii": strong_feller_probe,
+            "run.seed": EnsembleConfig,
+            "run.scheme": EnsembleConfig,
+            "run.n_workers": EnsembleConfig,
+            "coeffs.delta": CoefficientSet,
+            "coeffs.gamma": CoefficientSet,
+            "coeffs.xi": CoefficientSet,
+        }
+        declared = {k.path: k for k in config._SCHEMA if k.declared and k.parent != "conditions[]"}
+        assert set(declared) == set(owners)
+        for path, fn in owners.items():
+            k = declared[path]
+            assert k.declared[1:] == (fn.__name__, k.name) and k.given is None, path
+            want = inspect.signature(fn).parameters[k.name].default
+            assert k.default == (list(want) if isinstance(want, tuple) else want), path
+            assert type(k.default) is (list if path == "radii" else type(want)), path
 
     def test_sigma_without_coeffs_is_left_to_the_check(self):
         entry = {"check": "power_spectrum_window", "theta": 1.0, "d": 1.0, "eps": 0.25, "r": 0.5}

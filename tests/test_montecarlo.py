@@ -31,7 +31,7 @@ from fastdiffusion import (
     strong_feller_probe,
     verify_harnack,
 )
-from fastdiffusion import bounds, montecarlo
+from fastdiffusion import bounds, dynamics, montecarlo
 from fastdiffusion.cli import _path_rows
 
 
@@ -83,6 +83,24 @@ class TestEnsembleConfig:
         with pytest.raises(ValueError, match="seed must lie in"):
             EnsembleConfig(n_paths=10, dt=0.01, T=0.1, seed=2**64)
         assert EnsembleConfig(n_paths=10, dt=0.01, T=0.1, seed=2**64 - 1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5),  # would run as seed 1, the Philox key word truncated
+        ("seed", True),
+        ("n_workers", 1.5),
+        ("n_paths", 8.5),  # would fail inside the kernel with a bare TypeError
+        ("n_paths", np.float64(8.0)),
+    ])
+    def test_integer_fields_refuse_floats_and_bools(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+            EnsembleConfig(**{"n_paths": 10, "dt": 0.01, "T": 0.1, field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = EnsembleConfig(n_paths=np.int32(10), dt=0.01, T=0.1, seed=np.uint64(2**64 - 1),
+                             n_workers=np.int64(2))
+        assert (cfg.n_paths, cfg.seed, cfg.n_workers) == (10, 2**64 - 1, 2)
+        with pytest.raises(ValueError, match="seed must lie in"):
+            EnsembleConfig(n_paths=10, dt=0.01, T=0.1, seed=np.int64(-1))
 
 
 class TestEstimate:
@@ -423,7 +441,7 @@ class TestRowSum:
 
 
 class TestPathGenerators:
-    @pytest.mark.parametrize("seed", [0, 7, montecarlo.SEED_MAX])
+    @pytest.mark.parametrize("seed", [0, 7, dynamics.SEED_MAX])
     def test_same_state_and_draws_as_keyed_philox(self, seed):
         # the generators skip Philox(key=...)'s entropy read, so a change to
         # numpy's Philox state layout must show here
@@ -431,7 +449,7 @@ class TestPathGenerators:
             return {k: (flat(v) if isinstance(v, dict) else np.asarray(v).tolist())
                     for k, v in state.items()}
 
-        gens = montecarlo._path_generators(seed, 5, 9)
+        gens = dynamics._path_generators(seed, 5, 9)
         assert len(gens) == 4
         for p, gen in zip(range(5, 9), gens):
             ref = np.random.Generator(np.random.Philox(key=np.array([seed, p], dtype=np.uint64)))
