@@ -87,11 +87,11 @@ def _tf(cfg: ExperimentConfig):
     return spec, make_test_function(cfg.model, spec)
 
 
-def _coupled(cfg: ExperimentConfig, **trace):
+def _coupled(cfg: ExperimentConfig, **kw):
     from .montecarlo import run_coupled_ensemble
     return run_coupled_ensemble(
         cfg.model, cfg.coeffs, cfg.run, cfg.extras["x"], cfg.extras["y"],
-        cfg.extras["couple_tol"], **trace,
+        cfg.extras["couple_tol"], **kw,
     )
 
 
@@ -166,8 +166,10 @@ def _trace_rows(res):
 
 def _cmd_couple(cfg: ExperimentConfig, with_tables: bool):
     from .montecarlo import estimate_from_values
-    traced = cfg.extras["sample_paths"] if with_tables else 0  # only the trace table reads them
-    res = _coupled(cfg, trace_paths=traced, record_every=cfg.extras["record_every"])
+    # only the trace table reads the traced rows, only the paths table f_int
+    traced = cfg.extras["sample_paths"] if with_tables else 0
+    res = _coupled(cfg, trace_paths=traced, record_every=cfg.extras["record_every"],
+                   f_envelope=with_tables)
     a = res.alive
     coupled = res.coupled  # a dead pair is never coupled
     tau_vals = res.tau[coupled]
@@ -206,9 +208,8 @@ def _cmd_couple(cfg: ExperimentConfig, with_tables: bool):
 def _cmd_harnack(cfg: ExperimentConfig, with_tables: bool):
     from .montecarlo import verify_harnack
     spec, F = _tf(cfg)
-    verdict = verify_harnack(
-        cfg.model, cfg.coeffs, _coupled(cfg), cfg.extras["p"], F, cfg.extras["slack"],
-    )
+    res = _coupled(cfg, f_envelope=False)  # no verdict reads the f envelope
+    verdict = verify_harnack(cfg.model, cfg.coeffs, res, cfg.extras["p"], F, cfg.extras["slack"])
     verdict["test_function"] = spec
     return verdict, None, verdict["holds"]
 
@@ -221,7 +222,7 @@ def _cmd_moments(cfg: ExperimentConfig, with_tables: bool):
         F = lambda X: np.ones(np.asarray(X).shape[0])  # noqa: E731
     else:
         F = make_test_function(cfg.model, tf)
-    res = _coupled(cfg)
+    res = _coupled(cfg, f_envelope=False)
     est = estimate_weighted(res, F, exponent)
     outputs = {"estimate": est.as_dict(), "exponent": exponent, "n_blowups": res.n_blowups,
                "test_function": tf, **res.weight_health()}

@@ -208,12 +208,13 @@ def _simulate(
     keep: bool = False,
     trace_paths: int = 0,
     record_every: int = 1,
+    f_envelope: bool = True,
 ) -> _Paths:
     """Advance cfg.n_paths paths, each k = len(starts) copies under shared noise.
 
     k = 1 is a plain run.  k = 2 is a coupled run: the second copy is
     attracted to the first by sched until their H distance first drops to
-    couple_tol, and is equal to it from then on.
+    couple_tol, and is equal to it from then on.  f_int is None unless f_envelope.
 
     With thin > 0 a one-copy run samples its state every thin steps after
     burn-in and streams the samples' statistics (at eps0) into
@@ -226,7 +227,9 @@ def _simulate(
     pairs in positions [0, m), those that had not met at the start of the
     noise block.  There one stable permutation of every per-path array
     and generator moves the pairs that met behind the rest; ids maps
-    positions to paths.
+    positions to paths.  So no pair in [0, m) has met at a block start: up
+    to the block's first meeting the weight terms go in unmasked (bit for
+    bit what the mask gives) and no meeting time is set or Y copied.
 
     Each step makes one transform to point values, where |x|^r serves
     Psi, the moments and the f envelope, and one transform of Psi back.
@@ -258,6 +261,7 @@ def _simulate(
     N = cfg.n_paths
     n_steps = cfg.n_steps
     dt = cfg.dt
+    dt_a, one = np.array(dt), np.array(1.0)  # numpy converts a Python float on every call
     coupled_run = sched is not None
     r = coeffs.r
     identity = coeffs.nonlinearity == "identity"
@@ -273,7 +277,7 @@ def _simulate(
     if coupled_run:
         eps = sched.epsilon
         f_expo = ((1.0 - r) / (1.0 + r), 2.0 / (coeffs.sigma - 2.0))
-        half_dt = 0.5 * dt  # exact, so (a + b) * half_dt rounds as 0.5 * (a + b) * dt
+        half_dt = np.array(0.5 * dt)  # exact, so (a + b) * half_dt rounds as 0.5 * (a + b) * dt
 
     burn = cfg.burn_steps
     n_kept = (n_steps - burn) // thin if thin else 0
@@ -293,7 +297,7 @@ def _simulate(
         out.tau = np.full(N, math.nan)
         out.log_stoch_int = np.zeros(N)
         out.zeta_sq_int = np.zeros(N)
-        out.f_int = np.zeros(N)
+        out.f_int = np.zeros(N) if f_envelope else None
     if n_rec:
         out.trace = np.empty((trace_paths, n_rec, 4))
 
@@ -316,7 +320,7 @@ def _simulate(
             tau = np.full(P, math.nan)
             log_s = np.zeros(P)
             zsq = np.zeros(P)
-            f_acc = np.zeros(P)
+            f_acc = np.zeros(P) if f_envelope else None
 
             def second(A):
                 """The second copy of every pair in position order; a met
@@ -353,7 +357,8 @@ def _simulate(
                     # take keeps the block mode-major (C order); indexing would not
                     C2 = C2.take(np.concatenate([order, P + order[:m]]), axis=1)
                     for a in (ids, lp, v_prev, coupled, tau, log_s, zsq, f_acc):
-                        a[...] = a[..., order]
+                        if a is not None:
+                            a[...] = a[..., order]
                     gens = [gens[i] for i in order]
                     pos = np.empty_like(ids)
                     pos[ids] = np.arange(P)  # pos[j]: where path lo + j sits
@@ -421,6 +426,7 @@ def _simulate(
                     break
 
                 if b == 0:
+                    met = False  # no pair in [0, m) has met yet in this block
                     B = min(TIME_BLOCK, n_steps - s)
                     for p0 in range(0, P, NOISE_TILE):
                         cols = slice(p0, min(p0 + NOISE_TILE, P))
@@ -447,36 +453,46 @@ def _simulate(
                 if coupled_run:
                     X, Y = C2[:, :P], C2[:, P:]
                     if m:
-                        newly = ~coupled[:m] & (dist <= couple_tol)
-                        tau[:m][newly] = t
-                        coupled[:m] |= newly
-                        active = ~coupled[:m]
+                        newly = dist <= couple_tol
+                        met = met or bool(newly.any())
+                        if met:
+                            newly &= ~coupled[:m]
+                            tau[:m][newly] = t
+                            coupled[:m] |= newly
+                            active = ~coupled[:m]
                         # a pair that meets now takes no weight terms, and its
                         # Y is set to its X below whatever its drift
-                        zsq[:m] += np.where(active, zeta_sq, 0.0) * dt
-                        log_s[:m] += np.where(active, _row_sum(zc * (dW[:, :m] * inv_q_m)), 0.0)
-                        env = np.maximum(V[:, :m], V[:, P:])
-                        fval = (_row_sum(env * w_m) ** f_expo[0]) ** f_expo[1]
-                        f_acc[:m] += np.where(active, fval, 0.0) * dt
+                        terms = [(zsq, zeta_sq * dt_a), (log_s, _row_sum(zc * (dW[:, :m] * inv_q_m)))]
+                        if f_envelope:
+                            env = np.maximum(V[:, :m], V[:, P:])
+                            fval = (_row_sum(env * w_m) ** f_expo[0]) ** f_expo[1]
+                            terms.append((f_acc, fval * dt_a))
+                        for acc, v in terms:
+                            acc[:m] += np.where(active, v, 0.0) if met else v
 
                 if tamed:
-                    # to dt / (1 + dt |drift|), in place
-                    h = _row_sum(np.multiply(drift, drift, out=None if identity else Ar))
+                    # to dt / (1 + dt |drift|), in place; sq is C-contiguous, so
+                    # at width > 1 _row_sum would make this one reduce
+                    sq = np.multiply(drift, drift, out=None if identity else Ar)
+                    h = np.add.reduce(sq, axis=0, initial=-0.0) if sq.shape[1] > 1 else _row_sum(sq)
                     np.sqrt(h, out=h)
-                    h *= dt
-                    h += 1.0
-                    drift *= np.divide(dt, h, out=h)
+                    h *= dt_a
+                    h += one
+                    drift *= np.divide(dt_a, h, out=h)
                 else:
-                    drift *= dt
+                    drift *= dt_a
                 C2 += drift
                 if coupled_run:
                     X += dW
                     if m:
                         # the attraction is not tamed: zeta and the weight
                         # reweight exactly this shift of the noise
-                        Y += attraction * dt
+                        Y += attraction * dt_a
                     Y += dW[:, :m]
-                    np.copyto(Y, X[:, :m], where=coupled[:m])
+                    if met:
+                        np.copyto(Y, X[:, :m], where=coupled[:m])
+                elif k == 1:
+                    C2 += dW
                 else:
                     copies += dW[:, None, :]
                 t += dt
@@ -492,7 +508,8 @@ def _simulate(
             out.tau[at] = tau
             out.log_stoch_int[at] = log_s
             out.zeta_sq_int[at] = zsq
-            out.f_int[at] = f_acc
+            if f_envelope:
+                out.f_int[at] = f_acc
         else:
             out.alive[lo:hi] = finite.reshape(k, P).all(axis=0)
             out.final[:, lo:hi] = Xp.reshape(n, k, P).transpose(1, 2, 0)
@@ -565,7 +582,8 @@ class CoupledEnsembleResult:
     """Raw per-path output of a coupled run from x and y; arrays indexed by path.
 
     lp_int_x and lp_int_y are the path integrals of |.|_{r+1}^{r+1} of
-    the two copies.  trace, when requested, has shape (paths, rows, 4)
+    the two copies, f_int that of the f envelope before meeting, if asked
+    for.  trace, when requested, has shape (paths, rows, 4)
     with rows (t, |X-Y|_H, beta_t, |zeta_t|^2); a pair that left the
     finite range reads nan in |X-Y|_H and |zeta_t|^2 from the row of the
     step on which it left.  |X-Y|_H, in the trace and in dist_final,
@@ -583,7 +601,7 @@ class CoupledEnsembleResult:
     tau: np.ndarray
     log_stoch_int: np.ndarray
     zeta_sq_int: np.ndarray
-    f_int: np.ndarray
+    f_int: np.ndarray | None
     lp_int_x: np.ndarray
     lp_int_y: np.ndarray
     dist_final: np.ndarray
@@ -629,16 +647,18 @@ def run_coupled_ensemble(
     *,
     trace_paths: int = 0,
     record_every: int = 1,
+    f_envelope: bool = True,
 ) -> CoupledEnsembleResult:
     """Advance cfg.n_paths coupled pairs from (x, y) under shared noise.
 
     The meeting tolerance defaults to 1e-6 times the starting gap in the
     H norm.  Paths with index below trace_paths record a trace row after
-    every record_every-th step.  A pair that left the finite range is
-    not coupled, and its tau, weight terms, path integrals and final
-    states are nan; this is the one place that blanks a dead pair.  The
-    estimators and verdicts below read the result; none of them runs an
-    ensemble of its own.
+    every record_every-th step.  f_envelope=False leaves f_int, which no
+    estimator or verdict reads, None and every other field as it was.  A
+    pair that left the finite range is not coupled, and its tau, weight
+    terms, path integrals and final states are nan; this is the one place
+    that blanks a dead pair.  The estimators and verdicts below read the
+    result; none of them runs an ensemble of its own.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -652,6 +672,7 @@ def run_coupled_ensemble(
     run = _simulate(
         model, coeffs, cfg, [x, y], sched, couple_tol,
         trace_paths=min(trace_paths, cfg.n_paths), record_every=record_every,
+        f_envelope=f_envelope,
     )
     n_blow = _check_blowups(run.alive, "coupled")
     if n_blow:
@@ -662,7 +683,8 @@ def run_coupled_ensemble(
         run.coupled[dead] = False
         run.final[:, dead] = run.lp_int[:, dead] = math.nan
         for a in (run.tau, run.log_stoch_int, run.zeta_sq_int, run.f_int):
-            a[dead] = math.nan
+            if a is not None:
+                a[dead] = math.nan
     XT, YT = run.final
     with np.errstate(over="ignore"):
         dist_final = np.asarray(norm_h(model, XT - YT))

@@ -22,6 +22,8 @@ import csv
 import functools
 import hashlib
 import math
+import os
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
@@ -33,8 +35,21 @@ __all__ = ["ResultRecord", "make_record", "emit_report"]
 
 @functools.cache
 def _package_version() -> str:
-    """The installed version, looked up once per process: the lookup scans
-    every sys.path entry."""
+    """The installed version, looked up once per process.  importlib.metadata
+    takes about 20 ms to import, so it is asked only when a sys.path entry
+    may hold the package's metadata: a directory with a fastdiffusion
+    dist-info, egg-info or egg, or an entry it cannot list, such as a zip."""
+    for entry in sys.path:
+        try:
+            if any(n.startswith("fastdiffusion") and n.endswith((".dist-info", ".egg-info", ".egg"))
+                   for n in map(str.lower, os.listdir(entry or "."))):
+                break
+        except FileNotFoundError:
+            continue
+        except (OSError, TypeError, ValueError):  # a file, say a zip: importlib.metadata reads it
+            break
+    else:  # what importlib.metadata would report
+        return "0.0.0+local"
     from importlib import metadata
 
     try:

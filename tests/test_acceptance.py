@@ -201,7 +201,9 @@ def test_08_harnack_verdicts():
     x = from_spectral(M4, START4)
     cfg = EnsembleConfig(T=0.25, n_paths=10_000, dt=1e-4, seed=21)
     e1 = M4.eigenfunctions[0] / norm_h(M4, M4.eigenfunctions[0])
-    runs = {dist: run_coupled_ensemble(M4, COEFFS, cfg, x, x + dist * e1) for dist in (0.05, 0.1)}
+    # verdicts read no f envelope
+    runs = {dist: run_coupled_ensemble(M4, COEFFS, cfg, x, x + dist * e1, f_envelope=False)
+            for dist in (0.05, 0.1)}
     oks, details = [], []
     for p in (2.0, 4.0):
         for dist in (0.05, 0.1):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -431,6 +432,7 @@ class TestEmission:
     def test_couple_traces_only_for_the_tables(self, tmp_path, capsys, monkeypatch):
         calls, real = [], montecarlo.run_coupled_ensemble
 
+        @functools.wraps(real)  # config reads its defaults from the signature
         def spy(*args, **kw):
             calls.append(kw["trace_paths"])
             return real(*args, **kw)
@@ -443,6 +445,31 @@ class TestEmission:
         assert calls == [0, couple_config()["sample_paths"]]
         # the trace changes no byte of the record
         assert (tmp_path / "json" / "couple.json").read_bytes() == (tmp_path / "csv" / "couple.json").read_bytes()
+
+    def test_f_envelope_only_for_the_paths_table(self, tmp_path, capsys, monkeypatch):
+        calls, real = [], montecarlo.run_coupled_ensemble
+
+        @functools.wraps(real)
+        def spy(*args, **kw):
+            calls.append(kw.get("f_envelope", True))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(montecarlo, "run_coupled_ensemble", spy)
+        configs = ensemble_command_configs()
+        for command in ("harnack-check", "moments", "couple"):
+            cfg = write_config(tmp_path, f"{command}.json", configs[command])
+            assert main([command, "--config", cfg]) in (0, 2)
+        cfg = write_config(tmp_path, "c.json", couple_config())
+        assert main(["couple", "--config", cfg, "--out", str(tmp_path / "csv"), "--format", "csv"]) == 0
+        capsys.readouterr()
+        assert calls == [False, False, False, True]
+        # the table's f_int column is the library default's
+        with open(tmp_path / "csv" / "couple_paths.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        c = config.validate_config(couple_config(), "couple")
+        res = real(c.model, c.coeffs, c.run, c.extras["x"], c.extras["y"], c.extras["couple_tol"])
+        assert [row["f_int"] for row in rows] == [repr(float(v)) for v in res.f_int]
+        assert np.all(res.f_int > 0.0)
 
     def test_stdout_floats_reparse_losslessly(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "b.json", bounds_config())

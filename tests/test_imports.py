@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -171,3 +172,54 @@ class TestLazySurface:
         )
         version, from_records = run_fresh(code)
         assert version == from_records and version
+
+
+class TestVersionLookup:
+    """The version a record prints: importlib.metadata is loaded only when a
+    sys.path entry may hold the package's metadata, and the string is the
+    one it would report."""
+
+    def test_source_tree_bounds_run_skips_metadata(self, tmp_path):
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps(BOUNDS), encoding="utf-8")
+        code = (
+            "import contextlib, io\n"
+            "from fastdiffusion import cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = cli.main(['bounds', '--config', sys.argv[1]])\n"
+            "print(code, json.loads(out.getvalue())['version'], 'importlib.metadata' in sys.modules)\n"
+            "from importlib import metadata\n"
+            "try:\n"
+            "    print(metadata.version('fastdiffusion'))\n"
+            "except metadata.PackageNotFoundError:\n"
+            "    print('0.0.0+local')\n"
+        )
+        printed, reported = run_fresh(code, str(path))
+        # after an install (pip install -e .) the record prints the installed version
+        installed = reported != "0.0.0+local"
+        assert printed == f"0 {reported} {installed}"
+
+    def test_dist_info_on_path_gives_its_version(self, tmp_path):
+        info = tmp_path / "fastdiffusion-9.9.dist-info"
+        info.mkdir()
+        (info / "METADATA").write_text("Metadata-Version: 2.1\nName: fastdiffusion\nVersion: 9.9\n")
+        code = (
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from fastdiffusion import records\n"
+            "print(records._package_version(), 'importlib.metadata' in sys.modules)\n"
+        )
+        assert run_fresh(code, str(tmp_path)) == ["9.9 True"]
+
+    def test_zip_on_path_is_read_through_metadata(self, tmp_path):
+        # a zip is not listed: importlib.metadata looks inside it
+        path = tmp_path / "dists.zip"
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("fastdiffusion-8.8.dist-info/METADATA",
+                        "Metadata-Version: 2.1\nName: fastdiffusion\nVersion: 8.8\n")
+        code = (
+            "sys.path.append(sys.argv[1])\n"
+            "from fastdiffusion import records\n"
+            "print(records._package_version())\n"
+        )
+        assert run_fresh(code, str(path)) == ["8.8"]

@@ -373,6 +373,62 @@ class TestMetPairsLeaveTheTwoCopyBlock:
                 assert np.array_equal(getattr(res, name), getattr(before, name)), (block, name)
             assert np.array_equal(res.trace, whole.trace, equal_nan=True), block
 
+    def assert_fields_equal(self, res, whole, *where, skip=()):
+        for name in self.FIELDS:
+            if name not in skip:
+                assert np.array_equal(getattr(res, name), getattr(whole, name), equal_nan=True), (*where, name)
+
+    def test_f_envelope_off_changes_no_other_field(self, monkeypatch):
+        # the runs of test_results_independent_of_time_block, then pairs
+        # that meet and blow up as in test_met_pairs_that_blow_up
+        c = small_coeffs()
+        for n in (4, 9):
+            m = dirichlet1d_model(n, [i**-0.5 for i in range(1, n + 1)])
+            x = from_spectral(m, 0.4 / np.arange(1, n + 1))
+            y = from_spectral(m, -0.3 / np.arange(1, n + 1) ** 2)
+            cfg = EnsembleConfig(n_paths=13, dt=1e-3, T=0.1, seed=21)
+            for block in (1, 3, 7):
+                monkeypatch.setattr(montecarlo, "TIME_BLOCK", block)
+                on, off = (run_coupled_ensemble(m, c, cfg, x, y, couple_tol=3e-5, trace_paths=9, f_envelope=f)
+                           for f in (True, False))
+                assert 0 < np.count_nonzero(on.coupled) < cfg.n_paths
+                assert off.f_int is None and np.all(on.f_int > 0.0), (n, block)
+                self.assert_fields_equal(off, on, n, block, skip=("f_int",))
+        monkeypatch.setattr(montecarlo, "BLOWUP_BUDGET", 1.0)
+        m = small_model()
+        c = CoefficientSet(r=0.5, nonlinearity="identity")
+        x, y = from_spectral(m, [0.4, 0.0, 0.0, 0.0]), from_spectral(m, [0.3, 0.0, 0.0, 0.0])
+        cfg = EnsembleConfig(n_paths=12, dt=0.029, T=0.029 * 1500, seed=3, scheme="explicit_euler")
+        for block in (1, 3, 7):
+            monkeypatch.setattr(montecarlo, "TIME_BLOCK", block)
+            on, off = (run_coupled_ensemble(m, c, cfg, x, y, couple_tol=0.01, trace_paths=12, f_envelope=f)
+                       for f in (True, False))
+            assert not on.alive.any() and np.isnan(on.f_int).all() and off.f_int is None
+            self.assert_fields_equal(off, on, block, skip=("f_int",))
+
+    def test_first_meeting_at_block_edges(self, monkeypatch):
+        # a noise block starts its meeting bookkeeping at its first meeting:
+        # on the block's first step, on its last step, and from equal starts
+        # at step 0, where every pair meets
+        m, c = small_model(), small_coeffs()
+        cfg = EnsembleConfig(n_paths=13, dt=1e-3, T=0.1, seed=21)
+
+        def run(block, y, tol):
+            monkeypatch.setattr(montecarlo, "TIME_BLOCK", block)
+            return run_coupled_ensemble(m, c, cfg, START, y, couple_tol=tol, trace_paths=13)
+
+        whole = run(cfg.n_steps + 1, OTHER, 1e-3)
+        met = np.rint(whole.tau / cfg.dt)
+        first = int(met.min())
+        assert whole.coupled.all() and first >= 2 and (met > first).sum() >= 6
+        # step first opens block 1 of `first` steps and closes block 0 of first + 1
+        for block in (first, first + 1):
+            self.assert_fields_equal(run(block, OTHER, 1e-3), whole, block)
+        whole = run(cfg.n_steps + 1, START, None)
+        assert whole.coupled.all() and np.all(whole.tau == 0.0)
+        for block in (1, 3, 7):
+            self.assert_fields_equal(run(block, START, None), whole, block)
+
     def test_transforms_narrow_to_the_first_copies_once_all_met(self, monkeypatch):
         widths = []
         real = montecarlo.from_spectral

@@ -312,7 +312,7 @@ class TestEmitReport:
 
 
 class TestPackageVersion:
-    def test_looked_up_once_per_process(self, tmp_path, capsys, monkeypatch):
+    def test_looked_up_once_per_process(self, tmp_path, capsys, monkeypatch, request):
         calls = []
         real = importlib.metadata.version
 
@@ -320,7 +320,13 @@ class TestPackageVersion:
             calls.append(name)
             return real(name)
 
+        # metadata on sys.path, so that the lookup asks importlib.metadata
+        info = tmp_path / "site" / "fastdiffusion-9.9.dist-info"
+        info.mkdir(parents=True)
+        (info / "METADATA").write_text("Metadata-Version: 2.1\nName: fastdiffusion\nVersion: 9.9\n")
+        monkeypatch.syspath_prepend(str(info.parent))
         records._package_version.cache_clear()
+        request.addfinalizer(records._package_version.cache_clear)
         monkeypatch.setattr(importlib.metadata, "version", spy)
         cfg = tmp_path / "b.json"
         cfg.write_text(json.dumps({
@@ -334,7 +340,7 @@ class TestPackageVersion:
         out = capsys.readouterr().out
         assert codes == [0, 0]
         assert calls == ["fastdiffusion"]
-        assert out.count('"version"') == 2
+        assert out.count('"version": "9.9"') == 2
 
     def test_import_leaves_version_lookup_and_pool_unloaded(self):
         # importing the package looks nothing up and loads no thread pool
