@@ -181,6 +181,13 @@ def check_noise_domination(
     over the mixture sample; that minimum is the largest xi consistent
     with the sample.  holds is true when the configured xi is at most
     the sampled minimum.
+
+    A fixed row of the sample can set the minimum at every seed: on the
+    nine-mode Dirichlet model with q_i = i^(-1/2) and r = 1/2 it is row
+    24, the mode vector e_8, and seeds 3 and 7 both give
+    0.006914940997251288; on the four-mode model, at those seeds, a
+    Gaussian row sets it.  A sampled minimum lies above the infimum;
+    ROADMAP item 5 plans a search in its place.
     """
     xs, nh, nq, lp = _sample_norms(model, n_samples, seed, coeffs.r + 1.0)
     ratios = _ratio_of_norms(coeffs, nh, nq, lp)
@@ -341,6 +348,13 @@ def check_embedding_constant(
 
     Always holds on a finite model; the report carries the largest
     sampled ratio as the constant.
+
+    A fixed row of the sample can set the maximum at every seed: on the
+    nine-mode Dirichlet model with q_i = i^(-1/2) and r = 1/2 it is row
+    0, the mode vector e_0 (repeated every 3n rows), and seeds 3 and 7
+    both give 0.3286232928722209; on the four-mode model, at those
+    seeds, a Gaussian row sets it.  A sampled maximum lies below the
+    supremum; ROADMAP item 5 plans a search in its place.
     """
     xs, nh, _, lp = _sample_norms(model, n_samples, seed, coeffs.r + 1.0)
     ratios = nh / lp

@@ -33,7 +33,7 @@ from . import bounds
 from .coupling import DEFAULT_TOL_FACTOR, CouplingSchedule, make_schedule
 from .dynamics import CoefficientSet, EnsembleConfig, _path_generators
 from .errors import InvalidSampleCount, NonFiniteState, NotTimeHomogeneous, PositiveGamma
-from .spectral import SpectralModel, from_spectral, norm_h, to_spectral
+from .spectral import SpectralModel, _einsum, from_spectral, norm_h, to_spectral
 
 __all__ = [
     "Estimate",
@@ -140,7 +140,9 @@ def _row_sum(A: np.ndarray) -> np.ndarray:
     numpy's own reductions choose their summation order from the array's
     width, which would make a path's bits depend on how many paths share
     its chunk.  np.add.reduce adds row by row (from -0.0, which keeps a
-    zero sum's sign) only when A has at least two contiguous columns.
+    zero sum's sign) only when A has at least two contiguous columns;
+    otherwise the rows are added in a Python loop.  A sum of products
+    goes through _row_dot instead.
     """
     if A.shape[1] > 1 and A.strides[1] == A.itemsize:
         return np.add.reduce(A, axis=0, initial=-0.0)
@@ -150,6 +152,35 @@ def _row_sum(A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """_row_sum(a * b), or _row_sum(a * b * c), of same-shape factors.
+
+    When the block is wider than one column and every factor's columns
+    are contiguous, one einsum pass multiplies and adds each row into a
+    zero-filled result, one row at a time in order, without building the
+    product block.  Otherwise the product goes through _row_sum: on one
+    column einsum switches to a dot product, which adds in another order.
+    The factors are named, not packed: on a (4, 64) block a *factors
+    tuple and a generator over it cost more than the pass saves.
+
+    The one difference in the bits: einsum starts from +0.0, so a column
+    whose products are all -0.0 sums to +0.0 where _row_sum gives -0.0.
+    No kernel use can see it.  Squares and |x|^(r+1) w are never -0.0,
+    and the stochastic-integral increment is added into log_s, which
+    starts at +0.0 and so can never become -0.0.
+    """
+    s = a.itemsize
+    if a.shape[1] > 1 and a.strides[1] == s and b.strides[1] == s:
+        if c is None:
+            return _einsum("ip,ip->p", a, b)
+        if c.strides[1] == s:
+            return _einsum("ip,ip,ip->p", a, b, c)
+    prod = a * b
+    if c is not None:
+        prod *= c
+    return _row_sum(prod)
+
+
 def _sample_stats(X: np.ndarray, C: np.ndarray, w: np.ndarray, inv_lam: np.ndarray,
                   rp1: float, eps0: float) -> np.ndarray:
     """The per-sample values |x|_{r+1}^{r+1}, exp(eps0 |x|_H^{r+1}) and
@@ -157,9 +188,9 @@ def _sample_stats(X: np.ndarray, C: np.ndarray, w: np.ndarray, inv_lam: np.ndarr
     X and their eigen-coefficients C, both of shape (n, m); the result
     has shape (3, m).  |x|_H is (sum_i c_i^2 / lambda_i)^(1/2), read off C;
     w and inv_lam are the weights and 1 / lambda_i spread over C's shape."""
-    nh = np.sqrt(_row_sum(C * C * inv_lam))
+    nh = np.sqrt(_row_dot(C, C, inv_lam))
     return np.stack([
-        _row_sum(w * np.abs(X) ** rp1),
+        _row_dot(w, np.abs(X) ** rp1),
         np.exp(eps0 * nh**rp1),
         np.exp(eps0 * nh**2),
     ])
@@ -233,10 +264,15 @@ def _simulate(
 
     Each step makes one transform to point values, where |x|^r serves
     Psi, the moments and the f envelope, and one transform of Psi back.
-    Off the identity nonlinearity, gamma C and the taming's drift * drift
-    go into Psi's buffer Ar once the transform back has read it, and Ar
-    is made anew each step, so a chunk holds no scratch beyond what a
-    step makes anyway.
+    gamma C goes into Psi's buffer Ar once the transform back has read
+    it.  A plain block keeps its width kP for the whole run, so its point
+    values, Psi and drift are blocks made once per chunk, which the
+    transforms and the ufuncs write into (out=); a coupled block narrows
+    as pairs meet and makes them anew each step, so a chunk holds no
+    scratch beyond what a step makes anyway.  Every per-path sum of
+    products (the moments, |D|_H, |zeta|^2, the weight terms, the f
+    envelope and the taming norm) is one _row_dot pass, which builds no
+    product block.
     Everything else is diagonal in the eigenbasis: the drift, the H norms,
     zeta, the noise q sqrt(dt) xi and, because the eigenfunctions are
     m-orthonormal, the taming norm.  The per-mode factors (weights,
@@ -310,6 +346,7 @@ def _simulate(
         ids = np.arange(P)
         gens = _path_generators(cfg.seed, lo, hi)
         dW_block = np.empty((min(TIME_BLOCK, n_steps), n, P))
+        dW_rows = list(dW_block)  # step b of a block reads the view dW_rows[b]
         tile = np.empty((min(NOISE_TILE, P), len(dW_block), n))
         q_sqdt_P = np.repeat(q_sqdt, P, axis=1)
         if coupled_run:
@@ -334,6 +371,11 @@ def _simulate(
                         *(np.repeat(a, m, axis=1) for a in (w, inv_lam, inv_q)))
 
             w_all, w_m, inv_lam_m, inv_q_m = factors()
+            Xp_buf = Psi_buf = drift_buf = None  # the block narrows as pairs meet
+        else:
+            # a plain block keeps its width: the transforms write into blocks
+            # made once per chunk
+            Xp_buf, Psi_buf, drift_buf = np.empty((3, n, k * P))
 
         n_tr = max(0, min(hi, trace_paths) - lo)
         tr_x = np.arange(n_tr)  # positions of the traced pairs, in path order
@@ -367,12 +409,12 @@ def _simulate(
                     slam_all = np.repeat(slam, C2.shape[1], axis=1)
 
                 # the state after s steps, in point values
-                Xp = from_spectral(model, C2, mode_major=True)
+                Xp = from_spectral(model, C2, mode_major=True, out=Xp_buf)
                 if coupled_run:
                     A = np.abs(Xp)
                     Ar = A**r
                     V = np.multiply(A, Ar, out=A)  # |x|^(r+1); A is not read again
-                    v = _row_sum(V * w_all)
+                    v = _row_dot(V, w_all)
                     v_cur[0] = v[:P]
                     v_cur[1, :m] = v[P:]
                     v_cur[1, m:] = v[m:P]
@@ -383,7 +425,7 @@ def _simulate(
                         lp += v_prev
                     v_prev, v_cur = v_cur, v_prev
                 elif not identity:  # a plain run reads |x| only as |x|^r
-                    Ar = np.abs(Xp)
+                    Ar = np.abs(Xp, out=Psi_buf)
                     Ar **= r
                 if n_kept and s > burn and (s - burn) % thin == 0:
                     if keep:
@@ -407,10 +449,10 @@ def _simulate(
                         # taken before this step's meeting check: zeta is 0
                         # where X = Y, as for every pair that has met
                         D = C2[:, :m] - C2[:, P:]
-                        dist = np.sqrt(_row_sum(D * D * inv_lam_m))
+                        dist = np.sqrt(_row_dot(D, D, inv_lam_m))
                         attraction = D * (beta / np.where(dist > 0.0, dist, np.inf) ** eps)
                         zc = attraction * inv_q_m
-                        zeta_sq = _row_sum(zc * zc)
+                        zeta_sq = _row_dot(zc, zc)
                 if n_tr and s and s % record_every == 0:
                     # rows read the numbers above; a pair that left the block
                     # has X - Y = 0, which is nan once its state is not finite
@@ -434,7 +476,7 @@ def _simulate(
                             g.standard_normal(out=tile[i, :B])
                         dW_block[:B, :, cols] = tile[:cols.stop - p0, :B].transpose(1, 2, 0)
                     dW_block[:B] *= q_sqdt_P
-                dW = dW_block[b]
+                dW = dW_rows[b]
 
                 if t >= next_cut:
                     j = bisect.bisect_right(cuts, t)
@@ -442,14 +484,14 @@ def _simulate(
                     scale = 1.0 if identity else coeffs.delta(t) / (2.0 * r)
                     slam = -scale * lam
                     slam_all = np.repeat(slam, C2.shape[1], axis=1)
-                    gamma = coeffs.gamma(t)
+                    gamma = np.array(coeffs.gamma(t))
                 if identity:
-                    drift = C2 * slam_all
+                    drift = np.multiply(C2, slam_all, out=drift_buf)
                 else:  # Psi goes into Ar, which is scratch once transformed
-                    drift = to_spectral(model, np.copysign(Ar, Xp, out=Ar), mode_major=True)
+                    drift = to_spectral(model, np.copysign(Ar, Xp, out=Ar), mode_major=True, out=drift_buf)
                     drift *= slam_all
                 if gamma:
-                    drift += np.multiply(gamma, C2, out=None if identity else Ar)
+                    drift += np.multiply(gamma, C2, out=Psi_buf if identity else Ar)
                 if coupled_run:
                     X, Y = C2[:, :P], C2[:, P:]
                     if m:
@@ -462,19 +504,17 @@ def _simulate(
                             active = ~coupled[:m]
                         # a pair that meets now takes no weight terms, and its
                         # Y is set to its X below whatever its drift
-                        terms = [(zsq, zeta_sq * dt_a), (log_s, _row_sum(zc * (dW[:, :m] * inv_q_m)))]
+                        terms = [(zsq, zeta_sq * dt_a), (log_s, _row_dot(zc, dW[:, :m] * inv_q_m))]
                         if f_envelope:
                             env = np.maximum(V[:, :m], V[:, P:])
-                            fval = (_row_sum(env * w_m) ** f_expo[0]) ** f_expo[1]
+                            fval = (_row_dot(env, w_m) ** f_expo[0]) ** f_expo[1]
                             terms.append((f_acc, fval * dt_a))
                         for acc, v in terms:
                             acc[:m] += np.where(active, v, 0.0) if met else v
 
                 if tamed:
-                    # to dt / (1 + dt |drift|), in place; sq is C-contiguous, so
-                    # at width > 1 _row_sum would make this one reduce
-                    sq = np.multiply(drift, drift, out=None if identity else Ar)
-                    h = np.add.reduce(sq, axis=0, initial=-0.0) if sq.shape[1] > 1 else _row_sum(sq)
+                    # to dt / (1 + dt |drift|), in place
+                    h = _row_dot(drift, drift)
                     np.sqrt(h, out=h)
                     h *= dt_a
                     h += one

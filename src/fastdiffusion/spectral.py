@@ -203,7 +203,17 @@ def fractional_power(model: SpectralModel, alpha: float) -> SpectralModel:
 # not (its blocking depends on the shape), and the summed index must not
 # be the matrix's contiguous axis: on a one-column batch einsum would then
 # switch to a vectorized dot product, which adds in another order.  The
-# mode-major forms take a batch of shape (n, P), one state per column.
+# mode-major forms take a batch of shape (n, P), one state per column, and
+# write into out= when given; the C einsum takes out only as an array.
+#
+# montecarlo._row_dot sums products over rows with the same function
+# ("ip,ip->p" and "ip,ip,ip->p").  Those keep _row_sum's bits because the
+# rows are added in order, each into the zero-filled result column, and
+# because this numpy build rounds each product before adding it: it does
+# not fuse the multiply and the add.  A build that did would change the
+# bits, and tests/test_montecarlo.py::TestRowDot would fail on it.  On one
+# column the summed index is the only one left and einsum takes the dot
+# product, which adds in another order, so _row_dot uses _row_sum there.
 try:
     from numpy._core.multiarray import c_einsum as _einsum
 except ImportError:  # numpy 1.x
@@ -213,20 +223,24 @@ except ImportError:  # numpy 1.x
         _einsum = np.einsum
 
 
-def to_spectral(model: SpectralModel, x, *, mode_major: bool = False) -> np.ndarray:
-    """Coefficients <x, e_i>_m of a state (or batch of states)."""
+def to_spectral(model: SpectralModel, x, *, mode_major: bool = False, out=None) -> np.ndarray:
+    """Coefficients <x, e_i>_m of a state (or batch of states).  A
+    mode-major call writes them into out, if given, and returns it."""
     x = np.asarray(x, dtype=float)
     if mode_major:
-        return _einsum("ji,jp->ip", model._analysis, x)
+        a = model._analysis
+        return _einsum("ji,jp->ip", a, x) if out is None else _einsum("ji,jp->ip", a, x, out=out)
     xm = x * model.weights
     return _einsum("...j,ij->...i", xm, model.eigenfunctions)
 
 
-def from_spectral(model: SpectralModel, coeffs, *, mode_major: bool = False) -> np.ndarray:
-    """State vector sum_i c_i e_i from spectral coefficients."""
+def from_spectral(model: SpectralModel, coeffs, *, mode_major: bool = False, out=None) -> np.ndarray:
+    """State vector sum_i c_i e_i from spectral coefficients.  A
+    mode-major call writes it into out, if given, and returns it."""
     c = np.asarray(coeffs, dtype=float)
     if mode_major:
-        return _einsum("ij,ip->jp", model.eigenfunctions, c)
+        E = model.eigenfunctions
+        return _einsum("ij,ip->jp", E, c) if out is None else _einsum("ij,ip->jp", E, c, out=out)
     return _einsum("...i,ik->...k", c, model.eigenfunctions)
 
 

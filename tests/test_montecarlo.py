@@ -496,6 +496,73 @@ class TestRowSum:
                     assert len(reduces) == int(width > 1 and contiguous_columns), (n, width, layout)
 
 
+class TestRowDot:
+    """_row_dot(a, b) and _row_dot(a, b, c) give _row_sum(a * b) and
+    _row_sum(a * b * c) bit for bit, for any row count, width and layout,
+    with nan and inf entries; one einsum pass replaces the product block
+    exactly when the block is wider than one column and its columns are
+    contiguous.
+
+    The one difference is pinned: einsum zero-fills its output, so a
+    column of all -0.0 products sums to +0.0 where _row_sum gives -0.0.
+    No kernel use can see it.  Squares (the taming norm, |D|_H, |zeta|^2,
+    |C|_H) and |x|^(r+1) w (the moments, the f envelope) are never -0.0,
+    and the stochastic-integral increment is added into log_s, which
+    starts at +0.0 and can never become -0.0, since x + y is -0.0 only
+    when both are.
+    """
+
+    def test_bit_equal_to_row_sum_of_the_product(self, monkeypatch):
+        passes = []
+        einsum = montecarlo._einsum
+
+        def spy(subscripts, *operands):
+            passes.append(subscripts)
+            return einsum(subscripts, *operands)
+
+        monkeypatch.setattr(montecarlo, "_einsum", spy)
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 4, 8, 9, 64):
+            for width in (1, 2, 3, 1024):
+                # magnitudes over 16 decades, so the order of the additions
+                # shows in the bits; base columns 1, 4 and 5 hold a nan, an
+                # inf and a -inf, and column 3 is all -0.0 products; every
+                # layout's first column stays finite
+                bases = [rng.standard_normal((n, width + 5)) * 10.0 ** rng.uniform(-8, 8, (n, width + 5))
+                         for _ in range(3)]
+                bases[0][-1, 1] = math.nan
+                bases[1][0, 4] = math.inf
+                bases[2][n // 2, 5] = -math.inf
+                bases[0][:, 3] = -0.0
+                bases[1][:, 3] = np.abs(bases[1][:, 3])
+                bases[2][:, 3] = np.abs(bases[2][:, 3])
+                for layout in ("C", "sliced", "F"):
+                    start = 2 if layout == "sliced" else 0
+                    factors = [b[:, start:start + width] for b in bases]
+                    if layout == "C":
+                        factors = [f.copy() for f in factors]
+                    elif layout == "F":
+                        factors = [np.asfortranarray(f) for f in factors]
+                    zero_col = 3 - start
+                    for k in (2, 3):
+                        where = (n, width, layout, k)
+                        prod = factors[0] * factors[1]
+                        if k == 3:
+                            prod = prod * factors[2]
+                        want = montecarlo._row_sum(prod)
+                        passes.clear()
+                        got = montecarlo._row_dot(*factors[:k])
+                        assert got.shape == (width,), where
+                        # an F-ordered block has contiguous columns only at n = 1
+                        einsum_ran = width > 1 and (layout != "F" or n == 1)
+                        assert passes == ([",".join(["ip"] * k) + "->p"] if einsum_ran else []), where
+                        if einsum_ran and zero_col < width:
+                            assert math.copysign(1.0, want[zero_col]) == -1.0 and want[zero_col] == 0.0, where
+                            assert math.copysign(1.0, got[zero_col]) == 1.0 and got[zero_col] == 0.0, where
+                            want[zero_col] = 0.0
+                        assert np.array_equal(got.view(np.int64), want.view(np.int64)), where
+
+
 class TestPathGenerators:
     @pytest.mark.parametrize("seed", [0, 7, dynamics.SEED_MAX])
     def test_same_state_and_draws_as_keyed_philox(self, seed):

@@ -286,7 +286,8 @@ def _einsum_candidates():
 class TestEinsumBinding:
     """The transforms call numpy's C einsum directly; whichever import
     path binds it, every form gives np.einsum's bits for the same
-    subscripts, for any mode count, width and layout."""
+    subscripts, for any mode count, width and layout, and the mode-major
+    forms give the same bits when they write into out=."""
 
     def test_binds_the_c_function(self):
         candidates = _einsum_candidates()
@@ -324,6 +325,14 @@ class TestEinsumBinding:
                     ]
                     for form, (got, want) in enumerate(pairs):
                         assert got.shape == want.shape, (*where, form)
+                        assert np.array_equal(self.bits(got), self.bits(want)), (*where, form)
+                    # out= on the mode-major forms: written in place, the
+                    # allocating call's bits
+                    for form, transform in enumerate((to_spectral, from_spectral)):
+                        want = pairs[form][0]
+                        buf = np.full(want.shape, np.nan)
+                        got = transform(m, A, mode_major=True, out=buf)
+                        assert got is buf, (*where, form)
                         assert np.array_equal(self.bits(got), self.bits(want)), (*where, form)
 
 

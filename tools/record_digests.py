@@ -8,11 +8,15 @@ the other lines it runs the closed-form checks again without a ``coeffs``
 block, each entry with its own ``r`` and no ``sigma``, so every check
 takes sigma at its floor 4/(1+r).  The
 sampled checks, at each seed, one ``bounds`` config and, at seed 3,
-``simulate``, ``harnack-check`` and ``invariant`` also run on a nine-mode
-model: from n = 8 numpy's sums over an F-ordered or last axis add
-pairwise, in another order than below it, so only configs with n >= 8
-can show a change of summation layout, in the checks or in the
-ensemble kernel's transforms and row sums.  ``bounds`` and the sampled
+``simulate``, ``harnack-check``, ``invariant``, ``probe-feller`` and
+``couple`` (also with ``--format csv``) also run on a nine-mode model:
+from n = 8 numpy's sums over an F-ordered or last axis add pairwise, in
+another order than below it, so only configs with n >= 8 can show a
+change of summation layout, in the checks or in the ensemble kernel's
+transforms, row sums and row dots.  Between them the nine-mode
+ensemble rows cover the one-copy and the k-copy plain block, the
+thinned snapshots and the coupled pairs with their trace and f-envelope
+sums, which only the ``couple`` tables read.  ``bounds`` and the sampled
 checks at seed 3 also run on a model block with a weight list, an
 explicit matrix, a q_diag list and alpha, the branches of the config's
 model builder that the default block leaves out.
@@ -159,8 +163,9 @@ def configs():
     yield "bounds", "n9", {"model": MODEL9, "coeffs": COEFFS, "x": X9, "y": Y9, "p": 2.0,
                            "run": {"dt": 0.01, "T": 0.2, "seed": SEEDS[0]}}, ()
     docs9 = ensemble_docs(MODEL9, X9, Y9, SEEDS[0])
-    for command in ("simulate", "harnack-check", "invariant"):
+    for command in ("simulate", "harnack-check", "invariant", "probe-feller", "couple"):
         yield command, "n9", docs9[command], ()
+    yield "couple", "n9-csv", docs9["couple"], ("--format", "csv")
     yield "conditions", "bare", {"model": MODEL, "conditions": BARE_CHECKS}, ()
     yield "bounds", "weighted", {"model": MODEL_W, "coeffs": COEFFS, "x": X, "y": Y, "p": 2.0,
                                  "run": {"dt": 0.01, "T": 0.2, "seed": SEEDS[0]}}, ()
