@@ -262,30 +262,30 @@ def _simulate(
     to the block's first meeting the weight terms go in unmasked (bit for
     bit what the mask gives) and no meeting time is set or Y copied.
 
-    Each step makes one transform to point values, where |x|^r serves
-    Psi, the moments and the f envelope, and one transform of Psi back.
-    gamma C goes into Psi's buffer Ar once the transform back has read
-    it.  A plain block keeps its width kP for the whole run, so its point
-    values, Psi and drift are blocks made once per chunk, which the
-    transforms and the ufuncs write into (out=); a coupled block narrows
-    as pairs meet and makes them anew each step, so a chunk holds no
-    scratch beyond what a step makes anyway.  Every per-path sum of
-    products (the moments, |D|_H, |zeta|^2, the weight terms, the f
-    envelope and the taming norm) is one _row_dot pass, which builds no
+    Each step makes one transform to point values, into the lower half
+    of a block S whose upper half (none for the identity) takes |x|, then
+    |x|^r, then Psi; |x|^r also serves the moments and the f envelope.
+    The drift L Psi + gamma X is one transform back of all of S by the
+    (2n, n) matrix M_t = [a (-delta lambda / 2r) ; gamma a], a the analysis
+    matrix (for the identity, diag(gamma - lambda) on C2, which mixes no
+    roundoff across modes), built at each coefficient cut; the tamed step
+    divides it by 1/dt + |drift|.  S and the drift are blocks made once
+    per chunk for a plain block and at each partition for a coupled one,
+    which the transforms and the ufuncs write into (out=).  Every sum of
+    products over a path (the moments, |D|_H, |zeta|^2, the weight terms,
+    the f envelope, the taming norm) is one _row_dot pass, which builds no
     product block.
-    Everything else is diagonal in the eigenbasis: the drift, the H norms,
-    zeta, the noise q sqrt(dt) xi and, because the eigenfunctions are
-    m-orthonormal, the taming norm.  The per-mode factors (weights,
-    1/lambda, 1/q, the drift's -delta lambda / 2r) are spread into
-    contiguous blocks of the width they multiply, built once per chunk;
-    a partition rebuilds those whose width changed, and a cut the drift
-    factor.  A noise block is drawn at its start, NOISE_TILE paths at a
-    time into a path-major tile, and copied step-major into dW_block of
-    shape (TIME_BLOCK, n, P), which is then scaled by q sqrt(dt) in
-    place: step b reads the contiguous view dW_block[b].  Every per-path
-    number is a function of its own column only, so results do not depend
-    on the chunk, on where a path sits in it, on when pairs are moved or
-    on the worker count.
+    Everything else is diagonal in the eigenbasis: the H norms, zeta, the
+    noise q sqrt(dt) xi and, because the eigenfunctions are m-orthonormal,
+    the taming norm.  The per-mode factors (weights, 1/lambda, 1/q) are
+    spread into contiguous blocks of the width they multiply, built once
+    per chunk and again at a partition.  A noise block is drawn at its
+    start, NOISE_TILE paths at a time into a path-major tile, and copied
+    step-major into dW_block of shape (TIME_BLOCK, n, P), which is then
+    scaled by q sqrt(dt) in place: step b reads the contiguous view
+    dW_block[b].  Every per-path number is a function of its own column
+    only, so results do not depend on the chunk, on where a path sits in
+    it, on when pairs are moved or on the worker count.
 
     D = X - Y, |D|_H and |zeta|^2 of the pairs still apart are computed
     once per step, and once more after the last, for the trace rows too.
@@ -297,7 +297,7 @@ def _simulate(
     N = cfg.n_paths
     n_steps = cfg.n_steps
     dt = cfg.dt
-    dt_a, one = np.array(dt), np.array(1.0)  # numpy converts a Python float on every call
+    dt_a, inv_dt = np.array(dt), np.array(1.0 / dt)  # numpy converts a Python float on every call
     coupled_run = sched is not None
     r = coeffs.r
     identity = coeffs.nonlinearity == "identity"
@@ -306,7 +306,8 @@ def _simulate(
     inv_lam = (1.0 / model.eigenvalues)[:, None]
     inv_q = (1.0 / model.q_diag)[:, None]
     q_sqdt = (model.q_diag * math.sqrt(dt))[:, None]
-    lam = model.eigenvalues[:, None]
+    E, analysis = model.eigenfunctions, model._analysis
+    psi_rows = 0 if identity else n  # S holds Psi's rows over the point values'
     c0 = to_spectral(model, np.asarray(starts, dtype=float)).T[:, :, None]
     # delta and gamma are read again only where one of them enters a new piece
     cuts = sorted(set(coeffs.delta.breaks) | set(coeffs.gamma.breaks))
@@ -349,6 +350,13 @@ def _simulate(
         dW_rows = list(dW_block)  # step b of a block reads the view dW_rows[b]
         tile = np.empty((min(NOISE_TILE, P), len(dW_block), n))
         q_sqdt_P = np.repeat(q_sqdt, P, axis=1)
+
+        def blocks(width):
+            """S, its Psi and point-value rows, and the drift block."""
+            S = np.empty((psi_rows + n, width))
+            return S, S[:psi_rows], S[psi_rows:], np.empty((n, width))
+
+        S, Psi, Xp, drift = blocks(k * P)
         if coupled_run:
             lp = np.zeros((k, P))
             # the trapezoid's rows at the last step and at this one
@@ -371,11 +379,6 @@ def _simulate(
                         *(np.repeat(a, m, axis=1) for a in (w, inv_lam, inv_q)))
 
             w_all, w_m, inv_lam_m, inv_q_m = factors()
-            Xp_buf = Psi_buf = drift_buf = None  # the block narrows as pairs meet
-        else:
-            # a plain block keeps its width: the transforms write into blocks
-            # made once per chunk
-            Xp_buf, Psi_buf, drift_buf = np.empty((3, n, k * P))
 
         n_tr = max(0, min(hi, trace_paths) - lo)
         tr_x = np.arange(n_tr)  # positions of the traced pairs, in path order
@@ -406,15 +409,18 @@ def _simulate(
                     pos[ids] = np.arange(P)  # pos[j]: where path lo + j sits
                     tr_x = pos[:n_tr]
                     w_all, w_m, inv_lam_m, inv_q_m = factors()
-                    slam_all = np.repeat(slam, C2.shape[1], axis=1)
+                    S, Psi, Xp, drift = blocks(P + m)
 
                 # the state after s steps, in point values
-                Xp = from_spectral(model, C2, mode_major=True, out=Xp_buf)
+                _einsum("ij,ip->jp", E, C2, out=Xp)
                 if coupled_run:
-                    A = np.abs(Xp)
+                    A = np.abs(Xp, out=Psi) if psi_rows else np.abs(Xp)
                     Ar = A**r
-                    V = np.multiply(A, Ar, out=A)  # |x|^(r+1); A is not read again
-                    v = _row_dot(V, w_all)
+                    if f_envelope:
+                        V = np.multiply(A, Ar, out=A)  # |x|^(r+1); A is not read again
+                        v = _row_dot(V, w_all)
+                    else:
+                        v = _row_dot(A, Ar, w_all)
                     v_cur[0] = v[:P]
                     v_cur[1, :m] = v[P:]
                     v_cur[1, m:] = v[m:P]
@@ -425,7 +431,7 @@ def _simulate(
                         lp += v_prev
                     v_prev, v_cur = v_cur, v_prev
                 elif not identity:  # a plain run reads |x| only as |x|^r
-                    Ar = np.abs(Xp, out=Psi_buf)
+                    Ar = np.abs(Xp, out=Psi)
                     Ar **= r
                 if n_kept and s > burn and (s - burn) % thin == 0:
                     if keep:
@@ -481,17 +487,11 @@ def _simulate(
                 if t >= next_cut:
                     j = bisect.bisect_right(cuts, t)
                     next_cut = cuts[j] if j < len(cuts) else math.inf
-                    scale = 1.0 if identity else coeffs.delta(t) / (2.0 * r)
-                    slam = -scale * lam
-                    slam_all = np.repeat(slam, C2.shape[1], axis=1)
-                    gamma = np.array(coeffs.gamma(t))
-                if identity:
-                    drift = np.multiply(C2, slam_all, out=drift_buf)
-                else:  # Psi goes into Ar, which is scratch once transformed
-                    drift = to_spectral(model, np.copysign(Ar, Xp, out=Ar), mode_major=True, out=drift_buf)
-                    drift *= slam_all
-                if gamma:
-                    drift += np.multiply(gamma, C2, out=Psi_buf if identity else Ar)
+                    # the drift L Psi + gamma X, from Psi's rows and the point
+                    # values' or, for the identity, from C2 mode by mode
+                    gamma = coeffs.gamma(t)
+                    M = np.diag(gamma - model.eigenvalues) if identity else np.concatenate(
+                        [analysis * (-coeffs.delta(t) / (2.0 * r) * model.eigenvalues), gamma * analysis])
                 if coupled_run:
                     X, Y = C2[:, :P], C2[:, P:]
                     if m:
@@ -512,13 +512,15 @@ def _simulate(
                         for acc, v in terms:
                             acc[:m] += np.where(active, v, 0.0) if met else v
 
+                if not identity:  # |x| or |x|^(r+1) in Psi's rows is read by now
+                    np.copysign(Ar, Xp, out=Psi)
+                _einsum("ji,jp->ip", M, C2 if identity else S, out=drift)
                 if tamed:
-                    # to dt / (1 + dt |drift|), in place
+                    # to drift dt / (1 + dt |drift|) = drift / (1/dt + |drift|), in place
                     h = _row_dot(drift, drift)
                     np.sqrt(h, out=h)
-                    h *= dt_a
-                    h += one
-                    drift *= np.divide(dt_a, h, out=h)
+                    h += inv_dt
+                    drift /= h
                 else:
                     drift *= dt_a
                 C2 += drift
@@ -743,7 +745,10 @@ def estimate_weighted(res: CoupledEnsembleResult, F, exponent: float = 1.0) -> E
     With exponent 1 this estimates the semigroup at res.y by reweighting
     paths started at res.x.  A weight that underflowed to 0 gives inf
     under a negative exponent (numpy stays quiet), so the estimate reads
-    inf and the record null.
+    inf and the record null.  E R = 1 would make R - 1 a free control
+    variate, but it is left out: it cuts the variance most when F hardly
+    varies over the paths, and so would hide a test function that does not
+    vary.
     """
     a = res.alive
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -63,8 +63,8 @@ class SpectralModel:
     eigenfunctions: np.ndarray
     q_diag: np.ndarray
     hs_norm_sq: float = field(init=False)
-    # m-weighted eigenfunctions stored point-major, the matrix to_spectral
-    # applies to mode-major batches
+    # m-weighted eigenfunctions stored point-major: the analysis matrix of
+    # the ensemble kernel's drift
     _analysis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -195,16 +195,21 @@ def fractional_power(model: SpectralModel, alpha: float) -> SpectralModel:
 
 # The transforms call _einsum, numpy's C einsum: the function that
 # np.einsum(optimize=False) itself hands its operands to, here without the
-# Python-level dispatch in front of it, a fixed cost that each kernel step
-# would pay on both of its transforms.  numpy._core is tried first because
-# numpy 2 warns on importing numpy.core.  The operand layout still sets
-# the summation order.  einsum's fixed contraction order keeps each
-# column's bits independent of the batch width P, which a BLAS matmul does
-# not (its blocking depends on the shape), and the summed index must not
-# be the matrix's contiguous axis: on a one-column batch einsum would then
-# switch to a vectorized dot product, which adds in another order.  The
-# mode-major forms take a batch of shape (n, P), one state per column, and
-# write into out= when given; the C einsum takes out only as an array.
+# Python-level dispatch in front of it.  numpy._core is tried first because
+# numpy 2 warns on importing numpy.core.  einsum's fixed contraction order
+# keeps each column's bits independent of the batch width, which a BLAS
+# matmul does not (its blocking depends on the shape).  The C einsum takes
+# out= only as an array.
+#
+# montecarlo._simulate calls it for its two transforms of a mode-major
+# block, one state per column: the synthesis "ij,ip->jp" with the
+# eigenfunctions and the drift "ji,jp->ip" with a (2n, n) matrix M whose
+# first n rows act on Psi's n rows and the last n on the point values'.
+# There the summed index j is the leading axis of both operands, so each
+# column adds its 2n terms in row order, Psi's rows first and then the
+# point values', and a one-column block gets no dot-product switch: had j
+# been M's contiguous axis, einsum would take a vectorized dot product on
+# one column, which adds in another order.
 #
 # montecarlo._row_dot sums products over rows with the same function
 # ("ip,ip->p" and "ip,ip,ip->p").  Those keep _row_sum's bits because the
@@ -223,25 +228,15 @@ except ImportError:  # numpy 1.x
         _einsum = np.einsum
 
 
-def to_spectral(model: SpectralModel, x, *, mode_major: bool = False, out=None) -> np.ndarray:
-    """Coefficients <x, e_i>_m of a state (or batch of states).  A
-    mode-major call writes them into out, if given, and returns it."""
-    x = np.asarray(x, dtype=float)
-    if mode_major:
-        a = model._analysis
-        return _einsum("ji,jp->ip", a, x) if out is None else _einsum("ji,jp->ip", a, x, out=out)
-    xm = x * model.weights
+def to_spectral(model: SpectralModel, x) -> np.ndarray:
+    """Coefficients <x, e_i>_m of a state (or batch of states)."""
+    xm = np.asarray(x, dtype=float) * model.weights
     return _einsum("...j,ij->...i", xm, model.eigenfunctions)
 
 
-def from_spectral(model: SpectralModel, coeffs, *, mode_major: bool = False, out=None) -> np.ndarray:
-    """State vector sum_i c_i e_i from spectral coefficients.  A
-    mode-major call writes it into out, if given, and returns it."""
-    c = np.asarray(coeffs, dtype=float)
-    if mode_major:
-        E = model.eigenfunctions
-        return _einsum("ij,ip->jp", E, c) if out is None else _einsum("ij,ip->jp", E, c, out=out)
-    return _einsum("...i,ik->...k", c, model.eigenfunctions)
+def from_spectral(model: SpectralModel, coeffs) -> np.ndarray:
+    """State vector sum_i c_i e_i from spectral coefficients."""
+    return _einsum("...i,ik->...k", np.asarray(coeffs, dtype=float), model.eigenfunctions)
 
 
 def norm_lp(model: SpectralModel, x, p: float) -> np.ndarray | float:

@@ -346,24 +346,72 @@ class TestContraction:
 
 
 class TestKernelStep:
-    def test_one_step_matches_point_space_formulas(self):
-        # one step of the spectral-state kernel against the point-space
-        # oracles: drift_eval/apply_drift plus the Q dW increment for both
-        # copies, the untamed coupling_drift times dt on the second, zeta,
-        # f_diagnostic and the (r+1)-moments for the accumulators.  No
-        # start has a zero entry: the kernel's point values carry transform
-        # roundoff (~1e-17), which |s|^r would lift to ~1e-9 there.  The
-        # second model has distinct weights and an operator self-adjoint
-        # for them (diag(m) L is a multiple of the grid Laplacian), so a
-        # weight or 1/lambda factor spread along the wrong axis shows.
+    """Steps of the spectral-state kernel against the point-space oracles.
+
+    No start has a zero entry: the kernel's point values carry transform
+    roundoff (~1e-17), which |s|^r would lift to ~1e-9 there.  The second
+    model has distinct weights and an operator self-adjoint for them
+    (diag(m) L is a multiple of the grid Laplacian), so a weight or
+    1/lambda factor spread along the wrong axis shows.
+    """
+
+    X = np.array([0.4, -0.3, 0.2, 0.1])
+    CLOSE = dict(rtol=1e-13, atol=1e-13)
+    SCHEMES = ("tamed_euler", "explicit_euler")
+
+    @staticmethod
+    def models():
         weights = np.array([0.1, 0.2, 0.3, 0.4])
         weighted = build_model(weights, (weights[0] * four_mode_model().operator) / weights[:, None],
                                [1.0, 0.8, 0.6, 0.5])
+        return four_mode_model(), weighted
+
+    @staticmethod
+    def oracle_path(m, c, x, dt, n_steps, scheme, seed, p):
+        """drift_eval/apply_drift plus the Q dW increment, step by step,
+        on path p's draws."""
+        key = np.array([seed, p], dtype=np.uint64)
+        xi = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, m.n))
+        t = 0.0
+        for s in range(n_steps):
+            x = apply_drift(x, drift_eval(m, c, x, t), dt, scheme, m.weights)
+            x = x + from_spectral(m, m.q_diag * math.sqrt(dt) * xi[s])
+            t += dt
+        return x
+
+    def assert_plain_run(self, c, n_steps):
+        dt, seed = 1e-3, 7
+        for m, scheme in itertools.product(self.models(), self.SCHEMES):
+            cfg = EnsembleConfig(n_paths=2, dt=dt, T=n_steps * dt, seed=seed, scheme=scheme)
+            got = _simulate(m, c, cfg, [self.X]).final[0]
+            for p in range(2):
+                want = self.oracle_path(m, c, self.X, dt, n_steps, scheme, seed, p)
+                assert np.allclose(got[p], want, **self.CLOSE), (scheme, p)
+
+    def test_one_plain_step(self):
+        self.assert_plain_run(CoefficientSet(r=0.5, delta=1.3, gamma=-0.4), 1)
+
+    def test_one_plain_step_identity(self):
+        self.assert_plain_run(CoefficientSet(r=0.5, gamma=-0.4, nonlinearity="identity"), 1)
+
+    def test_drift_matrix_rebuilt_at_a_cut(self):
+        # delta and gamma both change at t = dt, so the second step reads
+        # the drift matrix the kernel makes anew there
+        dt = 1e-3
+        c = CoefficientSet(r=0.5, delta=PiecewiseConstant([0.0, dt], [1.3, 0.6]),
+                           gamma=PiecewiseConstant([0.0, dt], [-0.4, 0.7]))
+        self.assert_plain_run(c, 2)
+
+    def test_one_step_matches_point_space_formulas(self):
+        # one coupled step: drift_eval/apply_drift plus the Q dW increment
+        # for both copies, the untamed coupling_drift times dt on the
+        # second, zeta, f_diagnostic and the (r+1)-moments for the
+        # accumulators
         c = CoefficientSet(r=0.5, delta=1.3, gamma=-0.4)
-        x = np.array([0.4, -0.3, 0.2, 0.1])
+        x = self.X
         y = np.array([-0.2, 0.1, 0.3, 0.05])
         dt, seed = 1e-3, 7
-        for m, scheme in itertools.product((four_mode_model(), weighted), ("tamed_euler", "explicit_euler")):
+        for m, scheme in itertools.product(self.models(), self.SCHEMES):
             w = m.weights
             cfg = EnsembleConfig(n_paths=2, dt=dt, T=dt, seed=seed, scheme=scheme)
             res = run_coupled_ensemble(m, c, cfg, x, y)
@@ -377,7 +425,7 @@ class TestKernelStep:
                 by = drift_eval(m, c, y)
                 shift = coupling_drift(m, sched, x, y, 0.0) * dt
                 z = zeta(m, sched, x, y, 0.0)
-                close = dict(rtol=1e-13, atol=1e-13)
+                close = self.CLOSE
                 assert np.allclose(res.XT[p], apply_drift(x, bx, dt, scheme, w) + dW, **close)
                 assert np.allclose(res.YT[p], apply_drift(y, by, dt, scheme, w) + shift + dW, **close)
                 assert np.isclose(res.log_stoch_int[p], np.sum(z * math.sqrt(dt) * xi), **close)

@@ -430,14 +430,16 @@ class TestMetPairsLeaveTheTwoCopyBlock:
             self.assert_fields_equal(run(block, START, None), whole, block)
 
     def test_transforms_narrow_to_the_first_copies_once_all_met(self, monkeypatch):
+        # the widths of the synthesis, the step's transform to point values
         widths = []
-        real = montecarlo.from_spectral
+        real = montecarlo._einsum
 
-        def spy(model, coeffs, **kw):
-            widths.append(np.shape(coeffs)[-1])
-            return real(model, coeffs, **kw)
+        def spy(subscripts, *operands, **kw):
+            if subscripts == "ij,ip->jp":
+                widths.append(np.shape(operands[1])[-1])
+            return real(subscripts, *operands, **kw)
 
-        monkeypatch.setattr(montecarlo, "from_spectral", spy)
+        monkeypatch.setattr(montecarlo, "_einsum", spy)
         monkeypatch.setattr(montecarlo, "TIME_BLOCK", 4)
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=6, dt=0.01, T=0.1, seed=3)
