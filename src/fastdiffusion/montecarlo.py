@@ -51,6 +51,7 @@ __all__ = [
 CHUNK_PATHS = 1024
 TIME_BLOCK = 128
 NOISE_TILE = 64  # paths drawn into the path-major scratch at a time
+PANEL = 8  # the transforms' blocks are whole panels of this many columns
 BLOWUP_BUDGET = 1e-3
 
 
@@ -133,6 +134,11 @@ def _check_blowups(alive: np.ndarray, what: str):
 # ---------------------------------------------------------------------------
 # the ensemble kernel
 # ---------------------------------------------------------------------------
+
+def _panels(width: int) -> int:
+    """width rounded up to whole panels of PANEL columns."""
+    return -(-width // PANEL) * PANEL
+
 
 def _row_sum(A: np.ndarray) -> np.ndarray:
     """Sum of the rows of A, added one row at a time in order.
@@ -262,19 +268,23 @@ def _simulate(
     to the block's first meeting the weight terms go in unmasked (bit for
     bit what the mask gives) and no meeting time is set or Y copied.
 
-    Each step makes one transform to point values, into the lower half
-    of a block S whose upper half (none for the identity) takes |x|, then
-    |x|^r, then Psi; |x|^r also serves the moments and the f envelope.
-    The drift L Psi + gamma X is one transform back of all of S by the
-    (2n, n) matrix M_t = [a (-delta lambda / 2r) ; gamma a], a the analysis
-    matrix (for the identity, diag(gamma - lambda) on C2, which mixes no
-    roundoff across modes), built at each coefficient cut; the tamed step
-    divides it by 1/dt + |drift|.  S and the drift are blocks made once
-    per chunk for a plain block and at each partition for a coupled one,
-    which the transforms and the ufuncs write into (out=).  Every sum of
-    products over a path (the moments, |D|_H, |zeta|^2, the weight terms,
-    the f envelope, the taming norm) is one _row_dot pass, which builds no
-    product block.
+    Each step makes two transforms, each one BLAS matmul into a block
+    (np.matmul, out=).  The synthesis E^T C2 writes the point values into
+    the lower half of a block S whose upper half (none for the identity)
+    takes |x|, then |x|^r, then Psi; |x|^r also serves the moments and the
+    f envelope.  The drift L Psi + gamma X is M_t^T S, with M_t^T = [(-delta
+    lambda / 2r) a, gamma a] of shape (n, 2n) and a the analysis matrix
+    (for the identity, diag(gamma - lambda) C2, which mixes no roundoff
+    across modes), built at each coefficient cut; the tamed step divides it
+    by 1/dt + |drift|.  C2, S and the drift are blocks made once per chunk
+    and again at each partition, zero-filled and PANEL-padded: a matmul
+    gives a column the same bits at any block width only when the width is
+    a whole number of panels (see the comment above spectral._einsum).  The
+    transforms read and write the whole blocks; every other call works on
+    views of the first P + m (or k P) columns, so the pad columns stay 0
+    and no per-path output reads them.  Every sum of products over a path
+    (the moments, |D|_H, |zeta|^2, the weight terms, the f envelope, the
+    taming norm) is one _row_dot pass, which builds no product block.
     Everything else is diagonal in the eigenbasis: the H norms, zeta, the
     noise q sqrt(dt) xi and, because the eigenfunctions are m-orthonormal,
     the taming norm.  The per-mode factors (weights, 1/lambda, 1/q) are
@@ -306,7 +316,7 @@ def _simulate(
     inv_lam = (1.0 / model.eigenvalues)[:, None]
     inv_q = (1.0 / model.q_diag)[:, None]
     q_sqdt = (model.q_diag * math.sqrt(dt))[:, None]
-    E, analysis = model.eigenfunctions, model._analysis
+    synth, analysis = np.ascontiguousarray(model.eigenfunctions.T), model._analysis
     psi_rows = 0 if identity else n  # S holds Psi's rows over the point values'
     c0 = to_spectral(model, np.asarray(starts, dtype=float)).T[:, :, None]
     # delta and gamma are read again only where one of them enters a new piece
@@ -338,10 +348,23 @@ def _simulate(
     if n_rec:
         out.trace = np.empty((trace_paths, n_rec, 4))
 
+    def blocks(width):
+        """The blocks of a state width columns wide, each PANEL-padded and
+        zero-filled: the coefficients C2, S (Psi's rows over the point
+        values') and the drift.  Returns the whole blocks that the two
+        transforms read and write (C2, S's point values, the drift's
+        operand, the drift), then the views of the first width columns of
+        C2, Psi, the point values and the drift, which every other call
+        works on, so the pad columns stay 0."""
+        C2_pad, S_pad, drift_pad = (np.zeros((rows, _panels(width))) for rows in (n, psi_rows + n, n))
+        Xp_pad = S_pad[psi_rows:]
+        return ((C2_pad, Xp_pad, C2_pad if identity else S_pad, drift_pad),
+                C2_pad[:, :width], S_pad[:psi_rows, :width], Xp_pad[:, :width], drift_pad[:, :width])
+
     def run_chunk(lo: int, hi: int):
         P = hi - lo
         m = P  # pairs in positions [0, m) carry a second copy
-        C2 = np.empty((n, k * P))
+        (C2_pad, Xp_pad, drift_from, drift_pad), C2, Psi, Xp, drift = blocks(k * P)
         copies = C2.reshape(n, k, P)  # a plain run's block keeps this shape
         copies[...] = c0
         ids = np.arange(P)
@@ -351,12 +374,6 @@ def _simulate(
         tile = np.empty((min(NOISE_TILE, P), len(dW_block), n))
         q_sqdt_P = np.repeat(q_sqdt, P, axis=1)
 
-        def blocks(width):
-            """S, its Psi and point-value rows, and the drift block."""
-            S = np.empty((psi_rows + n, width))
-            return S, S[:psi_rows], S[psi_rows:], np.empty((n, width))
-
-        S, Psi, Xp, drift = blocks(k * P)
         if coupled_run:
             lp = np.zeros((k, P))
             # the trapezoid's rows at the last step and at this one
@@ -399,8 +416,9 @@ def _simulate(
                     # rest: a stable partition, pairs still apart first
                     order = np.concatenate([np.flatnonzero(~coupled), np.flatnonzero(coupled)])
                     m -= int(np.count_nonzero(coupled[:m]))
-                    # take keeps the block mode-major (C order); indexing would not
-                    C2 = C2.take(np.concatenate([order, P + order[:m]]), axis=1)
+                    moved = C2[:, np.concatenate([order, P + order[:m]])]
+                    (C2_pad, Xp_pad, drift_from, drift_pad), C2, Psi, Xp, drift = blocks(P + m)
+                    C2[...] = moved
                     for a in (ids, lp, v_prev, coupled, tau, log_s, zsq, f_acc):
                         if a is not None:
                             a[...] = a[..., order]
@@ -409,10 +427,9 @@ def _simulate(
                     pos[ids] = np.arange(P)  # pos[j]: where path lo + j sits
                     tr_x = pos[:n_tr]
                     w_all, w_m, inv_lam_m, inv_q_m = factors()
-                    S, Psi, Xp, drift = blocks(P + m)
 
                 # the state after s steps, in point values
-                _einsum("ij,ip->jp", E, C2, out=Xp)
+                np.matmul(synth, C2_pad, out=Xp_pad)
                 if coupled_run:
                     A = np.abs(Xp, out=Psi) if psi_rows else np.abs(Xp)
                     Ar = A**r
@@ -491,7 +508,8 @@ def _simulate(
                     # values' or, for the identity, from C2 mode by mode
                     gamma = coeffs.gamma(t)
                     M = np.diag(gamma - model.eigenvalues) if identity else np.concatenate(
-                        [analysis * (-coeffs.delta(t) / (2.0 * r) * model.eigenvalues), gamma * analysis])
+                        [analysis * (-coeffs.delta(t) / (2.0 * r) * model.eigenvalues)[:, None],
+                         gamma * analysis], axis=1)
                 if coupled_run:
                     X, Y = C2[:, :P], C2[:, P:]
                     if m:
@@ -514,7 +532,7 @@ def _simulate(
 
                 if not identity:  # |x| or |x|^(r+1) in Psi's rows is read by now
                     np.copysign(Ar, Xp, out=Psi)
-                _einsum("ji,jp->ip", M, C2 if identity else S, out=drift)
+                np.matmul(M, drift_from, out=drift_pad)
                 if tamed:
                     # to drift dt / (1 + dt |drift|) = drift / (1/dt + |drift|), in place
                     h = _row_dot(drift, drift)

@@ -63,8 +63,8 @@ class SpectralModel:
     eigenfunctions: np.ndarray
     q_diag: np.ndarray
     hs_norm_sq: float = field(init=False)
-    # m-weighted eigenfunctions stored point-major: the analysis matrix of
-    # the ensemble kernel's drift
+    # the m-weighted eigenfunctions e_i(k) m_k, mode by mode: the analysis
+    # matrix of the ensemble kernel's drift
     _analysis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -74,7 +74,7 @@ class SpectralModel:
             object.__setattr__(self, name, arr)
         _check_weights_and_noise(self.weights, self.q_diag)
         object.__setattr__(self, "hs_norm_sq", float((self.q_diag**2 / self.eigenvalues).sum()))
-        analysis = np.ascontiguousarray((self.eigenfunctions * self.weights).T)
+        analysis = self.eigenfunctions * self.weights
         analysis.setflags(write=False)
         object.__setattr__(self, "_analysis", analysis)
 
@@ -197,21 +197,24 @@ def fractional_power(model: SpectralModel, alpha: float) -> SpectralModel:
 # np.einsum(optimize=False) itself hands its operands to, here without the
 # Python-level dispatch in front of it.  numpy._core is tried first because
 # numpy 2 warns on importing numpy.core.  einsum's fixed contraction order
-# keeps each column's bits independent of the batch width, which a BLAS
-# matmul does not (its blocking depends on the shape).  The C einsum takes
-# out= only as an array.
+# keeps each column's bits independent of the batch width.  The C einsum
+# takes out= only as an array.
 #
-# montecarlo._simulate calls it for its two transforms of a mode-major
-# block, one state per column: the synthesis "ij,ip->jp" with the
-# eigenfunctions and the drift "ji,jp->ip" with a (2n, n) matrix M whose
-# first n rows act on Psi's n rows and the last n on the point values'.
-# There the summed index j is the leading axis of both operands, so each
-# column adds its 2n terms in row order, Psi's rows first and then the
-# point values', and a one-column block gets no dot-product switch: had j
-# been M's contiguous axis, einsum would take a vectorized dot product on
-# one column, which adds in another order.
+# montecarlo._simulate does not call it for its two transforms per step:
+# each is one BLAS matmul (np.matmul) on blocks whose width is a whole
+# number of montecarlo.PANEL columns.  A BLAS matmul chooses its blocking
+# and its edge kernels from the shape, so an unpadded block gives a column
+# other bits at width 1, or in a tail of fewer columns than the kernel's
+# panel, than in the block's body.  With every width a multiple of PANEL
+# each column goes through the same full-panel kernel, and adds its terms
+# in the same order, at any width and offset and under any BLAS thread
+# count, since the threads split the columns and rows, never the summed
+# index.  tests/test_montecarlo.py::TestPanelTransforms checks this; a
+# BLAS kernel with a wider panel needs a larger PANEL.  The BLAS kernel may
+# fuse each multiply with its add, so another BLAS build, or another
+# kernel for another CPU, can give other bits, by roundoff.
 #
-# montecarlo._row_dot sums products over rows with the same function
+# montecarlo._row_dot sums products over rows with this function
 # ("ip,ip->p" and "ip,ip,ip->p").  Those keep _row_sum's bits because the
 # rows are added in order, each into the zero-filled result column, and
 # because this numpy build rounds each product before adding it: it does

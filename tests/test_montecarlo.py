@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -33,6 +36,8 @@ from fastdiffusion import (
 )
 from fastdiffusion import bounds, dynamics, montecarlo
 from fastdiffusion.cli import _path_rows
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def small_model():
@@ -192,11 +197,12 @@ class TestCoupledEnsemble:
     def test_paths_independent_of_chunking(self, monkeypatch):
         # a path's outputs are bit-identical whatever the chunk and time-block
         # sizes and however many paths run beside it.  A one-path chunk is
-        # where numpy's own reductions would add in another order (n >= 8).
+        # where numpy's own reductions would add in another order (n >= 8);
+        # at n = 64 the transforms are gemms that sum 64 and 128 terms.
         fields = ("XT", "YT", "tau", "coupled", "log_stoch_int", "zeta_sq_int",
                   "f_int", "lp_int_x", "lp_int_y")
         c = small_coeffs()
-        for n in (4, 9):
+        for n in (4, 9, 64):
             m = dirichlet1d_model(n, [i**-0.5 for i in range(1, n + 1)])
             x = from_spectral(m, 0.4 / np.arange(1, n + 1))
             y = from_spectral(m, -0.3 / np.arange(1, n + 1) ** 2)
@@ -278,11 +284,15 @@ class TestMetPairsLeaveTheTwoCopyBlock:
     FIELDS = ("XT", "YT", "coupled", "tau", "log_stoch_int", "zeta_sq_int", "f_int",
               "lp_int_x", "lp_int_y", "dist_final", "alive", "trace")
 
+    # a meeting tolerance by mode count at which about half the pairs meet
+    # (5 of 13 at n = 64, where the pairs' distance stays above about 5e-3)
+    TOL = {4: 3e-5, 9: 3e-5, 64: 6e-3}
+
     def test_results_independent_of_time_block(self, monkeypatch):
-        # a tolerance at which about half the pairs meet, inside noise
-        # blocks; a block longer than the run moves no pair
+        # pairs that meet inside noise blocks; a block longer than the run
+        # moves no pair
         c = small_coeffs()
-        for n in (4, 9):
+        for n, tol in self.TOL.items():
             m = dirichlet1d_model(n, [i**-0.5 for i in range(1, n + 1)])
             x = from_spectral(m, 0.4 / np.arange(1, n + 1))
             y = from_spectral(m, -0.3 / np.arange(1, n + 1) ** 2)
@@ -290,7 +300,7 @@ class TestMetPairsLeaveTheTwoCopyBlock:
             for every in (1, 5):
                 def run(block):
                     monkeypatch.setattr(montecarlo, "TIME_BLOCK", block)
-                    return run_coupled_ensemble(m, c, cfg, x, y, couple_tol=3e-5,
+                    return run_coupled_ensemble(m, c, cfg, x, y, couple_tol=tol,
                                                 trace_paths=9, record_every=every)
 
                 whole = run(cfg.n_steps + 1)
@@ -382,14 +392,14 @@ class TestMetPairsLeaveTheTwoCopyBlock:
         # the runs of test_results_independent_of_time_block, then pairs
         # that meet and blow up as in test_met_pairs_that_blow_up
         c = small_coeffs()
-        for n in (4, 9):
+        for n, tol in self.TOL.items():
             m = dirichlet1d_model(n, [i**-0.5 for i in range(1, n + 1)])
             x = from_spectral(m, 0.4 / np.arange(1, n + 1))
             y = from_spectral(m, -0.3 / np.arange(1, n + 1) ** 2)
             cfg = EnsembleConfig(n_paths=13, dt=1e-3, T=0.1, seed=21)
             for block in (1, 3, 7):
                 monkeypatch.setattr(montecarlo, "TIME_BLOCK", block)
-                on, off = (run_coupled_ensemble(m, c, cfg, x, y, couple_tol=3e-5, trace_paths=9, f_envelope=f)
+                on, off = (run_coupled_ensemble(m, c, cfg, x, y, couple_tol=tol, trace_paths=9, f_envelope=f)
                            for f in (True, False))
                 assert 0 < np.count_nonzero(on.coupled) < cfg.n_paths
                 assert off.f_int is None and np.all(on.f_int > 0.0), (n, block)
@@ -430,31 +440,115 @@ class TestMetPairsLeaveTheTwoCopyBlock:
             self.assert_fields_equal(run(block, START, None), whole, block)
 
     def test_transforms_narrow_to_the_first_copies_once_all_met(self, monkeypatch):
-        # the widths of the synthesis, the step's transform to point values
+        # the widths of the synthesis, the step's transform to point values:
+        # the np.matmul whose matrix is the (n, n) synthesis matrix.  Its
+        # blocks are padded to whole panels, so the 2 x 6 columns of six
+        # pairs apart read 16 and the 6 of six that have met read 8.
         widths = []
-        real = montecarlo._einsum
+        real = np.matmul
 
-        def spy(subscripts, *operands, **kw):
-            if subscripts == "ij,ip->jp":
-                widths.append(np.shape(operands[1])[-1])
-            return real(subscripts, *operands, **kw)
+        def spy(a, b, **kw):
+            if np.shape(a) == (4, 4):
+                widths.append(np.shape(b)[-1])
+            return real(a, b, **kw)
 
-        monkeypatch.setattr(montecarlo, "_einsum", spy)
+        monkeypatch.setattr(montecarlo.np, "matmul", spy)
         monkeypatch.setattr(montecarlo, "TIME_BLOCK", 4)
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=6, dt=0.01, T=0.1, seed=3)
         # from (x, x) every pair meets at step 0 and leaves at step 4
         run_coupled_ensemble(m, c, cfg, START, START)
-        assert widths == [12] * 4 + [6] * 7
+        assert widths == [16] * 4 + [8] * 7
         # pairs that meet later leave at the first block start after meeting
         widths.clear()
         cfg = EnsembleConfig(n_paths=6, dt=1e-3, T=0.1, seed=21)
         res = run_coupled_ensemble(m, c, cfg, START, OTHER, couple_tol=0.02)
         assert res.coupled.all()
-        assert widths[0] == 12 and widths[-1] == 6
+        assert widths[0] == 16 and widths[-1] == 8
         assert all(a >= b for a, b in zip(widths, widths[1:]))
         last_met = round(float(np.max(res.tau)) / cfg.dt)
-        assert widths.index(6) == (last_met // 4 + 1) * 4
+        assert widths.index(8) == (last_met // 4 + 1) * 4
+        # step s works on the 6 + (pairs not met before its block's start)
+        # columns, padded; the last step opens no block
+        met = np.rint(res.tau / cfg.dt)
+        apart = [int(np.sum(met >= min(s, cfg.n_steps - 1) // 4 * 4)) for s in range(cfg.n_steps + 1)]
+        assert widths == [montecarlo._panels(6 + a) for a in apart]
+
+
+class TestPanelTransforms:
+    """The kernel's two transforms are one np.matmul each, on blocks a
+    whole number of PANEL columns wide: the synthesis by E^T and the drift
+    by M_t^T, (n, 2n), or by diag(gamma - lambda) for the identity.  Every
+    column of such a block gets the bits it gets in a block of one panel,
+    at any width and offset, in a contiguous block or in a column slice of
+    a wider one, and under any BLAS thread count."""
+
+    @staticmethod
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    def test_column_bits_are_its_bits_in_one_panel(self):
+        panel = montecarlo.PANEL
+        rng = np.random.default_rng(0)
+        cols_total = montecarlo._panels(2048 + 13)
+        for n in (1, 4, 9, 64):
+            m = dirichlet1d_model(n, np.ones(n))
+            a = m._analysis
+            # the kernel's three matrices, the drift's with random factors
+            mats = {
+                "synthesis": np.ascontiguousarray(m.eigenfunctions.T),
+                "drift": np.concatenate([a * rng.standard_normal(n)[:, None], -0.4 * a], axis=1),
+                "identity": np.diag(-0.4 - m.eigenvalues),
+            }
+            for name, mat in mats.items():
+                rows = mat.shape[1]
+                # magnitudes over 16 decades, so the order of the additions
+                # shows in the bits, and an all -0.0 column
+                base = rng.standard_normal((rows, cols_total)) * 10.0 ** rng.uniform(-8, 8, (rows, cols_total))
+                base[:, 3] = -0.0
+                ref = np.concatenate([mat @ base[:, i:i + panel].copy()
+                                      for i in range(0, cols_total, panel)], axis=1)
+                for width in [*range(1, 41), 1024, 2048]:
+                    cols = montecarlo._panels(width)
+                    assert cols % panel == 0 and width <= cols < width + panel
+                    for offset in range(14):
+                        block = base[:, offset:offset + cols]
+                        for layout, A in (("C", block.copy()), ("sliced", block)):
+                            out = np.full((n, cols), np.nan)
+                            assert np.matmul(mat, A, out=out) is out
+                            assert np.array_equal(self.bits(out), self.bits(ref[:, offset:offset + cols])), (
+                                n, name, width, offset, layout)
+
+    def test_coupled_run_independent_of_blas_threads(self):
+        # 1024 pairs at n = 64: gemms large enough for the BLAS to split
+        # over threads.  The thread count is read when numpy loads, so each
+        # count runs in its own interpreter.
+        code = (
+            "import hashlib, numpy as np\n"
+            "from fastdiffusion import CoefficientSet, EnsembleConfig, dirichlet1d_model, from_spectral, "
+            "run_coupled_ensemble\n"
+            "n = 64\n"
+            "m = dirichlet1d_model(n, [i**-0.5 for i in range(1, n + 1)])\n"
+            "x = from_spectral(m, 0.4 / np.arange(1, n + 1))\n"
+            "y = from_spectral(m, -0.3 / np.arange(1, n + 1) ** 2)\n"
+            "cfg = EnsembleConfig(n_paths=1024, dt=1e-3, T=0.01, seed=21)\n"
+            "res = run_coupled_ensemble(m, CoefficientSet(r=0.5, gamma=-0.4), cfg, x, y)\n"
+            "assert cfg.n_steps == 10\n"
+            "h = hashlib.sha256()\n"
+            "for a in (res.XT, res.YT, res.tau, res.log_stoch_int, res.zeta_sq_int, res.f_int, "
+            "res.lp_int_x, res.lp_int_y, res.dist_final):\n"
+            "    h.update(np.ascontiguousarray(a).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=env, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestRowSum:
@@ -996,7 +1090,7 @@ class TestEstimateInvariant:
         # order, so the report is byte-identical for any chunk size and any
         # batching of the kept times (thin 2 in time blocks of 1 to 256 steps)
         c = small_coeffs()
-        for n in (4, 9):
+        for n in (4, 9, 64):
             m = dirichlet1d_model(n, [i**-0.5 for i in range(1, n + 1)])
             x0 = from_spectral(m, 0.4 / np.arange(1, n + 1))
             cfg = EnsembleConfig(n_paths=20, dt=0.01, T=0.6, seed=23, burn_in=0.1)

@@ -284,12 +284,10 @@ def _einsum_candidates():
 
 
 class TestEinsumBinding:
-    """The transforms and the ensemble kernel call numpy's C einsum
-    directly; whichever import path binds it, every form gives np.einsum's
-    bits for the same subscripts, for any mode count, width and layout.
-    The kernel's two forms, the synthesis with the eigenfunctions and the
-    drift with a (2n, n) matrix, give a column the same bits at any
-    width, and the same bits again when they write into out=."""
+    """The transforms call numpy's C einsum directly; whichever import path
+    binds it, they give np.einsum's bits for the same subscripts, for any
+    mode count, width and layout.  The ensemble kernel's own transforms are
+    BLAS matmuls: tests/test_montecarlo.py::TestPanelTransforms."""
 
     def test_binds_the_c_function(self):
         candidates = _einsum_candidates()
@@ -309,38 +307,22 @@ class TestEinsumBinding:
         for n in (1, 4, 8, 9, 64):
             m = dirichlet1d_model(n, np.ones(n))
             E, w = m.eigenfunctions, m.weights
-            M = rng.standard_normal((2 * n, n))  # Psi's rows, then the point values'
-            # the kernel's forms: the synthesis reads n rows, the drift 2n
-            kernel = (("ij,ip->jp", E, lambda A: A[:n]), ("ji,jp->ip", M, lambda A: A))
             for width in (1, 2, 3, 1024):
                 # magnitudes over 16 decades, so the order of the additions
                 # shows in the bits, and an all -0.0 column
-                base = rng.standard_normal((2 * n, width + 5)) * 10.0 ** rng.uniform(-8, 8, (2 * n, width + 5))
+                base = rng.standard_normal((n, width + 5)) * 10.0 ** rng.uniform(-8, 8, (n, width + 5))
                 base[:, 3] = -0.0
                 layouts = {"C": base[:, :width].copy(), "sliced": base[:, 2:2 + width],
                            "F": np.asfortranarray(base[:, :width])}
                 for layout, A in layouts.items():
                     where = (binding, n, width, layout)
-                    # the kernel's forms take A as is, batched forms its transpose
-                    pairs = [(spectral._einsum(sub, mat, rows(A)), np.einsum(sub, mat, rows(A)))
-                             for sub, mat, rows in kernel]
-                    pairs += [
-                        (to_spectral(m, A[:n].T), np.einsum("...j,ij->...i", A[:n].T * w, E)),
-                        (from_spectral(m, A[:n].T), np.einsum("...i,ik->...k", A[:n].T, E)),
+                    pairs = [
+                        (to_spectral(m, A.T), np.einsum("...j,ij->...i", A.T * w, E)),
+                        (from_spectral(m, A.T), np.einsum("...i,ik->...k", A.T, E)),
                     ]
                     for form, (got, want) in enumerate(pairs):
                         assert got.shape == want.shape, (*where, form)
                         assert np.array_equal(self.bits(got), self.bits(want)), (*where, form)
-                    for form, (sub, mat, rows) in enumerate(kernel):
-                        want = pairs[form][0]
-                        # out=: written in place, the allocating call's bits
-                        buf = np.full(want.shape, np.nan)
-                        got = spectral._einsum(sub, mat, rows(A), out=buf)
-                        assert got is buf, (*where, form)
-                        assert np.array_equal(self.bits(got), self.bits(want)), (*where, form)
-                        # a column's bits at width 1 are its bits at this width
-                        alone = spectral._einsum(sub, mat, rows(A)[:, :1].copy())
-                        assert np.array_equal(self.bits(alone[:, 0]), self.bits(want[:, 0])), (*where, form)
 
 
 class TestNorms:

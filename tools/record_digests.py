@@ -16,7 +16,10 @@ change of summation layout, in the checks or in the ensemble kernel's
 transforms, row sums and row dots.  Between them the nine-mode
 ensemble rows cover the one-copy and the k-copy plain block, the
 thinned snapshots and the coupled pairs with their trace and f-envelope
-sums, which only the ``couple`` tables read.  ``bounds`` and the sampled
+sums, which only the ``couple`` tables read.  ``simulate`` and ``couple``
+(with ``--format csv``) also run 10 steps of 64 paths on a 64-mode model,
+where each of the kernel's two transforms is a BLAS gemm of 64 rows that
+sums 64 or 128 terms, not only the small gemms of n <= 9.  ``bounds`` and the sampled
 checks at seed 3 also run on a model block with a weight list, an
 explicit matrix, a q_diag list and alpha, the branches of the config's
 model builder that the default block leaves out.
@@ -71,11 +74,14 @@ CSV_COMMANDS = ("couple", "invariant")
 
 MODEL = {"n": 4, "q_diag": {"power": -0.5}}
 MODEL9 = {"n": 9, "q_diag": {"power": -0.5}}
+MODEL64 = {"n": 64, "q_diag": {"power": -0.5}}
 COEFFS = {"r": 0.5, "gamma": -0.2, "xi": 0.01}
 X = {"spectral": [0.35, -0.20, 0.10, -0.05]}
 Y = {"spectral": [0.29, -0.16, 0.13, -0.02]}
 X9 = {"spectral": [0.35, -0.20, 0.10, -0.05, 0.04, -0.03, 0.02, -0.015, 0.01]}
 Y9 = {"spectral": [0.29, -0.16, 0.13, -0.02, 0.05, -0.01, 0.03, -0.02, 0.005]}
+X64 = {"spectral": [0.35 * (-1) ** i / (i + 1) for i in range(64)]}
+Y64 = {"spectral": [0.29 * (-1) ** i / (i + 1) ** 2 for i in range(64)]}
 CLOSED_FORM_CHECKS = [
     {"check": "hs"},
     {"check": "hs", "theta": 1.0, "rho": 2.0, "alpha": 2.0},
@@ -166,6 +172,10 @@ def configs():
     for command in ("simulate", "harnack-check", "invariant", "probe-feller", "couple"):
         yield command, "n9", docs9[command], ()
     yield "couple", "n9-csv", docs9["couple"], ("--format", "csv")
+    docs64 = ensemble_docs(MODEL64, X64, Y64, SEEDS[0])
+    short = {"n_paths": 64, "dt": 1e-3, "T": 0.01, "seed": SEEDS[0]}
+    yield "simulate", "n64", {**docs64["simulate"], "run": short}, ()
+    yield "couple", "n64-csv", {**docs64["couple"], "run": short}, ("--format", "csv")
     yield "conditions", "bare", {"model": MODEL, "conditions": BARE_CHECKS}, ()
     yield "bounds", "weighted", {"model": MODEL_W, "coeffs": COEFFS, "x": X, "y": Y, "p": 2.0,
                                  "run": {"dt": 0.01, "T": 0.2, "seed": SEEDS[0]}}, ()
