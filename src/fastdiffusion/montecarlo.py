@@ -259,48 +259,50 @@ def _simulate(
     one noise block are buffered and reduced in one pass.
 
     A chunk of P paths is carried as eigen-coefficients in a mode-major
-    block: the first copies in columns [0, P), then a plain run's other
-    copies, P columns each, or a coupled run's second copies of the m
-    pairs in positions [0, m), those that had not met at the start of the
-    noise block.  There one stable permutation of every per-path array
-    and generator moves the pairs that met behind the rest; ids maps
-    positions to paths.  So no pair in [0, m) has met at a block start: up
-    to the block's first meeting the weight terms go in unmasked (bit for
-    bit what the mask gives) and no meeting time is set or Y copied.
+    block C2: the first copies in columns [0, P), then a plain run's other
+    copies, P columns each, or the second copies of the m pairs in
+    positions [0, m), those not met at the start of the noise block.
+    There one stable permutation of every per-path array and generator
+    moves the pairs that met behind the rest; ids maps positions to paths.
+    A pair's Y is set to its X once, on the step on which it meets, and
+    takes no shift and no weight terms then.  From the next step on X - Y
+    is exactly 0, so its shift, |zeta|^2 and weight term are exact zeros
+    without a mask, and the copies stay equal bit for bit.  Only the f
+    envelope is masked, by coupled: a met pair's is |x|^(r+1), not 0.
 
-    Each step makes two transforms, each one BLAS matmul into a block
-    (np.matmul, out=).  The synthesis E^T C2 writes the point values into
-    the lower half of a block S whose upper half (none for the identity)
-    takes |x|, then |x|^r, then Psi; |x|^r also serves the moments and the
-    f envelope.  The drift L Psi + gamma X is M_t^T S, with M_t^T = [(-delta
-    lambda / 2r) a, gamma a] of shape (n, 2n) and a the analysis matrix
-    (for the identity, diag(gamma - lambda) C2, which mixes no roundoff
-    across modes), built at each coefficient cut; the tamed step divides it
-    by 1/dt + |drift|.  C2, S and the drift are blocks made once per chunk
-    and again at each partition, zero-filled and PANEL-padded: a matmul
-    gives a column the same bits at any block width only when the width is
-    a whole number of panels (see the comment above spectral._einsum).  The
-    transforms read and write the whole blocks; every other call works on
-    views of the first P + m (or k P) columns, so the pad columns stay 0
-    and no per-path output reads them.  Every sum of products over a path
-    (the moments, |D|_H, |zeta|^2, the weight terms, the f envelope, the
-    taming norm) is one _row_dot pass, which builds no product block.
-    Everything else is diagonal in the eigenbasis: the H norms, zeta, the
-    noise q sqrt(dt) xi and, because the eigenfunctions are m-orthonormal,
-    the taming norm.  The per-mode factors (weights, 1/lambda, 1/q) are
-    spread into contiguous blocks of the width they multiply, built once
-    per chunk and again at a partition.  A noise block is drawn at its
-    start, NOISE_TILE paths at a time into a path-major tile, and copied
-    step-major into dW_block of shape (TIME_BLOCK, n, P), which is then
-    scaled by q sqrt(dt) in place: step b reads the contiguous view
-    dW_block[b].  Every per-path number is a function of its own column
-    only, so results do not depend on the chunk, on where a path sits in
-    it, on when pairs are moved or on the worker count.
+    Each step makes two transforms, each one BLAS matmul: the synthesis
+    E^T C2 into the point values, the lower half of a block S whose upper
+    half (none for the identity) takes |x|, then Psi; and the drift L Psi
+    + gamma X = M_t^T S, with M_t^T = [(-delta lambda / 2r) a, gamma a] and
+    a the analysis matrix (for the identity, diag(gamma - lambda) C2),
+    built at each coefficient cut.  The tamed step divides the drift by
+    1/dt + |drift|.  C2, S and the drift are zero-filled blocks made per
+    chunk and at each partition, PANEL-padded: a matmul gives a column the
+    same bits at any width and offset only on whole panels (see the
+    comment above spectral._einsum).  The transforms and the diagonal
+    ufuncs (|x|, |x|^r, copysign, the taming, the drift's add) work on the
+    whole blocks, whose pad columns get no noise and zero drift and stay 0.
 
-    D = X - Y, |D|_H and |zeta|^2 of the pairs still apart are computed
-    once per step, and once more after the last, for the trace rows too.
-    No step maps a non-finite state back to a finite one, so alive is
-    read off the final states and a dead pair's rows read nan.
+    The pairs still apart take their sums in one more matmul: D * D and D
+    * dW fill a zero-filled (2n, _panels(m)) block made at each partition,
+    and a fixed (3, 2n) matrix of 1/lambda and 1/q^2 gives per pair
+    |D|_H^2, sum D^2/q^2 and sum D dW/q^2.  With g = beta_t / |D|_H^eps,
+    |zeta|^2 = g^2 sum D^2/q^2, zeta . dW = g sum D dW/q^2 and Y's shift is
+    D g dt.  The noise is drawn before the sums, so one product serves
+    the trace rows, the meeting check and the weight terms; after the last
+    step dW is 0.  A pair more than about 1e154 apart has |D|_H = inf and
+    D * D = inf: g = 0, and its |zeta|^2 and weight term are set to 0.
+
+    lp_int is the running sum of |.|_{r+1}^{r+1} less half its first and
+    last terms, times dt, or inf where the sum is.  A noise block is drawn
+    at its start, NOISE_TILE paths at a time into a path-major tile,
+    copied step-major into dW_block (TIME_BLOCK, n, P) and scaled by q
+    sqrt(dt) in place, so step b reads the contiguous dW_block[b].  Every
+    per-path number is a function of its own column only, so results do
+    not depend on the chunk, on where a path sits in it, on when pairs are
+    moved or on the worker count.  No step maps a non-finite state back
+    to a finite one, so alive is read off the final states and a dead
+    pair's rows read nan.
     """
     n = model.n
     k = len(starts)
@@ -314,7 +316,6 @@ def _simulate(
     tamed = cfg.scheme != "explicit_euler"
     w = model.weights[:, None]
     inv_lam = (1.0 / model.eigenvalues)[:, None]
-    inv_q = (1.0 / model.q_diag)[:, None]
     q_sqdt = (model.q_diag * math.sqrt(dt))[:, None]
     synth, analysis = np.ascontiguousarray(model.eigenfunctions.T), model._analysis
     psi_rows = 0 if identity else n  # S holds Psi's rows over the point values'
@@ -324,7 +325,10 @@ def _simulate(
     if coupled_run:
         eps = sched.epsilon
         f_expo = ((1.0 - r) / (1.0 + r), 2.0 / (coeffs.sigma - 2.0))
-        half_dt = np.array(0.5 * dt)  # exact, so (a + b) * half_dt rounds as 0.5 * (a + b) * dt
+        # the pair sums |D|_H^2, sum D^2/q^2 and sum D dW/q^2 of a column [D*D; D*dW]
+        inv_q_sq = 1.0 / model.q_diag**2
+        G = np.zeros((3, 2 * n))
+        G[0, :n], G[1, :n], G[2, n:] = 1.0 / model.eigenvalues, inv_q_sq, inv_q_sq
 
     burn = cfg.burn_steps
     n_kept = (n_steps - burn) // thin if thin else 0
@@ -342,29 +346,25 @@ def _simulate(
         out.lp_int = np.zeros((k, N))
         out.coupled = np.zeros(N, dtype=bool)
         out.tau = np.full(N, math.nan)
-        out.log_stoch_int = np.zeros(N)
-        out.zeta_sq_int = np.zeros(N)
+        out.zeta_sq_int, out.log_stoch_int = np.zeros((2, N))
         out.f_int = np.zeros(N) if f_envelope else None
     if n_rec:
         out.trace = np.empty((trace_paths, n_rec, 4))
 
     def blocks(width):
-        """The blocks of a state width columns wide, each PANEL-padded and
-        zero-filled: the coefficients C2, S (Psi's rows over the point
-        values') and the drift.  Returns the whole blocks that the two
-        transforms read and write (C2, S's point values, the drift's
-        operand, the drift), then the views of the first width columns of
-        C2, Psi, the point values and the drift, which every other call
-        works on, so the pad columns stay 0."""
+        """The PANEL-padded, zero-filled blocks of a state width columns
+        wide: C2, the point values and Psi (the halves of S), the drift's
+        operand and the drift; then C2's and the point values' first width
+        columns."""
         C2_pad, S_pad, drift_pad = (np.zeros((rows, _panels(width))) for rows in (n, psi_rows + n, n))
         Xp_pad = S_pad[psi_rows:]
-        return ((C2_pad, Xp_pad, C2_pad if identity else S_pad, drift_pad),
-                C2_pad[:, :width], S_pad[:psi_rows, :width], Xp_pad[:, :width], drift_pad[:, :width])
+        return (C2_pad, Xp_pad, S_pad[:psi_rows], C2_pad if identity else S_pad, drift_pad,
+                C2_pad[:, :width], Xp_pad[:, :width])
 
     def run_chunk(lo: int, hi: int):
         P = hi - lo
         m = P  # pairs in positions [0, m) carry a second copy
-        (C2_pad, Xp_pad, drift_from, drift_pad), C2, Psi, Xp, drift = blocks(k * P)
+        C2_pad, Xp_pad, Psi_pad, drift_from, drift_pad, C2, Xp = blocks(k * P)
         copies = C2.reshape(n, k, P)  # a plain run's block keeps this shape
         copies[...] = c0
         ids = np.arange(P)
@@ -372,16 +372,16 @@ def _simulate(
         dW_block = np.empty((min(TIME_BLOCK, n_steps), n, P))
         dW_rows = list(dW_block)  # step b of a block reads the view dW_rows[b]
         tile = np.empty((min(NOISE_TILE, P), len(dW_block), n))
+        tile_rows = list(tile)
         q_sqdt_P = np.repeat(q_sqdt, P, axis=1)
 
         if coupled_run:
-            lp = np.zeros((k, P))
-            # the trapezoid's rows at the last step and at this one
-            v_prev, v_cur = np.empty((2, P)), np.empty((2, P))
+            X, Y = C2[:, :P], C2[:, P:]
+            # running sums of |.|_{r+1}^{r+1} per copy, and their first terms
+            lp, lp0 = np.zeros((k, P)), None
             coupled = np.zeros(P, dtype=bool)
             tau = np.full(P, math.nan)
-            log_s = np.zeros(P)
-            zsq = np.zeros(P)
+            zl = np.zeros((2, P))  # the weight terms: integrals of |zeta|^2 dt and zeta . dW
             f_acc = np.zeros(P) if f_envelope else None
 
             def second(A):
@@ -389,13 +389,14 @@ def _simulate(
                 pair's is its first."""
                 return np.concatenate([A[..., P:], A[..., m:P]], axis=-1)
 
-            def factors():
-                """The weights over all P + m columns of the block, and the
-                weights, 1/lambda and 1/q over the m pairs still apart."""
-                return (np.repeat(w, P + m, axis=1),
-                        *(np.repeat(a, m, axis=1) for a in (w, inv_lam, inv_q)))
+            def pair_blocks():
+                """The weights over the padded P + m columns and over the m
+                pairs still apart; then the padded, zero-filled blocks of
+                their D = X - Y, [D*D; D*dW], pair sums and (g^2 dt, g)."""
+                return (np.repeat(w, _panels(P + m), axis=1), np.repeat(w, m, axis=1),
+                        *(np.zeros((rows, _panels(m))) for rows in (n, 2 * n, 3, 2)))
 
-            w_all, w_m, inv_lam_m, inv_q_m = factors()
+            w_all, w_m, D_pad, DD_DdW, pair, gg = pair_blocks()
 
         n_tr = max(0, min(hi, trace_paths) - lo)
         tr_x = np.arange(n_tr)  # positions of the traced pairs, in path order
@@ -411,44 +412,50 @@ def _simulate(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for s in range(n_steps + 1):
                 b = s % TIME_BLOCK
-                if coupled_run and b == 0 and s < n_steps and coupled[:m].any():
+                if coupled_run and b == 0 and s < n_steps and np.count_nonzero(coupled[:m]):
                     # the pairs that met during the last block move behind the
                     # rest: a stable partition, pairs still apart first
                     order = np.concatenate([np.flatnonzero(~coupled), np.flatnonzero(coupled)])
                     m -= int(np.count_nonzero(coupled[:m]))
                     moved = C2[:, np.concatenate([order, P + order[:m]])]
-                    (C2_pad, Xp_pad, drift_from, drift_pad), C2, Psi, Xp, drift = blocks(P + m)
+                    C2_pad, Xp_pad, Psi_pad, drift_from, drift_pad, C2, Xp = blocks(P + m)
                     C2[...] = moved
-                    for a in (ids, lp, v_prev, coupled, tau, log_s, zsq, f_acc):
+                    X, Y = C2[:, :P], C2[:, P:]
+                    for a in (ids, lp, lp0, coupled, tau, zl, f_acc):
                         if a is not None:
                             a[...] = a[..., order]
                     gens = [gens[i] for i in order]
-                    pos = np.empty_like(ids)
-                    pos[ids] = np.arange(P)  # pos[j]: where path lo + j sits
-                    tr_x = pos[:n_tr]
-                    w_all, w_m, inv_lam_m, inv_q_m = factors()
+                    tr_x = np.argsort(ids)[:n_tr]  # where paths lo, lo + 1, ... sit
+                    w_all, w_m, D_pad, DD_DdW, pair, gg = pair_blocks()
+                if b == 0 and s < n_steps:
+                    met = False  # no pair in [0, m) has met yet in this block
+                    B = min(TIME_BLOCK, n_steps - s)
+                    outs = tile_rows if B == len(dW_block) else [row[:B] for row in tile]
+                    for p0 in range(0, P, NOISE_TILE):
+                        p1 = min(p0 + NOISE_TILE, P)
+                        for gen, row in zip(gens[p0:p1], outs):
+                            gen.standard_normal(out=row)
+                        dW_block[:B, :, p0:p1] = tile[:p1 - p0, :B].transpose(1, 2, 0)
+                    dW_block[:B] *= q_sqdt_P
+                dW = dW_rows[b] if s < n_steps else np.zeros((n, P))
 
                 # the state after s steps, in point values
                 np.matmul(synth, C2_pad, out=Xp_pad)
                 if coupled_run:
-                    A = np.abs(Xp, out=Psi) if psi_rows else np.abs(Xp)
+                    A = np.abs(Xp_pad, out=Psi_pad) if psi_rows else np.abs(Xp_pad)
                     Ar = A**r
                     if f_envelope:
                         V = np.multiply(A, Ar, out=A)  # |x|^(r+1); A is not read again
                         v = _row_dot(V, w_all)
                     else:
                         v = _row_dot(A, Ar, w_all)
-                    v_cur[0] = v[:P]
-                    v_cur[1, :m] = v[P:]
-                    v_cur[1, m:] = v[m:P]
-                    if s:
-                        # lp += (v_prev + v_cur) dt / 2, summed in v_prev
-                        v_prev += v_cur
-                        v_prev *= half_dt
-                        lp += v_prev
-                    v_prev, v_cur = v_cur, v_prev
+                    lp[0] += v[:P]
+                    lp[1, :m] += v[P:P + m]
+                    lp[1, m:] += v[m:P]
+                    if not s:
+                        lp0 = lp.copy()
                 elif not identity:  # a plain run reads |x| only as |x|^r
-                    Ar = np.abs(Xp, out=Psi)
+                    Ar = np.abs(Xp_pad, out=Psi_pad)
                     Ar **= r
                 if n_kept and s > burn and (s - burn) % thin == 0:
                     if keep:
@@ -467,15 +474,20 @@ def _simulate(
                         nb = 0
                 if coupled_run and (m or n_tr):
                     beta = sched.beta(min(t, sched.T))
-                    if m:
-                        # D, dist and zeta of the pairs in the two-copy block,
-                        # taken before this step's meeting check: zeta is 0
-                        # where X = Y, as for every pair that has met
-                        D = C2[:, :m] - C2[:, P:]
-                        dist = np.sqrt(_row_dot(D, D, inv_lam_m))
-                        attraction = D * (beta / np.where(dist > 0.0, dist, np.inf) ** eps)
-                        zc = attraction * inv_q_m
-                        zeta_sq = _row_dot(zc, zc)
+                    if m and (s < n_steps or n_tr):
+                        # the pair sums of the pairs in the two-copy block, one
+                        # matmul, before this step's meeting check
+                        D = np.subtract(X[:, :m], Y, out=D_pad[:, :m])
+                        np.multiply(D_pad, D_pad, out=DD_DdW[:n])
+                        np.multiply(D, dW[:, :m], out=DD_DdW[n:, :m])
+                        np.matmul(G, DD_DdW, out=pair)
+                        dist = np.sqrt(pair[0], out=pair[0])
+                        # g = beta / |D|_H^eps, kept in gg[1] where |D|_H is 0:
+                        # a pair that met has g = 0 from its meeting on
+                        g = gg[1]
+                        np.divide(beta, np.power(dist, eps, out=gg[0]), out=g, where=dist > 0.0)
+                        # more than about 1e154 apart D*D overflows, and g = 0
+                        far = np.isinf(dist) if not dist.max() < math.inf else slice(0)
                 if n_tr and s and s % record_every == 0:
                     # rows read the numbers above; a pair that left the block
                     # has X - Y = 0, which is nan once its state is not finite
@@ -485,21 +497,11 @@ def _simulate(
                     rows[:, 2] = beta
                     rows[:, 3] = rows[:, 1]
                     inside = tr_x < m
-                    rows[inside, 1] = dist[tr_x[inside]]
-                    rows[inside, 3] = zeta_sq[tr_x[inside]]
+                    j = tr_x[inside]
+                    rows[inside, 1] = dist[j]
+                    rows[inside, 3] = np.where(np.isinf(dist[j]), 0.0, g[j] * g[j] * pair[1, j])
                 if s == n_steps:
                     break
-
-                if b == 0:
-                    met = False  # no pair in [0, m) has met yet in this block
-                    B = min(TIME_BLOCK, n_steps - s)
-                    for p0 in range(0, P, NOISE_TILE):
-                        cols = slice(p0, min(p0 + NOISE_TILE, P))
-                        for i, g in enumerate(gens[cols]):
-                            g.standard_normal(out=tile[i, :B])
-                        dW_block[:B, :, cols] = tile[:cols.stop - p0, :B].transpose(1, 2, 0)
-                    dW_block[:B] *= q_sqdt_P
-                dW = dW_rows[b]
 
                 if t >= next_cut:
                     j = bisect.bisect_right(cuts, t)
@@ -510,47 +512,51 @@ def _simulate(
                     M = np.diag(gamma - model.eigenvalues) if identity else np.concatenate(
                         [analysis * (-coeffs.delta(t) / (2.0 * r) * model.eigenvalues)[:, None],
                          gamma * analysis], axis=1)
-                if coupled_run:
-                    X, Y = C2[:, :P], C2[:, P:]
-                    if m:
-                        newly = dist <= couple_tol
-                        met = met or bool(newly.any())
-                        if met:
-                            newly &= ~coupled[:m]
-                            tau[:m][newly] = t
-                            coupled[:m] |= newly
-                            active = ~coupled[:m]
-                        # a pair that meets now takes no weight terms, and its
-                        # Y is set to its X below whatever its drift
-                        terms = [(zsq, zeta_sq * dt_a), (log_s, _row_dot(zc, dW[:, :m] * inv_q_m))]
-                        if f_envelope:
-                            env = np.maximum(V[:, :m], V[:, P:])
-                            fval = (_row_dot(env, w_m) ** f_expo[0]) ** f_expo[1]
-                            terms.append((f_acc, fval * dt_a))
-                        for acc, v in terms:
-                            acc[:m] += np.where(active, v, 0.0) if met else v
+                meeting = False
+                if coupled_run and m:
+                    newly = dist[:m] <= couple_tol
+                    if met:
+                        newly &= ~coupled[:m]
+                    meeting = np.count_nonzero(newly) > 0
+                    if meeting:
+                        met = True
+                        tau[:m][newly] = t
+                        coupled[:m] |= newly
+                        g[:m][newly] = 0.0  # no shift and no weight terms
+                    # |zeta|^2 dt and zeta . dW: exact zeros for a pair met earlier
+                    gdt = g * dt_a
+                    np.multiply(g, gdt, out=gg[0])
+                    terms = np.multiply(pair[1:], gg, out=pair[1:])
+                    terms[:, far] = 0.0
+                    zl[:, :m] += terms[:, :m]
+                    if f_envelope:
+                        # a met pair's envelope is |x|^(r+1), not 0: it is masked
+                        env = np.maximum(V[:, :m], V[:, P:P + m])
+                        fval = (_row_dot(env, w_m) ** f_expo[0]) ** f_expo[1] * dt_a
+                        f_acc[:m] += np.where(coupled[:m], 0.0, fval) if met else fval
 
                 if not identity:  # |x| or |x|^(r+1) in Psi's rows is read by now
-                    np.copysign(Ar, Xp, out=Psi)
+                    np.copysign(Ar, Xp_pad, out=Psi_pad)
                 np.matmul(M, drift_from, out=drift_pad)
                 if tamed:
                     # to drift dt / (1 + dt |drift|) = drift / (1/dt + |drift|), in place
-                    h = _row_dot(drift, drift)
+                    h = _row_dot(drift_pad, drift_pad)
                     np.sqrt(h, out=h)
                     h += inv_dt
-                    drift /= h
+                    drift_pad /= h
                 else:
-                    drift *= dt_a
-                C2 += drift
+                    drift_pad *= dt_a
+                C2_pad += drift_pad
                 if coupled_run:
                     X += dW
                     if m:
-                        # the attraction is not tamed: zeta and the weight
-                        # reweight exactly this shift of the noise
-                        Y += attraction * dt_a
-                    Y += dW[:, :m]
-                    if met:
-                        np.copyto(Y, X[:, :m], where=coupled[:m])
+                        # Y takes its noise plus the attraction's shift D g dt,
+                        # untamed: zeta and the weight reweight exactly this shift
+                        D_pad *= gdt
+                        Y += D
+                        Y += dW[:, :m]
+                        if meeting:
+                            np.copyto(Y, X[:, :m], where=newly)  # Y := X once, on meeting
                 elif k == 1:
                     C2 += dW
                 else:
@@ -563,11 +569,12 @@ def _simulate(
         if coupled_run:
             out.alive[at] = finite[:P] & second(finite)
             out.final[:, at] = np.stack([Xp[:, :P], second(Xp)]).transpose(0, 2, 1)
-            out.lp_int[:, at] = lp
+            # the trapezoid: the sum less half its first and last terms, or inf
+            ends = 0.5 * (lp0 + np.stack([v[:P], second(v[:P + m])]))
+            out.lp_int[:, at] = (lp - np.where(np.isinf(lp), 0.0, ends)) * dt_a
             out.coupled[at] = coupled
             out.tau[at] = tau
-            out.log_stoch_int[at] = log_s
-            out.zeta_sq_int[at] = zsq
+            out.zeta_sq_int[at], out.log_stoch_int[at] = zl
             if f_envelope:
                 out.f_int[at] = f_acc
         else:

@@ -478,10 +478,12 @@ class TestMetPairsLeaveTheTwoCopyBlock:
 class TestPanelTransforms:
     """The kernel's two transforms are one np.matmul each, on blocks a
     whole number of PANEL columns wide: the synthesis by E^T and the drift
-    by M_t^T, (n, 2n), or by diag(gamma - lambda) for the identity.  Every
-    column of such a block gets the bits it gets in a block of one panel,
-    at any width and offset, in a contiguous block or in a column slice of
-    a wider one, and under any BLAS thread count."""
+    by M_t^T, (n, 2n), or by diag(gamma - lambda) for the identity.  So is
+    the two-copy step's pair sums, a (3, 2n) matrix of 1/lambda and 1/q^2
+    times the block [D*D; D*dW].  Every column of such a block gets the
+    bits it gets in a block of one panel, at any width and offset, in a
+    contiguous block or in a column slice of a wider one, and under any
+    BLAS thread count."""
 
     @staticmethod
     def bits(a):
@@ -494,11 +496,15 @@ class TestPanelTransforms:
         for n in (1, 4, 9, 64):
             m = dirichlet1d_model(n, np.ones(n))
             a = m._analysis
-            # the kernel's three matrices, the drift's with random factors
+            # the kernel's four matrices, the drift's with random factors
+            inv_q_sq = rng.uniform(1.0, n, n)
+            pair_sums = np.zeros((3, 2 * n))
+            pair_sums[0, :n], pair_sums[1, :n], pair_sums[2, n:] = 1.0 / m.eigenvalues, inv_q_sq, inv_q_sq
             mats = {
                 "synthesis": np.ascontiguousarray(m.eigenfunctions.T),
                 "drift": np.concatenate([a * rng.standard_normal(n)[:, None], -0.4 * a], axis=1),
                 "identity": np.diag(-0.4 - m.eigenvalues),
+                "pair sums": pair_sums,
             }
             for name, mat in mats.items():
                 rows = mat.shape[1]
@@ -514,7 +520,7 @@ class TestPanelTransforms:
                     for offset in range(14):
                         block = base[:, offset:offset + cols]
                         for layout, A in (("C", block.copy()), ("sliced", block)):
-                            out = np.full((n, cols), np.nan)
+                            out = np.full((len(mat), cols), np.nan)
                             assert np.matmul(mat, A, out=out) is out
                             assert np.array_equal(self.bits(out), self.bits(ref[:, offset:offset + cols])), (
                                 n, name, width, offset, layout)

@@ -24,10 +24,13 @@ checks at seed 3 also run on a model block with a weight list, an
 explicit matrix, a q_diag list and alpha, the branches of the config's
 model builder that the default block leaves out.
 ``harnack-check`` also runs from starts at |x|_H = 30 and 60, where the
-exponential-moment bounds pass float range.  ``simulate``, ``couple`` and
-``harnack-check`` also run 450 steps, across three noise-block
-boundaries, under a delta and a gamma that change inside a block after
-some pairs have met.  Each output line reads
+exponential-moment bounds pass float range.  ``simulate``, ``couple``
+(also with ``--format csv``) and ``harnack-check`` also run 450 steps,
+across three noise-block boundaries, under a delta and a gamma that
+change inside a block after some pairs have met; the ``couple`` paths
+table there is the one row that reads ``f_int`` of pairs that meet
+inside a noise block, after other pairs of the block have met.  Each
+output line reads
 
     <command> <config> <sha256>
 
@@ -163,6 +166,7 @@ def configs():
     cut = {"coeffs": CUT_COEFFS, "run": {"n_paths": 64, "dt": 1e-3, "T": 0.45, "seed": SEEDS[0]}}
     yield "simulate", "cuts", {**plain, **tf, **cut}, ()
     yield "couple", "cuts", {**pair, "sample_paths": 2, **cut}, ()
+    yield "couple", "cuts-csv", {**pair, "sample_paths": 2, **cut}, ("--format", "csv")
     yield "harnack-check", "cuts", {**pair, **tf, "p": 2.0, **cut}, ()
     for seed in SEEDS:
         yield "conditions", f"sampled{seed}-n9", sampled(MODEL9, seed), ()
