@@ -53,6 +53,9 @@ TIME_BLOCK = 128
 NOISE_TILE = 64  # paths drawn into the path-major scratch at a time
 PANEL = 8  # the transforms' blocks are whole panels of this many columns
 BLOWUP_BUDGET = 1e-3
+# the rows of a coupled run's per-pair block, by their CoupledEnsembleResult
+# field; f_int, the last, is there only with the f envelope
+PAIR_ROWS = ("lp_int_x", "lp_int_y", "zeta_sq_int", "log_stoch_int", "tau", "f_int")
 
 
 @dataclass(frozen=True)
@@ -207,9 +210,12 @@ class _Paths:
     """Per-path output of one kernel run; arrays indexed by path.
 
     final holds the point values at T of each of the k copies, shape
-    (k, n_paths, n).  lp_int is the trapezoid integral of |.|_{r+1}^{r+1}
-    per copy of a coupled run, trace the rows (t, |X-Y|_H, beta_t,
-    |zeta_t|^2) of the traced pairs.
+    (k, n_paths, n).  A coupled run's per-pair numbers are the rows of
+    pairs, named by PAIR_ROWS (without f_int unless f_envelope): the
+    trapezoid integrals of |.|_{r+1}^{r+1} per copy, the weight terms,
+    the meeting time, nan for a pair that never met, and the f envelope's
+    integral.  trace holds the rows (t, |X-Y|_H, beta_t, |zeta_t|^2) of
+    the traced pairs.
 
     A plain run sampled every thin steps carries window_sums[h, q, j]:
     the sum of _sample_stats value q of path j over the kept times in
@@ -222,14 +228,9 @@ class _Paths:
 
     final: np.ndarray
     alive: np.ndarray
-    lp_int: np.ndarray | None = None
+    pairs: np.ndarray | None = None
     window_sums: np.ndarray | None = None
     kept: np.ndarray | None = None
-    coupled: np.ndarray | None = None
-    tau: np.ndarray | None = None
-    log_stoch_int: np.ndarray | None = None
-    zeta_sq_int: np.ndarray | None = None
-    f_int: np.ndarray | None = None
     trace: np.ndarray | None = None
 
 
@@ -251,7 +252,8 @@ def _simulate(
 
     k = 1 is a plain run.  k = 2 is a coupled run: the second copy is
     attracted to the first by sched until their H distance first drops to
-    couple_tol, and is equal to it from then on.  f_int is None unless f_envelope.
+    couple_tol, and is equal to it from then on.  Its pairs block has an
+    f_int row only with f_envelope.
 
     With thin > 0 a one-copy run samples its state every thin steps after
     burn-in and streams the samples' statistics (at eps0) into
@@ -262,13 +264,14 @@ def _simulate(
     block C2: the first copies in columns [0, P), then a plain run's other
     copies, P columns each, or the second copies of the m pairs in
     positions [0, m), those not met at the start of the noise block.
-    There one stable permutation of every per-path array and generator
-    moves the pairs that met behind the rest; ids maps positions to paths.
-    A pair's Y is set to its X once, on the step on which it meets, and
-    takes no shift and no weight terms then.  From the next step on X - Y
-    is exactly 0, so its shift, |zeta|^2 and weight term are exact zeros
-    without a mask, and the copies stay equal bit for bit.  Only the f
-    envelope is masked, by coupled: a met pair's is |x|^(r+1), not 0.
+    There one stable permutation of ids, which maps positions to paths,
+    of the chunk's per-pair block and of the generators moves the pairs
+    that met behind the rest.  A pair has met exactly when its tau is not
+    nan.  A pair's Y is set to its X once, on the step on which it meets,
+    and takes no shift and no weight terms then.  From the next step on
+    X - Y is exactly 0, so its shift, |zeta|^2 and weight term are exact
+    zeros without a mask, and the copies stay equal bit for bit.  Only the
+    f envelope is masked, by tau: a met pair's is |x|^(r+1), not 0.
 
     Each step makes two transforms, each one BLAS matmul: the synthesis
     E^T C2 into the point values, the lower half of a block S whose upper
@@ -293,13 +296,15 @@ def _simulate(
     step dW is 0.  A pair more than about 1e154 apart has |D|_H = inf and
     D * D = inf: g = 0, and its |zeta|^2 and weight term are set to 0.
 
-    lp_int is the running sum of |.|_{r+1}^{r+1} less half its first and
-    last terms, times dt, or inf where the sum is.  A noise block is drawn
-    at its start, NOISE_TILE paths at a time into a path-major tile,
-    copied step-major into dW_block (TIME_BLOCK, n, P) and scaled by q
-    sqrt(dt) in place, so step b reads the contiguous dW_block[b].  Every
-    per-path number is a function of its own column only, so results do
-    not depend on the chunk, on where a path sits in it, on when pairs are
+    A chunk's per-pair block holds its rows of pairs, into which the
+    accumulators add, and the first terms of |.|_{r+1}^{r+1}.  lp_int is
+    the running sum of |.|_{r+1}^{r+1} less half its first and last terms,
+    times dt, or inf where the sum is.  A noise block is drawn at its
+    start, NOISE_TILE paths at a time into a path-major tile, copied
+    step-major into dW_block (TIME_BLOCK, n, P) and scaled by q sqrt(dt)
+    in place, so step b reads the contiguous dW_block[b].  Every per-path
+    number is a function of its own column only, so results do not
+    depend on the chunk, on where a path sits in it, on when pairs are
     moved or on the worker count.  No step maps a non-finite state back
     to a finite one, so alive is read off the final states and a dead
     pair's rows read nan.
@@ -343,11 +348,7 @@ def _simulate(
         if keep:
             out.kept = np.empty((n_kept, N, n))
     if coupled_run:
-        out.lp_int = np.zeros((k, N))
-        out.coupled = np.zeros(N, dtype=bool)
-        out.tau = np.full(N, math.nan)
-        out.zeta_sq_int, out.log_stoch_int = np.zeros((2, N))
-        out.f_int = np.zeros(N) if f_envelope else None
+        out.pairs = np.empty((len(PAIR_ROWS) - (0 if f_envelope else 1), N))
     if n_rec:
         out.trace = np.empty((trace_paths, n_rec, 4))
 
@@ -377,12 +378,13 @@ def _simulate(
 
         if coupled_run:
             X, Y = C2[:, :P], C2[:, P:]
-            # running sums of |.|_{r+1}^{r+1} per copy, and their first terms
-            lp, lp0 = np.zeros((k, P)), None
-            coupled = np.zeros(P, dtype=bool)
-            tau = np.full(P, math.nan)
-            zl = np.zeros((2, P))  # the weight terms: integrals of |zeta|^2 dt and zeta . dW
-            f_acc = np.zeros(P) if f_envelope else None
+            # the rows of pairs (running sums of |.|_{r+1}^{r+1} per copy, the
+            # integrals of |zeta|^2 dt and zeta . dW, tau and, if asked for, the
+            # f envelope's), then the first terms of |.|_{r+1}^{r+1} per copy
+            per_pair = np.zeros((len(out.pairs) + 2, P))
+            acc, lp0 = per_pair[:-2], per_pair[-2:]
+            lp, zl, tau, f_acc = acc[:2], acc[2:4], acc[4], acc[5:]
+            tau[...] = math.nan
 
             def second(A):
                 """The second copy of every pair in position order; a met
@@ -407,28 +409,29 @@ def _simulate(
             buf_C = np.empty((n, batch * P))
             w_s, inv_lam_s = (np.repeat(a, batch * P, axis=1) for a in (w, inv_lam))
         ki = nb = 0
+        met = False  # a pair in [0, m) has met in this noise block
         t = 0.0  # time after s steps, summed step by step
         next_cut = 0.0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for s in range(n_steps + 1):
                 b = s % TIME_BLOCK
-                if coupled_run and b == 0 and s < n_steps and np.count_nonzero(coupled[:m]):
+                if coupled_run and b == 0 and s < n_steps and met:
                     # the pairs that met during the last block move behind the
                     # rest: a stable partition, pairs still apart first
-                    order = np.concatenate([np.flatnonzero(~coupled), np.flatnonzero(coupled)])
-                    m -= int(np.count_nonzero(coupled[:m]))
+                    apart = np.isnan(tau)
+                    order = np.concatenate([np.flatnonzero(apart), np.flatnonzero(~apart)])
+                    m = int(np.count_nonzero(apart))
                     moved = C2[:, np.concatenate([order, P + order[:m]])]
                     C2_pad, Xp_pad, Psi_pad, drift_from, drift_pad, C2, Xp = blocks(P + m)
                     C2[...] = moved
                     X, Y = C2[:, :P], C2[:, P:]
-                    for a in (ids, lp, lp0, coupled, tau, zl, f_acc):
-                        if a is not None:
-                            a[...] = a[..., order]
+                    for a in (ids, per_pair):
+                        a[...] = a[..., order]
                     gens = [gens[i] for i in order]
                     tr_x = np.argsort(ids)[:n_tr]  # where paths lo, lo + 1, ... sit
                     w_all, w_m, D_pad, DD_DdW, pair, gg = pair_blocks()
                 if b == 0 and s < n_steps:
-                    met = False  # no pair in [0, m) has met yet in this block
+                    met = False
                     B = min(TIME_BLOCK, n_steps - s)
                     outs = tile_rows if B == len(dW_block) else [row[:B] for row in tile]
                     for p0 in range(0, P, NOISE_TILE):
@@ -453,7 +456,7 @@ def _simulate(
                     lp[1, :m] += v[P:P + m]
                     lp[1, m:] += v[m:P]
                     if not s:
-                        lp0 = lp.copy()
+                        lp0[...] = lp
                 elif not identity:  # a plain run reads |x| only as |x|^r
                     Ar = np.abs(Xp_pad, out=Psi_pad)
                     Ar **= r
@@ -516,12 +519,11 @@ def _simulate(
                 if coupled_run and m:
                     newly = dist[:m] <= couple_tol
                     if met:
-                        newly &= ~coupled[:m]
+                        newly &= np.isnan(tau[:m])
                     meeting = np.count_nonzero(newly) > 0
                     if meeting:
                         met = True
                         tau[:m][newly] = t
-                        coupled[:m] |= newly
                         g[:m][newly] = 0.0  # no shift and no weight terms
                     # |zeta|^2 dt and zeta . dW: exact zeros for a pair met earlier
                     gdt = g * dt_a
@@ -533,7 +535,7 @@ def _simulate(
                         # a met pair's envelope is |x|^(r+1), not 0: it is masked
                         env = np.maximum(V[:, :m], V[:, P:P + m])
                         fval = (_row_dot(env, w_m) ** f_expo[0]) ** f_expo[1] * dt_a
-                        f_acc[:m] += np.where(coupled[:m], 0.0, fval) if met else fval
+                        f_acc[:, :m] += np.where(np.isnan(tau[:m]), fval, 0.0) if met else fval
 
                 if not identity:  # |x| or |x|^(r+1) in Psi's rows is read by now
                     np.copysign(Ar, Xp_pad, out=Psi_pad)
@@ -571,12 +573,9 @@ def _simulate(
             out.final[:, at] = np.stack([Xp[:, :P], second(Xp)]).transpose(0, 2, 1)
             # the trapezoid: the sum less half its first and last terms, or inf
             ends = 0.5 * (lp0 + np.stack([v[:P], second(v[:P + m])]))
-            out.lp_int[:, at] = (lp - np.where(np.isinf(lp), 0.0, ends)) * dt_a
-            out.coupled[at] = coupled
-            out.tau[at] = tau
-            out.zeta_sq_int[at], out.log_stoch_int[at] = zl
-            if f_envelope:
-                out.f_int[at] = f_acc
+            lp -= np.where(np.isinf(lp), 0.0, ends)
+            lp *= dt_a
+            out.pairs[:, at] = acc
         else:
             out.alive[lo:hi] = finite.reshape(k, P).all(axis=0)
             out.final[:, lo:hi] = Xp.reshape(n, k, P).transpose(1, 2, 0)
@@ -650,7 +649,8 @@ class CoupledEnsembleResult:
 
     lp_int_x and lp_int_y are the path integrals of |.|_{r+1}^{r+1} of
     the two copies, f_int that of the f envelope before meeting, if asked
-    for.  trace, when requested, has shape (paths, rows, 4)
+    for.  coupled is read off tau: a pair has met exactly where its tau is
+    not nan.  trace, when requested, has shape (paths, rows, 4)
     with rows (t, |X-Y|_H, beta_t, |zeta_t|^2); a pair that left the
     finite range reads nan in |X-Y|_H and |zeta_t|^2 from the row of the
     step on which it left.  |X-Y|_H, in the trace and in dist_final,
@@ -664,18 +664,21 @@ class CoupledEnsembleResult:
     schedule: CouplingSchedule
     XT: np.ndarray
     YT: np.ndarray
-    coupled: np.ndarray
     tau: np.ndarray
     log_stoch_int: np.ndarray
     zeta_sq_int: np.ndarray
-    f_int: np.ndarray | None
     lp_int_x: np.ndarray
     lp_int_y: np.ndarray
     dist_final: np.ndarray
     alive: np.ndarray
     n_blowups: int
     couple_tol: float
+    f_int: np.ndarray | None = None
     trace: np.ndarray | None = None
+
+    @property
+    def coupled(self) -> np.ndarray:
+        return ~np.isnan(self.tau)
 
     @property
     def log_weights(self) -> np.ndarray:
@@ -742,23 +745,16 @@ def run_coupled_ensemble(
         f_envelope=f_envelope,
     )
     n_blow = _check_blowups(run.alive, "coupled")
-    if n_blow:
-        # the kernel carries a dead pair on as nan or inf, and it may have
-        # met before it left the finite range: it has no meeting time,
-        # weight terms, path integrals or final state
-        dead = ~run.alive
-        run.coupled[dead] = False
-        run.final[:, dead] = run.lp_int[:, dead] = math.nan
-        for a in (run.tau, run.log_stoch_int, run.zeta_sq_int, run.f_int):
-            if a is not None:
-                a[dead] = math.nan
+    # the kernel carries a dead pair on as nan or inf, and it may have met
+    # before it left the finite range: it has no meeting time, weight
+    # terms, path integrals or final state
+    dead = ~run.alive
+    run.final[:, dead] = run.pairs[:, dead] = math.nan
     XT, YT = run.final
     with np.errstate(over="ignore"):
         dist_final = np.asarray(norm_h(model, XT - YT))
     return CoupledEnsembleResult(
-        x=x, y=y, schedule=sched, XT=XT, YT=YT, coupled=run.coupled, tau=run.tau,
-        log_stoch_int=run.log_stoch_int, zeta_sq_int=run.zeta_sq_int, f_int=run.f_int,
-        lp_int_x=run.lp_int[0], lp_int_y=run.lp_int[1],
+        x=x, y=y, schedule=sched, XT=XT, YT=YT, **dict(zip(PAIR_ROWS, run.pairs)),
         dist_final=dist_final, alive=run.alive,
         n_blowups=n_blow, couple_tol=couple_tol, trace=run.trace,
     )

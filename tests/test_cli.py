@@ -497,7 +497,7 @@ class TestDeadPairs:
             monkeypatch.setattr(montecarlo, "TIME_BLOCK", block)
             res = run_coupled_ensemble(m, c, cfg, x, y, couple_tol=1e-300, trace_paths=6)
             assert not res.alive.any() and res.coupled_fraction == 0.0
-            for name in ("XT", "YT", "tau", "log_stoch_int", "zeta_sq_int", "f_int", "lp_int_x", "lp_int_y"):
+            for name in ("XT", "YT", *montecarlo.PAIR_ROWS):
                 assert np.isnan(getattr(res, name)).all(), name
             for name, columns, rows in (("paths", cli.COUPLE_CSV_COLUMNS, _path_rows(res)),
                                         ("trace", cli.PLOT_CSV_COLUMNS, _trace_rows(res))):
@@ -526,7 +526,8 @@ class TestDeadPairs:
         short = EnsembleConfig(n_paths=6, dt=cfg.dt, T=cfg.dt * 1463, seed=3, scheme=cfg.scheme)
         raw = montecarlo._simulate(m, c, short, [x, y], make_schedule(m, c, short.realized_T, x, y), 1e-300)
         res = run_coupled_ensemble(m, c, short, x, y, couple_tol=1e-300)
-        assert np.isinf(raw.lp_int[:, 1]).all() and not res.alive[1]
+        lp_int = raw.pairs[[montecarlo.PAIR_ROWS.index(name) for name in ("lp_int_x", "lp_int_y")]]
+        assert np.isinf(lp_int[:, 1]).all() and not res.alive[1]
         assert np.isnan(res.lp_int_x[~res.alive]).all() and np.isnan(res.lp_int_y[~res.alive]).all()
 
     def test_far_apart_alive_pairs_read_inf(self, monkeypatch):

@@ -26,7 +26,7 @@ from fastdiffusion import (
     run_coupled_ensemble,
 )
 from fastdiffusion import bounds, coupling
-from fastdiffusion.montecarlo import _simulate
+from fastdiffusion.montecarlo import PAIR_ROWS, _simulate
 from point_oracles import apply_drift, coupling_drift, drift_eval, f_diagnostic, norm_q, zeta
 
 
@@ -299,7 +299,8 @@ class TestStepPair:
         sched = make_schedule(m, c, 1.0, x, y)
         prev = np.zeros(2)
         for k in range(1, 101):
-            cur = flat_run(m, c, sched, x, y, k, seed=3, couple_tol=1e-6 * sched.dist0).zeta_sq_int
+            run = flat_run(m, c, sched, x, y, k, seed=3, couple_tol=1e-6 * sched.dist0)
+            cur = run.pairs[PAIR_ROWS.index("zeta_sq_int")]
             assert np.all(cur >= prev)
             prev = cur
 
@@ -486,7 +487,7 @@ class TestRunPair:
         n_steps, tol = 30, 1e-2
         sched = make_schedule(m, c, n_steps * 1e-3, x, y)
         full = flat_run(m, c, sched, x, y, n_steps, seed=21, n_paths=6, couple_tol=tol, trace_paths=6)
-        met = np.rint(full.tau / 1e-3).astype(int)
+        met = np.rint(full.pairs[PAIR_ROWS.index("tau")] / 1e-3).astype(int)
         assert set(met) == {7, 8}
         for s in range(1, n_steps + 1):
             short = flat_run(m, c, sched, x, y, s, seed=21, n_paths=6, couple_tol=tol)

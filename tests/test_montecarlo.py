@@ -199,8 +199,7 @@ class TestCoupledEnsemble:
         # sizes and however many paths run beside it.  A one-path chunk is
         # where numpy's own reductions would add in another order (n >= 8);
         # at n = 64 the transforms are gemms that sum 64 and 128 terms.
-        fields = ("XT", "YT", "tau", "coupled", "log_stoch_int", "zeta_sq_int",
-                  "f_int", "lp_int_x", "lp_int_y")
+        fields = ("XT", "YT", "coupled", *montecarlo.PAIR_ROWS)
         c = small_coeffs()
         for n in (4, 9, 64):
             m = dirichlet1d_model(n, [i**-0.5 for i in range(1, n + 1)])
@@ -281,8 +280,7 @@ class TestMetPairsLeaveTheTwoCopyBlock:
     """Pairs that have met move out of the two-copy block at the start of
     each noise block; no per-path number may depend on when they move."""
 
-    FIELDS = ("XT", "YT", "coupled", "tau", "log_stoch_int", "zeta_sq_int", "f_int",
-              "lp_int_x", "lp_int_y", "dist_final", "alive", "trace")
+    FIELDS = ("XT", "YT", "coupled", *montecarlo.PAIR_ROWS, "dist_final", "alive", "trace")
 
     # a meeting tolerance by mode count at which about half the pairs meet
     # (5 of 13 at n = 64, where the pairs' distance stays above about 5e-3)
@@ -359,8 +357,14 @@ class TestMetPairsLeaveTheTwoCopyBlock:
             short = EnsembleConfig(n_paths=12, dt=cfg.dt, T=cfg.dt * n_steps, scheme=cfg.scheme, seed=3)
             return montecarlo._simulate(m, c, short, [x, y], sched, 0.01, trace_paths=12)
 
+        def row(run, name):
+            # a row of the kernel's per-pair block; a pair has met where tau is not nan
+            if name == "coupled":
+                return ~np.isnan(row(run, "tau"))
+            return run.pairs[montecarlo.PAIR_ROWS.index(name)]
+
         whole = run(cfg.n_steps + 1)
-        assert whole.coupled.all() and not whole.alive.any()
+        assert row(whole, "coupled").all() and not whole.alive.any()
         # step s leaves the finite range when trace row s, the state after
         # s + 1 steps, is the first to read a nan distance
         s_b = np.argmax(np.isnan(whole.trace[:, :, 1]), axis=1)
@@ -370,17 +374,17 @@ class TestMetPairsLeaveTheTwoCopyBlock:
         for block in (1, 3, 7):
             res = run(block)
             other = run(block, chunk=5)
-            for name in ("final", "alive", "lp_int", "coupled", "tau", "log_stoch_int",
-                         "zeta_sq_int", "f_int", "trace"):
+            for name in ("final", "alive", "pairs", "trace"):
                 assert np.array_equal(getattr(other, name), getattr(res, name), equal_nan=True), name
-            for name in ("alive", "coupled", "tau", "f_int"):
-                assert np.array_equal(getattr(res, name), getattr(whole, name)), (block, name)
+            assert np.array_equal(res.alive, whole.alive), block
+            for name in ("coupled", "tau", "f_int"):
+                assert np.array_equal(row(res, name), row(whole, name)), (block, name)
             assert np.array_equal(res.final[0], res.final[1], equal_nan=True)
-            assert np.isnan(res.lp_int).all()
+            assert np.isnan([row(res, "lp_int_x"), row(res, "lp_int_y")]).all()
             # a met pair's weight terms stay as they were when it met, dead
             # or not, and its trace does not depend on when it left the block
             for name in ("log_stoch_int", "zeta_sq_int"):
-                assert np.array_equal(getattr(res, name), getattr(before, name)), (block, name)
+                assert np.array_equal(row(res, name), row(before, name)), (block, name)
             assert np.array_equal(res.trace, whole.trace, equal_nan=True), block
 
     def assert_fields_equal(self, res, whole, *where, skip=()):
@@ -688,8 +692,7 @@ class TestNoiseBlock:
     """Each noise block is drawn path-major a tile of paths at a time and
     stored step-major, pre-scaled by q sqrt(dt)."""
 
-    FIELDS = ("XT", "YT", "coupled", "tau", "log_stoch_int", "zeta_sq_int", "f_int",
-              "lp_int_x", "lp_int_y", "dist_final", "alive")
+    FIELDS = ("XT", "YT", "coupled", *montecarlo.PAIR_ROWS, "dist_final", "alive")
 
     def test_results_independent_of_tile_width(self, monkeypatch):
         # 50 steps in noise blocks of 7: seven full blocks and a short one;

@@ -29,7 +29,11 @@ exponential-moment bounds pass float range.  ``simulate``, ``couple``
 across three noise-block boundaries, under a delta and a gamma that
 change inside a block after some pairs have met; the ``couple`` paths
 table there is the one row that reads ``f_int`` of pairs that meet
-inside a noise block, after other pairs of the block have met.  Each
+inside a noise block, after other pairs of the block have met.  That
+``couple`` run also runs from equal starts (y = x), with
+``--format csv``: every pair meets at step 0, the first noise block's
+end moves all of them out of the two-copy block at step 128, and the
+paths table reads tau = 0.  Each
 output line reads
 
     <command> <config> <sha256>
@@ -167,6 +171,7 @@ def configs():
     yield "simulate", "cuts", {**plain, **tf, **cut}, ()
     yield "couple", "cuts", {**pair, "sample_paths": 2, **cut}, ()
     yield "couple", "cuts-csv", {**pair, "sample_paths": 2, **cut}, ("--format", "csv")
+    yield "couple", "cuts-equal-csv", {**pair, "y": X, "sample_paths": 2, **cut}, ("--format", "csv")
     yield "harnack-check", "cuts", {**pair, **tf, "p": 2.0, **cut}, ()
     for seed in SEEDS:
         yield "conditions", f"sampled{seed}-n9", sampled(MODEL9, seed), ()
