@@ -14,14 +14,13 @@ parameters it reads, and sigma=None stands for its floor 4/(1+r).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import CoefficientSet, _check_seed, _path_generators, _require_int, _sigma_floor
 from .errors import InvalidSampleCount
-from .spectral import SpectralModel, _coeff_norm, from_spectral, norm_h, norm_lp, to_spectral
+from .spectral import SpectralModel, _panels, _row_dot
 
 __all__ = [
     "ConditionReport",
@@ -104,26 +103,34 @@ def hs_check(model: SpectralModel | None = None, theta: float | None = None,
     )
 
 
-# the last sample drawn, as (model, n_samples, seed, sample, norms), with
-# the sample's (|x|_H, |x|_Q) under norms["hq"] and |x|_p under norms[p];
-# the sampled checks of one conditions command share it
+# the last sample drawn, as (model, n_samples, seed, sample, blocks, norms):
+# blocks holds the normalized states' coefficients C and point values X,
+# one state per column, PANEL-padded; norms holds their (|x|_H, |x|_Q)
+# under "hq" and |x|_p under p.  The sampled checks of one command share it.
 _last_sample = None
+
+
+def _spread(v: np.ndarray, width: int) -> np.ndarray:
+    """v as a contiguous block of width columns, each equal to v."""
+    return np.repeat(v[:, None], width, axis=1)
 
 
 def _mixture_samples(model: SpectralModel, n_samples: int, seed: int) -> np.ndarray:
     """Deterministic mixture of mode vectors, dense Gaussian states, and
     sparse point masses, each normalized to unit H norm.
 
-    Row j is the mode vector e_(j//3 mod n) when j % 3 == 0, the state
-    with standard normal spectral coefficients when j % 3 == 1, and a
-    point mass of size +-(0.5 + U) at a uniform point when j % 3 == 2.
-    The draws come from one Philox stream in four batches, in this order:
-    the Gaussian rows' coefficients, then the point masses' signs, their
-    points and their sizes U.  The sample is read-only: the most recent
-    one is kept, with its norms, and handed to the next call with the same
-    model object, n_samples and seed.  n_samples < 1 is an InvalidSampleCount;
-    a seed outside [0, SEED_MAX], the Philox key word's range, and a
-    non-integer seed or n_samples are a ValueError.
+    Row j is the mode vector e_(j//3 mod n) when j % 3 == 0, the state with
+    standard normal spectral coefficients when j % 3 == 1, and a point mass
+    of size +-(0.5 + U) at a uniform point when j % 3 == 2.  The draws come
+    from one Philox stream in four batches, in this order: the Gaussian
+    rows' coefficients, then the point masses' signs, their points and their
+    sizes U.  State j is column j of two blocks, C and X: one matmul on each
+    whole block completes the other, and one row dot gives the |x|_H that
+    divides both, so a state's bits do not depend on n_samples.  The
+    read-only sample, a view of X, is kept with its blocks and norms for the
+    next call with the same model object, n_samples and seed.  n_samples < 1
+    is an InvalidSampleCount; a seed outside [0, SEED_MAX], the Philox key
+    word's range, and a non-integer seed or n_samples are a ValueError.
     """
     global _last_sample
     _check_seed(seed)
@@ -134,39 +141,37 @@ def _mixture_samples(model: SpectralModel, n_samples: int, seed: int) -> np.ndar
     if last is not None and last[0] is model and last[1:3] == (n_samples, seed):
         return last[3]
     (rng,) = _path_generators(seed, 0, 1)  # the Philox stream keyed by (seed, 0)
-    n = model.n
-    rows = np.arange(n_samples)
-    gauss = rng.standard_normal((rows[1::3].size, n))
-    k = rows[2::3].size
-    sign = rng.integers(2, size=k)
-    point = rng.integers(n, size=k)
-    size = rng.random(k)
-    out = np.zeros((n_samples, n))
-    out[0::3] = model.eigenfunctions[rows[0::3] // 3 % n]
-    out[1::3] = from_spectral(model, gauss)
-    out[2::3][np.arange(k), point] = np.where(sign, 1.0, -1.0) * (0.5 + size)
-    out /= norm_h(model, out)[:, None]
-    out.setflags(write=False)
-    _last_sample = (model, n_samples, seed, out, {})
-    return out
+    n, width = model.n, _panels(n_samples)
+    cols = np.arange(n_samples)
+    gauss = rng.standard_normal((cols[1::3].size, n))
+    k = cols[2::3].size
+    sign, point, size = rng.integers(2, size=k), rng.integers(n, size=k), rng.random(k)
+    blocks = np.zeros((2, n, width))
+    C, X = blocks
+    C[cols[0::3] // 3 % n, cols[0::3]] = 1.0
+    C[:, 1:n_samples:3] = gauss.T
+    X[point, cols[2::3]] = np.where(sign, 1.0, -1.0) * (0.5 + size)
+    blocks += [model._analysis @ X, np.ascontiguousarray(model.eigenfunctions.T) @ C]  # C from X, X from C
+    blocks[..., :n_samples] /= np.sqrt(_row_dot(C, C, _spread(1.0 / model.eigenvalues, width)))[:n_samples]
+    xs = X[:, :n_samples].T
+    xs.setflags(write=False)
+    _last_sample = (model, n_samples, seed, xs, blocks, {})
+    return xs
 
 
 def _sample_norms(model: SpectralModel, n_samples: int, seed: int, p: float):
     """The mixture sample and its |x|_H, |x|_Q and |x|_p, each computed once
-    per sample and kept with it; one to_spectral gives both |x|_H and |x|_Q."""
+    per sample and exponent and kept with it: one row dot over C each for
+    |x|_H and |x|_Q, and one over |X|^p for |x|_p."""
     xs = _mixture_samples(model, n_samples, seed)
-    norms = _last_sample[4]  # the entry of xs, which _mixture_samples just made or kept
+    (C, X), norms = _last_sample[4:]  # the entry of xs, which _mixture_samples just made or kept
+    width = C.shape[1]
     if "hq" not in norms:
-        c = to_spectral(model, xs)
-        norms["hq"] = _coeff_norm(c, model.eigenvalues), _coeff_norm(c, model.q_diag**2)
+        norms["hq"] = tuple(np.sqrt(_row_dot(C, C, _spread(1.0 / v, width)))[:n_samples]
+                            for v in (model.eigenvalues, model.q_diag**2))
     if p not in norms:
-        norms[p] = norm_lp(model, xs, p)
+        norms[p] = (_row_dot(np.abs(X) ** p, _spread(model.weights, width)) ** (1.0 / p))[:n_samples]
     return xs, *norms["hq"], norms[p]
-
-
-def _ratio_of_norms(coeffs: CoefficientSet, nh, nq, lp) -> np.ndarray:
-    sigma = coeffs.sigma
-    return lp**2 * nh ** (sigma - 2.0) / nq**sigma
 
 
 def check_noise_domination(
@@ -185,12 +190,13 @@ def check_noise_domination(
     A fixed row of the sample can set the minimum at every seed: on the
     nine-mode Dirichlet model with q_i = i^(-1/2) and r = 1/2 it is row
     24, the mode vector e_8, and seeds 3 and 7 both give
-    0.006914940997251288; on the four-mode model, at those seeds, a
+    0.006914940997251271; on the four-mode model, at those seeds, a
     Gaussian row sets it.  A sampled minimum lies above the infimum;
     ROADMAP item 5 plans a search in its place.
     """
     xs, nh, nq, lp = _sample_norms(model, n_samples, seed, coeffs.r + 1.0)
-    ratios = _ratio_of_norms(coeffs, nh, nq, lp)
+    sigma = coeffs.sigma
+    ratios = lp**2 * nh ** (sigma - 2.0) / nq**sigma
     k = int(np.argmin(ratios))
     xi_est = float(ratios[k])
     xi_conf = min(coeffs.xi.values)
@@ -352,7 +358,7 @@ def check_embedding_constant(
     A fixed row of the sample can set the maximum at every seed: on the
     nine-mode Dirichlet model with q_i = i^(-1/2) and r = 1/2 it is row
     0, the mode vector e_0 (repeated every 3n rows), and seeds 3 and 7
-    both give 0.3286232928722209; on the four-mode model, at those
+    both give 0.32862329287222103; on the four-mode model, at those
     seeds, a Gaussian row sets it.  A sampled maximum lies below the
     supremum; ROADMAP item 5 plans a search in its place.
     """

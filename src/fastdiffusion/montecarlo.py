@@ -33,7 +33,7 @@ from . import bounds
 from .coupling import DEFAULT_TOL_FACTOR, CouplingSchedule, make_schedule
 from .dynamics import CoefficientSet, EnsembleConfig, _path_generators
 from .errors import InvalidSampleCount, NonFiniteState, NotTimeHomogeneous, PositiveGamma
-from .spectral import SpectralModel, _einsum, from_spectral, norm_h, to_spectral
+from .spectral import SpectralModel, _panels, _row_dot, from_spectral, norm_h, to_spectral
 
 __all__ = [
     "Estimate",
@@ -51,8 +51,8 @@ __all__ = [
 CHUNK_PATHS = 1024
 TIME_BLOCK = 128
 NOISE_TILE = 64  # paths drawn into the path-major scratch at a time
-PANEL = 8  # the transforms' blocks are whole panels of this many columns
 BLOWUP_BUDGET = 1e-3
+MET_FLOOR = 0.99  # a Harnack verdict on a smaller coupled fraction is uninformative
 # the rows of a coupled run's per-pair block, by their CoupledEnsembleResult
 # field; f_int, the last, is there only with the f envelope
 PAIR_ROWS = ("lp_int_x", "lp_int_y", "zeta_sq_int", "log_stoch_int", "tau", "f_int")
@@ -137,58 +137,6 @@ def _check_blowups(alive: np.ndarray, what: str):
 # ---------------------------------------------------------------------------
 # the ensemble kernel
 # ---------------------------------------------------------------------------
-
-def _panels(width: int) -> int:
-    """width rounded up to whole panels of PANEL columns."""
-    return -(-width // PANEL) * PANEL
-
-
-def _row_sum(A: np.ndarray) -> np.ndarray:
-    """Sum of the rows of A, added one row at a time in order.
-
-    numpy's own reductions choose their summation order from the array's
-    width, which would make a path's bits depend on how many paths share
-    its chunk.  np.add.reduce adds row by row (from -0.0, which keeps a
-    zero sum's sign) only when A has at least two contiguous columns;
-    otherwise the rows are added in a Python loop.  A sum of products
-    goes through _row_dot instead.
-    """
-    if A.shape[1] > 1 and A.strides[1] == A.itemsize:
-        return np.add.reduce(A, axis=0, initial=-0.0)
-    out = A[0].copy()
-    for row in A[1:]:
-        out += row
-    return out
-
-
-def _row_dot(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """_row_sum(a * b), or _row_sum(a * b * c), of same-shape factors.
-
-    When the block is wider than one column and every factor's columns
-    are contiguous, one einsum pass multiplies and adds each row into a
-    zero-filled result, one row at a time in order, without building the
-    product block.  Otherwise the product goes through _row_sum: on one
-    column einsum switches to a dot product, which adds in another order.
-    The factors are named, not packed: on a (4, 64) block a *factors
-    tuple and a generator over it cost more than the pass saves.
-
-    The one difference in the bits: einsum starts from +0.0, so a column
-    whose products are all -0.0 sums to +0.0 where _row_sum gives -0.0.
-    No kernel use can see it.  Squares and |x|^(r+1) w are never -0.0,
-    and the stochastic-integral increment is added into log_s, which
-    starts at +0.0 and so can never become -0.0.
-    """
-    s = a.itemsize
-    if a.shape[1] > 1 and a.strides[1] == s and b.strides[1] == s:
-        if c is None:
-            return _einsum("ip,ip->p", a, b)
-        if c.strides[1] == s:
-            return _einsum("ip,ip,ip->p", a, b, c)
-    prod = a * b
-    if c is not None:
-        prod *= c
-    return _row_sum(prod)
-
 
 def _sample_stats(X: np.ndarray, C: np.ndarray, w: np.ndarray, inv_lam: np.ndarray,
                   rp1: float, eps0: float) -> np.ndarray:
@@ -815,8 +763,9 @@ def verify_harnack(
     the right side reuses the same paths' first copies, so the empirical
     inequality inherits the pathwise Hoelder structure.  _verdict compares
     the 95 percent confidence extremes with multiplicative slack; when the
-    multiplier overflows to inf, rhs and its interval are null too.  The
-    run does not depend on p or F, so one run serves every pair.
+    multiplier overflows to inf, rhs and its interval are null too.  With
+    fewer than MET_FLOOR of the pairs met it is uninformative, with a note
+    why.  The run does not depend on p or F, so one run serves every pair.
 
     The exp_moment block checks, on the same pairs and by the same rule,
     the exponential moment E exp(w integral_0^T |.|_{r+1}^{r+1} dt) of
@@ -844,6 +793,9 @@ def verify_harnack(
     factor = rep.harnack_rhs
     lhs_lo, lhs_hi = (max(v, 0.0) ** p for v in west.ci95)
     verdict = _verdict(lhs_hi, factor, xest.ci95[0], slack)
+    if (frac := res.coupled_fraction) < MET_FLOOR:
+        verdict.update(informative=False, ci_margin=None, note=f"coupled_fraction {frac!r} is below "
+                       f"{MET_FLOOR!r}: the weighted F(X_T) stands for F(Y_T) on met pairs only")
     finite = math.isfinite(factor)
 
     def moment_side(lp_int: np.ndarray, log_rhs: float) -> dict:
@@ -871,7 +823,7 @@ def verify_harnack(
         "weighted_estimate": west.as_dict(),
         "plain_p_estimate": xest.as_dict(),
         "mean_weight": rest.as_dict(),
-        "coupled_fraction": res.coupled_fraction,
+        "coupled_fraction": frac,
         "n_blowups": res.n_blowups,
         **res.weight_health(),
         "exp_moment": {

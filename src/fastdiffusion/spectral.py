@@ -200,28 +200,29 @@ def fractional_power(model: SpectralModel, alpha: float) -> SpectralModel:
 # keeps each column's bits independent of the batch width.  The C einsum
 # takes out= only as an array.
 #
-# montecarlo._simulate does not call it for its two transforms per step:
-# each is one BLAS matmul (np.matmul) on blocks whose width is a whole
-# number of montecarlo.PANEL columns.  A BLAS matmul chooses its blocking
-# and its edge kernels from the shape, so an unpadded block gives a column
-# other bits at width 1, or in a tail of fewer columns than the kernel's
-# panel, than in the block's body.  With every width a multiple of PANEL
-# each column goes through the same full-panel kernel, and adds its terms
-# in the same order, at any width and offset and under any BLAS thread
+# montecarlo._simulate and the sampled condition checks work on mode-major
+# blocks, one state per column, transformed by BLAS matmuls (np.matmul) and
+# measured by row dots; each block is a whole number of PANEL columns wide,
+# with zero pad columns that are never divided.  A BLAS matmul chooses its
+# blocking and its edge kernels from the shape, so an unpadded block gives a
+# column other bits at width 1, or in a tail of fewer columns than the
+# kernel's panel, than in the block's body.  With every width a multiple of
+# PANEL each column goes through the same full-panel kernel, and adds its
+# terms in the same order, at any width and offset and under any BLAS thread
 # count, since the threads split the columns and rows, never the summed
-# index.  tests/test_montecarlo.py::TestPanelTransforms checks this; a
-# BLAS kernel with a wider panel needs a larger PANEL.  The BLAS kernel may
-# fuse each multiply with its add, so another BLAS build, or another
-# kernel for another CPU, can give other bits, by roundoff.
+# index.  tests/test_montecarlo.py::TestPanelTransforms checks this; a BLAS
+# kernel with a wider panel needs a larger PANEL.  The BLAS kernel may fuse
+# each multiply with its add, so another BLAS build, or another kernel for
+# another CPU, can give other bits, by roundoff.
 #
-# montecarlo._row_dot sums products over rows with this function
-# ("ip,ip->p" and "ip,ip,ip->p").  Those keep _row_sum's bits because the
-# rows are added in order, each into the zero-filled result column, and
-# because this numpy build rounds each product before adding it: it does
-# not fuse the multiply and the add.  A build that did would change the
-# bits, and tests/test_montecarlo.py::TestRowDot would fail on it.  On one
-# column the summed index is the only one left and einsum takes the dot
-# product, which adds in another order, so _row_dot uses _row_sum there.
+# _row_dot sums products over rows with this function ("ip,ip->p" and
+# "ip,ip,ip->p").  Those keep _row_sum's bits because the rows are added in
+# order, each into the zero-filled result column, and because this numpy
+# build rounds each product before adding it: it does not fuse the multiply
+# and the add.  A build that did would change the bits, and
+# tests/test_montecarlo.py::TestRowDot would fail on it.  On one column the
+# summed index is the only one left and einsum takes the dot product, which
+# adds in another order, so _row_dot uses _row_sum there.
 try:
     from numpy._core.multiarray import c_einsum as _einsum
 except ImportError:  # numpy 1.x
@@ -229,6 +230,60 @@ except ImportError:  # numpy 1.x
         from numpy.core.multiarray import c_einsum as _einsum
     except ImportError:
         _einsum = np.einsum
+
+PANEL = 8  # the blocks of the matmul transforms are whole panels of this many columns
+
+
+def _panels(width: int) -> int:
+    """width rounded up to whole panels of PANEL columns."""
+    return -(-width // PANEL) * PANEL
+
+
+def _row_sum(A: np.ndarray) -> np.ndarray:
+    """Sum of the rows of A, added one row at a time in order.
+
+    numpy's own reductions choose their summation order from the array's
+    width, which would make a path's bits depend on how many paths share
+    its chunk.  np.add.reduce adds row by row (from -0.0, which keeps a
+    zero sum's sign) only when A has at least two contiguous columns;
+    otherwise the rows are added in a Python loop.  A sum of products
+    goes through _row_dot instead.
+    """
+    if A.shape[1] > 1 and A.strides[1] == A.itemsize:
+        return np.add.reduce(A, axis=0, initial=-0.0)
+    out = A[0].copy()
+    for row in A[1:]:
+        out += row
+    return out
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """_row_sum(a * b), or _row_sum(a * b * c), of same-shape factors.
+
+    When the block is wider than one column and every factor's columns
+    are contiguous, one einsum pass multiplies and adds each row into a
+    zero-filled result, one row at a time in order, without building the
+    product block.  Otherwise the product goes through _row_sum: on one
+    column einsum switches to a dot product, which adds in another order.
+    The factors are named, not packed: on a (4, 64) block a *factors
+    tuple and a generator over it cost more than the pass saves.
+
+    The one difference in the bits: einsum starts from +0.0, so a column
+    whose products are all -0.0 sums to +0.0 where _row_sum gives -0.0.
+    No use can see it.  Squares and |x|^p w are never -0.0,
+    and the stochastic-integral increment is added into log_s, which
+    starts at +0.0 and so can never become -0.0.
+    """
+    s = a.itemsize
+    if a.shape[1] > 1 and a.strides[1] == s and b.strides[1] == s:
+        if c is None:
+            return _einsum("ip,ip->p", a, b)
+        if c.strides[1] == s:
+            return _einsum("ip,ip,ip->p", a, b, c)
+    prod = a * b
+    if c is not None:
+        prod *= c
+    return _row_sum(prod)
 
 
 def to_spectral(model: SpectralModel, x) -> np.ndarray:
@@ -251,13 +306,9 @@ def norm_lp(model: SpectralModel, x, p: float) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def _coeff_norm(c: np.ndarray, scale: np.ndarray) -> np.ndarray | float:
-    """(sum_i c_i^2 / scale_i)^(1/2) of spectral coefficients."""
-    out = np.sqrt((c * c / scale).sum(axis=-1))
-    return float(out) if out.ndim == 0 else out
-
-
 def norm_h(model: SpectralModel, x) -> np.ndarray | float:
     """Negative-order norm (sum_i <x, e_i>_m^2 / lambda_i)^(1/2)."""
-    return _coeff_norm(to_spectral(model, x), model.eigenvalues)
+    c = to_spectral(model, x)
+    out = np.sqrt((c * c / model.eigenvalues).sum(axis=-1))
+    return float(out) if out.ndim == 0 else out
 

@@ -706,13 +706,13 @@ class TestConditionSample:
         # both sampled checks of one command read one sample; the next
         # command builds its own model and so draws its own sample
         draws = []
-        real = conditions.from_spectral
+        real = conditions._path_generators
 
-        def counting(model, coeffs, **kw):
-            draws.append(model)
-            return real(model, coeffs, **kw)
+        def counting(*args):
+            draws.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(conditions, "from_spectral", counting)
+        monkeypatch.setattr(conditions, "_path_generators", counting)
         cfg = write_config(tmp_path, "c.json", {
             "model": {"n": 4, "q_diag": {"power": -0.5}},
             "coeffs": {"r": 0.5, "xi": 0.01},
@@ -722,11 +722,11 @@ class TestConditionSample:
             ],
         })
         assert main(["conditions", "--config", cfg]) == 0
-        first = capsys.readouterr().out
+        first, first_model = capsys.readouterr().out, conditions._last_sample[0]
         assert len(draws) == 1
         assert main(["conditions", "--config", cfg]) == 0
         assert capsys.readouterr().out == first
-        assert len(draws) == 2 and draws[1] is not draws[0]
+        assert len(draws) == 2 and conditions._last_sample[0] is not first_model
 
 
 def ensemble_command_configs():

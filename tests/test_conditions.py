@@ -1,6 +1,8 @@
 """Sufficient-condition calculus: windows, thresholds, and the sampled checks."""
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,14 +20,14 @@ from fastdiffusion import (
     check_power_spectrum_window,
     check_spectral_growth,
     dirichlet1d_model,
-    from_spectral,
     hs_check,
     norm_h,
     norm_lp,
 )
-from fastdiffusion import conditions
+from fastdiffusion import conditions, spectral
 from fastdiffusion.cli import main
 from fastdiffusion.conditions import _mixture_samples
+from fastdiffusion.spectral import _row_dot
 from point_oracles import domination_ratio
 
 
@@ -33,10 +35,36 @@ def two_mode_model():
     return build_model([0.5, 0.5], [[-2.0, 1.0], [1.0, -2.0]], [1.0, 2.0])
 
 
-def loop_mixture_samples(model, n_samples, seed):
+def one_panel_state(model, C0, X0, p):
+    """One state built as the sampler builds a block of many: its
+    coefficients C0 or point values X0 in column 0 of a one-panel block,
+    completed by the same two matmuls and normalized by the same row dot.
+    Returns its row and its |x|_H, |x|_Q and |x|_p, each read off the block
+    by the same row dot as the sampler's."""
+    n, width = model.n, spectral.PANEL
+    C, X = np.zeros((n, width)), np.zeros((n, width))
+    C[:, 0], X[:, 0] = C0, X0
+    analysed = model._analysis @ X
+    X += np.ascontiguousarray(model.eigenfunctions.T) @ C
+    C += analysed
+
+    def spread(v):
+        return np.repeat(v[:, None], width, axis=1)
+
+    inv_lam = spread(1.0 / model.eigenvalues)
+    nh = np.sqrt(_row_dot(C, C, inv_lam))[0]
+    C[:, 0] /= nh
+    X[:, 0] /= nh
+    lp = _row_dot(np.abs(X) ** p, spread(model.weights)) ** (1.0 / p)
+    return (X[:, 0].copy(), np.sqrt(_row_dot(C, C, inv_lam))[0],
+            np.sqrt(_row_dot(C, C, spread(1.0 / model.q_diag**2)))[0], lp[0])
+
+
+def loop_sample(model, n_samples, seed, p=1.5):
     """Reference sampler: the four streams drawn one value (or one
     Gaussian row) per call, in the sampler's order, then one state at a
-    time built, transformed and normalized on its own."""
+    time built, normalized and measured on its own.  Returns the rows and
+    the arrays of |x|_H, |x|_Q and |x|_p."""
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     n = model.n
     n_gauss = len(range(1, n_samples, 3))
@@ -45,18 +73,23 @@ def loop_mixture_samples(model, n_samples, seed):
     signs = [rng.choice([-1.0, 1.0]) for _ in range(n_point)]
     points = [rng.integers(n) for _ in range(n_point)]
     sizes = [rng.random() for _ in range(n_point)]
-    out = np.empty((n_samples, n))
+    states = []
     for j in range(n_samples):
+        C0, X0 = np.zeros(n), np.zeros(n)
         kind = j % 3
         if kind == 0:
-            x = model.eigenfunctions[j // 3 % n]
+            C0[j // 3 % n] = 1.0
         elif kind == 1:
-            x = from_spectral(model, gauss[j // 3])
+            C0 = gauss[j // 3]
         else:
-            x = np.zeros(n)
-            x[points[j // 3]] = signs[j // 3] * (0.5 + sizes[j // 3])
-        out[j] = x / norm_h(model, x)
-    return out
+            X0[points[j // 3]] = signs[j // 3] * (0.5 + sizes[j // 3])
+        states.append(one_panel_state(model, C0, X0, p))
+    rows, nh, nq, lp = zip(*states)
+    return np.array(rows), np.array(nh), np.array(nq), np.array(lp)
+
+
+def loop_mixture_samples(model, n_samples, seed):
+    return loop_sample(model, n_samples, seed)[0]
 
 
 class TestMixtureSamples:
@@ -401,27 +434,60 @@ class TestEmbeddingConstant:
         assert a.numbers == b.numbers
 
 
+def test_pinned_nine_mode_extremes_are_the_cited_ones():
+    # the README and the checks' docstrings cite the nine-mode extremes of
+    # tools/record_digests.py and the fixed rows that set them
+    m = dirichlet1d_model(9, np.arange(1, 10, dtype=float) ** -0.5)
+    c = CoefficientSet(r=0.5)
+    readme, dom_doc, emb_doc = (" ".join(text.split()) for text in (
+        (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8"),
+        check_noise_domination.__doc__, check_embedding_constant.__doc__))
+    for seed in (3, 7):
+        dom = check_noise_domination(m, c, n_samples=2000, seed=seed)
+        emb = check_embedding_constant(m, c, n_samples=2000, seed=seed)
+        xs = conditions._last_sample[3]
+        assert np.array_equal(dom.witness, xs[24]) and np.array_equal(emb.witness, xs[0])
+        min_ratio, constant = repr(dom.numbers["min_ratio"]), repr(emb.numbers["embedding_constant"])
+        assert f"`min_ratio` {min_ratio}, from row 24 (the mode vector `e_8`)" in readme
+        assert f"`embedding_constant` {constant}, from row 0 (`e_0`)" in readme
+        assert f"seeds 3 and 7 both give {min_ratio};" in dom_doc
+        assert f"seeds 3 and 7 both give {constant};" in emb_doc
+
+
 class TestSampleNorms:
-    """The sampled checks of one command share the sample's norms: one
-    to_spectral gives |x|_H and |x|_Q, and |x|_{r+1} is computed once."""
+    """The sampled checks of one command share the sample's norms: one row
+    dot over the coefficient block each gives |x|_H and |x|_Q, and one over
+    the point values |x|_{r+1}, each once per sample and exponent."""
 
     @staticmethod
-    def spy_on_sample_calls(monkeypatch):
+    def spy_on_row_dots(monkeypatch):
+        """Record each row dot of the sampled checks as (caller, factor), the
+        factor named by the vector spread over its block."""
         calls = []
-        for name in ("to_spectral", "norm_lp"):
-            def spy(model, x, *args, _name=name, _fn=getattr(conditions, name)):
-                calls.append((_name, x, args))
-                return _fn(model, x, *args)
-            monkeypatch.setattr(conditions, name, spy)
+        real = conditions._row_dot
+
+        def spy(a, b, c=None):
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):  # a comprehension's frame
+                caller = caller.f_back
+            calls.append((caller.f_code.co_name, b if c is None else c))
+            return real(a, b, c)
+
+        monkeypatch.setattr(conditions, "_row_dot", spy)
         monkeypatch.setattr(conditions, "_last_sample", None)
 
-        def on_sample():
-            xs = conditions._last_sample[3]
-            return [(name, args) for name, x, args in calls if x is xs]
-        return on_sample
+        def named(model):
+            vectors = {"1/lambda": 1.0 / model.eigenvalues, "1/q^2": 1.0 / model.q_diag**2, "m": model.weights}
+            assert all(np.array_equal(f, np.repeat(f[:, :1], f.shape[1], axis=1)) for _, f in calls)
+            return [(caller, next(k for k, v in vectors.items() if np.array_equal(f[:, 0], v)))
+                    for caller, f in calls]
+        return named
+
+    def test_no_state_by_state_transform_or_norm(self):
+        assert not {"to_spectral", "from_spectral", "norm_h", "norm_lp"} & vars(conditions).keys()
 
     def test_one_command_computes_each_norm_once(self, monkeypatch, tmp_path, capsys):
-        on_sample = self.spy_on_sample_calls(monkeypatch)
+        named = self.spy_on_row_dots(monkeypatch)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "model": {"n": 9, "q_diag": {"power": -0.5}},
@@ -429,21 +495,45 @@ class TestSampleNorms:
             "conditions": [{"check": c, "n_samples": 500, "seed": 3} for c in ("noise_domination", "embedding")],
         }), encoding="utf-8")
         assert main(["conditions", "--config", str(cfg)]) == 0
-        assert on_sample() == [("to_spectral", ()), ("norm_lp", (1.5,))]
-        # the shared norms give the numbers the unshared formulas give, bit for bit
         m, xs = conditions._last_sample[0], conditions._last_sample[3]
+        assert named(m) == [("_mixture_samples", "1/lambda"), ("_sample_norms", "1/lambda"),
+                            ("_sample_norms", "1/q^2"), ("_sample_norms", "m")]
+        # the shared norms and the numbers are the per-state ones, bit for bit
+        rows, nh, nq, lp = loop_sample(m, 500, 3, 1.5)
+        norms = conditions._last_sample[5]
+        assert np.array_equal(xs, rows)
+        for got, want in zip((*norms["hq"], norms[1.5]), (nh, nq, lp)):
+            assert np.array_equal(got, want)
         dom, emb = json.loads(capsys.readouterr().out)["outputs"]["reports"]
-        ratios = domination_ratio(m, CoefficientSet(r=0.5), xs)
-        assert dom["numbers"]["min_ratio"] == float(ratios.min())
-        assert emb["numbers"]["embedding_constant"] == float((norm_h(m, xs) / norm_lp(m, xs, 1.5)).max())
+        sigma = 4.0 / 1.5
+        assert dom["numbers"]["min_ratio"] == float((lp**2 * nh ** (sigma - 2.0) / nq**sigma).min())
+        assert emb["numbers"]["embedding_constant"] == float((nh / lp).max())
 
     def test_another_exponent_recomputes_only_its_norm(self, monkeypatch):
-        on_sample = self.spy_on_sample_calls(monkeypatch)
+        named = self.spy_on_row_dots(monkeypatch)
         m = two_mode_model()
         check_noise_domination(m, CoefficientSet(r=0.5), n_samples=300, seed=1)
         check_embedding_constant(m, CoefficientSet(r=0.5), n_samples=300, seed=1)
         rep = check_embedding_constant(m, CoefficientSet(r=0.25), n_samples=300, seed=1)
-        assert on_sample() == [("to_spectral", ()), ("norm_lp", (1.5,)), ("norm_lp", (1.25,))]
-        xs = conditions._last_sample[3]
-        want = float((norm_h(m, xs) / norm_lp(m, xs, 1.25)).max())
-        assert rep.numbers["embedding_constant"] == want
+        assert named(m) == [("_mixture_samples", "1/lambda"), ("_sample_norms", "1/lambda"),
+                            ("_sample_norms", "1/q^2"), ("_sample_norms", "m"), ("_sample_norms", "m")]
+        _, nh, _, lp = loop_sample(m, 300, 1, 1.25)
+        assert rep.numbers["embedding_constant"] == float((nh / lp).max())
+
+    @pytest.mark.parametrize("n", [4, 9, 64])
+    def test_state_bits_independent_of_sample_size(self, n):
+        # a state's row and norms do not depend on how many states share its
+        # blocks: row 3i is the mode vector e_(i mod n) at every n_samples,
+        # and the Gaussian block, drawn first, gives 998, 1000, 2000 and 2001
+        # states the same leading Gaussian rows; at 998 the last of them is
+        # in a 6-column tail, which only the padding makes a whole panel
+        m = dirichlet1d_model(n, np.arange(1, n + 1, dtype=float) ** -0.5)
+        states = {}
+        for n_samples in (1, 7, 2001, 998, 1000, 2000):
+            xs, nh, nq, lp = conditions._sample_norms(m, n_samples, 3, 1.5)
+            states[n_samples] = np.column_stack([xs, nh, nq, lp]).view(np.int64)
+        full = states[2000]
+        for n_samples in (1, 7, 2001):
+            assert np.array_equal(states[n_samples][0::3], full[0:n_samples:3]), n_samples
+        for n_samples in (998, 1000, 2001):
+            assert np.array_equal(states[n_samples][1::3], full[1:n_samples:3]), n_samples

@@ -34,7 +34,7 @@ from fastdiffusion import (
     strong_feller_probe,
     verify_harnack,
 )
-from fastdiffusion import bounds, dynamics, montecarlo
+from fastdiffusion import bounds, dynamics, montecarlo, spectral
 from fastdiffusion.cli import _path_rows
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -476,7 +476,7 @@ class TestMetPairsLeaveTheTwoCopyBlock:
         # columns, padded; the last step opens no block
         met = np.rint(res.tau / cfg.dt)
         apart = [int(np.sum(met >= min(s, cfg.n_steps - 1) // 4 * 4)) for s in range(cfg.n_steps + 1)]
-        assert widths == [montecarlo._panels(6 + a) for a in apart]
+        assert widths == [spectral._panels(6 + a) for a in apart]
 
 
 class TestPanelTransforms:
@@ -484,23 +484,25 @@ class TestPanelTransforms:
     whole number of PANEL columns wide: the synthesis by E^T and the drift
     by M_t^T, (n, 2n), or by diag(gamma - lambda) for the identity.  So is
     the two-copy step's pair sums, a (3, 2n) matrix of 1/lambda and 1/q^2
-    times the block [D*D; D*dW].  Every column of such a block gets the
-    bits it gets in a block of one panel, at any width and offset, in a
-    contiguous block or in a column slice of a wider one, and under any
-    BLAS thread count."""
+    times the block [D*D; D*dW], and the sampled condition checks'
+    analysis, by the m-weighted eigenfunctions.  Every column of such a
+    block gets the bits it gets in a block of one panel, at any width and
+    offset, in a contiguous block or in a column slice of a wider one, and
+    under any BLAS thread count."""
 
     @staticmethod
     def bits(a):
         return np.ascontiguousarray(a).view(np.int64)
 
     def test_column_bits_are_its_bits_in_one_panel(self):
-        panel = montecarlo.PANEL
+        panel = spectral.PANEL
         rng = np.random.default_rng(0)
-        cols_total = montecarlo._panels(2048 + 13)
+        cols_total = spectral._panels(2048 + 13)
         for n in (1, 4, 9, 64):
             m = dirichlet1d_model(n, np.ones(n))
             a = m._analysis
-            # the kernel's four matrices, the drift's with random factors
+            # the kernel's four matrices, the drift's with random factors, and
+            # the sampled checks' analysis
             inv_q_sq = rng.uniform(1.0, n, n)
             pair_sums = np.zeros((3, 2 * n))
             pair_sums[0, :n], pair_sums[1, :n], pair_sums[2, n:] = 1.0 / m.eigenvalues, inv_q_sq, inv_q_sq
@@ -509,6 +511,7 @@ class TestPanelTransforms:
                 "drift": np.concatenate([a * rng.standard_normal(n)[:, None], -0.4 * a], axis=1),
                 "identity": np.diag(-0.4 - m.eigenvalues),
                 "pair sums": pair_sums,
+                "analysis": a,
             }
             for name, mat in mats.items():
                 rows = mat.shape[1]
@@ -519,7 +522,7 @@ class TestPanelTransforms:
                 ref = np.concatenate([mat @ base[:, i:i + panel].copy()
                                       for i in range(0, cols_total, panel)], axis=1)
                 for width in [*range(1, 41), 1024, 2048]:
-                    cols = montecarlo._panels(width)
+                    cols = spectral._panels(width)
                     assert cols % panel == 0 and width <= cols < width + panel
                     for offset in range(14):
                         block = base[:, offset:offset + cols]
@@ -581,7 +584,7 @@ class TestRowSum:
             return np.add.reduce(*args, **kw)
 
         # _row_sum reads nothing else of numpy
-        monkeypatch.setattr(montecarlo, "np", SimpleNamespace(add=SimpleNamespace(reduce=spy)))
+        monkeypatch.setattr(spectral, "np", SimpleNamespace(add=SimpleNamespace(reduce=spy)))
         rng = np.random.default_rng(0)
         for n in (1, 2, 4, 8, 9, 64):
             for width in (1, 2, 3, 1024):
@@ -593,7 +596,7 @@ class TestRowSum:
                            "F": np.asfortranarray(base[:, :width])}
                 for layout, A in layouts.items():
                     reduces.clear()
-                    got = montecarlo._row_sum(A)
+                    got = spectral._row_sum(A)
                     want = self.in_order(A)
                     assert got.shape == (width,)
                     assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, width, layout)
@@ -620,13 +623,13 @@ class TestRowDot:
 
     def test_bit_equal_to_row_sum_of_the_product(self, monkeypatch):
         passes = []
-        einsum = montecarlo._einsum
+        einsum = spectral._einsum
 
         def spy(subscripts, *operands):
             passes.append(subscripts)
             return einsum(subscripts, *operands)
 
-        monkeypatch.setattr(montecarlo, "_einsum", spy)
+        monkeypatch.setattr(spectral, "_einsum", spy)
         rng = np.random.default_rng(0)
         for n in (1, 2, 4, 8, 9, 64):
             for width in (1, 2, 3, 1024):
@@ -655,9 +658,9 @@ class TestRowDot:
                         prod = factors[0] * factors[1]
                         if k == 3:
                             prod = prod * factors[2]
-                        want = montecarlo._row_sum(prod)
+                        want = spectral._row_sum(prod)
                         passes.clear()
-                        got = montecarlo._row_dot(*factors[:k])
+                        got = spectral._row_dot(*factors[:k])
                         assert got.shape == (width,), where
                         # an F-ordered block has contiguous columns only at n = 1
                         einsum_ran = width > 1 and (layout != "F" or n == 1)
@@ -828,10 +831,12 @@ class TestVerifyHarnack:
 
     def test_ci_margin_signs_the_verdict(self, monkeypatch):
         # scale the multiplier through the flip of the verdict: the margin
-        # is >= 0 exactly where the comparison holds
+        # is >= 0 exactly where the comparison holds; at this tolerance
+        # every pair meets, so the verdict is informative
         m, c = small_model(), small_coeffs()
         cfg = EnsembleConfig(n_paths=200, dt=0.005, T=0.1, seed=8)
-        res = run_coupled_ensemble(m, c, cfg, START, OTHER)
+        res = run_coupled_ensemble(m, c, cfg, START, OTHER, couple_tol=0.02)
+        assert res.coupled_fraction == 1.0
         report = bounds.bound_report(m, c, res.schedule.T, START, OTHER, 2.0)
         signs = set()
         for factor in 10.0 ** np.arange(-3.0, 3.5, 0.5):
@@ -869,6 +874,26 @@ class TestVerifyHarnack:
         out = verify_harnack(m, c, res, 2.0, ones)
         assert len(calls) == 1
         assert out["rhs_factor"] == report.harnack_rhs
+
+    def test_pairs_that_never_met_make_it_uninformative(self, monkeypatch):
+        # 6 of 64 pairs meet: the weighted F(X_T) of the other 58 does not
+        # stand for F(Y_T), so the verdict says nothing, and the note says why
+        m, c = small_model(), small_coeffs()
+        cfg = EnsembleConfig(n_paths=64, dt=1e-3, T=0.1, seed=21)
+        res = run_coupled_ensemble(m, c, cfg, START, OTHER, couple_tol=1e-6)
+        assert res.coupled_fraction == 6 / 64
+        out = verify_harnack(m, c, res, 2.0, exp_f(m))
+        assert out["informative"] is False and out["ci_margin"] is None
+        assert out["note"] == (
+            "coupled_fraction 0.09375 is below 0.99: the weighted F(X_T) stands for F(Y_T) on met pairs only")
+        # at the floor the verdict is _verdict's, with no note
+        monkeypatch.setattr(montecarlo, "MET_FLOOR", 6 / 64)
+        at_floor = verify_harnack(m, c, res, 2.0, exp_f(m))
+        lhs_hi, rhs_lo = at_floor["lhs_ci95"][1], at_floor["rhs_ci95"][0]
+        assert "note" not in at_floor and at_floor["informative"] is True
+        assert at_floor["ci_margin"] == rhs_lo * 1.05 - lhs_hi
+        assert {k: v for k, v in out.items() if k not in ("note", "informative", "ci_margin")} == {
+            k: v for k, v in at_floor.items() if k not in ("informative", "ci_margin")}
 
     def test_ci_margin_null_for_infinite_factor(self):
         m, c = small_model(), small_coeffs()

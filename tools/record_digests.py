@@ -22,7 +22,12 @@ where each of the kernel's two transforms is a BLAS gemm of 64 rows that
 sums 64 or 128 terms, not only the small gemms of n <= 9.  ``bounds`` and the sampled
 checks at seed 3 also run on a model block with a weight list, an
 explicit matrix, a q_diag list and alpha, the branches of the config's
-model builder that the default block leaves out.
+model builder that the default block leaves out.  The sampled checks
+at seed 3 also run on 1 and on 2001 states, on the four- and the
+nine-mode model: one state in a block of one panel, and a last panel
+with pad columns.  At the default tolerance no ``harnack-check`` run
+above has 99 % of its pairs met, so each reads uninformative; at seed 3
+it also runs with ``couple_tol`` 1e-3, where every pair meets.
 ``harnack-check`` also runs from starts at |x|_H = 30 and 60, where the
 exponential-moment bounds pass float range.  ``simulate``, ``couple``
 (also with ``--format csv``) and ``harnack-check`` also run 450 steps,
@@ -148,8 +153,8 @@ def configs():
     plain = {"model": MODEL, "coeffs": COEFFS, "x": X}
     tf = {"test_function": {"kind": "exp_neg_h_sq"}}
     yield "conditions", "closed", {"model": MODEL, "coeffs": COEFFS, "conditions": CLOSED_FORM_CHECKS}, ()
-    def sampled(model, seed):
-        checks = [{"check": c, "n_samples": 2000, "seed": seed} for c in ("noise_domination", "embedding")]
+    def sampled(model, seed, n_samples=2000):
+        checks = [{"check": c, "n_samples": n_samples, "seed": seed} for c in ("noise_domination", "embedding")]
         return {"model": model, "coeffs": COEFFS, "conditions": checks}
 
     for seed in SEEDS:
@@ -189,6 +194,11 @@ def configs():
     yield "bounds", "weighted", {"model": MODEL_W, "coeffs": COEFFS, "x": X, "y": Y, "p": 2.0,
                                  "run": {"dt": 0.01, "T": 0.2, "seed": SEEDS[0]}}, ()
     yield "conditions", "sampled3-weighted", sampled(MODEL_W, SEEDS[0]), ()
+    for model, label in ((MODEL, "sampled3"), (MODEL9, "sampled3-n9")):
+        for n_samples in (1, 2001):
+            yield "conditions", f"{label}-s{n_samples}", sampled(model, SEEDS[0], n_samples), ()
+    yield "harnack-check", "seed3-met", {**ensemble_docs(MODEL, X, Y, SEEDS[0])["harnack-check"],
+                                         "couple_tol": 1e-3}, ()
 
 
 def run_all(main, root: Path):
