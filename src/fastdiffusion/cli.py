@@ -34,22 +34,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_COMMAND_HELP = {
-    "bounds": "evaluate the closed-form constants and the Harnack bound",
-    "conditions": "run the sufficient-condition checks",
-    "simulate": "Monte Carlo estimate of the semigroup at a point",
-    "couple": "run the coupled ensemble and report coupling statistics",
-    "harnack-check": "Monte Carlo verdict on the power-Harnack inequality",
-    "moments": "Monte Carlo estimate of a weight-moment over coupled pairs",
-    "invariant": "long-run sampling of the invariant law with moment report",
-    "probe-feller": "sensitivity of the semigroup to the starting point",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """One flat parser: a command name and the options every command takes."""
     epilog = "commands:\n" + "\n".join(
-        f"  {name:<15}{_COMMAND_HELP[name]}" for name in COMMANDS
+        f"  {name:<15}{help_line}" for name, (_, help_line) in _COMMANDS.items()
     )
     parser = _Parser(
         prog="fastdiffusion", description=__doc__, epilog=epilog,
@@ -252,15 +240,16 @@ def _cmd_probe(cfg: ExperimentConfig, with_tables: bool):
     return report, None, None
 
 
-_DISPATCH = {
-    "bounds": _cmd_bounds,
-    "conditions": _cmd_conditions,
-    "simulate": _cmd_simulate,
-    "couple": _cmd_couple,
-    "harnack-check": _cmd_harnack,
-    "moments": _cmd_moments,
-    "invariant": _cmd_invariant,
-    "probe-feller": _cmd_probe,
+# each command's handler and its line in `fastdiffusion -h`, in COMMANDS order
+_COMMANDS = {
+    "bounds": (_cmd_bounds, "evaluate the closed-form constants and the Harnack bound"),
+    "conditions": (_cmd_conditions, "run the sufficient-condition checks"),
+    "simulate": (_cmd_simulate, "Monte Carlo estimate of the semigroup at a point"),
+    "couple": (_cmd_couple, "run the coupled ensemble and report coupling statistics"),
+    "harnack-check": (_cmd_harnack, "Monte Carlo verdict on the power-Harnack inequality"),
+    "moments": (_cmd_moments, "Monte Carlo estimate of a weight-moment over coupled pairs"),
+    "invariant": (_cmd_invariant, "long-run sampling of the invariant law with moment report"),
+    "probe-feller": (_cmd_probe, "sensitivity of the semigroup to the starting point"),
 }
 
 
@@ -270,7 +259,7 @@ def run_command(cfg: ExperimentConfig, with_tables: bool = False):
     A command builds its CSV tables only when with_tables is true;
     tables is None otherwise.
     """
-    outputs, tables, holds = _DISPATCH[cfg.command](cfg, with_tables)
+    outputs, tables, holds = _COMMANDS[cfg.command][0](cfg, with_tables)
     seed = cfg.run.seed if cfg.run is not None else None
     record = make_record(cfg.command, cfg.document, outputs, seed)
     return record, tables, holds
@@ -314,11 +303,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    # the files first: a command that cannot write them prints no record
+    try:
+        written = [] if args.out is None else emit_report(record, args.out, tables)
+    except OSError as exc:
+        print(f"error: cannot write reports: {exc}", file=sys.stderr)
+        return 1
     sys.stdout.write(record.to_json())
-    if args.out is not None:
-        written = emit_report(record, args.out, tables)
-        for path in written:
-            print(f"wrote {path}", file=sys.stderr)
+    for path in written:
+        print(f"wrote {path}", file=sys.stderr)
     return 2 if holds is False else 0
 
 

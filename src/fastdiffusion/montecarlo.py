@@ -142,9 +142,10 @@ def _sample_stats(X: np.ndarray, C: np.ndarray, w: np.ndarray, inv_lam: np.ndarr
                   rp1: float, eps0: float) -> np.ndarray:
     """The per-sample values |x|_{r+1}^{r+1}, exp(eps0 |x|_H^{r+1}) and
     exp(eps0 |x|_H^2) of m states given mode-major by their point values
-    X and their eigen-coefficients C, both of shape (n, m); the result
-    has shape (3, m).  |x|_H is (sum_i c_i^2 / lambda_i)^(1/2), read off C;
-    w and inv_lam are the weights and 1 / lambda_i spread over C's shape."""
+    X and their eigen-coefficients C, both of shape (n, m), m whole
+    panels; the result has shape (3, m).  |x|_H is (sum_i c_i^2 /
+    lambda_i)^(1/2), read off C; w and inv_lam are the weights and
+    1 / lambda_i spread over C's shape."""
     nh = np.sqrt(_row_dot(C, C, inv_lam))
     return np.stack([
         _row_dot(w, np.abs(X) ** rp1),
@@ -233,6 +234,8 @@ def _simulate(
     comment above spectral._einsum).  The transforms and the diagonal
     ufuncs (|x|, |x|^r, copysign, the taming, the drift's add) work on the
     whole blocks, whose pad columns get no noise and zero drift and stay 0.
+    Every row dot, of a state, of the f envelope of the pairs still apart
+    or of a batch of thinned snapshots, reads whole padded blocks too.
 
     The pairs still apart take their sums in one more matmul: D * D and D
     * dW fill a zero-filled (2n, _panels(m)) block made at each partition,
@@ -340,22 +343,23 @@ def _simulate(
                 return np.concatenate([A[..., P:], A[..., m:P]], axis=-1)
 
             def pair_blocks():
-                """The weights over the padded P + m columns and over the m
-                pairs still apart; then the padded, zero-filled blocks of
-                their D = X - Y, [D*D; D*dW], pair sums and (g^2 dt, g)."""
-                return (np.repeat(w, _panels(P + m), axis=1), np.repeat(w, m, axis=1),
-                        *(np.zeros((rows, _panels(m))) for rows in (n, 2 * n, 3, 2)))
+                """The weights over the padded P + m columns and over the
+                padded m pairs still apart; then the padded, zero-filled
+                blocks of their f envelope, D = X - Y, [D*D; D*dW], pair
+                sums and (g^2 dt, g)."""
+                return (np.repeat(w, _panels(P + m), axis=1), np.repeat(w, _panels(m), axis=1),
+                        *(np.zeros((rows, _panels(m))) for rows in (n, n, 2 * n, 3, 2)))
 
-            w_all, w_m, D_pad, DD_DdW, pair, gg = pair_blocks()
+            w_all, w_m, env, D_pad, DD_DdW, pair, gg = pair_blocks()
 
         n_tr = max(0, min(hi, trace_paths) - lo)
         tr_x = np.arange(n_tr)  # positions of the traced pairs, in path order
         if n_kept:
             sums = np.zeros((2, 3, P))
-            # kept j of the current batch sits in columns j*P:(j+1)*P
-            buf_X = np.empty((n, batch * P))
-            buf_C = np.empty((n, batch * P))
-            w_s, inv_lam_s = (np.repeat(a, batch * P, axis=1) for a in (w, inv_lam))
+            # kept j of the current batch sits in columns j*P:(j+1)*P of
+            # zero-filled, PANEL-padded blocks
+            buf_X, buf_C = np.zeros((2, n, _panels(batch * P)))
+            w_s, inv_lam_s = (np.repeat(a, _panels(batch * P), axis=1) for a in (w, inv_lam))
         ki = nb = 0
         met = False  # a pair in [0, m) has met in this noise block
         t = 0.0  # time after s steps, summed step by step
@@ -377,7 +381,7 @@ def _simulate(
                         a[...] = a[..., order]
                     gens = [gens[i] for i in order]
                     tr_x = np.argsort(ids)[:n_tr]  # where paths lo, lo + 1, ... sit
-                    w_all, w_m, D_pad, DD_DdW, pair, gg = pair_blocks()
+                    w_all, w_m, env, D_pad, DD_DdW, pair, gg = pair_blocks()
                 if b == 0 and s < n_steps:
                     met = False
                     B = min(TIME_BLOCK, n_steps - s)
@@ -416,10 +420,10 @@ def _simulate(
                     ki += 1
                     nb += 1
                     if nb == batch or ki == n_kept:
-                        got = slice(0, nb * P)
+                        got = slice(0, _panels(nb * P))
                         vals = _sample_stats(
                             buf_X[:, got], buf_C[:, got], w_s[:, got], inv_lam_s[:, got], rp1, eps0,
-                        ).reshape(3, nb, P)
+                        )[:, :nb * P].reshape(3, nb, P)
                         for j in range(nb):
                             sums[int(ki - nb + j >= half)] += vals[:, j]
                         nb = 0
@@ -481,8 +485,8 @@ def _simulate(
                     zl[:, :m] += terms[:, :m]
                     if f_envelope:
                         # a met pair's envelope is |x|^(r+1), not 0: it is masked
-                        env = np.maximum(V[:, :m], V[:, P:P + m])
-                        fval = (_row_dot(env, w_m) ** f_expo[0]) ** f_expo[1] * dt_a
+                        np.maximum(V[:, :m], V[:, P:P + m], out=env[:, :m])
+                        fval = (_row_dot(env, w_m)[:m] ** f_expo[0]) ** f_expo[1] * dt_a
                         f_acc[:, :m] += np.where(np.isnan(tau[:m]), fval, 0.0) if met else fval
 
                 if not identity:  # |x| or |x|^(r+1) in Psi's rows is read by now

@@ -216,13 +216,15 @@ def fractional_power(model: SpectralModel, alpha: float) -> SpectralModel:
 # another CPU, can give other bits, by roundoff.
 #
 # _row_dot sums products over rows with this function ("ip,ip->p" and
-# "ip,ip,ip->p").  Those keep _row_sum's bits because the rows are added in
-# order, each into the zero-filled result column, and because this numpy
-# build rounds each product before adding it: it does not fuse the multiply
-# and the add.  A build that did would change the bits, and
-# tests/test_montecarlo.py::TestRowDot would fail on it.  On one column the
-# summed index is the only one left and einsum takes the dot product, which
-# adds in another order, so _row_dot uses _row_sum there.
+# "ip,ip,ip->p"), and only on same-shape blocks a whole number of PANEL
+# columns wide with unit column stride.  Then einsum's inner loop runs along
+# a row, so it adds the rows in order, each into the zero-filled result
+# column, and a column's bits do not depend on the block's width.  On one
+# column, or on columns further apart than the rows, the summed index runs
+# in the inner loop and einsum takes a dot product, which adds in another
+# order.  This numpy build also rounds each product before adding it: it
+# does not fuse the multiply and the add.  A build that did would change the
+# bits, and tests/test_montecarlo.py::TestRowDot would fail on it.
 try:
     from numpy._core.multiarray import c_einsum as _einsum
 except ImportError:  # numpy 1.x
@@ -239,51 +241,16 @@ def _panels(width: int) -> int:
     return -(-width // PANEL) * PANEL
 
 
-def _row_sum(A: np.ndarray) -> np.ndarray:
-    """Sum of the rows of A, added one row at a time in order.
-
-    numpy's own reductions choose their summation order from the array's
-    width, which would make a path's bits depend on how many paths share
-    its chunk.  np.add.reduce adds row by row (from -0.0, which keeps a
-    zero sum's sign) only when A has at least two contiguous columns;
-    otherwise the rows are added in a Python loop.  A sum of products
-    goes through _row_dot instead.
-    """
-    if A.shape[1] > 1 and A.strides[1] == A.itemsize:
-        return np.add.reduce(A, axis=0, initial=-0.0)
-    out = A[0].copy()
-    for row in A[1:]:
-        out += row
-    return out
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """_row_sum(a * b), or _row_sum(a * b * c), of same-shape factors.
-
-    When the block is wider than one column and every factor's columns
-    are contiguous, one einsum pass multiplies and adds each row into a
-    zero-filled result, one row at a time in order, without building the
-    product block.  Otherwise the product goes through _row_sum: on one
-    column einsum switches to a dot product, which adds in another order.
-    The factors are named, not packed: on a (4, 64) block a *factors
-    tuple and a generator over it cost more than the pass saves.
-
-    The one difference in the bits: einsum starts from +0.0, so a column
-    whose products are all -0.0 sums to +0.0 where _row_sum gives -0.0.
-    No use can see it.  Squares and |x|^p w are never -0.0,
-    and the stochastic-integral increment is added into log_s, which
-    starts at +0.0 and so can never become -0.0.
+    """Per column, the sum over rows of a * b, or of a * b * c, added one
+    row at a time in order, without building the product block.  The
+    factors are same-shape blocks a whole number of PANEL columns wide,
+    with unit column stride (see the comment above).  They are named, not
+    packed: on a (4, 64) block a *factors tuple costs more than it saves.
     """
-    s = a.itemsize
-    if a.shape[1] > 1 and a.strides[1] == s and b.strides[1] == s:
-        if c is None:
-            return _einsum("ip,ip->p", a, b)
-        if c.strides[1] == s:
-            return _einsum("ip,ip,ip->p", a, b, c)
-    prod = a * b
-    if c is not None:
-        prod *= c
-    return _row_sum(prod)
+    if c is None:
+        return _einsum("ip,ip->p", a, b)
+    return _einsum("ip,ip,ip->p", a, b, c)
 
 
 def to_spectral(model: SpectralModel, x) -> np.ndarray:

@@ -407,6 +407,20 @@ class TestParserReuse:
 
 
 class TestEmission:
+    @pytest.mark.parametrize("where, errno_name", [
+        ("some_file", "File exists"), ("some_file/report", "Not a directory"),
+    ])
+    def test_out_that_cannot_be_a_directory_is_one_line_error(self, tmp_path, capsys, where,
+                                                              errno_name):
+        cfg = write_config(tmp_path, "b.json", bounds_config())
+        (tmp_path / "some_file").write_text("kept\n", encoding="utf-8")
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / where)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: cannot write reports: ") and out.err.count("\n") == 1
+        assert errno_name in out.err
+        assert (tmp_path / "some_file").read_text(encoding="utf-8") == "kept\n"
+
     def test_json_only_by_default(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", couple_config())
         out = tmp_path / "report"

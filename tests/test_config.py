@@ -414,3 +414,72 @@ class TestConditionsSchema:
         with pytest.raises(SchemaError) as exc:
             validate_config(raw, "conditions")
         assert "needs a 'model' block" in str(exc.value)
+
+
+# --- one rejection message per check ---------------------------------------
+
+def base_doc(command):
+    """A valid document for command."""
+    if command == "conditions":
+        return {"model": {"n": 4, "q_diag": {"power": -0.5}}, "coeffs": {"r": 0.5, "gamma": -0.2},
+                "conditions": [{"check": "hs"}]}
+    doc = good_config()
+    if command in ("simulate", "probe-feller"):
+        del doc["y"]
+    return doc
+
+
+def amend(doc, path, value):
+    """doc with the value at a dotted path (a list index as a number) set
+    to value; the empty path replaces the whole document."""
+    if not path:
+        return value
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[int(key) if isinstance(node, list) else key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return doc
+
+
+SANDWICH = {"check": "noise_sandwich", "eps": 0.25, "alpha_decay": 0.9}
+WINDOW = {"check": "power_spectrum_window", "theta": 1.0, "d": 1.0, "eps": 0.25}
+
+
+class TestRejectionMessages:
+    @pytest.mark.parametrize("command, path, value, line", [
+        ("bounds", "run.n_paths", 1.5, "run.n_paths: must be an integer"),
+        ("conditions", "conditions.0", {**SANDWICH, "use_model": 1},
+         "conditions[0].use_model: must be a boolean"),
+        ("bounds", "run.scheme", "rk4", "run.scheme: must be one of ['tamed_euler', 'explicit_euler']"),
+        ("probe-feller", "radii", [0.1, -0.1], "radii: must be a nonempty list of numbers > 0"),
+        ("bounds", "x", "origin", "x: must be a list of finite numbers (optionally under 'spectral')"),
+        ("bounds", "x", {"spectral": [1.0, None, 0.0, 0.0]},
+         "x.spectral: must be a list of finite numbers (optionally under 'spectral')"),
+        ("bounds", "coeffs.delta", {"breaks": 0.0, "values": [1.0]},
+         "coeffs.delta.breaks: must be a nonempty list of finite numbers"),
+        ("bounds", "coeffs.delta", {"breaks": [0.0], "values": []},
+         "coeffs.delta.values: must be a nonempty list of finite numbers"),
+        ("bounds", "coeffs.delta", {"breaks": [0.0, 0.1], "values": [1.0, -1.0]},
+         "coeffs.delta.values: must be > 0"),
+        ("bounds", "model.measure", [0.5, -0.5, 0.5, 0.5],
+         'model.measure: must be "uniform" or a list of positive weights'),
+        ("bounds", "model.operator", "laplace", 'model.operator: must be "dirichlet1d" or {"matrix": [[...]]}'),
+        ("bounds", "model.operator", {"matrix": [[1.0, 2.0]]},
+         "model.operator.matrix: must be a square matrix of finite numbers"),
+        ("bounds", "model.operator", {"matrix": [[-2.0, 1.0], [1.0, -2.0]]},
+         "model.operator.matrix: must be 4 x 4"),
+        ("bounds", "model.q_diag", {"power": "half"}, "model.q_diag.power: must be a finite number"),
+        ("bounds", "model.q_diag", 0.5, 'model.q_diag: must be {"power": p} or a list'),
+        ("bounds", "model.q_diag", [1.0, 0.0, 1.0, 1.0], "model.q_diag: entries must be finite and nonzero"),
+        ("simulate", "test_function", "exp_neg_h_sq", "test_function: must be an object with a 'kind'"),
+        ("conditions", "conditions.0", "hs", "conditions[0]: must be an object"),
+        ("conditions", "", {"model": {"n": 4, "q_diag": {"power": -0.5}}, "conditions": [WINDOW]},
+         "conditions[0].r: is required for check 'power_spectrum_window' without a 'coeffs' block"),
+        ("conditions", "conditions", [], "conditions: must be a nonempty list of checks"),
+    ])
+    def test_one_line_per_violation(self, command, path, value, line):
+        validate_config(base_doc(command), command)
+        with pytest.raises(SchemaError) as exc:
+            validate_config(amend(base_doc(command), path, value), command)
+        assert str(exc.value) == f"configuration invalid: {line}"

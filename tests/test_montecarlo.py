@@ -34,8 +34,8 @@ from fastdiffusion import (
     strong_feller_probe,
     verify_harnack,
 )
-from fastdiffusion import bounds, dynamics, montecarlo, spectral
-from fastdiffusion.cli import _path_rows
+from fastdiffusion import bounds, conditions, dynamics, montecarlo, spectral
+from fastdiffusion.cli import _path_rows, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -564,64 +564,26 @@ class TestPanelTransforms:
         assert digests[0] == digests[1]
 
 
-class TestRowSum:
-    """_row_sum adds the rows of a block one at a time, in order, for any
-    row count, width and layout, so a path's bits never depend on how
-    many paths share its chunk."""
+class TestRowDot:
+    """_row_dot(a, b) and _row_dot(a, b, c) are one einsum pass that adds
+    each column's products one row at a time, in order, bit for bit like
+    the Python loop below, for any row count and whole-panel width,
+    C-ordered and column-sliced, with nan and inf entries, so a path's
+    bits never depend on how many paths share its chunk."""
 
     @staticmethod
-    def in_order(A):
-        out = A[0].copy()
-        for row in A[1:]:
-            out = out + row
+    def in_order(*factors):
+        """Each row's product (a * b) * c, added into a zero-filled result
+        one row at a time."""
+        out = np.zeros(factors[0].shape[1])
+        for rows in zip(*factors):
+            prod = rows[0] * rows[1]
+            for row in rows[2:]:
+                prod = prod * row
+            out = out + prod
         return out
 
-    def test_bit_equal_to_adding_rows_in_order(self, monkeypatch):
-        reduces = []
-
-        def spy(*args, **kw):
-            reduces.append(1)
-            return np.add.reduce(*args, **kw)
-
-        # _row_sum reads nothing else of numpy
-        monkeypatch.setattr(spectral, "np", SimpleNamespace(add=SimpleNamespace(reduce=spy)))
-        rng = np.random.default_rng(0)
-        for n in (1, 2, 4, 8, 9, 64):
-            for width in (1, 2, 3, 1024):
-                # magnitudes over 16 decades, so the order of the additions
-                # shows in the bits, and an all -0.0 column
-                base = rng.standard_normal((n, width + 5)) * 10.0 ** rng.uniform(-8, 8, (n, width + 5))
-                base[:, 3] = -0.0
-                layouts = {"C": base[:, :width].copy(), "sliced": base[:, 2:2 + width],
-                           "F": np.asfortranarray(base[:, :width])}
-                for layout, A in layouts.items():
-                    reduces.clear()
-                    got = spectral._row_sum(A)
-                    want = self.in_order(A)
-                    assert got.shape == (width,)
-                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, width, layout)
-                    # numpy sums a one-column or F-ordered block pairwise from 8 rows
-                    contiguous_columns = layout != "F" or n == 1
-                    assert len(reduces) == int(width > 1 and contiguous_columns), (n, width, layout)
-
-
-class TestRowDot:
-    """_row_dot(a, b) and _row_dot(a, b, c) give _row_sum(a * b) and
-    _row_sum(a * b * c) bit for bit, for any row count, width and layout,
-    with nan and inf entries; one einsum pass replaces the product block
-    exactly when the block is wider than one column and its columns are
-    contiguous.
-
-    The one difference is pinned: einsum zero-fills its output, so a
-    column of all -0.0 products sums to +0.0 where _row_sum gives -0.0.
-    No kernel use can see it.  Squares (the taming norm, |D|_H, |zeta|^2,
-    |C|_H) and |x|^(r+1) w (the moments, the f envelope) are never -0.0,
-    and the stochastic-integral increment is added into log_s, which
-    starts at +0.0 and can never become -0.0, since x + y is -0.0 only
-    when both are.
-    """
-
-    def test_bit_equal_to_row_sum_of_the_product(self, monkeypatch):
+    def test_bit_equal_to_adding_the_products_in_order(self, monkeypatch):
         passes = []
         einsum = spectral._einsum
 
@@ -631,12 +593,12 @@ class TestRowDot:
 
         monkeypatch.setattr(spectral, "_einsum", spy)
         rng = np.random.default_rng(0)
+        panel = spectral.PANEL
         for n in (1, 2, 4, 8, 9, 64):
-            for width in (1, 2, 3, 1024):
+            for width in (panel, 2 * panel, 1024):
                 # magnitudes over 16 decades, so the order of the additions
                 # shows in the bits; base columns 1, 4 and 5 hold a nan, an
-                # inf and a -inf, and column 3 is all -0.0 products; every
-                # layout's first column stays finite
+                # inf and a -inf, and column 3 is all -0.0 products
                 bases = [rng.standard_normal((n, width + 5)) * 10.0 ** rng.uniform(-8, 8, (n, width + 5))
                          for _ in range(3)]
                 bases[0][-1, 1] = math.nan
@@ -645,31 +607,66 @@ class TestRowDot:
                 bases[0][:, 3] = -0.0
                 bases[1][:, 3] = np.abs(bases[1][:, 3])
                 bases[2][:, 3] = np.abs(bases[2][:, 3])
-                for layout in ("C", "sliced", "F"):
+                for layout in ("C", "sliced"):
                     start = 2 if layout == "sliced" else 0
                     factors = [b[:, start:start + width] for b in bases]
                     if layout == "C":
                         factors = [f.copy() for f in factors]
-                    elif layout == "F":
-                        factors = [np.asfortranarray(f) for f in factors]
-                    zero_col = 3 - start
                     for k in (2, 3):
                         where = (n, width, layout, k)
-                        prod = factors[0] * factors[1]
-                        if k == 3:
-                            prod = prod * factors[2]
-                        want = spectral._row_sum(prod)
+                        want = self.in_order(*factors[:k])
                         passes.clear()
                         got = spectral._row_dot(*factors[:k])
+                        assert passes == [",".join(["ip"] * k) + "->p"], where
                         assert got.shape == (width,), where
-                        # an F-ordered block has contiguous columns only at n = 1
-                        einsum_ran = width > 1 and (layout != "F" or n == 1)
-                        assert passes == ([",".join(["ip"] * k) + "->p"] if einsum_ran else []), where
-                        if einsum_ran and zero_col < width:
-                            assert math.copysign(1.0, want[zero_col]) == -1.0 and want[zero_col] == 0.0, where
-                            assert math.copysign(1.0, got[zero_col]) == 1.0 and got[zero_col] == 0.0, where
-                            want[zero_col] = 0.0
                         assert np.array_equal(got.view(np.int64), want.view(np.int64)), where
+
+
+class TestRowDotOperands:
+    """Every _row_dot operand of the ensemble kernel and of the sampled
+    condition checks is a whole number of PANEL columns wide, with unit
+    column stride, also where a chunk holds one path and a check one
+    state: the contract under which spectral._row_dot adds in row order."""
+
+    def test_every_operand_is_whole_panels_with_unit_stride(self, monkeypatch, tmp_path):
+        operands = []
+        row_dot = spectral._row_dot
+
+        def spy(*factors):
+            operands.append([(f.shape, f.strides[1], f.itemsize) for f in factors])
+            return row_dot(*factors)
+
+        for module in (montecarlo, conditions):
+            monkeypatch.setattr(module, "_row_dot", spy)
+        m, c = small_model(), small_coeffs()
+        P = montecarlo.CHUNK_PATHS + 1  # the second chunk holds one path
+        by_run = {}
+
+        # pairs meet on both sides of the partition at step 128, the one
+        # pair of the second chunk at step 70; the f envelope is on
+        res = run_coupled_ensemble(m, c, EnsembleConfig(n_paths=P, dt=2e-3, T=0.5, seed=3),
+                                   START, OTHER, couple_tol=1e-6, trace_paths=2)
+        assert res.f_int is not None and 0.5 < res.coupled_fraction < 1.0 and res.coupled[-1]
+        by_run["couple"], operands[:] = operands[:], []
+        # three kept times in batches of two: the last batch holds one
+        estimate_invariant(m, c, EnsembleConfig(n_paths=P, dt=0.01, T=3.0, burn_in=1.5, seed=3),
+                           thin=50)
+        by_run["thin"], operands[:] = operands[:], []
+        checks = [{"check": name, "n_samples": 1, "seed": 3} for name in ("noise_domination", "embedding")]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": {"n": 4, "q_diag": {"power": -0.5}},
+                                   "coeffs": {"r": 0.5, "gamma": -0.2}, "conditions": checks}))
+        assert main(["conditions", "--config", str(cfg)]) in (0, 2)
+        by_run["conditions"] = operands
+
+        for run, calls in by_run.items():
+            assert calls, run
+            for call in calls:
+                assert len({shape for shape, _, _ in call}) == 1, (run, call)
+                for shape, stride, itemsize in call:
+                    assert shape[1] % spectral.PANEL == 0 and stride == itemsize, (run, call)
+            # the narrow blocks were reached: one path or one state in one panel
+            assert any(call[0][0][1] == spectral.PANEL for call in calls), run
 
 
 class TestPathGenerators:

@@ -1,5 +1,5 @@
-"""The README's library quick start runs as written, and its config key
-table is the schema table."""
+"""The README's library quick start runs as written, its command table is
+the CLI's and its config key table is the schema table."""
 
 import contextlib
 import io
@@ -7,7 +7,7 @@ import json
 import re
 from pathlib import Path
 
-from fastdiffusion import config
+from fastdiffusion import cli, config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -84,3 +84,16 @@ def readme_rows():
 
 def test_readme_key_table_is_the_schema():
     assert readme_rows() == list(schema_rows())
+
+
+# --- the command table is the CLI's ---------------------------------------
+
+def readme_commands():
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    table = section.split("| command", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    return [[cell.strip() for cell in line.strip().strip("|").split("|")] for line in table]
+
+
+def test_readme_command_table_is_the_cli_table():
+    assert list(cli._COMMANDS) == list(config.COMMANDS)
+    assert readme_commands() == [[f"`{name}`", help_line] for name, (_, help_line) in cli._COMMANDS.items()]

@@ -38,8 +38,11 @@ inside a noise block, after other pairs of the block have met.  That
 ``couple`` run also runs from equal starts (y = x), with
 ``--format csv``: every pair meets at step 0, the first noise block's
 end moves all of them out of the two-copy block at step 128, and the
-paths table reads tau = 0.  Each
-output line reads
+paths table reads tau = 0.  ``couple`` (with ``--format csv``) also
+runs 1025 pairs for 100 steps, and ``invariant`` 1025 paths thinned
+every 200 steps after 500 of burn-in: the second chunk holds one path,
+so its f envelope and its one-state batches of kept snapshots are one
+column wide.  Each output line reads
 
     <command> <config> <sha256>
 
@@ -197,8 +200,14 @@ def configs():
     for model, label in ((MODEL, "sampled3"), (MODEL9, "sampled3-n9")):
         for n_samples in (1, 2001):
             yield "conditions", f"{label}-s{n_samples}", sampled(model, SEEDS[0], n_samples), ()
-    yield "harnack-check", "seed3-met", {**ensemble_docs(MODEL, X, Y, SEEDS[0])["harnack-check"],
-                                         "couple_tol": 1e-3}, ()
+    docs = ensemble_docs(MODEL, X, Y, SEEDS[0])
+    yield "harnack-check", "seed3-met", {**docs["harnack-check"], "couple_tol": 1e-3}, ()
+    # 1025 paths: the second chunk holds one path
+    yield "couple", "p1025-csv", {**docs["couple"], "run": {"n_paths": 1025, "dt": 1e-3, "T": 0.1,
+                                                             "seed": SEEDS[0]}}, ("--format", "csv")
+    yield "invariant", "p1025-thin200", {**docs["invariant"], "thin": 200,
+                                         "run": {"n_paths": 1025, "dt": 1e-2, "T": 10.0,
+                                                 "burn_in": 5.0, "seed": SEEDS[0]}}, ()
 
 
 def run_all(main, root: Path):
